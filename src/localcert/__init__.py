@@ -27,12 +27,11 @@ from .graphs import (
     FamilySpec,
     RootedBall,
     ball,
-    ball_vertices,
+    bfs,
     build_graph,
     components,
     format_graph,
     generate,
-    graph_distance,
     induced_subgraph,
     max_ball_size_actual,
     max_ball_size_bound,
@@ -52,6 +51,7 @@ from .measures import (
     l1_distance,
     project_witness,
     read_witness_file,
+    tighten_radius,
     uniform_ball_witness,
     write_witness_file,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +18,7 @@ from .errors import FormatError, LocalcertError, NotUniform, WitnessTooRough
 from .graphs import (
     BoundedDegreeGraph,
     FamilySpec,
-    ball_vertices,
+    bfs,
     format_graph,
     generate,
     read_graph_file,
@@ -36,6 +35,7 @@ from .measures import (
     check_uniformity,
     derive_alpha,
     discretize_witness,
+    tighten_radius,
     uniform_ball_witness,
 )
 from .separators import (
@@ -45,12 +45,10 @@ from .separators import (
     witness_from_separators,
 )
 from .verifier import (
-    combine_verdicts,
     decode_accepted_witness,
     format_verdict,
+    pipeline_verify,
     resolve_predicate,
-    verify_locally_p,
-    verify_property_a,
 )
 
 
@@ -111,38 +109,6 @@ def cmd_generate(config: RunConfig) -> int:
     return 0
 
 
-def _support_radius(w: WitnessFunction) -> int:
-    """Max distance from any vertex to its support; exact, one BFS per vertex."""
-    best = 0
-    G = w.graph
-    for x in w.vertices:
-        supp = set(w.dists[x].num)
-        supp.discard(x)
-        remaining = len(supp)
-        if not remaining:
-            continue
-        dist = {x: 0}
-        queue = deque([x])
-        while queue and remaining:
-            u = queue.popleft()
-            for z in G.adj[u]:
-                if z not in dist:
-                    dist[z] = dist[u] + 1
-                    if z in supp:
-                        remaining -= 1
-                        if dist[z] > best:
-                            best = dist[z]
-                    queue.append(z)
-    return best
-
-
-def _tighten_radius(w: WitnessFunction) -> WitnessFunction:
-    r_star = max(1, _support_radius(w))
-    if r_star >= w.radius:
-        return w
-    return WitnessFunction(w.graph, r_star, w.dists, w.vertices)
-
-
 def _default_shift(eps_prime: Fraction) -> int:
     k = 2
     while Fraction(4, k) >= eps_prime:
@@ -158,14 +124,16 @@ def _auto_witness(G: BoundedDegreeGraph, config: RunConfig) -> WitnessFunction:
     eps_prime = config.eps_prime
     assert eps_prime is not None
     k = config.k_shift if config.k_shift is not None else _default_shift(eps_prime)
+    if k < 1:
+        raise ValueError(f"shift modulus must be positive, got {k}")
     if edges == path_edges:
-        return _tighten_radius(witness_from_separators(G, path_shift_distribution(G, k)))
+        return tighten_radius(witness_from_separators(G, path_shift_distribution(G, k)))
     if n >= 3 and edges == path_edges | {(0, n - 1)}:
         while n % k:
             k += 1
-        return _tighten_radius(witness_from_separators(G, path_shift_distribution(G, k)))
+        return tighten_radius(witness_from_separators(G, path_shift_distribution(G, k)))
     if G.m == n - 1 and _is_connected(G):
-        return _tighten_radius(
+        return tighten_radius(
             witness_from_separators(G, tree_depth_shift_distribution(G, k))
         )
     if config.r is None:
@@ -176,7 +144,7 @@ def _auto_witness(G: BoundedDegreeGraph, config: RunConfig) -> WitnessFunction:
 def _is_connected(G: BoundedDegreeGraph) -> bool:
     if G.n == 0:
         return True
-    return len(ball_vertices(G, 0, G.n)) == G.n
+    return len(bfs(G.adj, (0,))[0]) == G.n
 
 
 def _build_witness(G: BoundedDegreeGraph, config: RunConfig) -> WitnessFunction:
@@ -187,7 +155,7 @@ def _build_witness(G: BoundedDegreeGraph, config: RunConfig) -> WitnessFunction:
         return uniform_ball_witness(G, config.r)
     if mode.startswith("separators:"):
         dist = read_separator_distribution_file(mode.split(":", 1)[1], G)
-        return _tighten_radius(witness_from_separators(G, dist))
+        return tighten_radius(witness_from_separators(G, dist))
     if mode == "auto":
         return _auto_witness(G, config)
     raise ValueError(
@@ -238,9 +206,7 @@ def cmd_verify(config: RunConfig) -> int:
         raise ValueError("verify needs a graph file and a labels file")
     G = read_graph_file(config.graph)
     labeling = read_labeling_file(config.labels)
-    a = verify_property_a(G, labeling, jobs=config.jobs)
-    b = verify_locally_p(G, labeling.k_local, config.predicate, jobs=config.jobs)
-    verdict = combine_verdicts(a, b)
+    verdict = pipeline_verify(G, labeling, config.predicate, jobs=config.jobs)
     _emit(format_verdict(verdict), config.out)
     return 0 if verdict.accept else 1
 
@@ -277,9 +243,7 @@ def cmd_report(config: RunConfig) -> int:
     G = read_graph_file(config.graph)
     labeling = read_labeling_file(config.labels)
     p = labeling.params
-    a = verify_property_a(G, labeling, jobs=config.jobs)
-    b = verify_locally_p(G, labeling.k_local, config.predicate, jobs=config.jobs)
-    verdict = combine_verdicts(a, b)
+    verdict = pipeline_verify(G, labeling, config.predicate, jobs=config.jobs)
     guarantee = Fraction(G.d * G.d, 1) * p.eps_prime / 2
     lines = [
         f"n = {G.n}",
@@ -296,7 +260,7 @@ def cmd_report(config: RunConfig) -> int:
         f"apls_guarantee = {_fraction_str(guarantee)}",
     ]
     if verdict.accept:
-        witness = decode_accepted_witness(G, labeling, verdict=a)
+        witness = decode_accepted_witness(G, labeling, verdict=verdict)
         decoded = check_uniformity(witness)
         partition = extract_partition(G, witness, p.eps_prime)
         hyper = check_hyperfinite(

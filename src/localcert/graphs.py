@@ -1,4 +1,4 @@
-"""Bounded-degree graphs: construction, balls, families, text format.
+"""Bounded-degree graphs: construction, the BFS kernel, balls, families, text format.
 
 Vertices are always 0..n-1.  Graphs are simple, undirected, and carry a hard
 degree bound d >= 2 that every operation preserves.  The text format is
@@ -10,11 +10,10 @@ degree bound d >= 2 that every operation preserves.  The text format is
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 from .errors import DegreeExceeded, FormatError, InfeasibleSpec, NonSimple
 
@@ -22,9 +21,13 @@ _RANDOM_REGULAR_TRIES = 2000
 
 
 class BoundedDegreeGraph:
-    """Immutable simple graph on vertices 0..n-1 with max degree <= d."""
+    """Immutable simple graph on vertices 0..n-1 with max degree <= d.
 
-    __slots__ = ("n", "d", "adj", "_edge_set")
+    `_ball_sizes` memoizes max_ball_size_actual per radius; it is derived
+    data, so equality and hashing ignore it.
+    """
+
+    __slots__ = ("n", "d", "adj", "_edge_set", "_ball_sizes")
 
     def __init__(self, n: int, d: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -53,6 +56,7 @@ class BoundedDegreeGraph:
             tuple(sorted(nbrs)) for nbrs in buckets
         )
         self._edge_set = frozenset(seen)
+        self._ball_sizes: dict[int, int] = {}
 
     @property
     def m(self) -> int:
@@ -91,24 +95,57 @@ def build_graph(edges: Iterable[tuple[int, int]], d: int, n: int | None = None) 
     return BoundedDegreeGraph(n, d, edges)
 
 
+def bfs(adj: Sequence[Sequence[int]], sources: Iterable[int], cutoff: int | None = None,
+        dist: dict[int, int] | None = None) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first search from `sources`, the one BFS loop of the package.
+
+    Returns (order, dist): `order` lists the newly reached vertices in FIFO
+    discovery order, sources first, and `dist` maps each of them to its hop
+    distance from the nearest source, exploring no further than `cutoff`.
+    Vertices already in a caller-passed `dist` count as visited: they are
+    neither entered nor expanded.  That blocks a vertex set (seed it with the
+    set) and lets a component sweep share one map across calls.
+    """
+    if dist is None:
+        dist = {}
+    order = []
+    for s in sources:
+        if s not in dist:
+            dist[s] = 0
+            order.append(s)
+    # the list doubles as the FIFO queue: iteration picks up appended vertices
+    for u in order:
+        du = dist[u]
+        if du == cutoff:
+            continue
+        du += 1
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = du
+                order.append(w)
+    return order, dist
+
+
 class RootedBall:
     """The subgraph induced on B_s(center), re-indexed to local ids.
 
     Local id 0 is the center; vertices appear in BFS discovery order, so
     local ids and `dist` are deterministic for a fixed parent graph.
-    `vertices[i]` is the parent id of local vertex i.
+    `vertices[i]` is the parent id of local vertex i and `local_adj[i]` its
+    ascending local neighbors.
     """
 
-    __slots__ = ("center", "radius_bound", "vertices", "dist", "edges_local", "parent_degree_bound", "__dict__")
+    __slots__ = ("center", "radius_bound", "vertices", "dist", "local_adj",
+                 "parent_degree_bound", "__dict__")
 
     def __init__(self, center: int, radius_bound: int, vertices: tuple[int, ...],
-                 dist: tuple[int, ...], edges_local: tuple[tuple[int, int], ...],
+                 dist: tuple[int, ...], local_adj: tuple[tuple[int, ...], ...],
                  parent_degree_bound: int):
         self.center = center
         self.radius_bound = radius_bound
         self.vertices = vertices
         self.dist = dist
-        self.edges_local = edges_local
+        self.local_adj = local_adj
         self.parent_degree_bound = parent_degree_bound
 
     @property
@@ -124,12 +161,9 @@ class RootedBall:
         return {p: i for i, p in enumerate(self.vertices)}
 
     @cached_property
-    def local_adj(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in self.vertices]
-        for i, j in self.edges_local:
-            buckets[i].append(j)
-            buckets[j].append(i)
-        return tuple(tuple(sorted(b)) for b in buckets)
+    def edges_local(self) -> tuple[tuple[int, int], ...]:
+        """Local edges (i, j) with i < j, lexicographically ascending."""
+        return tuple((i, j) for i, row in enumerate(self.local_adj) for j in row if i < j)
 
     def as_graph(self) -> BoundedDegreeGraph:
         return BoundedDegreeGraph(self.size, self.parent_degree_bound, self.edges_local)
@@ -142,74 +176,19 @@ def ball(G: BoundedDegreeGraph, x: int, s: int) -> RootedBall:
     if s < 0:
         raise ValueError(f"radius must be nonnegative, got {s}")
     adj = G.adj
-    dist = {x: 0}
-    order = [x]
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == s:
-            continue
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = du + 1
-                order.append(w)
-                queue.append(w)
-    to_local = {p: i for i, p in enumerate(order)}
-    edges_local = []
-    for u in order:
-        lu = to_local[u]
-        for w in adj[u]:
-            if u < w and w in dist:
-                lw = to_local[w]
-                edges_local.append((lu, lw) if lu < lw else (lw, lu))
-    b = RootedBall(
+    order, dist = bfs(adj, (x,), s)
+    local = dict(zip(order, range(len(order))))
+    local_adj = tuple(
+        tuple(sorted([local[w] for w in adj[u] if w in local])) for u in order
+    )
+    return RootedBall(
         center=x,
         radius_bound=s,
         vertices=tuple(order),
-        dist=tuple(dist[p] for p in order),
-        edges_local=tuple(sorted(edges_local)),
+        dist=tuple([dist[p] for p in order]),
+        local_adj=local_adj,
         parent_degree_bound=G.d,
     )
-    b.to_local = to_local
-    return b
-
-
-def ball_vertices(G: BoundedDegreeGraph, x: int, s: int) -> dict[int, int]:
-    """Vertices of B_s(x) mapped to their distance from x (cheap: no edges)."""
-    adj = G.adj
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == s:
-            continue
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
-
-
-def graph_distance(G: BoundedDegreeGraph, x: int, z: int, cutoff: int | None = None) -> int | None:
-    """d_G(x, z), or None if z is unreachable (or beyond cutoff)."""
-    if x == z:
-        return 0
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if cutoff is not None and du == cutoff:
-            continue
-        for w in G.adj[u]:
-            if w not in dist:
-                if w == z:
-                    return du + 1
-                dist[w] = du + 1
-                queue.append(w)
-    return None
 
 
 def max_ball_size_bound(d: int, r: int) -> int:
@@ -224,54 +203,20 @@ def max_ball_size_bound(d: int, r: int) -> int:
 
 
 def max_ball_size_actual(G: BoundedDegreeGraph, r: int) -> int:
-    """max_x |B_r(x, G)| by BFS from every vertex."""
+    """max_x |B_r(x, G)| by BFS from every vertex, memoized per radius on G."""
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    adj = G.adj
-    n = G.n
-    stamp = [-1] * n
-    depth = [0] * n
-    best = 0
-    for x in range(n):
-        stamp[x] = x
-        depth[x] = 0
-        queue = deque([x])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            du = depth[u]
-            if du == r:
-                continue
-            for w in adj[u]:
-                if stamp[w] != x:
-                    stamp[w] = x
-                    depth[w] = du + 1
-                    count += 1
-                    queue.append(w)
-        if count > best:
-            best = count
-    return best
+    sizes = G._ball_sizes
+    if r not in sizes:
+        adj = G.adj
+        sizes[r] = max((len(bfs(adj, (x,), r)[0]) for x in range(G.n)), default=0)
+    return sizes[r]
 
 
 def components(G: BoundedDegreeGraph) -> list[list[int]]:
     """Connected components as sorted id lists, ordered by smallest member."""
-    seen = [False] * G.n
-    out: list[list[int]] = []
-    for x in range(G.n):
-        if seen[x]:
-            continue
-        seen[x] = True
-        comp = [x]
-        queue = deque([x])
-        while queue:
-            u = queue.popleft()
-            for w in G.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
-    return out
+    seen: dict[int, int] = {}
+    return [sorted(bfs(G.adj, (x,), dist=seen)[0]) for x in range(G.n) if x not in seen]
 
 
 def induced_subgraph(G: BoundedDegreeGraph, vertices: Iterable[int]) -> BoundedDegreeGraph:

@@ -21,12 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import AmbiguousColor, FormatError
-from .graphs import (
-    BoundedDegreeGraph,
-    ball_vertices,
-    graph_distance,
-    max_ball_size_actual,
-)
+from .graphs import BoundedDegreeGraph, bfs, max_ball_size_actual
 from .measures import WitnessFunction
 
 
@@ -103,7 +98,7 @@ def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[int, ...]:
     colors = [-1] * G.n
     for v in range(G.n):
         taken = set()
-        for u in ball_vertices(G, v, q):
+        for u in bfs(G.adj, (v,), q)[0]:
             cu = colors[u]
             if cu >= 0:
                 taken.add(cu)
@@ -141,7 +136,7 @@ def build_proof(G: BoundedDegreeGraph, gtilde: WitnessFunction,
     for z in range(G.n):
         row = [0] * palette
         owner = [-1] * palette
-        for x in ball_vertices(G, z, r):
+        for x in bfs(G.adj, (z,), r)[0]:
             q = colors[x]
             if owner[q] >= 0:
                 raise AmbiguousColor(z, q)
@@ -155,8 +150,7 @@ def build_proof(G: BoundedDegreeGraph, gtilde: WitnessFunction,
 def decode_value(G: BoundedDegreeGraph, labeling: ProofLabeling, x: int, z: int) -> Fraction:
     """Recover the encoded g(x)(z) = T2(z)(T1(x)) / alpha, or 0 beyond radius r."""
     p = labeling.params
-    dist = graph_distance(G, x, z, cutoff=p.r)
-    if dist is None:
+    if z not in bfs(G.adj, (x,), p.r)[1]:
         return Fraction(0)
     return Fraction(labeling.tables[z][labeling.colors[x]], p.alpha)
 

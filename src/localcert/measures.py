@@ -25,7 +25,7 @@ from .errors import (
     InfeasibleAlpha,
     NotUniform,
 )
-from .graphs import BoundedDegreeGraph, ball_vertices, max_ball_size_actual
+from .graphs import BoundedDegreeGraph, bfs, max_ball_size_actual
 
 
 class RationalDist:
@@ -104,6 +104,9 @@ class WitnessFunction:
     `vertices` lists the domain; a full-graph witness has domain 0..n-1.  A
     relative witness (domain a proper subset) arises from projection and also
     keeps its distributions supported on the domain.
+
+    Immutable after construction: nothing may rebind or mutate its fields or
+    distributions, because check_uniformity caches its report on the witness.
     """
 
     def __init__(self, graph: BoundedDegreeGraph, radius: int,
@@ -124,6 +127,7 @@ class WitnessFunction:
         self.dists = dict(dists)
         self.vertices = vs
         self.vertex_set = frozenset(vs)
+        self._uniformity: dict[bool, UniformityReport] = {}
 
     @property
     def is_full(self) -> bool:
@@ -166,8 +170,11 @@ def check_uniformity(w: WitnessFunction, include_table: bool = False) -> Uniform
 
     Support of each f(x) must lie in B_radius(x, G) intersected with the
     domain.  The measured maximum is exact; thresholding is the caller's
-    business.
+    business.  The report is computed once per witness and then cached on it.
     """
+    cached = w._uniformity.get(include_table)
+    if cached is not None:
+        return cached
     G = w.graph
     support_ok = True
     bad_vertex = None
@@ -177,7 +184,7 @@ def check_uniformity(w: WitnessFunction, include_table: bool = False) -> Uniform
             support_ok = False
             bad_vertex = x
             break
-        reach = ball_vertices(G, x, w.radius)
+        _, reach = bfs(G.adj, (x,), w.radius)
         if not all(z in reach for z in supp):
             support_ok = False
             bad_vertex = x
@@ -192,14 +199,38 @@ def check_uniformity(w: WitnessFunction, include_table: bool = False) -> Uniform
         if d > best:
             best = d
             worst = (u, v)
-    return UniformityReport(best, worst, support_ok, bad_vertex, table)
+    report = UniformityReport(best, worst, support_ok, bad_vertex, table)
+    w._uniformity[include_table] = report
+    return report
+
+
+def tighten_radius(w: WitnessFunction) -> WitnessFunction:
+    """The same witness with its radius cut to the farthest support atom (at least 1).
+
+    Exact, one BFS per vertex.  Each BFS stops at the best reach found so far,
+    and only a vertex with an atom beyond it is searched again out to the
+    declared radius, so the total work tracks the final reach rather than the
+    declared radius.
+    """
+    adj = w.graph.adj
+    best = 1
+    for x in w.vertices:
+        supp = w.dists[x].num.keys()
+        _, dist = bfs(adj, (x,), best)
+        if all(z in dist for z in supp):
+            continue
+        _, dist = bfs(adj, (x,), w.radius)
+        best = max([best] + [dist[z] for z in supp if z in dist])
+    if best >= w.radius:
+        return w
+    return WitnessFunction(w.graph, best, w.dists, w.vertices)
 
 
 def uniform_ball_witness(G: BoundedDegreeGraph, r: int) -> WitnessFunction:
     """The canonical witness: f(x) = uniform on B_r(x, G)."""
     if r < 1:
         raise ValueError(f"witness radius must be at least 1, got {r}")
-    dists = {x: RationalDist.uniform(ball_vertices(G, x, r)) for x in range(G.n)}
+    dists = {x: RationalDist.uniform(bfs(G.adj, (x,), r)[0]) for x in range(G.n)}
     return WitnessFunction(G, r, dists)
 
 
@@ -284,23 +315,7 @@ def project_witness(w: WitnessFunction, f_vertices: Iterable[int]) -> WitnessFun
         raise ValueError("projection target outside graph")
 
     # pass 1: multi-source BFS distances to F
-    INF = -1
-    dist = [INF] * G.n
-    frontier = list(fvs)
-    for v in fvs:
-        dist[v] = 0
-    level = 0
-    order: list[int] = list(fvs)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for z in G.adj[u]:
-                if dist[z] == INF:
-                    dist[z] = level + 1
-                    nxt.append(z)
-        frontier = nxt
-        order.extend(nxt)
-        level += 1
+    order, dist = bfs(G.adj, fvs)
 
     # pass 2: nearest point in F, ties by smallest id; by induction the
     # minimum over already-resolved closer neighbors realizes the tie rule

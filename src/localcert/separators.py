@@ -16,62 +16,24 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
 from .errors import FormatError, InvalidDistribution
-from .graphs import BoundedDegreeGraph, components, max_ball_size_bound
+from .graphs import BoundedDegreeGraph, bfs, max_ball_size_bound
 from .measures import RationalDist, WitnessFunction
 
 
 def is_k_separator(G: BoundedDegreeGraph, Y: Iterable[int], K: int) -> bool:
     """True iff every component of G - Y has at most K vertices."""
-    blocked = set(Y)
-    seen = [False] * G.n
-    for v in blocked:
+    seen = dict.fromkeys(Y, 0)
+    for v in seen:
         if not 0 <= v < G.n:
             raise ValueError(f"separator vertex {v} outside graph")
-        seen[v] = True
-    for x in range(G.n):
-        if seen[x]:
-            continue
-        seen[x] = True
-        size = 1
-        queue = deque([x])
-        while queue:
-            u = queue.popleft()
-            for w in G.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    size += 1
-                    if size > K:
-                        return False
-                    queue.append(w)
-    return True
-
-
-def _residual_components(G: BoundedDegreeGraph, Y: frozenset[int]) -> list[list[int]]:
-    seen = [False] * G.n
-    for v in Y:
-        seen[v] = True
-    out = []
-    for x in range(G.n):
-        if seen[x]:
-            continue
-        seen[x] = True
-        comp = [x]
-        queue = deque([x])
-        while queue:
-            u = queue.popleft()
-            for w in G.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(comp)
-    return out
+    return all(
+        len(bfs(G.adj, (x,), dist=seen)[0]) <= K for x in range(G.n) if x not in seen
+    )
 
 
 class SeparatorDistribution:
@@ -120,10 +82,14 @@ class SeparatorSample:
     def __init__(self, G: BoundedDegreeGraph, Y: tuple[int, ...], weight: Fraction):
         self.Y = frozenset(Y)
         self.weight = weight
-        comps = _residual_components(G, self.Y)
         self.component_of: dict[int, int] = {}
         self.component_sizes: list[int] = []
-        for ci, comp in enumerate(comps):
+        seen = dict.fromkeys(self.Y, 0)
+        for x in range(G.n):
+            if x in seen:
+                continue
+            comp, _ = bfs(G.adj, (x,), dist=seen)
+            ci = len(self.component_sizes)
             self.component_sizes.append(len(comp))
             for v in comp:
                 self.component_of[v] = ci
@@ -252,18 +218,9 @@ def tree_depth_shift_distribution(G: BoundedDegreeGraph, k: int) -> SeparatorDis
     """
     if k < 1:
         raise ValueError(f"shift modulus must be positive, got {k}")
-    comps = components(G)
-    if len(comps) != 1 or G.m != G.n - 1:
+    depth = bfs(G.adj, (0,))[1] if G.n else {}
+    if G.m != G.n - 1 or len(depth) != G.n:
         raise ValueError("depth shifts need a connected tree")
-    depth = [-1] * G.n
-    depth[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in G.adj[u]:
-            if depth[w] < 0:
-                depth[w] = depth[u] + 1
-                queue.append(w)
     samples = [
         (tuple(v for v in range(G.n) if depth[v] % k == s), Fraction(1, k))
         for s in range(k)
@@ -288,27 +245,27 @@ def minimax_separator_search(G: BoundedDegreeGraph, K: int, rounds: int,
     collected: list[tuple[int, ...]] = []
     for _ in range(rounds):
         Y: set[int] = set()
-        pending = [comp for comp in _residual_components(G, frozenset()) if len(comp) > K]
+        # `seen` holds every vertex but those of the piece being split, so a
+        # BFS started inside the piece stays inside it
+        seen: dict[int, int] = {}
+        pending = []
+        for x in range(G.n):
+            if x not in seen:
+                comp, _ = bfs(G.adj, (x,), dist=seen)
+                if len(comp) > K:
+                    pending.append(comp)
         while pending:
             comp = pending.pop()
-            if len(comp) <= K:
-                continue
             low = min(weight[v] for v in comp)
             victim = rng.choice(sorted(v for v in comp if weight[v] == low))
             Y.add(victim)
             rest = set(comp)
             rest.discard(victim)
+            for v in rest:
+                del seen[v]
             while rest:
-                x = rest.pop()
-                piece = [x]
-                queue = deque([x])
-                while queue:
-                    u = queue.popleft()
-                    for w in G.adj[u]:
-                        if w in rest:
-                            rest.discard(w)
-                            piece.append(w)
-                            queue.append(w)
+                piece, _ = bfs(G.adj, (rest.pop(),), dist=seen)
+                rest.difference_update(piece)
                 if len(piece) > K:
                     pending.append(piece)
         for y in Y:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import Callable, Sequence
 import networkx as nx
 
 from .errors import MalformedLabeling, NotAccepted
-from .graphs import BoundedDegreeGraph, ball, ball_vertices, components, induced_subgraph
+from .graphs import BoundedDegreeGraph, ball, bfs, components, induced_subgraph
 from .labeling import ProofLabeling
 from .measures import RationalDist, WitnessFunction
 
@@ -94,21 +93,6 @@ def extract_labeled_ball(G: BoundedDegreeGraph, labeling: ProofLabeling,
     )
 
 
-def _ball_bfs(adj: Sequence[Sequence[int]], start: int, cutoff: int) -> dict[int, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == cutoff:
-            continue
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
-
-
 def check_vertex(lball: LabeledBall, params: VerifierParams) -> str | None:
     """Decide one vertex from its labeled ball; None means accept.
 
@@ -130,11 +114,11 @@ def check_vertex(lball: LabeledBall, params: VerifierParams) -> str | None:
             continue
         mset = set(members)
         for y in members:
-            reach = _ball_bfs(adj, y, r)
+            reach, _ = bfs(adj, (y,), r)
             if any(z != y and z in mset for z in reach):
                 return CHECK_PROPERNESS
 
-    inner = _ball_bfs(adj, lball.center, r)
+    inner, _ = bfs(adj, (lball.center,), r)
     if sum(tables[z][c0] for z in inner) != params.alpha:
         return CHECK_PROBABILITY
 
@@ -169,6 +153,7 @@ def _init_worker(G: BoundedDegreeGraph, labeling: ProofLabeling, params: Verifie
 
 
 def _check_one(x: int) -> str | None:
+    """Pool task: decide vertex x from the state _init_worker left in this process."""
     G: BoundedDegreeGraph = _WORKER["G"]  # type: ignore[assignment]
     labeling: ProofLabeling = _WORKER["labeling"]  # type: ignore[assignment]
     params: VerifierParams = _WORKER["params"]  # type: ignore[assignment]
@@ -177,7 +162,9 @@ def _check_one(x: int) -> str | None:
 
 def verify_property_a(G: BoundedDegreeGraph, labeling: ProofLabeling,
                       jobs: int = 1) -> Verdict:
-    """Run the three-check verifier at every vertex of G."""
+    """Run the three-check verifier at every vertex of G, on `jobs` processes."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     _validate_against_graph(G, labeling)
     params = VerifierParams.from_labeling(labeling)
     if jobs > 1 and G.n > 1:
@@ -188,8 +175,11 @@ def verify_property_a(G: BoundedDegreeGraph, labeling: ProofLabeling,
             chunk = max(1, G.n // (4 * jobs))
             decisions = tuple(pool.map(_check_one, range(G.n), chunksize=chunk))
         return Verdict(decisions)
-    _init_worker(G, labeling, params)
-    return Verdict(tuple(_check_one(x) for x in range(G.n)))
+    radius = params.r + 1
+    return Verdict(tuple(
+        check_vertex(extract_labeled_ball(G, labeling, x, radius), params)
+        for x in range(G.n)
+    ))
 
 
 def decode_accepted_witness(G: BoundedDegreeGraph, labeling: ProofLabeling,
@@ -209,10 +199,10 @@ def decode_accepted_witness(G: BoundedDegreeGraph, labeling: ProofLabeling,
     p = labeling.params
     dists = {}
     for x in range(G.n):
-        b = ball(G, x, p.r)
+        reach, _ = bfs(G.adj, (x,), p.r)
         cx = labeling.colors[x]
         num = {}
-        for z in b.vertices:
+        for z in reach:
             t = labeling.tables[z][cx]
             if t:
                 num[z] = t
@@ -258,14 +248,11 @@ def resolve_predicate(predicate: str | Callable[[BoundedDegreeGraph], bool]) -> 
 
 
 def verify_locally_p(G: BoundedDegreeGraph, K: int,
-                     predicate: str | Callable[[BoundedDegreeGraph], bool],
-                     jobs: int = 1) -> Verdict:
+                     predicate: str | Callable[[BoundedDegreeGraph], bool]) -> Verdict:
     """Check predicate(B_K(x)) for every x.
 
     Balls with identical vertex sets share one predicate call, which makes
     the common case (K beyond the component diameter) a handful of calls.
-    The jobs parameter is accepted for interface symmetry; decisions do not
-    depend on it.
     """
     if K < 0:
         raise ValueError(f"locality radius must be nonnegative, got {K}")
@@ -273,17 +260,17 @@ def verify_locally_p(G: BoundedDegreeGraph, K: int,
     decisions: list[str | None] = [None] * G.n
     cache: dict[frozenset[int], bool] = {}
     for comp in components(G):
-        probe = ball_vertices(G, comp[0], K)
+        probe, dist = bfs(G.adj, (comp[0],), K)
         # 2 * ecc(probe vertex) bounds every eccentricity in the component,
         # so one predicate call can settle the whole component
-        if len(probe) == len(comp) and 2 * max(probe.values()) <= K:
+        if len(probe) == len(comp) and 2 * dist[probe[-1]] <= K:
             ok = bool(pred(induced_subgraph(G, comp)))
             if not ok:
                 for x in comp:
                     decisions[x] = CHECK_LOCAL_P
             continue
         for x in comp:
-            key = frozenset(ball_vertices(G, x, K))
+            key = frozenset(bfs(G.adj, (x,), K)[0])
             if key not in cache:
                 cache[key] = bool(pred(induced_subgraph(G, key)))
             if not cache[key]:
@@ -311,7 +298,7 @@ def pipeline_verify(G: BoundedDegreeGraph, labeling: ProofLabeling,
     """
     _validate_against_graph(G, labeling)
     a = verify_property_a(G, labeling, jobs=jobs)
-    b = verify_locally_p(G, labeling.k_local, predicate, jobs=jobs)
+    b = verify_locally_p(G, labeling.k_local, predicate)
     return combine_verdicts(a, b)
 
 
@@ -367,7 +354,7 @@ class BallSetVerifier:
 
 def _truncate_ball(adj: Sequence[Sequence[int]], labels: Sequence, center: int,
                    radius: int) -> tuple[tuple[tuple[int, ...], ...], tuple, int]:
-    dist = _ball_bfs(adj, center, radius)
+    _, dist = bfs(adj, (center,), radius)
     order = sorted(dist, key=lambda v: (dist[v], v))
     pos = {v: i for i, v in enumerate(order)}
     sub_adj = tuple(

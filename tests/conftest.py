@@ -79,9 +79,7 @@ def prove_uniform(name: str, G: lc.BoundedDegreeGraph, r: int,
 def tightened_separator_witness(G: lc.BoundedDegreeGraph,
                                 dist: lc.SeparatorDistribution) -> lc.WitnessFunction:
     """Separator witness with its radius trimmed to the real support reach."""
-    from localcert.cli import _tighten_radius
-
-    return _tighten_radius(lc.witness_from_separators(G, dist))
+    return lc.tighten_radius(lc.witness_from_separators(G, dist))
 
 
 @pytest.fixture(scope="session")

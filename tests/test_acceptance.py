@@ -86,7 +86,7 @@ def test_criterion_3_discretization_bounds():
         for _ in range(10):
             x = rng.randrange(G.n)
             r = rng.randint(1, 3)
-            ball = sorted(lc.ball_vertices(G, x, r))
+            ball = sorted(lc.bfs(G.adj, (x,), r)[0])
             den = rng.randint(1, 50)
             cuts = sorted(rng.randint(0, den) for _ in range(len(ball) - 1))
             weights = [b - a for a, b in zip([0] + cuts, cuts + [den])]

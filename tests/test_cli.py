@@ -1,11 +1,15 @@
 """End-to-end runs of the command-line driver through main()."""
 
+import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import localcert as lc
+from localcert import graphs, measures
 from localcert.cli import main
 
 
@@ -107,6 +111,42 @@ def test_prove_separator_file_matches_k_shift(p11, capsys, tmp_path):
     assert from_file.read_text() == from_flag.read_text()
 
 
+def test_prove_k_shift_zero_exits_two(capsys, tmp_path):
+    g = tmp_path / "c12.graph"
+    run(capsys, "gen", "--family", "cycle", "--n", "12", "--out", str(g))
+    code, _, err = run(capsys, "prove", str(g), "--eps-prime", "1/2", "--k-shift", "0")
+    assert code == 2
+    assert err == "error: shift modulus must be positive, got 0\n"
+
+
+def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch):
+    """One prove sweeps ball sizes at r and 2r once each and measures the witness once."""
+    g = tmp_path / "g8.graph"
+    run(capsys, "gen", "--family", "grid", "--n", "8,8", "--out", str(g))
+    # inside graphs only max_ball_size_actual runs the kernel during prove
+    sweeps = Counter()
+    kernel = graphs.bfs
+
+    def counting_bfs(adj, sources, cutoff=None, dist=None):
+        sweeps[cutoff] += 1
+        return kernel(adj, sources, cutoff, dist)
+
+    edges_measured = Counter()
+    l1 = measures.l1_distance
+
+    def counting_l1(p, q):
+        edges_measured["l1"] += 1
+        return l1(p, q)
+
+    monkeypatch.setattr(graphs, "bfs", counting_bfs)
+    monkeypatch.setattr(measures, "l1_distance", counting_l1)
+    code, _, _ = run(capsys, "prove", str(g), "--witness", "uniform-ball", "--r", "2",
+                     "--eps-prime", "3/2", "--out", str(tmp_path / "g8.labels"))
+    assert code == 0
+    assert sweeps == {2: 64, 4: 64}
+    assert edges_measured["l1"] == 112
+
+
 def test_prove_K_override(p11, capsys, tmp_path):
     g, _ = p11
     labels = tmp_path / "k3.labels"
@@ -134,6 +174,16 @@ def test_verify_rejects_tampered_color(p11, capsys):
     assert code == 1
     assert out.startswith("verdict reject\n")
     assert "properness" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_two(p11, capsys, command, jobs):
+    g, labels = p11
+    code, out, err = run(capsys, command, str(g), str(labels), "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
 
 
 def test_verify_rejects_vertex_count_mismatch(p11, capsys, tmp_path):
@@ -218,9 +268,13 @@ def test_auto_witness_needs_r_for_general_graphs(capsys, tmp_path):
 
 
 def test_console_script_wiring(tmp_path):
+    # the child interpreter imports the same package as this test run
+    src = str(Path(lc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run(
         [sys.executable, "-m", "localcert.cli", "gen", "--family", "path", "--n", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0
     assert out.stdout == "graph 3 2 2\n0 1\n1 2\n"

@@ -11,10 +11,9 @@ from conftest import random_family_graph
 from localcert.errors import DegreeExceeded, FormatError, InfeasibleSpec, NonSimple
 from localcert.graphs import (
     ball,
-    ball_vertices,
+    bfs,
     build_graph,
     components,
-    graph_distance,
     induced_subgraph,
     max_ball_size_actual,
     max_ball_size_bound,
@@ -109,28 +108,53 @@ def test_graph_equality_and_adjacency():
 
 # --- balls and distances, against an independent BFS ------------------------
 
+def assert_bfs_order(order, dist, sources):
+    """Sources first, then nondecreasing distance, each vertex once."""
+    assert order[:len(sources)] == list(sources)
+    assert len(set(order)) == len(order)
+    assert [dist[v] for v in order] == sorted(dist[v] for v in order)
+
+
 def test_ball_vertices_matches_networkx():
+    """bfs balls, single- and multi-source, with and without a cutoff."""
     rng = random.Random(101)
     for _ in range(20):
         G = random_family_graph(rng)
         H = to_nx(G)
         x = rng.randrange(G.n)
         s = rng.randint(0, 5)
-        mine = ball_vertices(G, x, s)
+        order, dist = bfs(G.adj, (x,), s)
         theirs = nx.single_source_shortest_path_length(H, x, cutoff=s)
-        assert dict(mine) == dict(theirs)
+        assert dist == dict(theirs)
+        assert_bfs_order(order, dist, [x])
+        sources = rng.sample(range(G.n), rng.randint(1, min(4, G.n)))
+        cutoff = rng.choice([None, rng.randint(0, 3)])
+        order, dist = bfs(G.adj, sources, cutoff)
+        theirs = nx.multi_source_dijkstra_path_length(H, set(sources), cutoff=cutoff)
+        assert dist == dict(theirs)
+        assert_bfs_order(order, dist, sources)
 
 
 def test_graph_distance_matches_networkx():
+    """bfs distances, cut off at one below, and around a pre-seeded dist map."""
     rng = random.Random(102)
     for _ in range(20):
         G = random_family_graph(rng)
         H = to_nx(G)
         x, z = rng.randrange(G.n), rng.randrange(G.n)
         want = nx.shortest_path_length(H, x, z) if nx.has_path(H, x, z) else None
-        assert graph_distance(G, x, z) == want
+        assert bfs(G.adj, (x,))[1].get(z) == want
         if want is not None and want > 0:
-            assert graph_distance(G, x, z, cutoff=want - 1) is None
+            assert z not in bfs(G.adj, (x,), want - 1)[1]
+        blocked = set(rng.sample(range(G.n), rng.randint(0, G.n // 3))) - {x}
+        seen = dict.fromkeys(blocked, 0)
+        order, dist = bfs(G.adj, (x,), dist=seen)
+        theirs = nx.single_source_shortest_path_length(H.subgraph(set(H) - blocked), x)
+        assert dist is seen and set(dist) == blocked | set(theirs)
+        assert {v: dist[v] for v in order} == dict(theirs)
+        assert_bfs_order(order, dist, [x])
+        # a source already in the map counts as visited
+        assert bfs(G.adj, (x,), dist=seen)[0] == []
 
 
 def test_rooted_ball_structure():
@@ -164,6 +188,8 @@ def test_max_ball_size_actual_examples():
     P = lc.generate(lc.FamilySpec("path", (11,)))
     assert max_ball_size_actual(P, 2) == 5
     assert max_ball_size_actual(P, 100) == 11
+    assert P._ball_sizes == {2: 5, 100: 11}
+    assert P == lc.generate(lc.FamilySpec("path", (11,)))
 
 
 # --- subgraphs and components -----------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 import localcert as lc
 from conftest import random_family_graph
 from localcert.errors import AmbiguousColor, FormatError
-from localcert.graphs import graph_distance, max_ball_size_actual, max_ball_size_bound
+from localcert.graphs import bfs, max_ball_size_actual, max_ball_size_bound
 from localcert.labeling import (
     ProofLabeling,
     SchemeParams,
@@ -53,7 +53,7 @@ def test_distance_coloring_is_proper():
         for v in range(G.n):
             for u in range(v):
                 if colors[u] == colors[v]:
-                    d = graph_distance(G, u, v, cutoff=q)
+                    d = bfs(G.adj, (u,), q)[1].get(v)
                     assert d is None, f"color {colors[v]} repeats at distance {d}"
         assert max(colors) + 1 <= max_ball_size_bound(G.d, q)
 
@@ -77,7 +77,7 @@ def test_decode_value_round_trip():
     labeling = build_proof(G, g, distance_coloring(G, 4), Fraction(2, 3), Fraction(5, 6))
     for x in range(G.n):
         for z in range(G.n):
-            want = g.dists[x].value(z) if graph_distance(G, x, z, cutoff=1) is not None else Fraction(0)
+            want = g.dists[x].value(z) if z in bfs(G.adj, (x,), 1)[1] else Fraction(0)
             assert decode_value(G, labeling, x, z) == want
 
 

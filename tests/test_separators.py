@@ -1,5 +1,6 @@
 """Separator distributions, shift families, and the witnesses they induce."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from localcert.measures import check_uniformity, l1_distance
 from localcert.separators import (
     SeparatorDistribution,
     SeparatorSample,
+    format_separator_distribution,
     grid_shift_distribution,
     is_k_separator,
     max_marginal,
@@ -169,6 +171,18 @@ def test_minimax_search_on_path():
     assert value < 1
     again = minimax_separator_search(P, K=5, rounds=40, seed=7)
     assert d.support == again.support
+
+
+def test_minimax_search_golden():
+    """Pins the seeded search output across processes and refactors."""
+    P = lc.generate(lc.FamilySpec("path", (16,)))
+    d = minimax_separator_search(P, K=5, rounds=40, seed=7)
+    text = format_separator_distribution(d)
+    assert text.startswith("sepdist 16 5 39\n1/40 5 0 1 5 9 11\n1/40 4 0 2 5 11\n")
+    assert "\n1/20 6 0 4 5 10 12 15\n" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9322fa8cc96a0539c2963d578788b11b7e67698354d6469f7ccf8563d5d98979"
+    )
 
 
 # --- text format -------------------------------------------------------------
