@@ -168,6 +168,8 @@ def cmd_prove(config: RunConfig) -> int:
         raise ValueError("prove needs a graph file")
     if config.eps_prime is None:
         raise ValueError("prove needs --eps-prime")
+    if config.eps_prime <= 0:
+        raise ValueError(f"--eps-prime must be positive, got {config.eps_prime}")
     G = read_graph_file(config.graph)
     w = _build_witness(G, config)
     report = check_uniformity(w)

@@ -5,7 +5,8 @@ at most max |B_2r| vertices after removing at most (d^2 eps / 2)|V| edges.
 The constructive loop: project the witness onto the remaining vertices, pick
 a coordinate z0 with a low smoothed boundary-to-mass ratio, sweep superlevel
 sets of zeta(x) = f(x)(z0) until one has edge boundary at most (d eps/2) of
-its size, cut it off, repeat.
+its size, cut it off, repeat.  extract_partition keeps the projection and its
+sums up to date across cuts instead of recomputing them.
 
 Partition text format:
 
@@ -17,15 +18,16 @@ Partition text format:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 from .errors import FormatError, NoQualifyingSet, NotUniform, OutOfRange
 from .graphs import BoundedDegreeGraph, induced_subgraph
-from .measures import WitnessFunction, check_uniformity, project_witness
+from .measures import RationalDist, WitnessFunction, check_uniformity
 
 
 def threshold_set(zeta: Mapping[int, Fraction], t: Fraction) -> set[int]:
@@ -51,6 +53,10 @@ def boundary_sets(G: BoundedDegreeGraph, domain: Iterable[int], A: Iterable[int]
     aset = set(A)
     if not aset <= dom:
         raise ValueError("A must be a subset of the domain")
+    return _boundary(G, dom, aset)
+
+
+def _boundary(G: BoundedDegreeGraph, dom: Container[int], aset: set[int]) -> BoundarySets:
     verts = set()
     edges = []
     for x in aset:
@@ -125,60 +131,93 @@ def find_low_boundary_set(w: WitnessFunction, eps: Fraction) -> LowBoundaryResul
     of zeta(x) = f(x)(z0) qualifies.  Thresholds are swept ascending over the
     distinct zeta values; the first qualifying nonempty set is returned.
     """
-    G = w.graph
-    domain = list(w.vertices)
-    if not domain:
+    if not w.vertices:
         raise NoQualifyingSet("empty domain")
-    vset = w.vertex_set
+    den = math.lcm(*(w.dists[x].den for x in w.vertices))
+    num = {x: _scaled(w.dists[x], den) for x in w.vertices}
+    mass, diff = _coordinate_sums(w.graph, w.vertices, w.vertex_set, num)
+    key, heap = _ratio_heap(mass, diff)
+    z0 = _pick_z0(heap, key)
+    zeta = {x: p[z0] for x, p in num.items() if z0 in p}
+    return _superlevel_cut(w.graph, w.vertex_set, zeta, den, z0, eps)
 
-    den = 1
-    for x in domain:
-        den = math.lcm(den, w.dists[x].den)
-    num: dict[int, dict[int, int]] = {}
-    for x in domain:
-        d = w.dists[x]
-        scale = den // d.den
-        num[x] = {z: c * scale for z, c in d.num.items()}
 
-    edges = [
-        (u, v) for u in domain for v in G.adj[u] if u < v and v in vset
-    ]
+def _scaled(d: RationalDist, den: int) -> dict[int, int]:
+    """Numerators of d over the common denominator den (d's own dict when equal)."""
+    scale = den // d.den
+    return d.num if scale == 1 else {z: c * scale for z, c in d.num.items()}
+
+
+def _add_counts(counts: dict[int, int], p: Mapping[int, int], sign: int) -> None:
+    """counts[z] += sign * p[z] for every z, keeping only nonzero entries."""
+    for z, c in p.items():
+        total = counts.get(z, 0) + sign * c
+        if total:
+            counts[z] = total
+        else:
+            counts.pop(z, None)
+
+
+def _add_diff(diff: dict[int, int], pu: Mapping[int, int], pv: Mapping[int, int],
+              sign: int) -> None:
+    """Add sign * 2|pu(z) - pv(z)| to diff[z] for every z (2: the edge's two ordered pairs)."""
+    for z in pu.keys() | pv.keys():
+        delta = abs(pu.get(z, 0) - pv.get(z, 0))
+        if delta:
+            total = diff.get(z, 0) + sign * 2 * delta
+            if total:
+                diff[z] = total
+            else:
+                del diff[z]
+
+
+def _coordinate_sums(G: BoundedDegreeGraph, domain: Iterable[int], member: Container[int],
+                     num: Mapping[int, Mapping[int, int]]) -> tuple[dict[int, int], dict[int, int]]:
+    """Per coordinate z: summed mass over the domain and summed edge differences."""
     mass: dict[int, int] = {}
-    for x in domain:
-        for z, c in num[x].items():
-            mass[z] = mass.get(z, 0) + c
     diff: dict[int, int] = {}
-    for u, v in edges:
-        nu, nv = num[u], num[v]
-        for z in nu.keys() | nv.keys():
-            delta = abs(nu.get(z, 0) - nv.get(z, 0))
-            if delta:
-                diff[z] = diff.get(z, 0) + 2 * delta  # ordered pairs
+    for u in domain:
+        nu = num[u]
+        _add_counts(mass, nu, 1)
+        for v in G.adj[u]:
+            if u < v and v in member:
+                _add_diff(diff, nu, num[v], 1)
+    return mass, diff
 
-    enum, eden = eps.numerator, eps.denominator
-    z0 = None
-    best_num = best_den = 0
-    for z in sorted(mass):
-        m = mass[z]
-        if m <= 0:
-            continue
-        dz = diff.get(z, 0)
-        if z0 is None or dz * best_den < best_num * m:
-            z0, best_num, best_den = z, dz, m
-    assert z0 is not None
 
-    zeta = {x: num[x].get(z0, 0) for x in domain}
+def _ratio_heap(mass: Mapping[int, int], diff: Mapping[int, int]
+                ) -> tuple[dict[int, Fraction], list[tuple[Fraction, int]]]:
+    key = {z: Fraction(diff.get(z, 0), m) for z, m in mass.items()}
+    heap = [(k, z) for z, k in key.items()]
+    heapq.heapify(heap)
+    return key, heap
 
+
+def _pick_z0(heap: list[tuple[Fraction, int]], key: Mapping[int, Fraction]) -> int:
+    """Coordinate with the least diff/mass ratio, ties by smallest id.
+
+    Heap entries whose ratio object is no longer the current one in `key` are
+    stale and dropped.
+    """
+    while key.get(heap[0][1]) is not heap[0][0]:
+        heapq.heappop(heap)
+    return heap[0][1]
+
+
+def _superlevel_cut(G: BoundedDegreeGraph, domain: Container[int], zeta: Mapping[int, int],
+                    den: int, z0: int, eps: Fraction) -> LowBoundaryResult:
+    """First superlevel set of zeta (positive numerators over den), in ascending
+    threshold order, whose boundary within the domain is at most d*eps/2 of its size."""
     # superlevel sets, largest first: vertices sorted by zeta descending,
     # boundary edge count maintained incrementally per distinct-value batch
-    order = sorted(domain, key=lambda x: (-zeta[x], x))
+    order = sorted(zeta, key=lambda x: (-zeta[x], x))
     batch_of: dict[int, int] = {}
     snapshots: list[tuple[int, int]] = []  # (|Omega|, |edge boundary|) per batch
     values: list[int] = []
     added: set[int] = set()
     cut = 0
     i = 0
-    while i < len(order) and zeta[order[i]] > 0:
+    while i < len(order):
         j = i
         val = zeta[order[i]]
         batch = []
@@ -189,7 +228,7 @@ def find_low_boundary_set(w: WitnessFunction, eps: Fraction) -> LowBoundaryResul
             batch_of[x] = len(values)
         for x in batch:
             for y in G.adj[x]:
-                if y not in vset:
+                if y not in domain:
                     continue
                 if y in added:
                     cut -= 1
@@ -204,6 +243,7 @@ def find_low_boundary_set(w: WitnessFunction, eps: Fraction) -> LowBoundaryResul
 
     # ascending thresholds: 0 pairs with the full positive support, then each
     # positive value t = values[j] pairs with the prefix above it
+    enum, eden = eps.numerator, eps.denominator
     candidates: list[tuple[Fraction, int]] = [(Fraction(0), len(values) - 1)]
     for j in range(len(values) - 1, 0, -1):
         candidates.append((Fraction(values[j], den), j - 1))
@@ -217,11 +257,150 @@ def find_low_boundary_set(w: WitnessFunction, eps: Fraction) -> LowBoundaryResul
         )
 
     # materialize the prefix for the chosen snapshot
-    count = snapshots[snap][0]
-    chosen = order[:count]
-    bnd = boundary_sets(G, domain, chosen)
+    chosen = order[:snapshots[snap][0]]
+    bnd = _boundary(G, domain, set(chosen))
     assert len(bnd.edges) == snapshots[snap][1]
     return LowBoundaryResult(tuple(sorted(chosen)), z0, t, bnd)
+
+
+class _ShrinkingProjection:
+    """project_witness(w, R) and its coordinate sums, kept up to date as R shrinks.
+
+    R starts as every vertex.  tau[t]/dist[t] hold the nearest point of R to
+    t and its distance (ties by smallest id), for every t within w.radius of
+    R; a farther t can never again be an atom of a distribution rooted in R,
+    so it is dropped for good (tau[t] is None).  cell[z] lists the atoms t
+    with tau[t] == z, holders[t] the vertices whose distribution has an atom
+    at t.  proj[x] is x's pushed-forward distribution over the common
+    denominator `den`; it shares the witness's own dict until x is first
+    touched.  mass/diff are the sums find_low_boundary_set takes, and a lazy
+    heap keyed (diff/mass, z) yields the same z0.
+    """
+
+    def __init__(self, w: WitnessFunction):
+        G = self.G = w.graph
+        self.radius = w.radius
+        self.den = den = math.lcm(*(d.den for d in w.dists.values()))
+        self.atoms = [w.dists[x].num for x in range(G.n)]
+        self.scale = [den // w.dists[x].den for x in range(G.n)]
+        self.proj = [_scaled(w.dists[x], den) for x in range(G.n)]
+        self.holders: list[list[int]] = [[] for _ in range(G.n)]
+        for x, a in enumerate(self.atoms):
+            for t in a:
+                self.holders[t].append(x)
+        self.remaining = set(range(G.n))
+        self.tau: list[int | None] = list(range(G.n))
+        self.dist = [0] * G.n
+        self.cell = {z: [z] for z in range(G.n)}
+        self.mass, self.diff = _coordinate_sums(G, range(G.n), self.remaining, self.proj)
+        self.key, self.heap = _ratio_heap(self.mass, self.diff)
+
+    def cut(self, eps: Fraction) -> LowBoundaryResult:
+        """find_low_boundary_set(project_witness(w, R), eps), then remove its set from R."""
+        z0 = _pick_z0(self.heap, self.key)
+        R, proj = self.remaining, self.proj
+        zeta = {
+            x: proj[x][z0] for t in self.cell[z0] for x in self.holders[t] if x in R
+        }
+        res = _superlevel_cut(self.G, R, zeta, self.den, z0, eps)
+        self._remove(res.vertices)
+        return res
+
+    def _remove(self, block: tuple[int, ...]) -> None:
+        adj, R, proj, mass, diff = self.G.adj, self.remaining, self.proj, self.mass, self.diff
+        changed: set[int] = set()
+        # the block's distributions and every edge touching it leave the sums
+        bset = set(block)
+        for x in block:
+            px = proj[x]
+            _add_counts(mass, px, -1)
+            changed.update(px)
+            for y in adj[x]:
+                if y in R and (y not in bset or x < y):
+                    _add_diff(diff, px, proj[y], -1)
+                    changed.update(proj[y])
+        R.difference_update(block)
+
+        # holders of relocated atoms: per-coordinate change of their distribution
+        delta: dict[int, dict[int, int]] = {}
+        for t, old, new in self._relocate(block):
+            for x in self.holders[t]:
+                if x in R:
+                    assert new is not None, "dropped atom still held inside R"
+                    c = self.atoms[x][t] * self.scale[x]
+                    dx = delta.setdefault(x, {})
+                    dx[old] = dx.get(old, 0) - c
+                    dx[new] = dx.get(new, 0) + c
+        for x, dx in delta.items():
+            if proj[x] is self.atoms[x]:
+                proj[x] = dict(proj[x])  # stop sharing the witness's dict
+            _add_counts(proj[x], dx, 1)
+            _add_counts(mass, dx, 1)
+            changed.update(dx)
+        # edges with a changed endpoint: only the changed coordinates move
+        steps: dict[int, int] = {}
+        for x, dx in delta.items():
+            px = proj[x]
+            for y in adj[x]:
+                if y not in R:
+                    continue
+                dy = delta.get(y)
+                if dy is None:
+                    dy = {}
+                elif y < x:
+                    continue  # handled from y's side
+                py = proj[y]
+                for z in dx.keys() | dy.keys():
+                    a, b = px.get(z, 0), py.get(z, 0)
+                    step = abs(a - b) - abs(a - dx.get(z, 0) - b + dy.get(z, 0))
+                    if step:
+                        steps[z] = steps.get(z, 0) + step
+        _add_counts(diff, steps, 2)
+
+        for z in changed:
+            m = mass.get(z)
+            if m is None:
+                self.key.pop(z, None)
+            else:
+                k = self.key[z] = Fraction(diff.get(z, 0), m)
+                heapq.heappush(self.heap, (k, z))
+
+    def _relocate(self, block: tuple[int, ...]) -> list[tuple[int, int, int | None]]:
+        """Re-resolve the atoms whose nearest point was cut: (atom, old, new or None).
+
+        Lexicographic (distance, id) Dijkstra seeded from neighbors whose
+        nearest point survives; atoms that end up farther than the radius are
+        dropped.
+        """
+        adj, tau, dist, cell, r = self.G.adj, self.tau, self.dist, self.cell, self.radius
+        old: dict[int, int] = {}
+        for b in block:
+            for t in cell.pop(b):
+                old[t] = b
+                tau[t] = None
+        best: dict[int, tuple[int, int]] = {}
+        for t in old:
+            for v in adj[t]:
+                f = tau[v]
+                if f is not None and dist[v] < r:
+                    cand = (dist[v] + 1, f)
+                    if t not in best or cand < best[t]:
+                        best[t] = cand
+        frontier = [(d, f, t) for t, (d, f) in best.items()]
+        heapq.heapify(frontier)
+        while frontier:
+            d, f, t = heapq.heappop(frontier)
+            if tau[t] is not None:
+                continue  # settled by a smaller key
+            tau[t], dist[t] = f, d
+            cell[f].append(t)
+            if d < r:
+                cand = (d + 1, f)
+                for u in adj[t]:
+                    if u in old and tau[u] is None and (u not in best or cand < best[u]):
+                        best[u] = cand
+                        heapq.heappush(frontier, (d + 1, f, u))
+        return [(t, b, tau[t]) for t, b in old.items()]
 
 
 @dataclass(frozen=True)
@@ -262,10 +441,15 @@ class PartitionResult:
 def extract_partition(G: BoundedDegreeGraph, w: WitnessFunction, eps: Fraction) -> PartitionResult:
     """Greedy low-boundary decomposition driven by an eps-uniform witness.
 
-    Each iteration projects the ORIGINAL witness onto the remaining vertices
-    (projection keeps its distance and support guarantees relative to G, not
-    the shrinking subgraph), cuts off a low-boundary set, and records the
-    edges leaving it.
+    Each iteration cuts off find_low_boundary_set(project_witness(w, R), eps)
+    from the remaining vertices R and records the edges leaving it.  The
+    projection is of the ORIGINAL witness (it keeps its distance and support
+    guarantees relative to G, not the shrinking subgraph), and it is not
+    recomputed: one state object carries the nearest-point map, the projected
+    distributions and their coordinate sums across cuts, and a cut updates
+    only the atoms whose nearest point it removed, their holders, and the
+    edges touching those.  Blocks, their order and W are exactly those of
+    the plain loop; the work per cut tracks what the cut changed, not |R|.
     Every removed edge joins two distinct blocks, so block-induced subgraphs
     survive intact in G - W.
     """
@@ -277,16 +461,13 @@ def extract_partition(G: BoundedDegreeGraph, w: WitnessFunction, eps: Fraction) 
             f"witness measures {rep.max_edge_l1} at edge {rep.worst_edge}, "
             f"support_ok={rep.support_ok}; need max <= {eps}"
         )
-    remaining = list(range(G.n))
+    state = _ShrinkingProjection(w)
     blocks: list[tuple[int, ...]] = []
     removed: list[tuple[int, int]] = []
-    while remaining:
-        rel = project_witness(w, remaining)
-        res = find_low_boundary_set(rel, eps)
+    while state.remaining:
+        res = state.cut(eps)
         blocks.append(res.vertices)
         removed.extend(tuple(sorted(e)) for e in res.boundary.edges)
-        gone = set(res.vertices)
-        remaining = [v for v in remaining if v not in gone]
     return PartitionResult(G.n, tuple(blocks), tuple(sorted(removed)))
 
 

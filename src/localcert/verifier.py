@@ -229,6 +229,9 @@ def is_acyclic(G: BoundedDegreeGraph) -> bool:
     return G.m == G.n - len(components(G))
 
 
+# Every built-in predicate must be hereditary (closed under induced
+# subgraphs): verify_locally_p lets one passing call on a whole component
+# stand for all of its balls when the predicate is given by name.
 PREDICATES: dict[str, Callable[[BoundedDegreeGraph], bool]] = {
     "planar": is_planar,
     "acyclic": is_acyclic,
@@ -251,24 +254,33 @@ def verify_locally_p(G: BoundedDegreeGraph, K: int,
                      predicate: str | Callable[[BoundedDegreeGraph], bool]) -> Verdict:
     """Check predicate(B_K(x)) for every x.
 
-    Balls with identical vertex sets share one predicate call, which makes
-    the common case (K beyond the component diameter) a handful of calls.
+    A predicate named in PREDICATES is hereditary, so when it holds on a whole
+    component it holds on every ball inside it: one call settles the
+    component.  A component whose every ball is the component itself
+    (2 * ecc of a probe vertex <= K) is also settled by one call, for any
+    predicate.  Otherwise each vertex is judged on its own ball; balls with
+    identical vertex sets share one call.  That per-ball loop runs for custom
+    callables, which may not be hereditary, and for named predicates only
+    inside components where they fail.
     """
     if K < 0:
         raise ValueError(f"locality radius must be nonnegative, got {K}")
     pred = resolve_predicate(predicate)
+    hereditary = isinstance(predicate, str)
     decisions: list[str | None] = [None] * G.n
     cache: dict[frozenset[int], bool] = {}
     for comp in components(G):
         probe, dist = bfs(G.adj, (comp[0],), K)
         # 2 * ecc(probe vertex) bounds every eccentricity in the component,
-        # so one predicate call can settle the whole component
-        if len(probe) == len(comp) and 2 * dist[probe[-1]] <= K:
-            ok = bool(pred(induced_subgraph(G, comp)))
-            if not ok:
+        # so then every ball is the component itself
+        one_ball = len(probe) == len(comp) and 2 * dist[probe[-1]] <= K
+        if one_ball or hereditary:
+            if pred(induced_subgraph(G, comp)):
+                continue
+            if one_ball:
                 for x in comp:
                     decisions[x] = CHECK_LOCAL_P
-            continue
+                continue
         for x in comp:
             key = frozenset(bfs(G.adj, (x,), K)[0])
             if key not in cache:

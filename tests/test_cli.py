@@ -278,3 +278,19 @@ def test_console_script_wiring(tmp_path):
     )
     assert out.returncode == 0
     assert out.stdout == "graph 3 2 2\n0 1\n1 2\n"
+
+
+@pytest.mark.parametrize("flag", ["--eps-prime=0", "--eps-prime=-1/2"])
+def test_prove_nonpositive_eps_prime_exits_two(tmp_path, flag):
+    # a subprocess with a timeout, so a non-terminating prover fails the test
+    g = tmp_path / "p11.graph"
+    g.write_text(lc.format_graph(lc.generate(lc.FamilySpec("path", (11,)))))
+    src = str(Path(lc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-m", "localcert.cli", "prove", str(g), flag],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 2
+    assert "eps-prime must be positive" in out.stderr

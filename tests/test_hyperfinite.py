@@ -1,5 +1,6 @@
 """Superlevel sweeps, the area/coarea identities, and partition extraction."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,7 +21,13 @@ from localcert.hyperfinite import (
     parse_partition,
     threshold_set,
 )
-from localcert.measures import RationalDist, WitnessFunction, uniform_ball_witness
+from localcert.measures import (
+    RationalDist,
+    WitnessFunction,
+    discretize_witness,
+    project_witness,
+    uniform_ball_witness,
+)
 from localcert.verifier import is_planar
 
 
@@ -154,6 +161,72 @@ def test_extract_partition_bounds_random():
         for u, v in part.removed_edges:
             assert G.has_edge(u, v)
             assert block_of[u] != block_of[v]
+
+
+def reference_partition(G, w, eps):
+    """The plain extraction loop: re-project onto the remaining vertices, cut, repeat."""
+    if not w.is_full:
+        raise ValueError("extraction expects a full-graph witness")
+    if not lc.check_uniformity(w).satisfies(eps):
+        raise NotUniform("witness is not eps-uniform")
+    remaining = list(range(G.n))
+    blocks, removed = [], []
+    while remaining:
+        res = find_low_boundary_set(project_witness(w, remaining), eps)
+        blocks.append(res.vertices)
+        removed.extend(tuple(sorted(e)) for e in res.boundary.edges)
+        gone = set(res.vertices)
+        remaining = [v for v in remaining if v not in gone]
+    return PartitionResult(G.n, tuple(blocks), tuple(sorted(removed)))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error type is part of the contract
+        return type(exc)
+
+
+def test_extract_partition_matches_reference_loop():
+    rng = random.Random(604)
+    graphs = [
+        lc.generate(lc.FamilySpec("grid", (rng.randint(4, 8), rng.randint(4, 8)))),
+        lc.generate(lc.FamilySpec("path", (rng.randint(20, 40),))),
+        lc.generate(lc.FamilySpec("cycle", (rng.randint(20, 40),))),
+        lc.generate(lc.FamilySpec("full_tree", (2, rng.randint(3, 5)))),
+        lc.generate(lc.FamilySpec("random_regular", (2 * rng.randint(10, 16), 3),
+                                  rng.randint(0, 999))),
+    ]
+    errors = set()
+    for G in graphs:
+        for r in (1, 2, 3):
+            w = uniform_ball_witness(G, r)
+            measured = lc.check_uniformity(w).max_edge_l1
+            witnesses = [w]
+            if measured < 1:
+                eps_prime = (measured + 1) / 2
+                alpha = lc.derive_alpha(G, r, measured, eps_prime)
+                # one denominator throughout, like a decoded labeling
+                witnesses.append(discretize_witness(w, measured, eps_prime, alpha))
+            for wit in witnesses:
+                for eps in (measured, Fraction(1), measured / 2):
+                    got = outcome(extract_partition, G, wit, eps)
+                    want = outcome(reference_partition, G, wit, eps)
+                    assert got == want, (G.n, r, eps)
+                    if isinstance(want, type):
+                        errors.add(want)
+        rel = project_witness(w, range(G.n - 1))
+        assert outcome(extract_partition, G, rel, Fraction(1)) is ValueError
+    assert errors == {NotUniform}
+
+
+def test_extract_partition_golden_grid20():
+    G = lc.generate(lc.FamilySpec("grid", (20, 20)))
+    w = uniform_ball_witness(G, 4)
+    part = extract_partition(G, w, lc.check_uniformity(w).max_edge_l1)
+    assert (part.num_blocks, part.num_removed) == (16, 162)
+    digest = hashlib.sha256(format_partition(part).encode()).hexdigest()
+    assert digest == "9c55cfca7f541b9d025e01b816cd0980fc5c530814d161a4433f8bec4940bc85"
 
 
 def test_partition_result_validation():

@@ -248,6 +248,28 @@ def test_locally_p_matches_per_vertex_bruteforce():
             assert (verdict.decisions[x] is None) == want
 
 
+def test_locally_p_custom_callable_is_judged_per_ball():
+    """A callable may not be hereditary: passing on the whole path settles nothing."""
+    P = lc.generate(lc.FamilySpec("path", (10,)))
+    verdict = verify_locally_p(P, 1, lambda H: H.n >= 5)
+    assert [x for x, _ in verdict.rejecting()] == list(range(10))
+
+
+def test_locally_p_named_predicate_settles_a_passing_component_once(monkeypatch):
+    from localcert import verifier
+
+    calls = []
+
+    def counted(H):
+        calls.append(H.n)
+        return is_planar(H)
+
+    monkeypatch.setitem(verifier.PREDICATES, "planar", counted)
+    C = lc.generate(lc.FamilySpec("cycle", (200,)))
+    assert verify_locally_p(C, 5, "planar").accept
+    assert calls == [200]
+
+
 def test_pipeline_conjunction(p11):
     a = verify_property_a(p11.G, p11.labeling)
     b = verify_locally_p(p11.G, p11.labeling.k_local, "planar")
