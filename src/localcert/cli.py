@@ -110,10 +110,8 @@ def cmd_generate(config: RunConfig) -> int:
 
 
 def _default_shift(eps_prime: Fraction) -> int:
-    k = 2
-    while Fraction(4, k) >= eps_prime:
-        k += 1
-    return k
+    """The least k >= 2 with 4/k < eps'."""
+    return max(2, 4 // eps_prime + 1)
 
 
 def _auto_witness(G: BoundedDegreeGraph, config: RunConfig) -> WitnessFunction:
@@ -129,6 +127,11 @@ def _auto_witness(G: BoundedDegreeGraph, config: RunConfig) -> WitnessFunction:
     if edges == path_edges:
         return tighten_radius(witness_from_separators(G, path_shift_distribution(G, k)))
     if n >= 3 and edges == path_edges | {(0, n - 1)}:
+        if k > n:
+            raise ValueError(
+                f"shift modulus k = {k} exceeds the cycle length n = {n}; "
+                "pass --k-shift at most n or a larger --eps-prime"
+            )
         while n % k:
             k += 1
         return tighten_radius(witness_from_separators(G, path_shift_distribution(G, k)))

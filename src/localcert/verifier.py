@@ -1,13 +1,16 @@
 """Local verification: per-vertex acceptance from labeled balls alone.
 
-Each vertex's decision is a pure function of its labeled (r+1)-ball after
-local re-indexing, so verdicts are oblivious to vertex identities and to any
-parallelism in the driver.  Three checks run per vertex x over N = B_{r+1}(x):
+Each vertex x decides from its labeled ball N = B_{r+1}(x), read by one BFS
+from x: the hop distance of every ball vertex from x, its color and mass
+table, and, only when some color repeats inside N, the ball's own adjacency.
+A decision never reads parent vertex ids, so verdicts are oblivious to
+vertex identities and to any parallelism in the driver.  Three checks run
+per vertex:
 
   properness   equal colors never repeat within ball-distance r of each other
-  probability  the masses stored for x's color across B_r(x, N) sum to alpha
-  l1           for every neighbor y, sum_z |T2(z)(C(x)) - T2(z)(C(y))| stays
-               at or below eps' * alpha
+  probability  the masses stored for x's color across B_r(x) sum to alpha
+  l1           for every neighbor y, sum_z |T2(z)(C(x)) - T2(z)(C(y))| over
+               z in N stays at or below eps' * alpha
 
 The structural half checks a graph predicate on B_K(x); the pipeline verdict
 is the conjunction.  Verdict report format:
@@ -20,8 +23,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, sub
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -67,29 +72,56 @@ class Verdict:
         return [(x, d) for x, d in enumerate(self.decisions) if d is not None]
 
 
-@dataclass(frozen=True)
 class LabeledBall:
-    """A rooted ball carried entirely in local coordinates.
+    """A rooted ball as its center sees it, in local coordinates.
 
-    `adj[i]` lists local neighbors of local vertex i; the center is local 0.
-    Colors and tables are indexed by local ids.  Nothing here references
-    parent vertex ids, which is what makes decisions anonymous.
+    Local vertex i is the i-th vertex of a BFS from the center, so the
+    center is local 0 and `dist` (hop distance from the center) is
+    nondecreasing.  `colors[i]` and `tables[i]` are local vertex i's label.
+    `adj[i]` lists local i's neighbors inside the ball; it is built on first
+    read, since only a repeated color needs it.  `vertices[i]`, the parent id
+    of local i, is there to build `adj` and for the decoder; a decision never
+    reads it.
     """
 
-    adj: tuple[tuple[int, ...], ...]
-    colors: tuple[int, ...]
-    tables: tuple[tuple[int, ...], ...]
-    center: int = 0
+    __slots__ = ("dist", "colors", "tables", "vertices", "_parent_adj", "_adj")
+
+    def __init__(self, dist: tuple[int, ...], colors: tuple[int, ...],
+                 tables: tuple[tuple[int, ...], ...], vertices: tuple[int, ...],
+                 parent_adj: Sequence[Sequence[int]]):
+        self.dist = dist
+        self.colors = colors
+        self.tables = tables
+        self.vertices = vertices
+        self._parent_adj = parent_adj
+        self._adj: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        if self._adj is None:
+            local = dict(zip(self.vertices, range(len(self.vertices))))
+            parent_adj = self._parent_adj
+            self._adj = tuple(
+                tuple([local[w] for w in parent_adj[u] if w in local])
+                for u in self.vertices
+            )
+        return self._adj
+
+    def within(self, radius: int) -> int:
+        """How many local vertices lie within `radius` of the center: B_radius is that prefix."""
+        return bisect_right(self.dist, radius)
 
 
 def extract_labeled_ball(G: BoundedDegreeGraph, labeling: ProofLabeling,
                          x: int, radius: int) -> LabeledBall:
-    b = ball(G, x, radius)
+    """B_radius(x) with its labels, from one BFS of G."""
+    order, dist = bfs(G.adj, (x,), radius)
     return LabeledBall(
-        adj=b.local_adj,
-        colors=tuple(labeling.colors[p] for p in b.vertices),
-        tables=tuple(labeling.tables[p] for p in b.vertices),
-        center=0,
+        dist=tuple(map(dist.__getitem__, order)),
+        colors=tuple(map(labeling.colors.__getitem__, order)),
+        tables=tuple(map(labeling.tables.__getitem__, order)),
+        vertices=tuple(order),
+        parent_adj=G.adj,
     )
 
 
@@ -97,40 +129,38 @@ def check_vertex(lball: LabeledBall, params: VerifierParams) -> str | None:
     """Decide one vertex from its labeled ball; None means accept.
 
     On multiple failures the first check in the fixed order properness,
-    probability, l1 is reported.
+    probability, l1 is reported.  Sums run over whole columns of exact
+    integers; the l1 sum covers every row of the ball.
     """
-    adj = lball.adj
     colors = lball.colors
     tables = lball.tables
-    c0 = colors[lball.center]
+    c0 = colors[0]
     r = params.r
 
-    by_color: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        by_color.setdefault(c, []).append(i)
-    for c in sorted(by_color):
-        members = by_color[c]
-        if len(members) < 2:
-            continue
-        mset = set(members)
-        for y in members:
-            reach, _ = bfs(adj, (y,), r)
-            if any(z != y and z in mset for z in reach):
-                return CHECK_PROPERNESS
+    if len(set(colors)) < len(colors):
+        adj = lball.adj
+        by_color: dict[int, list[int]] = {}
+        for i, c in enumerate(colors):
+            by_color.setdefault(c, []).append(i)
+        for members in by_color.values():
+            if len(members) < 2:
+                continue
+            mset = set(members)
+            for y in members:
+                reach, _ = bfs(adj, (y,), r)
+                if any(z != y and z in mset for z in reach):
+                    return CHECK_PROPERNESS
 
-    inner, _ = bfs(adj, (lball.center,), r)
-    if sum(tables[z][c0] for z in inner) != params.alpha:
+    col0 = tuple(map(itemgetter(c0), tables))
+    if sum(col0[:lball.within(r)]) != params.alpha:
         return CHECK_PROBABILITY
 
     enum, eden = params.eps_prime.numerator, params.eps_prime.denominator
     budget = enum * params.alpha
-    for y in adj[lball.center]:
-        cy = colors[y]
+    for cy in colors[1:lball.within(1)]:
         if cy == c0:
             continue
-        total = 0
-        for row in tables:
-            total += abs(row[c0] - row[cy])
+        total = sum(map(abs, map(sub, col0, map(itemgetter(cy), tables))))
         if total * eden > budget:
             return CHECK_L1
     return None
@@ -187,27 +217,50 @@ def decode_accepted_witness(G: BoundedDegreeGraph, labeling: ProofLabeling,
     """Reconstruct the encoded witness from an accepted labeling.
 
     f(x)(z) = T2(z)(C(x)) / alpha over z in B_r(x); the probability check
-    guarantees each row sums to alpha exactly.
+    guarantees each row sums to alpha exactly.  Without a verdict, the
+    verifier runs here and each f(x) is read from the ball x was judged on.
     """
+    p = labeling.params
+    dists = None
     if verdict is None:
-        verdict = verify_property_a(G, labeling)
+        verdict, dists = _verify_and_decode(G, labeling)
     if not verdict.accept:
         raise NotAccepted(
             f"verifier rejects at {len(verdict.rejecting())} vertices, "
             f"first: {verdict.rejecting()[0]}"
         )
-    p = labeling.params
+    if dists is None:
+        dists = {}
+        for x in range(G.n):
+            reach, _ = bfs(G.adj, (x,), p.r)
+            cx = labeling.colors[x]
+            num = {}
+            for z in reach:
+                t = labeling.tables[z][cx]
+                if t:
+                    num[z] = t
+            dists[x] = RationalDist(p.alpha, num)
+    return WitnessFunction(G, p.r, dists)
+
+
+def _verify_and_decode(G: BoundedDegreeGraph,
+                       labeling: ProofLabeling) -> tuple[Verdict, dict[int, RationalDist]]:
+    """The sequential verifier, also decoding f(x) at each accepting x from its ball."""
+    _validate_against_graph(G, labeling)
+    params = VerifierParams.from_labeling(labeling)
+    decisions = []
     dists = {}
     for x in range(G.n):
-        reach, _ = bfs(G.adj, (x,), p.r)
-        cx = labeling.colors[x]
-        num = {}
-        for z in reach:
-            t = labeling.tables[z][cx]
-            if t:
-                num[z] = t
-        dists[x] = RationalDist(p.alpha, num)
-    return WitnessFunction(G, p.r, dists)
+        lball = extract_labeled_ball(G, labeling, x, params.r + 1)
+        decision = check_vertex(lball, params)
+        decisions.append(decision)
+        # after the first reject no witness is returned, so decoding stops
+        if decision is None and len(dists) == x:
+            # B_r(x) is the ball's prefix; RationalDist drops the zero entries
+            inner = lball.within(params.r)
+            column = map(itemgetter(lball.colors[0]), lball.tables[:inner])
+            dists[x] = RationalDist(params.alpha, dict(zip(lball.vertices[:inner], column)))
+    return Verdict(tuple(decisions)), dists
 
 
 # --- structural predicates --------------------------------------------------
@@ -256,10 +309,12 @@ def verify_locally_p(G: BoundedDegreeGraph, K: int,
 
     A predicate named in PREDICATES is hereditary, so when it holds on a whole
     component it holds on every ball inside it: one call settles the
-    component.  A component whose every ball is the component itself
-    (2 * ecc of a probe vertex <= K) is also settled by one call, for any
-    predicate.  Otherwise each vertex is judged on its own ball; balls with
-    identical vertex sets share one call.  That per-ball loop runs for custom
+    component.  Otherwise each vertex is judged on its own ball, and balls
+    with identical vertex sets share one call.  A radius-K BFS from a probe
+    vertex that reaches the whole component shows, with no further BFS, that
+    B_K(x) is the component wherever dist(probe, x) + ecc(probe) <= K; when
+    2 * ecc(probe) <= K that is every vertex, so one call settles the
+    component for any predicate.  The per-ball loop runs for custom
     callables, which may not be hereditary, and for named predicates only
     inside components where they fail.
     """
@@ -270,19 +325,19 @@ def verify_locally_p(G: BoundedDegreeGraph, K: int,
     decisions: list[str | None] = [None] * G.n
     cache: dict[frozenset[int], bool] = {}
     for comp in components(G):
+        whole = frozenset(comp)
+        if hereditary:
+            cache[whole] = bool(pred(induced_subgraph(G, comp)))
+            if cache[whole]:
+                continue
         probe, dist = bfs(G.adj, (comp[0],), K)
-        # 2 * ecc(probe vertex) bounds every eccentricity in the component,
-        # so then every ball is the component itself
-        one_ball = len(probe) == len(comp) and 2 * dist[probe[-1]] <= K
-        if one_ball or hereditary:
-            if pred(induced_subgraph(G, comp)):
-                continue
-            if one_ball:
-                for x in comp:
-                    decisions[x] = CHECK_LOCAL_P
-                continue
+        # ecc(probe) is known only when the probe reached the whole component
+        slack = K - dist[probe[-1]] if len(probe) == len(comp) else -1
         for x in comp:
-            key = frozenset(bfs(G.adj, (x,), K)[0])
+            if 0 <= slack and dist[x] <= slack:
+                key = whole
+            else:
+                key = frozenset(bfs(G.adj, (x,), K)[0])
             if key not in cache:
                 cache[key] = bool(pred(induced_subgraph(G, key)))
             if not cache[key]:

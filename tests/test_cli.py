@@ -267,30 +267,40 @@ def test_auto_witness_needs_r_for_general_graphs(capsys, tmp_path):
     assert "pass --r" in err
 
 
-def test_console_script_wiring(tmp_path):
-    # the child interpreter imports the same package as this test run
+def run_cli_child(*args, timeout=60):
+    """Run the CLI in a child interpreter that imports the same package as
+    this test run; the timeout fails a command that never ends."""
     src = str(Path(lc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run(
-        [sys.executable, "-m", "localcert.cli", "gen", "--family", "path", "--n", "3"],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "localcert.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_console_script_wiring(tmp_path):
+    out = run_cli_child("gen", "--family", "path", "--n", "3")
     assert out.returncode == 0
     assert out.stdout == "graph 3 2 2\n0 1\n1 2\n"
 
 
 @pytest.mark.parametrize("flag", ["--eps-prime=0", "--eps-prime=-1/2"])
 def test_prove_nonpositive_eps_prime_exits_two(tmp_path, flag):
-    # a subprocess with a timeout, so a non-terminating prover fails the test
     g = tmp_path / "p11.graph"
     g.write_text(lc.format_graph(lc.generate(lc.FamilySpec("path", (11,)))))
-    src = str(Path(lc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run(
-        [sys.executable, "-m", "localcert.cli", "prove", str(g), flag],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    out = run_cli_child("prove", str(g), flag)
     assert out.returncode == 2
     assert "eps-prime must be positive" in out.stderr
+
+
+@pytest.mark.parametrize("flags, k", [
+    (("--eps-prime", "1/100"), 401),            # the default modulus, least k with 4/k < eps'
+    (("--eps-prime", "1/2", "--k-shift", "11"), 11),
+])
+def test_prove_cycle_shift_longer_than_cycle_exits_two(tmp_path, flags, k):
+    g = tmp_path / "c10.graph"
+    g.write_text(lc.format_graph(lc.generate(lc.FamilySpec("cycle", (10,)))))
+    out = run_cli_child("prove", str(g), *flags)
+    assert out.returncode == 2
+    assert f"k = {k}" in out.stderr and "n = 10" in out.stderr

@@ -248,6 +248,33 @@ def test_locally_p_matches_per_vertex_bruteforce():
             assert (verdict.decisions[x] is None) == want
 
 
+@pytest.mark.parametrize("side", [8, 12])
+def test_locally_p_covering_probe_spares_per_vertex_bfs(monkeypatch, side):
+    """K5 hung off a grid corner: the probe from the corner sees the whole
+    component, so every ball within K - ecc of it is the failing component."""
+    from localcert import verifier
+    from localcert.graphs import bfs, induced_subgraph
+
+    grid = lc.generate(lc.FamilySpec("grid", (side, side)))
+    n0 = side * side
+    k5 = [(n0 + a, n0 + b) for a, b in itertools.combinations(range(5), 2)]
+    G = build_graph(grid.edges() + k5 + [(0, n0)], d=5)
+    K = 4 * side - 5
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "bfs", counted)
+    verdict = verify_locally_p(G, K, "planar")
+    monkeypatch.undo()
+    for x in range(G.n):
+        want = is_planar(induced_subgraph(G, bfs(G.adj, (x,), K)[0]))
+        assert (verdict.decisions[x] is None) == want
+    assert len(calls) < G.n
+
+
 def test_locally_p_custom_callable_is_judged_per_ball():
     """A callable may not be hereditary: passing on the whole path settles nothing."""
     P = lc.generate(lc.FamilySpec("path", (10,)))
