@@ -27,6 +27,7 @@ from .graphs import (
     FamilySpec,
     RootedBall,
     ball,
+    ball_sweep,
     bfs,
     build_graph,
     components,
@@ -64,6 +65,7 @@ from .separators import (
     minimax_separator_search,
     path_shift_distribution,
     read_separator_distribution_file,
+    shift_family_distribution,
     tree_depth_shift_distribution,
     witness_from_separators,
     write_separator_distribution_file,

@@ -18,7 +18,6 @@ from .errors import FormatError, LocalcertError, NotUniform, WitnessTooRough
 from .graphs import (
     BoundedDegreeGraph,
     FamilySpec,
-    bfs,
     format_graph,
     generate,
     read_graph_file,
@@ -39,9 +38,8 @@ from .measures import (
     uniform_ball_witness,
 )
 from .separators import (
-    path_shift_distribution,
     read_separator_distribution_file,
-    tree_depth_shift_distribution,
+    shift_family_distribution,
     witness_from_separators,
 )
 from .verifier import (
@@ -116,38 +114,15 @@ def _default_shift(eps_prime: Fraction) -> int:
 
 def _auto_witness(G: BoundedDegreeGraph, config: RunConfig) -> WitnessFunction:
     """Shift-family witness when G is a canonical path/cycle/tree, else uniform-ball."""
-    n = G.n
-    edges = set(G.edges())
-    path_edges = {(i, i + 1) for i in range(n - 1)}
     eps_prime = config.eps_prime
     assert eps_prime is not None
     k = config.k_shift if config.k_shift is not None else _default_shift(eps_prime)
-    if k < 1:
-        raise ValueError(f"shift modulus must be positive, got {k}")
-    if edges == path_edges:
-        return tighten_radius(witness_from_separators(G, path_shift_distribution(G, k)))
-    if n >= 3 and edges == path_edges | {(0, n - 1)}:
-        if k > n:
-            raise ValueError(
-                f"shift modulus k = {k} exceeds the cycle length n = {n}; "
-                "pass --k-shift at most n or a larger --eps-prime"
-            )
-        while n % k:
-            k += 1
-        return tighten_radius(witness_from_separators(G, path_shift_distribution(G, k)))
-    if G.m == n - 1 and _is_connected(G):
-        return tighten_radius(
-            witness_from_separators(G, tree_depth_shift_distribution(G, k))
-        )
+    dist = shift_family_distribution(G, k)
+    if dist is not None:
+        return tighten_radius(witness_from_separators(G, dist))
     if config.r is None:
         raise ValueError("no shift family matches this graph; pass --r for uniform-ball")
     return uniform_ball_witness(G, config.r)
-
-
-def _is_connected(G: BoundedDegreeGraph) -> bool:
-    if G.n == 0:
-        return True
-    return len(bfs(G.adj, (0,))[0]) == G.n
 
 
 def _build_witness(G: BoundedDegreeGraph, config: RunConfig) -> WitnessFunction:
@@ -173,7 +148,11 @@ def cmd_prove(config: RunConfig) -> int:
         raise ValueError("prove needs --eps-prime")
     if config.eps_prime <= 0:
         raise ValueError(f"--eps-prime must be positive, got {config.eps_prime}")
+    if config.alpha is not None and config.alpha < 1:
+        raise ValueError(f"--alpha must be positive, got {config.alpha}")
     G = read_graph_file(config.graph)
+    if G.n == 0:
+        raise ValueError(f"cannot prove the empty graph: {config.graph} has no vertices")
     w = _build_witness(G, config)
     report = check_uniformity(w)
     assert report.support_ok, "constructed witness must respect its radius"
@@ -186,13 +165,15 @@ def cmd_prove(config: RunConfig) -> int:
     eps = config.eps if config.eps is not None else measured
     if eps < measured:
         raise NotUniform(f"--eps {eps} is below the measured value {measured}")
+    # distance 2r+2, not 2r: zeroes every table slot whose owner lies outside
+    # the reader's radius-r ball, which keeps the honest l1 check sums exact.
+    # Coloring first: its sweep memoizes max |B_r| and max |B_2r|, which
+    # alpha, the quantization check and the header's K then read.
+    colors = distance_coloring(G, 2 * w.radius + 2)
     alpha = config.alpha if config.alpha is not None else derive_alpha(
         G, w.radius, eps, config.eps_prime
     )
     quantized = discretize_witness(w, eps, config.eps_prime, alpha)
-    # distance 2r+2, not 2r: zeroes every table slot whose owner lies outside
-    # the reader's radius-r ball, which keeps the honest l1 check sums exact
-    colors = distance_coloring(G, 2 * w.radius + 2)
     labeling = build_proof(G, quantized, colors, eps, config.eps_prime)
     if config.K is not None:
         labeling = replace(labeling, k_local=config.K)

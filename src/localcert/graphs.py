@@ -10,10 +10,11 @@ degree bound d >= 2 that every operation preserves.  The text format is
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeExceeded, FormatError, InfeasibleSpec, NonSimple
 
@@ -23,8 +24,8 @@ _RANDOM_REGULAR_TRIES = 2000
 class BoundedDegreeGraph:
     """Immutable simple graph on vertices 0..n-1 with max degree <= d.
 
-    `_ball_sizes` memoizes max_ball_size_actual per radius; it is derived
-    data, so equality and hashing ignore it.
+    `_ball_sizes` memoizes max_ball_size_actual per radius (`ball_sweep`
+    fills it); it is derived data, so equality and hashing ignore it.
     """
 
     __slots__ = ("n", "d", "adj", "_edge_set", "_ball_sizes")
@@ -202,14 +203,42 @@ def max_ball_size_bound(d: int, r: int) -> int:
     return 1 + d * ((d - 1) ** r - 1) // (d - 2)
 
 
+def ball_sweep(G: BoundedDegreeGraph, q: int,
+               profile: bool = True) -> Iterator[tuple[int, list[int]]]:
+    """Yield (x, B_q(x) in BFS order) for x = 0..n-1: the package's one per-vertex ball sweep.
+
+    The sweep also measures G: once the last vertex has been yielded, G's
+    memo holds max_x |B_s(x)| (0 on an empty graph) for every s <= q, or for
+    s = q alone when `profile` is false, so max_ball_size_actual at those
+    radii needs no sweep of its own.
+    """
+    if q < 0:
+        raise ValueError(f"radius must be nonnegative, got {q}")
+    adj = G.adj
+    radii = range(q + 1) if profile else (q,)
+    best = [0] * len(radii)
+    for x in range(G.n):
+        order, dist = bfs(adj, (x,), q)
+        if profile:
+            # dist is filled in BFS order, so its values are nondecreasing
+            # and |B_s(x)| is the count of those at most s
+            col = list(dist.values())
+            sizes = [bisect_right(col, s) for s in radii]
+        else:
+            sizes = [len(order)]
+        best = list(map(max, best, sizes))
+        yield x, order
+    G._ball_sizes.update(zip(radii, best))
+
+
 def max_ball_size_actual(G: BoundedDegreeGraph, r: int) -> int:
-    """max_x |B_r(x, G)| by BFS from every vertex, memoized per radius on G."""
+    """max_x |B_r(x, G)|, memoized per radius on G; a miss sweeps at radius r alone."""
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     sizes = G._ball_sizes
     if r not in sizes:
-        adj = G.adj
-        sizes[r] = max((len(bfs(adj, (x,), r)[0]) for x in range(G.n)), default=0)
+        for _ in ball_sweep(G, r, profile=False):
+            pass
     return sizes[r]
 
 

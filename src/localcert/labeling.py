@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import AmbiguousColor, FormatError
-from .graphs import BoundedDegreeGraph, bfs, max_ball_size_actual
+from .graphs import BoundedDegreeGraph, ball_sweep, bfs, max_ball_size_actual
 from .measures import WitnessFunction
 
 
@@ -92,16 +92,15 @@ def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[int, ...]:
     Any two vertices within distance q receive different colors; each vertex
     takes the smallest color unused in its q-ball so far.  Palette size is
     whatever the greedy run needed (at most max |B_q| by a counting argument).
+    The balls come from `ball_sweep`, so afterwards max_ball_size_actual(G, s)
+    is a memo read for every s <= q.
     """
     if q < 1:
         raise ValueError(f"coloring distance must be positive, got {q}")
     colors = [-1] * G.n
-    for v in range(G.n):
-        taken = set()
-        for u in bfs(G.adj, (v,), q)[0]:
-            cu = colors[u]
-            if cu >= 0:
-                taken.add(cu)
+    for v, ball in ball_sweep(G, q):
+        # -1 (not yet colored) never blocks a color
+        taken = set(map(colors.__getitem__, ball))
         c = 0
         while c in taken:
             c += 1

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import FormatError, InvalidDistribution
-from .graphs import BoundedDegreeGraph, bfs, max_ball_size_bound
+from .graphs import BoundedDegreeGraph, bfs, components, max_ball_size_bound
 from .measures import RationalDist, WitnessFunction
 
 
@@ -154,6 +154,18 @@ def _expect_structure(G: BoundedDegreeGraph, expected: set[tuple[int, int]], wha
         raise ValueError(f"graph is not a canonical {what} on ids 0..n-1")
 
 
+def _path_or_cycle(G: BoundedDegreeGraph) -> str | None:
+    """"path" or "cycle" when G is that graph with ids in path order, else None."""
+    n = G.n
+    edges = set(G.edges())
+    path_edges = {(i, i + 1) for i in range(n - 1)}
+    if edges == path_edges:
+        return "path"
+    if n >= 3 and edges == path_edges | {(0, n - 1)}:
+        return "cycle"
+    return None
+
+
 def path_shift_distribution(G: BoundedDegreeGraph, k: int) -> SeparatorDistribution:
     """Uniform over the k residue-class separators Y_s = {v : v = s mod k}.
 
@@ -164,16 +176,13 @@ def path_shift_distribution(G: BoundedDegreeGraph, k: int) -> SeparatorDistribut
     if k < 1:
         raise ValueError(f"shift modulus must be positive, got {k}")
     n = G.n
-    path_edges = {(i, i + 1) for i in range(n - 1)}
-    if set(G.edges()) == path_edges:
-        pass
-    elif n >= 3 and set(G.edges()) == path_edges | {(0, n - 1)}:
-        if n % k:
-            raise InvalidDistribution(
-                f"cycle shifts need k | n to keep K = k-1 (n={n}, k={k})"
-            )
-    else:
+    shape = _path_or_cycle(G)
+    if shape is None:
         raise ValueError("graph is not a canonical path or cycle on ids 0..n-1")
+    if shape == "cycle" and n % k:
+        raise InvalidDistribution(
+            f"cycle shifts need k | n to keep K = k-1 (n={n}, k={k})"
+        )
     samples = [
         (tuple(v for v in range(n) if v % k == s), Fraction(1, k))
         for s in range(k)
@@ -226,6 +235,33 @@ def tree_depth_shift_distribution(G: BoundedDegreeGraph, k: int) -> SeparatorDis
         for s in range(k)
     ]
     return SeparatorDistribution(G, max_ball_size_bound(G.d, k - 1), samples)
+
+
+def shift_family_distribution(G: BoundedDegreeGraph, k: int) -> SeparatorDistribution | None:
+    """The shift distribution of modulus k for a canonical path, cycle or tree; else None.
+
+    A path (ids in path order) and a connected tree (rooted at 0) take k as
+    given.  A cycle needs k | n, so k is raised to the least divisor of n that
+    is at least k; k beyond n is refused.
+    """
+    if k < 1:
+        raise ValueError(f"shift modulus must be positive, got {k}")
+    n = G.n
+    shape = _path_or_cycle(G)
+    if shape == "path":
+        return path_shift_distribution(G, k)
+    if shape == "cycle":
+        if k > n:
+            raise ValueError(
+                f"shift modulus k = {k} exceeds the cycle length n = {n}; "
+                "pass --k-shift at most n or a larger --eps-prime"
+            )
+        while n % k:
+            k += 1
+        return path_shift_distribution(G, k)
+    if G.m == n - 1 and len(components(G)) == 1:
+        return tree_depth_shift_distribution(G, k)
+    return None
 
 
 def minimax_separator_search(G: BoundedDegreeGraph, K: int, rounds: int,

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line driver through main()."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import localcert as lc
-from localcert import graphs, measures
+from localcert import graphs, labeling, measures
 from localcert.cli import main
 
 
@@ -120,10 +121,9 @@ def test_prove_k_shift_zero_exits_two(capsys, tmp_path):
 
 
 def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch):
-    """One prove sweeps ball sizes at r and 2r once each and measures the witness once."""
+    """The coloring sweep is prove's only ball-size sweep, and the witness is measured once."""
     g = tmp_path / "g8.graph"
     run(capsys, "gen", "--family", "grid", "--n", "8,8", "--out", str(g))
-    # inside graphs only max_ball_size_actual runs the kernel during prove
     sweeps = Counter()
     kernel = graphs.bfs
 
@@ -138,13 +138,56 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
         edges_measured["l1"] += 1
         return l1(p, q)
 
-    monkeypatch.setattr(graphs, "bfs", counting_bfs)
+    for module in (graphs, measures, labeling):
+        monkeypatch.setattr(module, "bfs", counting_bfs)
     monkeypatch.setattr(measures, "l1_distance", counting_l1)
     code, _, _ = run(capsys, "prove", str(g), "--witness", "uniform-ball", "--r", "2",
                      "--eps-prime", "3/2", "--out", str(tmp_path / "g8.labels"))
     assert code == 0
-    assert sweeps == {2: 64, 4: 64}
+    assert sweeps[6] == 64  # the distance-(2r+2) coloring
+    assert sweeps[4] == 0  # K = max |B_2r| comes from the coloring sweep
+    # witness, support check and tables; alpha's max |B_r| takes no sweep
+    assert sweeps[2] == 3 * 64
+    assert sweeps == {2: 192, 6: 64}
     assert edges_measured["l1"] == 112
+
+
+@pytest.mark.parametrize("family, n, flags, digest", [
+    ("grid", "12,12", ("--witness", "uniform-ball", "--r", "3", "--eps-prime", "3/4"),
+     "cc4e62f57db3793a9279d784b303871d8b04dd9e41951f43a296db1559dd73ee"),
+    ("full_tree", "2,5", ("--eps-prime", "1/2"),
+     "dcb466f26097bf7d209d1f78f84f478804af45cc42b6c9038b4b429150270f73"),
+])
+def test_prove_labels_golden(capsys, tmp_path, family, n, flags, digest):
+    """Digests recorded from the code that measured ball sizes with sweeps of their own."""
+    g = tmp_path / "g.graph"
+    run(capsys, "gen", "--family", family, "--n", n, "--out", str(g))
+    code, out, _ = run(capsys, "prove", str(g), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("alpha", ["0", "-5"])
+def test_prove_alpha_below_one_exits_two(p11, capsys, alpha):
+    g, _ = p11
+    code, out, err = run(capsys, "prove", str(g), "--eps-prime", "5/6", "--alpha", alpha)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --alpha must be positive, got {alpha}\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--eps-prime", "1/2"),
+    ("--eps-prime", "1/2", "--witness", "uniform-ball", "--r", "2"),
+    ("--eps-prime", "1/2", "--alpha", "7"),
+])
+def test_prove_empty_graph_exits_two(capsys, tmp_path, flags):
+    g = tmp_path / "empty.graph"
+    g.write_text("graph 0 0 2\n")
+    code, out, err = run(capsys, "prove", str(g), *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot prove the empty graph: {g} has no vertices\n"
 
 
 def test_prove_K_override(p11, capsys, tmp_path):

@@ -192,6 +192,20 @@ def test_max_ball_size_actual_examples():
     assert P == lc.generate(lc.FamilySpec("path", (11,)))
 
 
+def test_ball_sweep_yields_bfs_balls_and_memoizes_when_done():
+    G = lc.generate(lc.FamilySpec("grid", (4, 5)))
+    sweep = lc.ball_sweep(G, 3)
+    first = next(sweep)
+    assert first == (0, lc.bfs(G.adj, (0,), 3)[0])
+    assert G._ball_sizes == {}  # nothing is recorded before the last vertex
+    rest = list(sweep)
+    assert [x for x, _ in rest] == list(range(1, G.n))
+    assert all(ball == lc.bfs(G.adj, (x,), 3)[0] for x, ball in rest)
+    assert G._ball_sizes == {0: 1, 1: 5, 2: 12, 3: 18}
+    with pytest.raises(ValueError):
+        next(lc.ball_sweep(G, -1))
+
+
 # --- subgraphs and components -----------------------------------------------
 
 def test_induced_subgraph_matches_networkx():

@@ -58,6 +58,54 @@ def test_distance_coloring_is_proper():
         assert max(colors) + 1 <= max_ball_size_bound(G.d, q)
 
 
+def reference_greedy_coloring(G, q):
+    """The greedy distance coloring as written before it shared the ball sweep."""
+    colors = [-1] * G.n
+    for v in range(G.n):
+        taken = set()
+        for u in bfs(G.adj, (v,), q)[0]:
+            cu = colors[u]
+            if cu >= 0:
+                taken.add(cu)
+        c = 0
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return tuple(colors)
+
+
+def disjoint_union(G, H):
+    edges = G.edges() + [(u + G.n, v + G.n) for u, v in H.edges()]
+    return lc.build_graph(edges, max(G.d, H.d), n=G.n + H.n)
+
+
+def sweep_cases():
+    rng = random.Random(977)
+    cases = []
+    for _ in range(25):
+        G = random_family_graph(rng)
+        cases.append((G, rng.randint(1, 6)))
+    for _ in range(5):
+        G = disjoint_union(random_family_graph(rng), random_family_graph(rng))
+        cases.append((G, rng.randint(1, 6)))
+    cases.append((lc.generate(lc.FamilySpec("path", (1,))), 3))
+    cases.append((lc.build_graph([], 2, n=0), 2))
+    cases.append((lc.generate(lc.FamilySpec("cycle", (7,))), 9))  # q beyond the diameter 3
+    cases.append((lc.generate(lc.FamilySpec("full_tree", (2, 3))), 12))
+    return cases
+
+
+@pytest.mark.parametrize("G, q", sweep_cases())
+def test_coloring_sweep_records_ball_size_profile(G, q):
+    colors = distance_coloring(G, q)
+    assert colors == reference_greedy_coloring(G, q)
+    assert sorted(G._ball_sizes) == list(range(q + 1))
+    for s in range(q + 1):
+        fresh = max((len(bfs(G.adj, (x,), s)[0]) for x in range(G.n)), default=0)
+        assert G._ball_sizes[s] == fresh
+        assert max_ball_size_actual(G, s) == fresh
+
+
 def test_build_proof_path3_tables():
     G, g = quantized_path_witness()
     colors = distance_coloring(G, 4)

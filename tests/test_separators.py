@@ -19,6 +19,7 @@ from localcert.separators import (
     max_marginal,
     minimax_separator_search,
     path_shift_distribution,
+    shift_family_distribution,
     tree_depth_shift_distribution,
     witness_from_separators,
 )
@@ -121,6 +122,39 @@ def test_tree_depth_shift_rejects_non_tree():
     C = lc.generate(lc.FamilySpec("cycle", (8,)))
     with pytest.raises(ValueError):
         tree_depth_shift_distribution(C, 3)
+
+
+def test_shift_family_distribution_recognizes_path_cycle_tree():
+    P = lc.generate(lc.FamilySpec("path", (11,)))
+    assert shift_family_distribution(P, 4).support == path_shift_distribution(P, 4).support
+    C = lc.generate(lc.FamilySpec("cycle", (12,)))
+    rounded = shift_family_distribution(C, 5)  # 12 % 5 != 0: raised to the divisor 6
+    assert rounded.support == path_shift_distribution(C, 6).support
+    assert shift_family_distribution(C, 12).K == 11
+    T = lc.generate(lc.FamilySpec("full_tree", (2, 4)))
+    assert shift_family_distribution(T, 3).support == tree_depth_shift_distribution(T, 3).support
+    # a path whose ids are not in path order is still a tree
+    Q = lc.build_graph([(0, 2), (1, 2)], 2)
+    assert shift_family_distribution(Q, 2).support == tree_depth_shift_distribution(Q, 2).support
+
+
+@pytest.mark.parametrize("G", [
+    lc.generate(lc.FamilySpec("grid", (3, 3))),
+    lc.generate(lc.FamilySpec("random_regular", (10, 3), seed=1)),
+    # n - 1 edges but disconnected: a triangle beside an edge
+    lc.build_graph([(0, 1), (0, 2), (1, 2), (3, 4)], 2),
+])
+def test_shift_family_distribution_declines_other_graphs(G):
+    assert shift_family_distribution(G, 3) is None
+
+
+def test_shift_family_distribution_refuses_bad_moduli():
+    C = lc.generate(lc.FamilySpec("cycle", (10,)))
+    with pytest.raises(ValueError, match="k = 11 exceeds the cycle length n = 10"):
+        shift_family_distribution(C, 11)
+    G = lc.generate(lc.FamilySpec("grid", (3, 3)))
+    with pytest.raises(ValueError, match="shift modulus must be positive, got 0"):
+        shift_family_distribution(G, 0)
 
 
 # --- witness mixing ----------------------------------------------------------
