@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,36 +50,11 @@ from .verifier import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand run depends on."""
-
-    subcommand: str
-    graph: str | None = None
-    labels: str | None = None
-    family: str | None = None
-    n: str | None = None
-    seed: int | None = None
-    r: int | None = None
-    eps: Fraction | None = None
-    eps_prime: Fraction | None = None
-    alpha: int | None = None
-    k_shift: int | None = None
-    K: int | None = None
-    witness: str = "auto"
-    predicate: str = "planar"
-    jobs: int = 1
-    out: str | None = None
-
-
 def parse_fraction(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational {text!r}; write <num>/<den>") from exc
-    if value.denominator < 1:
-        raise ValueError(f"cannot parse rational {text!r}")
-    return value
 
 
 def _parse_params(text: str) -> tuple[int, ...]:
@@ -98,12 +73,10 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def cmd_generate(config: RunConfig) -> int:
-    if config.family is None or config.n is None:
-        raise ValueError("gen needs --family and --n")
-    spec = FamilySpec(config.family, _parse_params(config.n), config.seed)
+def cmd_generate(args: argparse.Namespace) -> int:
+    spec = FamilySpec(args.family, _parse_params(args.n), args.seed)
     G = generate(spec)
-    _emit(format_graph(G), config.out)
+    _emit(format_graph(G), args.out)
     return 0
 
 
@@ -112,57 +85,51 @@ def _default_shift(eps_prime: Fraction) -> int:
     return max(2, 4 // eps_prime + 1)
 
 
-def _auto_witness(G: BoundedDegreeGraph, config: RunConfig) -> WitnessFunction:
+def _auto_witness(G: BoundedDegreeGraph, args: argparse.Namespace) -> WitnessFunction:
     """Shift-family witness when G is a canonical path/cycle/tree, else uniform-ball."""
-    eps_prime = config.eps_prime
-    assert eps_prime is not None
-    k = config.k_shift if config.k_shift is not None else _default_shift(eps_prime)
+    k = args.k_shift if args.k_shift is not None else _default_shift(args.eps_prime)
     dist = shift_family_distribution(G, k)
     if dist is not None:
         return tighten_radius(witness_from_separators(G, dist))
-    if config.r is None:
+    if args.r is None:
         raise ValueError("no shift family matches this graph; pass --r for uniform-ball")
-    return uniform_ball_witness(G, config.r)
+    return uniform_ball_witness(G, args.r)
 
 
-def _build_witness(G: BoundedDegreeGraph, config: RunConfig) -> WitnessFunction:
-    mode = config.witness
+def _build_witness(G: BoundedDegreeGraph, args: argparse.Namespace) -> WitnessFunction:
+    mode = args.witness
     if mode == "uniform-ball":
-        if config.r is None:
+        if args.r is None:
             raise ValueError("--witness uniform-ball needs --r")
-        return uniform_ball_witness(G, config.r)
+        return uniform_ball_witness(G, args.r)
     if mode.startswith("separators:"):
         dist = read_separator_distribution_file(mode.split(":", 1)[1], G)
         return tighten_radius(witness_from_separators(G, dist))
     if mode == "auto":
-        return _auto_witness(G, config)
+        return _auto_witness(G, args)
     raise ValueError(
         f"unknown witness source {mode!r}; use uniform-ball, separators:<file>, or auto"
     )
 
 
-def cmd_prove(config: RunConfig) -> int:
-    if config.graph is None:
-        raise ValueError("prove needs a graph file")
-    if config.eps_prime is None:
-        raise ValueError("prove needs --eps-prime")
-    if config.eps_prime <= 0:
-        raise ValueError(f"--eps-prime must be positive, got {config.eps_prime}")
-    if config.alpha is not None and config.alpha < 1:
-        raise ValueError(f"--alpha must be positive, got {config.alpha}")
-    G = read_graph_file(config.graph)
+def cmd_prove(args: argparse.Namespace) -> int:
+    if args.eps_prime <= 0:
+        raise ValueError(f"--eps-prime must be positive, got {args.eps_prime}")
+    if args.alpha is not None and args.alpha < 1:
+        raise ValueError(f"--alpha must be positive, got {args.alpha}")
+    G = read_graph_file(args.graph)
     if G.n == 0:
-        raise ValueError(f"cannot prove the empty graph: {config.graph} has no vertices")
-    w = _build_witness(G, config)
+        raise ValueError(f"cannot prove the empty graph: {args.graph} has no vertices")
+    w = _build_witness(G, args)
     report = check_uniformity(w)
     assert report.support_ok, "constructed witness must respect its radius"
     measured = report.max_edge_l1
-    if measured >= config.eps_prime:
+    if measured >= args.eps_prime:
         raise WitnessTooRough(
-            f"witness measures {measured} >= eps' = {config.eps_prime} at radius "
+            f"witness measures {measured} >= eps' = {args.eps_prime} at radius "
             f"{w.radius}; this graph does not admit the claimed smoothness here"
         )
-    eps = config.eps if config.eps is not None else measured
+    eps = args.eps if args.eps is not None else measured
     if eps < measured:
         raise NotUniform(f"--eps {eps} is below the measured value {measured}")
     # distance 2r+2, not 2r: zeroes every table slot whose owner lies outside
@@ -170,14 +137,14 @@ def cmd_prove(config: RunConfig) -> int:
     # Coloring first: its sweep memoizes max |B_r| and max |B_2r|, which
     # alpha, the quantization check and the header's K then read.
     colors = distance_coloring(G, 2 * w.radius + 2)
-    alpha = config.alpha if config.alpha is not None else derive_alpha(
-        G, w.radius, eps, config.eps_prime
+    alpha = args.alpha if args.alpha is not None else derive_alpha(
+        G, w.radius, eps, args.eps_prime
     )
-    quantized = discretize_witness(w, eps, config.eps_prime, alpha)
-    labeling = build_proof(G, quantized, colors, eps, config.eps_prime)
-    if config.K is not None:
-        labeling = replace(labeling, k_local=config.K)
-    _emit(format_labeling(labeling), config.out)
+    quantized = discretize_witness(w, eps, args.eps_prime, alpha)
+    labeling = build_proof(G, quantized, colors, eps, args.eps_prime)
+    if args.K is not None:
+        labeling = replace(labeling, k_local=args.K)
+    _emit(format_labeling(labeling), args.out)
     p = labeling.params
     sys.stderr.write(
         f"measured_eps = {measured.numerator}/{measured.denominator}\n"
@@ -187,13 +154,11 @@ def cmd_prove(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    if config.graph is None or config.labels is None:
-        raise ValueError("verify needs a graph file and a labels file")
-    G = read_graph_file(config.graph)
-    labeling = read_labeling_file(config.labels)
-    verdict = pipeline_verify(G, labeling, config.predicate, jobs=config.jobs)
-    _emit(format_verdict(verdict), config.out)
+def cmd_verify(args: argparse.Namespace) -> int:
+    G = read_graph_file(args.graph)
+    labeling = read_labeling_file(args.labels)
+    verdict = pipeline_verify(G, labeling, args.predicate, jobs=args.jobs)
+    _emit(format_verdict(verdict), args.out)
     return 0 if verdict.accept else 1
 
 
@@ -201,16 +166,14 @@ def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def cmd_extract(config: RunConfig) -> int:
-    if config.graph is None or config.labels is None:
-        raise ValueError("extract needs a graph file and a labels file")
-    G = read_graph_file(config.graph)
-    labeling = read_labeling_file(config.labels)
+def cmd_extract(args: argparse.Namespace) -> int:
+    G = read_graph_file(args.graph)
+    labeling = read_labeling_file(args.labels)
     witness = decode_accepted_witness(G, labeling)
-    eps = config.eps if config.eps is not None else labeling.params.eps_prime
+    eps = args.eps if args.eps is not None else labeling.params.eps_prime
     partition = extract_partition(G, witness, eps)
-    _emit(format_partition(partition), config.out)
-    bound = edit_distance_upper_bound(G, partition, resolve_predicate(config.predicate))
+    _emit(format_partition(partition), args.out)
+    bound = edit_distance_upper_bound(G, partition, resolve_predicate(args.predicate))
     lines = [
         f"blocks = {partition.num_blocks}",
         f"max_block = {partition.max_block_size}",
@@ -223,13 +186,11 @@ def cmd_extract(config: RunConfig) -> int:
     return 0
 
 
-def cmd_report(config: RunConfig) -> int:
-    if config.graph is None or config.labels is None:
-        raise ValueError("report needs a graph file and a labels file")
-    G = read_graph_file(config.graph)
-    labeling = read_labeling_file(config.labels)
+def cmd_report(args: argparse.Namespace) -> int:
+    G = read_graph_file(args.graph)
+    labeling = read_labeling_file(args.labels)
     p = labeling.params
-    verdict = pipeline_verify(G, labeling, config.predicate, jobs=config.jobs)
+    verdict = pipeline_verify(G, labeling, args.predicate, jobs=args.jobs)
     guarantee = Fraction(G.d * G.d, 1) * p.eps_prime / 2
     lines = [
         f"n = {G.n}",
@@ -240,7 +201,7 @@ def cmd_report(config: RunConfig) -> int:
         f"palette = {p.palette}",
         f"eps_prime = {_fraction_str(p.eps_prime)}",
         f"K = {labeling.k_local}",
-        f"predicate = {config.predicate}",
+        f"predicate = {args.predicate}",
         f"verdict = {'accept' if verdict.accept else 'reject'}",
         f"rejecting = {len(verdict.rejecting())}",
         f"apls_guarantee = {_fraction_str(guarantee)}",
@@ -252,7 +213,7 @@ def cmd_report(config: RunConfig) -> int:
         hyper = check_hyperfinite(
             G, partition, guarantee, labeling.k_local, normalization="vertices"
         )
-        bound = edit_distance_upper_bound(G, partition, resolve_predicate(config.predicate))
+        bound = edit_distance_upper_bound(G, partition, resolve_predicate(args.predicate))
         lines += [
             f"eps_decoded = {_fraction_str(decoded.max_edge_l1)}",
             f"blocks = {partition.num_blocks}",
@@ -264,7 +225,7 @@ def cmd_report(config: RunConfig) -> int:
             "edit_bound = "
             + (_fraction_str(bound.bound) if bound.feasible else f"infeasible block {bound.offending_block}"),
         ]
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0 if verdict.accept else 1
 
 
@@ -316,28 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "subcommand": args.subcommand,
-        "graph": getattr(args, "graph", None),
-        "labels": getattr(args, "labels", None),
-        "family": getattr(args, "family", None),
-        "n": getattr(args, "n", None),
-        "seed": getattr(args, "seed", None),
-        "r": getattr(args, "r", None),
-        "eps": getattr(args, "eps", None),
-        "eps_prime": getattr(args, "eps_prime", None),
-        "alpha": getattr(args, "alpha", None),
-        "k_shift": getattr(args, "k_shift", None),
-        "K": getattr(args, "K", None),
-        "witness": getattr(args, "witness", "auto"),
-        "predicate": getattr(args, "predicate", "planar"),
-        "jobs": getattr(args, "jobs", 1),
-        "out": getattr(args, "out", None),
-    }
-    return RunConfig(**fields)
-
-
 _COMMANDS = {
     "gen": cmd_generate,
     "prove": cmd_prove,
@@ -350,9 +289,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = config_from_args(args)
     try:
-        return _COMMANDS[config.subcommand](config)
+        return _COMMANDS[args.subcommand](args)
     except (FormatError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -128,68 +127,46 @@ def bfs(adj: Sequence[Sequence[int]], sources: Iterable[int], cutoff: int | None
 
 
 class RootedBall:
-    """The subgraph induced on B_s(center), re-indexed to local ids.
+    """B_s(x) in local coordinates, from the (order, dist) of one `bfs` from x over `adj`.
 
-    Local id 0 is the center; vertices appear in BFS discovery order, so
-    local ids and `dist` are deterministic for a fixed parent graph.
-    `vertices[i]` is the parent id of local vertex i and `local_adj[i]` its
-    ascending local neighbors.
+    Local vertex i is the i-th vertex of that BFS, so x is local 0 and
+    `dist` (hop distance from x) is nondecreasing; `vertices[i]` is local i's
+    parent id.  `local_adj[i]` lists local i's neighbors inside the ball,
+    ascending; it is built from the parent adjacency on first read.
     """
 
-    __slots__ = ("center", "radius_bound", "vertices", "dist", "local_adj",
-                 "parent_degree_bound", "__dict__")
+    __slots__ = ("vertices", "dist", "_adj", "_local_adj")
 
-    def __init__(self, center: int, radius_bound: int, vertices: tuple[int, ...],
-                 dist: tuple[int, ...], local_adj: tuple[tuple[int, ...], ...],
-                 parent_degree_bound: int):
-        self.center = center
-        self.radius_bound = radius_bound
-        self.vertices = vertices
-        self.dist = dist
-        self.local_adj = local_adj
-        self.parent_degree_bound = parent_degree_bound
+    def __init__(self, adj: Sequence[Sequence[int]], order: Sequence[int],
+                 dist: dict[int, int]):
+        self.vertices = tuple(order)
+        self.dist = tuple(map(dist.__getitem__, order))
+        self._adj = adj
+        self._local_adj: tuple[tuple[int, ...], ...] | None = None
 
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
+    def within(self, radius: int) -> int:
+        """How many local vertices lie within `radius` of the center: B_radius is that prefix."""
+        return bisect_right(self.dist, radius)
 
     @property
-    def actual_radius(self) -> int:
-        return max(self.dist)
-
-    @cached_property
-    def to_local(self) -> dict[int, int]:
-        return {p: i for i, p in enumerate(self.vertices)}
-
-    @cached_property
-    def edges_local(self) -> tuple[tuple[int, int], ...]:
-        """Local edges (i, j) with i < j, lexicographically ascending."""
-        return tuple((i, j) for i, row in enumerate(self.local_adj) for j in row if i < j)
-
-    def as_graph(self) -> BoundedDegreeGraph:
-        return BoundedDegreeGraph(self.size, self.parent_degree_bound, self.edges_local)
+    def local_adj(self) -> tuple[tuple[int, ...], ...]:
+        if self._local_adj is None:
+            local = dict(zip(self.vertices, range(len(self.vertices))))
+            adj = self._adj
+            self._local_adj = tuple(
+                tuple(sorted([local[w] for w in adj[u] if w in local]))
+                for u in self.vertices
+            )
+        return self._local_adj
 
 
 def ball(G: BoundedDegreeGraph, x: int, s: int) -> RootedBall:
-    """Rooted ball of radius s around x, BFS order, local re-indexing."""
+    """Rooted ball of radius s around x, from one BFS."""
     if not 0 <= x < G.n:
         raise ValueError(f"center {x} outside vertex range [0, {G.n})")
     if s < 0:
         raise ValueError(f"radius must be nonnegative, got {s}")
-    adj = G.adj
-    order, dist = bfs(adj, (x,), s)
-    local = dict(zip(order, range(len(order))))
-    local_adj = tuple(
-        tuple(sorted([local[w] for w in adj[u] if w in local])) for u in order
-    )
-    return RootedBall(
-        center=x,
-        radius_bound=s,
-        vertices=tuple(order),
-        dist=tuple([dist[p] for p in order]),
-        local_adj=local_adj,
-        parent_degree_bound=G.d,
-    )
+    return RootedBall(G.adj, *bfs(G.adj, (x,), s))
 
 
 def max_ball_size_bound(d: int, r: int) -> int:

@@ -127,7 +127,7 @@ class WitnessFunction:
         self.dists = dict(dists)
         self.vertices = vs
         self.vertex_set = frozenset(vs)
-        self._uniformity: dict[bool, UniformityReport] = {}
+        self._uniformity: UniformityReport | None = None
 
     @property
     def is_full(self) -> bool:
@@ -157,24 +157,20 @@ class UniformityReport:
     worst_edge: tuple[int, int] | None
     support_ok: bool
     bad_support_vertex: int | None
-    per_edge: dict[tuple[int, int], Fraction] | None = None
 
-    def satisfies(self, eps: Fraction, strict: bool = False) -> bool:
-        if not self.support_ok:
-            return False
-        return self.max_edge_l1 < eps if strict else self.max_edge_l1 <= eps
+    def satisfies(self, eps: Fraction) -> bool:
+        return self.support_ok and self.max_edge_l1 <= eps
 
 
-def check_uniformity(w: WitnessFunction, include_table: bool = False) -> UniformityReport:
+def check_uniformity(w: WitnessFunction) -> UniformityReport:
     """Measure max edge l1 over the domain and validate supports.
 
     Support of each f(x) must lie in B_radius(x, G) intersected with the
     domain.  The measured maximum is exact; thresholding is the caller's
     business.  The report is computed once per witness and then cached on it.
     """
-    cached = w._uniformity.get(include_table)
-    if cached is not None:
-        return cached
+    if w._uniformity is not None:
+        return w._uniformity
     G = w.graph
     support_ok = True
     bad_vertex = None
@@ -191,17 +187,13 @@ def check_uniformity(w: WitnessFunction, include_table: bool = False) -> Uniform
             break
     best = Fraction(0)
     worst = None
-    table: dict[tuple[int, int], Fraction] | None = {} if include_table else None
     for u, v in w.domain_edges():
         d = l1_distance(w.dists[u], w.dists[v])
-        if table is not None:
-            table[(u, v)] = d
         if d > best:
             best = d
             worst = (u, v)
-    report = UniformityReport(best, worst, support_ok, bad_vertex, table)
-    w._uniformity[include_table] = report
-    return report
+    w._uniformity = UniformityReport(best, worst, support_ok, bad_vertex)
+    return w._uniformity
 
 
 def tighten_radius(w: WitnessFunction) -> WitnessFunction:

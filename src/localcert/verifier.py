@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, sub
@@ -33,7 +32,7 @@ from typing import Callable, Sequence
 import networkx as nx
 
 from .errors import MalformedLabeling, NotAccepted
-from .graphs import BoundedDegreeGraph, ball, bfs, components, induced_subgraph
+from .graphs import BoundedDegreeGraph, RootedBall, ball, bfs, components, induced_subgraph
 from .labeling import ProofLabeling
 from .measures import RationalDist, WitnessFunction
 
@@ -72,57 +71,27 @@ class Verdict:
         return [(x, d) for x, d in enumerate(self.decisions) if d is not None]
 
 
-class LabeledBall:
-    """A rooted ball as its center sees it, in local coordinates.
+class LabeledBall(RootedBall):
+    """A rooted ball as its center sees it: `colors[i]` and `tables[i]` are local i's label.
 
-    Local vertex i is the i-th vertex of a BFS from the center, so the
-    center is local 0 and `dist` (hop distance from the center) is
-    nondecreasing.  `colors[i]` and `tables[i]` are local vertex i's label.
-    `adj[i]` lists local i's neighbors inside the ball; it is built on first
-    read, since only a repeated color needs it.  `vertices[i]`, the parent id
-    of local i, is there to build `adj` and for the decoder; a decision never
-    reads it.
+    A decision reads `dist`, the labels and, only when some color repeats
+    inside the ball, `local_adj`; never `vertices`, which is there for the
+    decoder.
     """
 
-    __slots__ = ("dist", "colors", "tables", "vertices", "_parent_adj", "_adj")
+    __slots__ = ("colors", "tables")
 
-    def __init__(self, dist: tuple[int, ...], colors: tuple[int, ...],
-                 tables: tuple[tuple[int, ...], ...], vertices: tuple[int, ...],
-                 parent_adj: Sequence[Sequence[int]]):
-        self.dist = dist
-        self.colors = colors
-        self.tables = tables
-        self.vertices = vertices
-        self._parent_adj = parent_adj
-        self._adj: tuple[tuple[int, ...], ...] | None = None
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        if self._adj is None:
-            local = dict(zip(self.vertices, range(len(self.vertices))))
-            parent_adj = self._parent_adj
-            self._adj = tuple(
-                tuple([local[w] for w in parent_adj[u] if w in local])
-                for u in self.vertices
-            )
-        return self._adj
-
-    def within(self, radius: int) -> int:
-        """How many local vertices lie within `radius` of the center: B_radius is that prefix."""
-        return bisect_right(self.dist, radius)
+    def __init__(self, adj: Sequence[Sequence[int]], order: Sequence[int],
+                 dist: dict[int, int], labeling: ProofLabeling):
+        super().__init__(adj, order, dist)
+        self.colors = tuple(map(labeling.colors.__getitem__, order))
+        self.tables = tuple(map(labeling.tables.__getitem__, order))
 
 
 def extract_labeled_ball(G: BoundedDegreeGraph, labeling: ProofLabeling,
                          x: int, radius: int) -> LabeledBall:
     """B_radius(x) with its labels, from one BFS of G."""
-    order, dist = bfs(G.adj, (x,), radius)
-    return LabeledBall(
-        dist=tuple(map(dist.__getitem__, order)),
-        colors=tuple(map(labeling.colors.__getitem__, order)),
-        tables=tuple(map(labeling.tables.__getitem__, order)),
-        vertices=tuple(order),
-        parent_adj=G.adj,
-    )
+    return LabeledBall(G.adj, *bfs(G.adj, (x,), radius), labeling)
 
 
 def check_vertex(lball: LabeledBall, params: VerifierParams) -> str | None:
@@ -138,7 +107,7 @@ def check_vertex(lball: LabeledBall, params: VerifierParams) -> str | None:
     r = params.r
 
     if len(set(colors)) < len(colors):
-        adj = lball.adj
+        adj = lball.local_adj
         by_color: dict[int, list[int]] = {}
         for i, c in enumerate(colors):
             by_color.setdefault(c, []).append(i)
@@ -419,18 +388,6 @@ class BallSetVerifier:
         return canonical_ball(adj, labels, center) in self.accepted
 
 
-def _truncate_ball(adj: Sequence[Sequence[int]], labels: Sequence, center: int,
-                   radius: int) -> tuple[tuple[tuple[int, ...], ...], tuple, int]:
-    _, dist = bfs(adj, (center,), radius)
-    order = sorted(dist, key=lambda v: (dist[v], v))
-    pos = {v: i for i, v in enumerate(order)}
-    sub_adj = tuple(
-        tuple(sorted(pos[w] for w in adj[v] if w in pos)) for v in order
-    )
-    sub_labels = tuple(labels[v] for v in order)
-    return sub_adj, sub_labels, pos[center]
-
-
 class ProductVerifier:
     """Accepts a pair-labeled ball iff both factors accept their projections.
 
@@ -445,10 +402,8 @@ class ProductVerifier:
 
     def accepts(self, adj: Sequence[Sequence[int]], labels: Sequence, center: int) -> bool:
         for idx, factor in ((0, self.first), (1, self.second)):
-            sub_adj, sub_labels, sub_center = _truncate_ball(
-                adj, [lab[idx] for lab in labels], center, factor.radius
-            )
-            if not factor.accepts(sub_adj, sub_labels, sub_center):
+            sub = RootedBall(adj, *bfs(adj, (center,), factor.radius))
+            if not factor.accepts(sub.local_adj, [labels[v][idx] for v in sub.vertices], 0):
                 return False
         return True
 

@@ -158,20 +158,28 @@ def test_graph_distance_matches_networkx():
 
 
 def test_rooted_ball_structure():
-    G = lc.generate(lc.FamilySpec("grid", (4, 4)))
-    b = ball(G, 5, 2)
-    assert b.vertices[0] == 5
-    assert b.dist[0] == 0
-    assert b.actual_radius == 2
-    assert all(d <= 2 for d in b.dist)
-    sub = b.as_graph()
-    for u, v in sub.edges():
-        assert G.has_edge(*sorted((b.vertices[u], b.vertices[v])))
-    assert b.to_local[5] == 0
-    # every in-ball edge of G shows up locally
-    inside = set(b.vertices)
-    want = sum(1 for u, v in G.edges() if u in inside and v in inside)
-    assert len(b.edges_local) == want
+    rng = random.Random(131)
+    for _ in range(25):
+        G = random_family_graph(rng)
+        for s in range(4):
+            for x in range(G.n):
+                b = ball(G, x, s)
+                order, dist = bfs(G.adj, (x,), s)
+                assert b.vertices == tuple(order)
+                assert b.dist == tuple(dist[v] for v in order)
+                for t in range(s + 2):
+                    assert b.within(t) == sum(1 for d in dist.values() if d <= t)
+                inside = set(order)
+                got = {
+                    tuple(sorted((b.vertices[i], b.vertices[j])))
+                    for i, row in enumerate(b.local_adj) for j in row
+                }
+                assert got == {(u, v) for u, v in G.edges() if u in inside and v in inside}
+                assert all(list(row) == sorted(row) for row in b.local_adj)
+    G = lc.generate(lc.FamilySpec("path", (3,)))
+    for x, s in ((-1, 1), (3, 1), (0, -1)):
+        with pytest.raises(ValueError):
+            ball(G, x, s)
 
 
 def test_ball_size_bounds():

@@ -112,12 +112,14 @@ def test_check_uniformity_flags_bad_support():
     assert not rep.satisfies(Fraction(2))
 
 
-def test_uniformity_report_includes_table_on_request():
+def test_uniformity_per_edge_values():
     G = lc.generate(lc.FamilySpec("path", (3,)))
-    rep = check_uniformity(uniform_ball_witness(G, 1), include_table=True)
-    assert rep.per_edge is not None
-    assert set(rep.per_edge) == {(0, 1), (1, 2)}
-    assert rep.per_edge[(0, 1)] == Fraction(2, 3)
+    w = uniform_ball_witness(G, 1)
+    per_edge = {(u, v): l1_distance(w.dist(u), w.dist(v)) for u, v in w.domain_edges()}
+    assert per_edge == {(0, 1): Fraction(2, 3), (1, 2): Fraction(2, 3)}
+    rep = check_uniformity(w)
+    assert rep.max_edge_l1 == max(per_edge.values())
+    assert rep.worst_edge == (0, 1)
 
 
 # --- quantization ------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import localcert as lc
 from conftest import prove_uniform, random_family_graph
 from localcert.errors import MalformedLabeling, NotAccepted
-from localcert.graphs import build_graph
+from localcert.graphs import RootedBall, build_graph
 from localcert.labeling import ProofLabeling
 from localcert.verifier import (
     CHECK_L1,
@@ -144,6 +144,28 @@ def test_tampered_color_is_caught(p11):
     verdict = verify_property_a(p11.G, bad)
     assert not verdict.accept
     assert any(check == CHECK_PROPERNESS for _, check in verdict.rejecting())
+
+
+def test_ball_adjacency_is_built_only_for_a_repeated_color(grid10x20, monkeypatch):
+    builds = []
+    read = RootedBall.local_adj.fget
+
+    def counting_read(b):
+        if b._local_adj is None:
+            builds.append(b.vertices[0])
+        return read(b)
+
+    monkeypatch.setattr(RootedBall, "local_adj", property(counting_read))
+    G, lab = grid10x20.G, grid10x20.labeling
+    assert verify_property_a(G, lab).accept
+    assert builds == []
+    # one color copied onto a neighbor: the balls that hold both build theirs
+    colors = list(lab.colors)
+    colors[G.adj[0][0]] = colors[0]
+    bad = ProofLabeling(lab.params, tuple(colors), lab.tables, lab.k_local)
+    verdict = verify_property_a(G, bad)
+    assert builds
+    assert verdict.decisions[0] == CHECK_PROPERNESS
 
 
 def test_l1_check_catches_rough_witness():
