@@ -74,7 +74,6 @@ from .labeling import (
     ProofLabeling,
     SchemeParams,
     build_proof,
-    decode_value,
     distance_coloring,
     read_labeling_file,
     write_labeling_file,
@@ -84,7 +83,6 @@ from .verifier import (
     LabeledBall,
     ProductVerifier,
     Verdict,
-    VerifierParams,
     canonical_ball,
     check_vertex,
     combine_verdicts,
@@ -98,6 +96,7 @@ from .verifier import (
     resolve_predicate,
     run_ball_verifier,
     verify_locally_p,
+    verify_and_decode,
     verify_property_a,
 )
 from .hyperfinite import (

@@ -43,10 +43,13 @@ from .separators import (
     witness_from_separators,
 )
 from .verifier import (
+    combine_verdicts,
     decode_accepted_witness,
     format_verdict,
     pipeline_verify,
     resolve_predicate,
+    verify_and_decode,
+    verify_locally_p,
 )
 
 
@@ -64,6 +67,13 @@ def _parse_params(text: str) -> tuple[int, ...]:
         raise ValueError(
             f"cannot parse family parameters {text!r}; write e.g. 100 or 50,50"
         ) from exc
+
+
+def _read_nonempty_graph(path: str, action: str) -> BoundedDegreeGraph:
+    G = read_graph_file(path)
+    if G.n == 0:
+        raise ValueError(f"cannot {action} the empty graph: {path} has no vertices")
+    return G
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -117,9 +127,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
         raise ValueError(f"--eps-prime must be positive, got {args.eps_prime}")
     if args.alpha is not None and args.alpha < 1:
         raise ValueError(f"--alpha must be positive, got {args.alpha}")
-    G = read_graph_file(args.graph)
-    if G.n == 0:
-        raise ValueError(f"cannot prove the empty graph: {args.graph} has no vertices")
+    G = _read_nonempty_graph(args.graph, "prove")
     w = _build_witness(G, args)
     report = check_uniformity(w)
     assert report.support_ok, "constructed witness must respect its radius"
@@ -141,7 +149,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
         G, w.radius, eps, args.eps_prime
     )
     quantized = discretize_witness(w, eps, args.eps_prime, alpha)
-    labeling = build_proof(G, quantized, colors, eps, args.eps_prime)
+    labeling = build_proof(G, quantized, colors, args.eps_prime)
     if args.K is not None:
         labeling = replace(labeling, k_local=args.K)
     _emit(format_labeling(labeling), args.out)
@@ -167,7 +175,7 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    G = read_graph_file(args.graph)
+    G = _read_nonempty_graph(args.graph, "extract from")
     labeling = read_labeling_file(args.labels)
     witness = decode_accepted_witness(G, labeling)
     eps = args.eps if args.eps is not None else labeling.params.eps_prime
@@ -187,10 +195,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    G = read_graph_file(args.graph)
+    G = _read_nonempty_graph(args.graph, "report on")
     labeling = read_labeling_file(args.labels)
     p = labeling.params
-    verdict = pipeline_verify(G, labeling, args.predicate, jobs=args.jobs)
+    # property A and the decoded witness come from one pass over the balls
+    property_a, witness = verify_and_decode(G, labeling)
+    verdict = combine_verdicts(
+        property_a, verify_locally_p(G, labeling.k_local, args.predicate)
+    )
     guarantee = Fraction(G.d * G.d, 1) * p.eps_prime / 2
     lines = [
         f"n = {G.n}",
@@ -207,7 +219,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         f"apls_guarantee = {_fraction_str(guarantee)}",
     ]
     if verdict.accept:
-        witness = decode_accepted_witness(G, labeling, verdict=verdict)
         decoded = check_uniformity(witness)
         partition = extract_partition(G, witness, p.eps_prime)
         hyper = check_hyperfinite(
@@ -267,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("labels")
         p.add_argument("--predicate", default="planar",
                        choices=["planar", "acyclic", "always-true"])
-        if name != "extract":
+        if name == "verify":
             p.add_argument("--jobs", type=int, default=1)
-        else:
+        elif name == "extract":
             p.add_argument("--eps", type=parse_fraction, default=None,
                            help="extraction threshold (default: header eps')")
         p.add_argument("--out", default=None)

@@ -27,28 +27,22 @@ from .measures import WitnessFunction
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Shared scheme constants: degree bound, radius, gap, denominator, palette."""
+    """The labels header's scheme constants: radius, target eps', denominator, palette."""
 
-    d: int
     r: int
-    eps: Fraction
     eps_prime: Fraction
     alpha: int
     palette: int
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"degree bound must be at least 2, got {self.d}")
         if self.r < 1:
             raise ValueError(f"radius must be at least 1, got {self.r}")
         if self.alpha < 1:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.palette < 1:
             raise ValueError(f"palette must be positive, got {self.palette}")
-        if not (0 <= self.eps < self.eps_prime < 2):
-            raise ValueError(
-                f"need 0 <= eps < eps' < 2, got eps={self.eps}, eps'={self.eps_prime}"
-            )
+        if not 0 < self.eps_prime < 2:
+            raise ValueError(f"need 0 < eps' < 2, got eps'={self.eps_prime}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +103,7 @@ def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[int, ...]:
 
 
 def build_proof(G: BoundedDegreeGraph, gtilde: WitnessFunction,
-                colors: tuple[int, ...], eps: Fraction,
-                eps_prime: Fraction) -> ProofLabeling:
+                colors: tuple[int, ...], eps_prime: Fraction) -> ProofLabeling:
     """Assemble the labeling that encodes a quantized witness.
 
     Requires colors to be distance-2r proper (so the encoded owner of each
@@ -128,9 +121,7 @@ def build_proof(G: BoundedDegreeGraph, gtilde: WitnessFunction,
         raise ValueError(f"witness must share one denominator, found {sorted(alphas)}")
     (alpha,) = alphas
     palette = max(colors) + 1
-    params = SchemeParams(
-        d=G.d, r=r, eps=eps, eps_prime=eps_prime, alpha=alpha, palette=palette
-    )
+    params = SchemeParams(r=r, eps_prime=eps_prime, alpha=alpha, palette=palette)
     tables = []
     for z in range(G.n):
         row = [0] * palette
@@ -144,14 +135,6 @@ def build_proof(G: BoundedDegreeGraph, gtilde: WitnessFunction,
         tables.append(tuple(row))
     k_local = max_ball_size_actual(G, 2 * r)
     return ProofLabeling(params, tuple(colors), tuple(tables), k_local)
-
-
-def decode_value(G: BoundedDegreeGraph, labeling: ProofLabeling, x: int, z: int) -> Fraction:
-    """Recover the encoded g(x)(z) = T2(z)(T1(x)) / alpha, or 0 beyond radius r."""
-    p = labeling.params
-    if z not in bfs(G.adj, (x,), p.r)[1]:
-        return Fraction(0)
-    return Fraction(labeling.tables[z][labeling.colors[x]], p.alpha)
 
 
 # --- text format ----------------------------------------------------------
@@ -202,11 +185,7 @@ def parse_labeling(text: str) -> ProofLabeling:
         if x != i:
             raise FormatError(f"expected vertex {i}, got line for {x}")
     try:
-        # d and the measured eps are not serialized; the verifier never reads
-        # them (balls come from the graph, the check threshold is eps').
-        params = SchemeParams(
-            d=2, r=r, eps=Fraction(0), eps_prime=eps_prime, alpha=alpha, palette=palette
-        )
+        params = SchemeParams(r=r, eps_prime=eps_prime, alpha=alpha, palette=palette)
         return ProofLabeling(params, tuple(colors), tuple(tables), k_local)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -4,7 +4,8 @@ Each vertex x decides from its labeled ball N = B_{r+1}(x), read by one BFS
 from x: the hop distance of every ball vertex from x, its color and mass
 table, and, only when some color repeats inside N, the ball's own adjacency.
 A decision never reads parent vertex ids, so verdicts are oblivious to
-vertex identities and to any parallelism in the driver.  Three checks run
+vertex identities and to any parallelism in the driver.  Beyond its ball, a
+vertex reads only the labels header (`labeling.params`).  Three checks run
 per vertex:
 
   properness   equal colors never repeat within ball-distance r of each other
@@ -12,8 +13,9 @@ per vertex:
   l1           for every neighbor y, sum_z |T2(z)(C(x)) - T2(z)(C(y))| over
                z in N stays at or below eps' * alpha
 
-The structural half checks a graph predicate on B_K(x); the pipeline verdict
-is the conjunction.  Verdict report format:
+`verify_and_decode` also returns the witness the accepting vertices read from
+those same balls.  The structural half checks a graph predicate on B_K(x);
+the pipeline verdict is the conjunction.  Verdict report format:
 
     verdict <accept|reject>
     reject <x> <check>        (one line per rejecting vertex)
@@ -24,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter, sub
 from pathlib import Path
 from typing import Callable, Sequence
@@ -33,28 +34,13 @@ import networkx as nx
 
 from .errors import MalformedLabeling, NotAccepted
 from .graphs import BoundedDegreeGraph, RootedBall, ball, bfs, components, induced_subgraph
-from .labeling import ProofLabeling
+from .labeling import ProofLabeling, SchemeParams
 from .measures import RationalDist, WitnessFunction
 
 CHECK_PROPERNESS = "properness"
 CHECK_PROBABILITY = "probability"
 CHECK_L1 = "l1"
 CHECK_LOCAL_P = "localP"
-
-
-@dataclass(frozen=True)
-class VerifierParams:
-    """What a single vertex check is allowed to know beyond its ball."""
-
-    r: int
-    alpha: int
-    eps_prime: Fraction
-    palette: int
-
-    @classmethod
-    def from_labeling(cls, labeling: ProofLabeling) -> "VerifierParams":
-        p = labeling.params
-        return cls(r=p.r, alpha=p.alpha, eps_prime=p.eps_prime, palette=p.palette)
 
 
 @dataclass(frozen=True)
@@ -94,7 +80,7 @@ def extract_labeled_ball(G: BoundedDegreeGraph, labeling: ProofLabeling,
     return LabeledBall(G.adj, *bfs(G.adj, (x,), radius), labeling)
 
 
-def check_vertex(lball: LabeledBall, params: VerifierParams) -> str | None:
+def check_vertex(lball: LabeledBall, params: SchemeParams) -> str | None:
     """Decide one vertex from its labeled ball; None means accept.
 
     On multiple failures the first check in the fixed order properness,
@@ -145,17 +131,16 @@ def _validate_against_graph(G: BoundedDegreeGraph, labeling: ProofLabeling) -> N
 _WORKER: dict[str, object] = {}
 
 
-def _init_worker(G: BoundedDegreeGraph, labeling: ProofLabeling, params: VerifierParams) -> None:
+def _init_worker(G: BoundedDegreeGraph, labeling: ProofLabeling) -> None:
     _WORKER["G"] = G
     _WORKER["labeling"] = labeling
-    _WORKER["params"] = params
 
 
 def _check_one(x: int) -> str | None:
     """Pool task: decide vertex x from the state _init_worker left in this process."""
     G: BoundedDegreeGraph = _WORKER["G"]  # type: ignore[assignment]
     labeling: ProofLabeling = _WORKER["labeling"]  # type: ignore[assignment]
-    params: VerifierParams = _WORKER["params"]  # type: ignore[assignment]
+    params = labeling.params
     return check_vertex(extract_labeled_ball(G, labeling, x, params.r + 1), params)
 
 
@@ -165,12 +150,12 @@ def verify_property_a(G: BoundedDegreeGraph, labeling: ProofLabeling,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     _validate_against_graph(G, labeling)
-    params = VerifierParams.from_labeling(labeling)
+    params = labeling.params
     if jobs > 1 and G.n > 1:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-        with ctx.Pool(jobs, initializer=_init_worker, initargs=(G, labeling, params)) as pool:
+        with ctx.Pool(jobs, initializer=_init_worker, initargs=(G, labeling)) as pool:
             chunk = max(1, G.n // (4 * jobs))
             decisions = tuple(pool.map(_check_one, range(G.n), chunksize=chunk))
         return Verdict(decisions)
@@ -181,42 +166,16 @@ def verify_property_a(G: BoundedDegreeGraph, labeling: ProofLabeling,
     ))
 
 
-def decode_accepted_witness(G: BoundedDegreeGraph, labeling: ProofLabeling,
-                            verdict: Verdict | None = None) -> WitnessFunction:
-    """Reconstruct the encoded witness from an accepted labeling.
+def verify_and_decode(G: BoundedDegreeGraph,
+                      labeling: ProofLabeling) -> tuple[Verdict, WitnessFunction | None]:
+    """The sequential verifier, plus the encoded witness when every vertex accepts.
 
-    f(x)(z) = T2(z)(C(x)) / alpha over z in B_r(x); the probability check
-    guarantees each row sums to alpha exactly.  Without a verdict, the
-    verifier runs here and each f(x) is read from the ball x was judged on.
+    Each accepting x decodes f(x)(z) = T2(z)(C(x)) / alpha over z in B_r(x)
+    from the ball it was judged on; the probability check guarantees each
+    f(x) sums to 1 exactly.
     """
-    p = labeling.params
-    dists = None
-    if verdict is None:
-        verdict, dists = _verify_and_decode(G, labeling)
-    if not verdict.accept:
-        raise NotAccepted(
-            f"verifier rejects at {len(verdict.rejecting())} vertices, "
-            f"first: {verdict.rejecting()[0]}"
-        )
-    if dists is None:
-        dists = {}
-        for x in range(G.n):
-            reach, _ = bfs(G.adj, (x,), p.r)
-            cx = labeling.colors[x]
-            num = {}
-            for z in reach:
-                t = labeling.tables[z][cx]
-                if t:
-                    num[z] = t
-            dists[x] = RationalDist(p.alpha, num)
-    return WitnessFunction(G, p.r, dists)
-
-
-def _verify_and_decode(G: BoundedDegreeGraph,
-                       labeling: ProofLabeling) -> tuple[Verdict, dict[int, RationalDist]]:
-    """The sequential verifier, also decoding f(x) at each accepting x from its ball."""
     _validate_against_graph(G, labeling)
-    params = VerifierParams.from_labeling(labeling)
+    params = labeling.params
     decisions = []
     dists = {}
     for x in range(G.n):
@@ -229,7 +188,17 @@ def _verify_and_decode(G: BoundedDegreeGraph,
             inner = lball.within(params.r)
             column = map(itemgetter(lball.colors[0]), lball.tables[:inner])
             dists[x] = RationalDist(params.alpha, dict(zip(lball.vertices[:inner], column)))
-    return Verdict(tuple(decisions)), dists
+    verdict = Verdict(tuple(decisions))
+    return verdict, WitnessFunction(G, params.r, dists) if verdict.accept else None
+
+
+def decode_accepted_witness(G: BoundedDegreeGraph, labeling: ProofLabeling) -> WitnessFunction:
+    """The witness an accepted labeling encodes; raises NotAccepted on any reject."""
+    verdict, witness = verify_and_decode(G, labeling)
+    if witness is None:
+        rejecting = verdict.rejecting()
+        raise NotAccepted(f"verifier rejects at {len(rejecting)} vertices, first: {rejecting[0]}")
+    return witness
 
 
 # --- structural predicates --------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import localcert as lc
-from localcert import graphs, labeling, measures
+from localcert import graphs, labeling, measures, verifier
 from localcert.cli import main
 
 
@@ -219,7 +219,7 @@ def test_verify_rejects_tampered_color(p11, capsys):
     assert "properness" in out
 
 
-@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("command", ["verify"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exits_two(p11, capsys, command, jobs):
     g, labels = p11
@@ -271,6 +271,30 @@ def test_report_golden(p11, capsys):
     )
 
 
+def test_report_reads_each_ball_once(capsys, tmp_path, monkeypatch):
+    """Property A and the decoded witness come from one pass over the B_{r+1} balls."""
+    g = tmp_path / "g8.graph"
+    labels = tmp_path / "g8.labels"
+    run(capsys, "gen", "--family", "grid", "--n", "8,8", "--out", str(g))
+    run(capsys, "prove", str(g), "--witness", "uniform-ball", "--r", "2",
+        "--eps-prime", "1", "--out", str(labels))
+    sweeps = Counter()
+    kernel = graphs.bfs
+
+    def counting_bfs(adj, sources, cutoff=None, dist=None):
+        sweeps[cutoff] += 1
+        return kernel(adj, sources, cutoff, dist)
+
+    for module in (graphs, measures, labeling, verifier):
+        monkeypatch.setattr(module, "bfs", counting_bfs)
+    code, out, _ = run(capsys, "report", str(g), str(labels))
+    assert code == 0
+    assert "verdict = accept\n" in out
+    assert sweeps[3] == 64  # one B_{r+1} ball per vertex, judged and decoded
+    # the radius-r support check of the decoded witness, and one components pass
+    assert sweeps == {3: 64, 2: 64, None: 1}
+
+
 def test_report_rejecting_exit(p11, capsys, tmp_path):
     g, labels = p11
     other = tmp_path / "c11.graph"
@@ -279,6 +303,19 @@ def test_report_rejecting_exit(p11, capsys, tmp_path):
     assert code == 1
     assert "verdict = reject\n" in out
     assert "eps_decoded" not in out
+
+
+@pytest.mark.parametrize("command, action", [("extract", "extract from"),
+                                             ("report", "report on")])
+def test_extract_and_report_empty_graph_exit_two(capsys, tmp_path, command, action):
+    g = tmp_path / "empty.graph"
+    labels = tmp_path / "empty.labels"
+    g.write_text("graph 0 0 2\n")
+    labels.write_text("labels 0 1 1 1 1/2 0\n")
+    code, out, err = run(capsys, command, str(g), str(labels))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot {action} the empty graph: {g} has no vertices\n"
 
 
 def test_prove_rough_witness_exits_one(capsys, tmp_path):

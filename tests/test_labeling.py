@@ -13,7 +13,6 @@ from localcert.labeling import (
     ProofLabeling,
     SchemeParams,
     build_proof,
-    decode_value,
     distance_coloring,
     format_labeling,
     parse_labeling,
@@ -24,6 +23,7 @@ from localcert.measures import (
     discretize_witness,
     uniform_ball_witness,
 )
+from localcert.verifier import decode_accepted_witness
 
 
 def quantized_path_witness():
@@ -109,7 +109,7 @@ def test_coloring_sweep_records_ball_size_profile(G, q):
 def test_build_proof_path3_tables():
     G, g = quantized_path_witness()
     colors = distance_coloring(G, 4)
-    labeling = build_proof(G, g, colors, Fraction(2, 3), Fraction(5, 6))
+    labeling = build_proof(G, g, colors, Fraction(5, 6))
     p = labeling.params
     assert (p.r, p.alpha, p.palette) == (1, 6, 3)
     assert colors == (0, 1, 2)
@@ -122,11 +122,12 @@ def test_build_proof_path3_tables():
 
 def test_decode_value_round_trip():
     G, g = quantized_path_witness()
-    labeling = build_proof(G, g, distance_coloring(G, 4), Fraction(2, 3), Fraction(5, 6))
+    labeling = build_proof(G, g, distance_coloring(G, 4), Fraction(5, 6))
+    decoded = decode_accepted_witness(G, labeling)
     for x in range(G.n):
         for z in range(G.n):
             want = g.dists[x].value(z) if z in bfs(G.adj, (x,), 1)[1] else Fraction(0)
-            assert decode_value(G, labeling, x, z) == want
+            assert decoded.dists[x].value(z) == want
 
 
 def test_decode_round_trip_random():
@@ -141,17 +142,18 @@ def test_decode_round_trip_random():
             continue
         alpha = lc.derive_alpha(G, r, eps, eps_prime)
         g = discretize_witness(w, eps, eps_prime, alpha)
-        labeling = build_proof(G, g, distance_coloring(G, 2 * r + 2), eps, eps_prime)
+        labeling = build_proof(G, g, distance_coloring(G, 2 * r + 2), eps_prime)
+        decoded = decode_accepted_witness(G, labeling)
         for x in range(G.n):
             for z in g.dists[x].support():
-                assert decode_value(G, labeling, x, z) == g.dists[x].value(z)
+                assert decoded.dists[x].value(z) == g.dists[x].value(z)
 
 
 def test_build_proof_rejects_improper_coloring():
     G, g = quantized_path_witness()
     # vertices 0 and 2 share a color but both cover vertex 1
     with pytest.raises(AmbiguousColor) as err:
-        build_proof(G, g, (0, 1, 0), Fraction(2, 3), Fraction(5, 6))
+        build_proof(G, g, (0, 1, 0), Fraction(5, 6))
     assert err.value.vertex == 1
 
 
@@ -159,20 +161,22 @@ def test_build_proof_requires_common_denominator():
     G = lc.generate(lc.FamilySpec("path", (3,)))
     w = uniform_ball_witness(G, 1)  # denominators 2, 3, 2
     with pytest.raises(ValueError):
-        build_proof(G, w, (0, 1, 2), Fraction(0), Fraction(1))
+        build_proof(G, w, (0, 1, 2), Fraction(1))
 
 
 def test_scheme_params_validation():
     with pytest.raises(ValueError):
-        SchemeParams(d=2, r=0, eps=Fraction(0), eps_prime=Fraction(1), alpha=1, palette=1)
+        SchemeParams(r=0, eps_prime=Fraction(1), alpha=1, palette=1)
     with pytest.raises(ValueError):
-        SchemeParams(d=2, r=1, eps=Fraction(1, 2), eps_prime=Fraction(1, 2), alpha=1, palette=1)
+        SchemeParams(r=1, eps_prime=Fraction(0), alpha=1, palette=1)
     with pytest.raises(ValueError):
-        SchemeParams(d=2, r=1, eps=Fraction(0), eps_prime=Fraction(1), alpha=0, palette=1)
+        SchemeParams(r=1, eps_prime=Fraction(2), alpha=1, palette=1)
+    with pytest.raises(ValueError):
+        SchemeParams(r=1, eps_prime=Fraction(1), alpha=0, palette=1)
 
 
 def test_proof_labeling_validation():
-    params = SchemeParams(d=2, r=1, eps=Fraction(0), eps_prime=Fraction(1), alpha=4, palette=2)
+    params = SchemeParams(r=1, eps_prime=Fraction(1), alpha=4, palette=2)
     with pytest.raises(ValueError):
         ProofLabeling(params, (0, 2), ((0, 4), (4, 0)), k_local=3)
     with pytest.raises(ValueError):
@@ -185,7 +189,7 @@ def test_proof_labeling_validation():
 
 def test_labeling_format_round_trip(tmp_path):
     G, g = quantized_path_witness()
-    labeling = build_proof(G, g, distance_coloring(G, 4), Fraction(2, 3), Fraction(5, 6))
+    labeling = build_proof(G, g, distance_coloring(G, 4), Fraction(5, 6))
     text = format_labeling(labeling)
     back = parse_labeling(text)
     assert back.colors == labeling.colors
@@ -199,9 +203,15 @@ def test_labeling_format_round_trip(tmp_path):
     assert lc.read_labeling_file(path).tables == labeling.tables
 
 
+def test_header_round_trips(accepted_instances):
+    """The header holds every scheme constant a labeling carries."""
+    for inst in accepted_instances:
+        assert parse_labeling(format_labeling(inst.labeling)) == inst.labeling, inst.name
+
+
 def test_labeling_format_golden():
     G, g = quantized_path_witness()
-    labeling = build_proof(G, g, distance_coloring(G, 4), Fraction(2, 3), Fraction(5, 6))
+    labeling = build_proof(G, g, distance_coloring(G, 4), Fraction(5, 6))
     lines = format_labeling(labeling).splitlines()
     assert lines[0] == "labels 3 1 6 3 5/6 3"
     assert lines[1] == "0 0 3 2 0"

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 import localcert as lc
 from localcert.errors import NotAccepted
 from localcert.labeling import ProofLabeling
+from localcert.measures import RationalDist
 from localcert.verifier import (
     CHECK_L1,
     CHECK_PROBABILITY,
     CHECK_PROPERNESS,
-    VerifierParams,
     decode_accepted_witness,
     verify_property_a,
 )
@@ -86,7 +86,7 @@ def reference_check(adj, colors, tables, params):
 
 
 def reference_verdict(G, labeling):
-    params = VerifierParams.from_labeling(labeling)
+    params = labeling.params
     decisions = []
     for x in range(G.n):
         order, adj = reference_ball(G, x, params.r + 1)
@@ -129,7 +129,7 @@ def honest(name):
     eps_prime = (eps + 2) / 2 if eps >= Fraction(1, 2) else Fraction(1, 2)
     alpha = lc.derive_alpha(G, r, eps, eps_prime)
     g = lc.discretize_witness(w, eps, eps_prime, alpha)
-    return G, lc.build_proof(G, g, lc.distance_coloring(G, 2 * r + 2), eps, eps_prime)
+    return G, lc.build_proof(G, g, lc.distance_coloring(G, 2 * r + 2), eps_prime)
 
 
 def relabeled(labeling, colors=None, tables=None):
@@ -237,21 +237,34 @@ def test_kernel_matches_reference_on_mutated_labelings(name, mutations):
 
 # --- decoding from the verifier's own pass ------------------------------------------
 
+def reference_decode(G, labeling):
+    """The decoder as it was before it shared the verifier's pass: one
+    radius-r BFS per vertex, reading x's color column over B_r(x)."""
+    p = labeling.params
+    dists = {}
+    for x in range(G.n):
+        cx = labeling.colors[x]
+        dists[x] = RationalDist(p.alpha, {
+            z: labeling.tables[z][cx]
+            for z in reference_bfs(G.adj, x, p.r) if labeling.tables[z][cx]
+        })
+    return dists
+
+
 @pytest.mark.parametrize("fixture", ["grid10x20", "tree511"])
 def test_decode_without_verdict_equals_decode_with_verdict(fixture, request):
     inst = request.getfixturevalue(fixture)
     G, labeling = inst.G, inst.labeling
-    alone = decode_accepted_witness(G, labeling)
-    given_verdict = decode_accepted_witness(
-        G, labeling, verdict=verify_property_a(G, labeling))
-    assert alone.radius == given_verdict.radius
-    assert list(alone.dists) == list(given_verdict.dists)
+    decoded = decode_accepted_witness(G, labeling)
+    want = reference_decode(G, labeling)
+    assert decoded.radius == labeling.params.r
+    assert list(decoded.dists) == list(want)
     for x in range(G.n):
-        assert alone.dists[x] == given_verdict.dists[x]
+        assert decoded.dists[x] == want[x]
 
     bad = bump(labeling, 7, labeling.colors[7], 1)
-    with pytest.raises(NotAccepted) as alone_err:
+    with pytest.raises(NotAccepted) as err:
         decode_accepted_witness(G, bad)
-    with pytest.raises(NotAccepted) as given_err:
-        decode_accepted_witness(G, bad, verdict=verify_property_a(G, bad))
-    assert str(alone_err.value) == str(given_err.value)
+    rejecting = verify_property_a(G, bad).rejecting()
+    assert str(err.value) == (
+        f"verifier rejects at {len(rejecting)} vertices, first: {rejecting[0]}")
