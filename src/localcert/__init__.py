@@ -7,7 +7,6 @@ small-boundary partition from anything the verifier accepts.
 """
 
 from .errors import (
-    AmbiguousColor,
     DegreeExceeded,
     FormatError,
     InfeasibleAlpha,

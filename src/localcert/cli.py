@@ -28,7 +28,7 @@ from .hyperfinite import (
     extract_partition,
     format_partition,
 )
-from .labeling import build_proof, distance_coloring, format_labeling, read_labeling_file
+from .labeling import build_proof, format_labeling, read_labeling_file
 from .measures import (
     WitnessFunction,
     check_uniformity,
@@ -140,16 +140,11 @@ def cmd_prove(args: argparse.Namespace) -> int:
     eps = args.eps if args.eps is not None else measured
     if eps < measured:
         raise NotUniform(f"--eps {eps} is below the measured value {measured}")
-    # distance 2r+2, not 2r: zeroes every table slot whose owner lies outside
-    # the reader's radius-r ball, which keeps the honest l1 check sums exact.
-    # Coloring first: its sweep memoizes max |B_r| and max |B_2r|, which
-    # alpha, the quantization check and the header's K then read.
-    colors = distance_coloring(G, 2 * w.radius + 2)
     alpha = args.alpha if args.alpha is not None else derive_alpha(
         G, w.radius, eps, args.eps_prime
     )
     quantized = discretize_witness(w, eps, args.eps_prime, alpha)
-    labeling = build_proof(G, quantized, colors, args.eps_prime)
+    labeling = build_proof(G, quantized, args.eps_prime)
     if args.K is not None:
         labeling = replace(labeling, k_local=args.K)
     _emit(format_labeling(labeling), args.out)
@@ -252,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["path", "cycle", "grid", "full_tree", "random_regular"])
     gen.add_argument("--n", required=True,
                      help="family parameters, comma-separated (e.g. 100 or 50,50)")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=None)
 
     prove = sub.add_parser("prove", help="build a proof labeling for a graph")

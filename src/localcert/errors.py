@@ -43,16 +43,6 @@ class InvalidDistribution(LocalcertError):
     """Separator distribution violates its invariants."""
 
 
-class AmbiguousColor(LocalcertError):
-    def __init__(self, vertex: int, color: int):
-        super().__init__(
-            f"two vertices colored {color} within the same radius-r ball of {vertex}; "
-            "coloring is not distance-2r proper"
-        )
-        self.vertex = vertex
-        self.color = color
-
-
 class MalformedLabeling(LocalcertError):
     """Labeling does not structurally match the graph it is checked against."""
 

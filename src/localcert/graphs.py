@@ -257,7 +257,7 @@ class FamilySpec:
 
     family: str
     params: tuple[int, ...]
-    seed: int | None = None
+    seed: int = 0
 
     def __post_init__(self):
         if self.family not in _GENERATORS:
@@ -266,14 +266,14 @@ class FamilySpec:
             )
 
 
-def _gen_path(params: tuple[int, ...], seed: int | None) -> BoundedDegreeGraph:
+def _gen_path(params: tuple[int, ...], seed: int) -> BoundedDegreeGraph:
     (n,) = params
     if n < 1:
         raise InfeasibleSpec(f"path needs n >= 1, got {n}")
     return BoundedDegreeGraph(n, 2, ((i, i + 1) for i in range(n - 1)))
 
 
-def _gen_cycle(params: tuple[int, ...], seed: int | None) -> BoundedDegreeGraph:
+def _gen_cycle(params: tuple[int, ...], seed: int) -> BoundedDegreeGraph:
     (n,) = params
     if n < 3:
         raise InfeasibleSpec(f"cycle needs n >= 3, got {n}")
@@ -281,7 +281,7 @@ def _gen_cycle(params: tuple[int, ...], seed: int | None) -> BoundedDegreeGraph:
     return BoundedDegreeGraph(n, 2, edges)
 
 
-def _gen_grid(params: tuple[int, ...], seed: int | None) -> BoundedDegreeGraph:
+def _gen_grid(params: tuple[int, ...], seed: int) -> BoundedDegreeGraph:
     n1, n2 = params
     if n1 < 1 or n2 < 1:
         raise InfeasibleSpec(f"grid needs positive side lengths, got {n1}x{n2}")
@@ -296,7 +296,7 @@ def _gen_grid(params: tuple[int, ...], seed: int | None) -> BoundedDegreeGraph:
     return BoundedDegreeGraph(n1 * n2, 4, edges)
 
 
-def _gen_full_tree(params: tuple[int, ...], seed: int | None) -> BoundedDegreeGraph:
+def _gen_full_tree(params: tuple[int, ...], seed: int) -> BoundedDegreeGraph:
     branching, depth = params
     if branching < 1 or depth < 0:
         raise InfeasibleSpec(f"full_tree needs branching >= 1, depth >= 0, got {params}")
@@ -309,7 +309,7 @@ def _gen_full_tree(params: tuple[int, ...], seed: int | None) -> BoundedDegreeGr
     return BoundedDegreeGraph(n, max(2, branching + 1), edges)
 
 
-def _gen_random_regular(params: tuple[int, ...], seed: int | None) -> BoundedDegreeGraph:
+def _gen_random_regular(params: tuple[int, ...], seed: int) -> BoundedDegreeGraph:
     n, d = params
     if d < 2:
         raise InfeasibleSpec(f"random_regular needs d >= 2, got {d}")

@@ -521,7 +521,8 @@ def edit_distance_upper_bound(G: BoundedDegreeGraph, partition: PartitionResult,
         sub = induced_subgraph(G, block)
         if not predicate(sub):
             return EditDistanceBound(False, None, i)
-    return EditDistanceBound(True, Fraction(partition.num_removed, G.n), None)
+    bound = Fraction(partition.num_removed, G.n) if G.n else Fraction(0)
+    return EditDistanceBound(True, bound, None)
 
 
 # --- text format ----------------------------------------------------------

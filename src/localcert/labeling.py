@@ -2,7 +2,7 @@
 
 A labeling encodes a quantized witness g so that any vertex can recover
 g(x)(z) for nearby x from labels alone: T1 colors vertices so that equal
-colors never appear within distance 2r of each other, and T2(z) stores, per
+colors never appear within distance 2r+2 of each other, and T2(z) stores, per
 color q, alpha * g(x)(z) for the unique q-colored x with z in B_r(x).
 
 Text format:
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import AmbiguousColor, FormatError
-from .graphs import BoundedDegreeGraph, ball_sweep, bfs, max_ball_size_actual
+from .errors import FormatError
+from .graphs import BoundedDegreeGraph, ball_sweep, max_ball_size_actual
 from .measures import WitnessFunction
 
 
@@ -103,38 +103,39 @@ def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[int, ...]:
 
 
 def build_proof(G: BoundedDegreeGraph, gtilde: WitnessFunction,
-                colors: tuple[int, ...], eps_prime: Fraction) -> ProofLabeling:
+                eps_prime: Fraction) -> ProofLabeling:
     """Assemble the labeling that encodes a quantized witness.
 
-    Requires colors to be distance-2r proper (so the encoded owner of each
-    table slot is unique; violations raise AmbiguousColor) and gtilde to have
-    one common denominator alpha.  k_local is fixed to the measured max size
-    of B_{2r}, the component bound the scheme certifies.
+    The prover picks its own coloring: distance_coloring at distance 2r+2,
+    not 2r.  Two vertices of one color are then more than 2r+2 apart, so no
+    table slot has two owners, and every slot whose owner lies outside the
+    reader's radius-r ball is zero, which keeps the honest l1 check sums
+    exact.  Its sweep also memoizes max |B_2r|, the component bound the
+    scheme certifies, which k_local is fixed to.
+
+    Each table is scattered from the supports, T[z][c(x)] = g(x)(z), so
+    gtilde must have every support inside B_r(x) (discretize_witness
+    guarantees it) and one common denominator alpha.
     """
     if not gtilde.is_full:
         raise ValueError("labels encode full-graph witnesses only")
-    if len(colors) != G.n:
-        raise ValueError(f"got {len(colors)} colors for {G.n} vertices")
     r = gtilde.radius
     alphas = {gtilde.dists[x].den for x in gtilde.vertices}
     if len(alphas) != 1:
         raise ValueError(f"witness must share one denominator, found {sorted(alphas)}")
     (alpha,) = alphas
+    colors = distance_coloring(G, 2 * r + 2)
     palette = max(colors) + 1
     params = SchemeParams(r=r, eps_prime=eps_prime, alpha=alpha, palette=palette)
-    tables = []
-    for z in range(G.n):
-        row = [0] * palette
-        owner = [-1] * palette
-        for x in bfs(G.adj, (z,), r)[0]:
-            q = colors[x]
-            if owner[q] >= 0:
-                raise AmbiguousColor(z, q)
-            owner[q] = x
-            row[q] = gtilde.dists[x].num.get(z, 0)
-        tables.append(tuple(row))
+    tables = [[0] * palette for _ in range(G.n)]
+    for x, c in enumerate(colors):
+        for z, t in gtilde.dists[x].num.items():
+            tables[z][c] = t
+    # in place, so each list row is freed as its tuple is made
+    for z, row in enumerate(tables):
+        tables[z] = tuple(row)
     k_local = max_ball_size_actual(G, 2 * r)
-    return ProofLabeling(params, tuple(colors), tuple(tables), k_local)
+    return ProofLabeling(params, colors, tuple(tables), k_local)
 
 
 # --- text format ----------------------------------------------------------

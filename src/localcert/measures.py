@@ -25,7 +25,7 @@ from .errors import (
     InfeasibleAlpha,
     NotUniform,
 )
-from .graphs import BoundedDegreeGraph, bfs, max_ball_size_actual
+from .graphs import BoundedDegreeGraph, ball_sweep, bfs, max_ball_size_actual
 
 
 class RationalDist:
@@ -166,22 +166,20 @@ def check_uniformity(w: WitnessFunction) -> UniformityReport:
     """Measure max edge l1 over the domain and validate supports.
 
     Support of each f(x) must lie in B_radius(x, G) intersected with the
-    domain.  The measured maximum is exact; thresholding is the caller's
-    business.  The report is computed once per witness and then cached on it.
+    domain.  The balls come from `ball_sweep`, so a pass that finds every
+    support valid leaves max |B_radius| in G's memo.  The measured maximum is
+    exact; thresholding is the caller's business.  The report is computed
+    once per witness and then cached on it.
     """
     if w._uniformity is not None:
         return w._uniformity
-    G = w.graph
     support_ok = True
     bad_vertex = None
-    for x in w.vertices:
+    for x, reach in ball_sweep(w.graph, w.radius, profile=False):
+        if x not in w.vertex_set:
+            continue
         supp = w.dists[x].num.keys()
-        if not supp <= w.vertex_set:
-            support_ok = False
-            bad_vertex = x
-            break
-        _, reach = bfs(G.adj, (x,), w.radius)
-        if not all(z in reach for z in supp):
+        if not (supp <= w.vertex_set and supp <= set(reach)):
             support_ok = False
             bad_vertex = x
             break

@@ -124,12 +124,10 @@ def witness_from_separators(G: BoundedDegreeGraph, dist: SeparatorDistribution) 
             # size is not enough when it shares factors with the weight
             den = math.lcm(den, (s.weight / size).denominator)
     nums: list[dict[int, int]] = [dict() for _ in range(G.n)]
-    comps_cache: list[list[list[int]]] = []
     for s in samples:
         comps: list[list[int]] = [[] for _ in s.component_sizes]
         for v, ci in s.component_of.items():
             comps[ci].append(v)
-        comps_cache.append(comps)
         w_scaled = s.weight * den
         assert w_scaled.denominator == 1
         w_int = w_scaled.numerator

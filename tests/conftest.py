@@ -53,8 +53,7 @@ def prove_instance(name: str, G: lc.BoundedDegreeGraph, w: lc.WitnessFunction,
     eps = report.max_edge_l1
     alpha = lc.derive_alpha(G, w.radius, eps, eps_prime)
     quantized = lc.discretize_witness(w, eps, eps_prime, alpha)
-    colors = lc.distance_coloring(G, 2 * w.radius + 2)
-    labeling = lc.build_proof(G, quantized, colors, eps_prime)
+    labeling = lc.build_proof(G, quantized, eps_prime)
     t1 = time.monotonic()
     verdict = lc.verify_property_a(G, labeling)
     t2 = time.monotonic()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import localcert as lc
-from localcert import graphs, labeling, measures, verifier
+from localcert import graphs, measures, verifier
 from localcert.cli import main
 
 
@@ -43,14 +43,19 @@ def test_gen_accepts_x_separator(capsys):
     assert out.startswith("graph 100 180 4\n")
 
 
-def test_gen_seed_determinism(capsys):
+@pytest.mark.parametrize("seed", [("--seed", "7"), ()], ids=["seed7", "no-seed"])
+def test_gen_seed_determinism(capsys, seed):
     runs = []
     for _ in range(2):
         code, out, _ = run(capsys, "gen", "--family", "random_regular",
-                           "--n", "30,3", "--seed", "7")
+                           "--n", "30,3", *seed)
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+    if not seed:
+        _, seed0, _ = run(capsys, "gen", "--family", "random_regular",
+                          "--n", "30,3", "--seed", "0")
+        assert runs[0] == seed0
 
 
 def test_prove_auto_path(p11, capsys, tmp_path):
@@ -121,7 +126,7 @@ def test_prove_k_shift_zero_exits_two(capsys, tmp_path):
 
 
 def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch):
-    """The coloring sweep is prove's only ball-size sweep, and the witness is measured once."""
+    """The support check and the coloring are prove's only sweeps; the witness is measured once."""
     g = tmp_path / "g8.graph"
     run(capsys, "gen", "--family", "grid", "--n", "8,8", "--out", str(g))
     sweeps = Counter()
@@ -138,7 +143,7 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
         edges_measured["l1"] += 1
         return l1(p, q)
 
-    for module in (graphs, measures, labeling):
+    for module in (graphs, measures):
         monkeypatch.setattr(module, "bfs", counting_bfs)
     monkeypatch.setattr(measures, "l1_distance", counting_l1)
     code, _, _ = run(capsys, "prove", str(g), "--witness", "uniform-ball", "--r", "2",
@@ -146,9 +151,10 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
     assert code == 0
     assert sweeps[6] == 64  # the distance-(2r+2) coloring
     assert sweeps[4] == 0  # K = max |B_2r| comes from the coloring sweep
-    # witness, support check and tables; alpha's max |B_r| takes no sweep
-    assert sweeps[2] == 3 * 64
-    assert sweeps == {2: 192, 6: 64}
+    # witness and support check; alpha's max |B_r| is read from the support
+    # check's sweep, and the tables are scattered from the supports
+    assert sweeps[2] == 2 * 64
+    assert sweeps == {2: 128, 6: 64}
     assert edges_measured["l1"] == 112
 
 
@@ -285,7 +291,7 @@ def test_report_reads_each_ball_once(capsys, tmp_path, monkeypatch):
         sweeps[cutoff] += 1
         return kernel(adj, sources, cutoff, dist)
 
-    for module in (graphs, measures, labeling, verifier):
+    for module in (graphs, measures, verifier):
         monkeypatch.setattr(module, "bfs", counting_bfs)
     code, out, _ = run(capsys, "report", str(g), str(labels))
     assert code == 0

@@ -273,6 +273,12 @@ def test_edit_distance_bound():
     assert fine.feasible and fine.bound == 0
 
 
+def test_edit_distance_bound_on_empty_graph():
+    G = lc.BoundedDegreeGraph(0, 2, [])
+    res = edit_distance_upper_bound(G, PartitionResult(0, (), ()), is_planar)
+    assert res.feasible and res.bound == 0
+
+
 # --- text format ------------------------------------------------------------------
 
 def test_partition_file_round_trip(tmp_path):

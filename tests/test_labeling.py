@@ -7,7 +7,7 @@ import pytest
 
 import localcert as lc
 from conftest import random_family_graph
-from localcert.errors import AmbiguousColor, FormatError
+from localcert.errors import FormatError
 from localcert.graphs import bfs, max_ball_size_actual, max_ball_size_bound
 from localcert.labeling import (
     ProofLabeling,
@@ -23,7 +23,7 @@ from localcert.measures import (
     discretize_witness,
     uniform_ball_witness,
 )
-from localcert.verifier import decode_accepted_witness
+from localcert.verifier import CHECK_PROBABILITY, decode_accepted_witness, verify_property_a
 
 
 def quantized_path_witness():
@@ -108,11 +108,10 @@ def test_coloring_sweep_records_ball_size_profile(G, q):
 
 def test_build_proof_path3_tables():
     G, g = quantized_path_witness()
-    colors = distance_coloring(G, 4)
-    labeling = build_proof(G, g, colors, Fraction(5, 6))
+    labeling = build_proof(G, g, Fraction(5, 6))
     p = labeling.params
     assert (p.r, p.alpha, p.palette) == (1, 6, 3)
-    assert colors == (0, 1, 2)
+    assert labeling.colors == (0, 1, 2)
     # the middle vertex is seen by all three, so its table holds each
     # owner's mass for vertex 1: 3/6, 2/6, 3/6
     assert labeling.tables[1] == (3, 2, 3)
@@ -122,7 +121,7 @@ def test_build_proof_path3_tables():
 
 def test_decode_value_round_trip():
     G, g = quantized_path_witness()
-    labeling = build_proof(G, g, distance_coloring(G, 4), Fraction(5, 6))
+    labeling = build_proof(G, g, Fraction(5, 6))
     decoded = decode_accepted_witness(G, labeling)
     for x in range(G.n):
         for z in range(G.n):
@@ -142,26 +141,28 @@ def test_decode_round_trip_random():
             continue
         alpha = lc.derive_alpha(G, r, eps, eps_prime)
         g = discretize_witness(w, eps, eps_prime, alpha)
-        labeling = build_proof(G, g, distance_coloring(G, 2 * r + 2), eps_prime)
+        labeling = build_proof(G, g, eps_prime)
         decoded = decode_accepted_witness(G, labeling)
         for x in range(G.n):
             for z in g.dists[x].support():
                 assert decoded.dists[x].value(z) == g.dists[x].value(z)
 
 
-def test_build_proof_rejects_improper_coloring():
-    G, g = quantized_path_witness()
-    # vertices 0 and 2 share a color but both cover vertex 1
-    with pytest.raises(AmbiguousColor) as err:
-        build_proof(G, g, (0, 1, 0), Fraction(5, 6))
-    assert err.value.vertex == 1
+def test_support_outside_the_ball_is_rejected_at_its_owner():
+    """An atom beyond B_r(x) lands in a table that x cannot read, so x's masses fall short."""
+    G = lc.generate(lc.FamilySpec("path", (6,)))
+    dists = {x: RationalDist(6, {x: 6}) for x in range(G.n)}
+    dists[0] = RationalDist(6, {0: 3, 3: 3})  # vertex 3 lies at distance 3 > r = 1
+    labeling = build_proof(G, WitnessFunction(G, 1, dists), Fraction(1, 2))
+    verdict = verify_property_a(G, labeling)
+    assert verdict.decisions[0] == CHECK_PROBABILITY
 
 
 def test_build_proof_requires_common_denominator():
     G = lc.generate(lc.FamilySpec("path", (3,)))
     w = uniform_ball_witness(G, 1)  # denominators 2, 3, 2
     with pytest.raises(ValueError):
-        build_proof(G, w, (0, 1, 2), Fraction(1))
+        build_proof(G, w, Fraction(1))
 
 
 def test_scheme_params_validation():
@@ -189,7 +190,7 @@ def test_proof_labeling_validation():
 
 def test_labeling_format_round_trip(tmp_path):
     G, g = quantized_path_witness()
-    labeling = build_proof(G, g, distance_coloring(G, 4), Fraction(5, 6))
+    labeling = build_proof(G, g, Fraction(5, 6))
     text = format_labeling(labeling)
     back = parse_labeling(text)
     assert back.colors == labeling.colors
@@ -211,7 +212,7 @@ def test_header_round_trips(accepted_instances):
 
 def test_labeling_format_golden():
     G, g = quantized_path_witness()
-    labeling = build_proof(G, g, distance_coloring(G, 4), Fraction(5, 6))
+    labeling = build_proof(G, g, Fraction(5, 6))
     lines = format_labeling(labeling).splitlines()
     assert lines[0] == "labels 3 1 6 3 5/6 3"
     assert lines[1] == "0 0 3 2 0"

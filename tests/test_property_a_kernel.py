@@ -129,7 +129,7 @@ def honest(name):
     eps_prime = (eps + 2) / 2 if eps >= Fraction(1, 2) else Fraction(1, 2)
     alpha = lc.derive_alpha(G, r, eps, eps_prime)
     g = lc.discretize_witness(w, eps, eps_prime, alpha)
-    return G, lc.build_proof(G, g, lc.distance_coloring(G, 2 * r + 2), eps_prime)
+    return G, lc.build_proof(G, g, eps_prime)
 
 
 def relabeled(labeling, colors=None, tables=None):

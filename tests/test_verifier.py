@@ -89,7 +89,7 @@ def test_completeness_on_random_families():
             continue
         alpha = lc.derive_alpha(G, r, eps, eps_prime)
         g = lc.discretize_witness(w, eps, eps_prime, alpha)
-        labeling = lc.build_proof(G, g, lc.distance_coloring(G, 2 * r + 2), eps_prime)
+        labeling = lc.build_proof(G, g, eps_prime)
         verdict = verify_property_a(G, labeling)
         assert verdict.accept, (G.n, G.m, r, verdict.rejecting()[:3])
         done += 1
@@ -175,7 +175,7 @@ def test_l1_check_catches_rough_witness():
         0: lc.RationalDist(4, {0: 4}),
         1: lc.RationalDist(4, {1: 4}),
     })
-    labeling = lc.build_proof(G, g, (0, 1), Fraction(1, 2))
+    labeling = lc.build_proof(G, g, Fraction(1, 2))
     verdict = verify_property_a(G, labeling)
     assert set(verdict.decisions) == {CHECK_L1}
 
