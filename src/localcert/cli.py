@@ -214,8 +214,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         f"apls_guarantee = {_fraction_str(guarantee)}",
     ]
     if verdict.accept:
-        decoded = check_uniformity(witness)
         partition = extract_partition(G, witness, p.eps_prime)
+        decoded = check_uniformity(witness)  # cached by the extraction's pass
         hyper = check_hyperfinite(
             G, partition, guarantee, labeling.k_local, normalization="vertices"
         )

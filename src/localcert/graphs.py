@@ -264,6 +264,9 @@ class FamilySpec:
             raise InfeasibleSpec(
                 f"unknown family {self.family!r}; known: {sorted(_GENERATORS)}"
             )
+        # random.Random(None) would seed from the OS: a different graph per run
+        if not isinstance(self.seed, int):
+            raise InfeasibleSpec(f"seed must be an integer, got {self.seed!r}")
 
 
 def _gen_path(params: tuple[int, ...], seed: int) -> BoundedDegreeGraph:

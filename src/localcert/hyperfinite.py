@@ -25,9 +25,16 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Container, Iterable, Mapping
 
-from .errors import FormatError, NoQualifyingSet, NotUniform, OutOfRange
+from .errors import FormatError, NoQualifyingSet, OutOfRange
 from .graphs import BoundedDegreeGraph, induced_subgraph
-from .measures import RationalDist, WitnessFunction, check_uniformity
+from .measures import (
+    RationalDist,
+    UniformityReport,
+    WitnessFunction,
+    _bad_support_vertex,
+    _require_uniform,
+    check_uniformity,
+)
 
 
 def threshold_set(zeta: Mapping[int, Fraction], t: Fraction) -> set[int]:
@@ -135,7 +142,7 @@ def find_low_boundary_set(w: WitnessFunction, eps: Fraction) -> LowBoundaryResul
         raise NoQualifyingSet("empty domain")
     den = math.lcm(*(w.dists[x].den for x in w.vertices))
     num = {x: _scaled(w.dists[x], den) for x in w.vertices}
-    mass, diff = _coordinate_sums(w.graph, w.vertices, w.vertex_set, num)
+    mass, diff, _, _ = _coordinate_sums(w.graph, w.vertices, w.vertex_set, num)
     key, heap = _ratio_heap(mass, diff)
     z0 = _pick_z0(heap, key)
     zeta = {x: p[z0] for x, p in num.items() if z0 in p}
@@ -159,30 +166,45 @@ def _add_counts(counts: dict[int, int], p: Mapping[int, int], sign: int) -> None
 
 
 def _add_diff(diff: dict[int, int], pu: Mapping[int, int], pv: Mapping[int, int],
-              sign: int) -> None:
-    """Add sign * 2|pu(z) - pv(z)| to diff[z] for every z (2: the edge's two ordered pairs)."""
+              sign: int) -> int:
+    """Add sign * 2|pu(z) - pv(z)| to diff[z] for every z (2: the edge's two ordered pairs).
+
+    Returns sum_z |pu(z) - pv(z)|: the edge's l1 distance times the denominator.
+    """
+    edge = 0
     for z in pu.keys() | pv.keys():
         delta = abs(pu.get(z, 0) - pv.get(z, 0))
         if delta:
+            edge += delta
             total = diff.get(z, 0) + sign * 2 * delta
             if total:
                 diff[z] = total
             else:
                 del diff[z]
+    return edge
 
 
 def _coordinate_sums(G: BoundedDegreeGraph, domain: Iterable[int], member: Container[int],
-                     num: Mapping[int, Mapping[int, int]]) -> tuple[dict[int, int], dict[int, int]]:
-    """Per coordinate z: summed mass over the domain and summed edge differences."""
+                     num: Mapping[int, Mapping[int, int]]
+                     ) -> tuple[dict[int, int], dict[int, int], int, tuple[int, int] | None]:
+    """Per coordinate z: summed mass over the domain and summed edge differences.
+
+    Also the largest per-edge sum of differences and the first edge attaining
+    it, ascending (adjacency lists are sorted); over the common denominator
+    that is the domain's max edge l1 and its worst edge.
+    """
     mass: dict[int, int] = {}
     diff: dict[int, int] = {}
+    best, worst = 0, None
     for u in domain:
         nu = num[u]
         _add_counts(mass, nu, 1)
         for v in G.adj[u]:
             if u < v and v in member:
-                _add_diff(diff, nu, num[v], 1)
-    return mass, diff
+                edge = _add_diff(diff, nu, num[v], 1)
+                if edge > best:
+                    best, worst = edge, (u, v)
+    return mass, diff, best, worst
 
 
 def _ratio_heap(mass: Mapping[int, int], diff: Mapping[int, int]
@@ -274,7 +296,9 @@ class _ShrinkingProjection:
     at t.  proj[x] is x's pushed-forward distribution over the common
     denominator `den`; it shares the witness's own dict until x is first
     touched.  mass/diff are the sums find_low_boundary_set takes, and a lazy
-    heap keyed (diff/mass, z) yields the same z0.
+    heap keyed (diff/mass, z) yields the same z0.  The pass that first fills
+    them also measures the witness: `uniformity` is its exact report, given
+    that every support lies in its ball.
     """
 
     def __init__(self, w: WitnessFunction):
@@ -292,7 +316,10 @@ class _ShrinkingProjection:
         self.tau: list[int | None] = list(range(G.n))
         self.dist = [0] * G.n
         self.cell = {z: [z] for z in range(G.n)}
-        self.mass, self.diff = _coordinate_sums(G, range(G.n), self.remaining, self.proj)
+        self.mass, self.diff, best, worst = _coordinate_sums(
+            G, range(G.n), self.remaining, self.proj
+        )
+        self.uniformity = UniformityReport(Fraction(best, den), worst, True, None)
         self.key, self.heap = _ratio_heap(self.mass, self.diff)
 
     def cut(self, eps: Fraction) -> LowBoundaryResult:
@@ -452,16 +479,21 @@ def extract_partition(G: BoundedDegreeGraph, w: WitnessFunction, eps: Fraction) 
     the plain loop; the work per cut tracks what the cut changed, not |R|.
     Every removed edge joins two distinct blocks, so block-induced subgraphs
     survive intact in G - W.
+
+    The witness is measured in the projection's first pass over the edges,
+    and that report is cached on it; only supports nobody has shown inside
+    their balls are swept first.  A witness that is not eps-uniform raises
+    NotUniform, exactly as check_uniformity would judge it.
     """
     if not w.is_full:
         raise ValueError("extraction expects a full-graph witness")
-    rep = check_uniformity(w)
-    if not rep.satisfies(eps):
-        raise NotUniform(
-            f"witness measures {rep.max_edge_l1} at edge {rep.worst_edge}, "
-            f"support_ok={rep.support_ok}; need max <= {eps}"
-        )
+    if _bad_support_vertex(w) is not None:
+        # an atom outside its ball, or outside G, would break the projection
+        _require_uniform(check_uniformity(w), eps)
     state = _ShrinkingProjection(w)
+    if w._uniformity is None:
+        w._uniformity = state.uniformity
+    _require_uniform(state.uniformity, eps)
     blocks: list[tuple[int, ...]] = []
     removed: list[tuple[int, int]] = []
     while state.remaining:

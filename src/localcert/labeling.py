@@ -71,9 +71,10 @@ class ProofLabeling:
         for z, row in enumerate(self.tables):
             if len(row) != p.palette:
                 raise ValueError(f"table at vertex {z} has length {len(row)}, want {p.palette}")
-            for q, t in enumerate(row):
-                if not 0 <= t <= p.alpha:
-                    raise ValueError(f"table entry {t} at ({z}, {q}) outside [0, {p.alpha}]")
+            # min and max scan the row in C; only a failing row is walked for its entry
+            if min(row) < 0 or max(row) > p.alpha:
+                q, t = next((q, t) for q, t in enumerate(row) if not 0 <= t <= p.alpha)
+                raise ValueError(f"table entry {t} at ({z}, {q}) outside [0, {p.alpha}]")
 
     @property
     def n(self) -> int:
@@ -180,7 +181,7 @@ def parse_labeling(text: str) -> ProofLabeling:
         try:
             x = int(parts[0])
             colors.append(int(parts[1]))
-            tables.append(tuple(int(t) for t in parts[2:]))
+            tables.append(tuple(map(int, parts[2:])))
         except ValueError as exc:
             raise FormatError(f"non-integer label line: {ln!r}") from exc
         if x != i:

@@ -107,6 +107,9 @@ class WitnessFunction:
 
     Immutable after construction: nothing may rebind or mutate its fields or
     distributions, because check_uniformity caches its report on the witness.
+    Next to that report, `_supports_in_balls` records that a BFS has already
+    shown every support inside B_radius(x) (see `_record_supports_in_balls`),
+    so the measurement need not sweep the balls again.
     """
 
     def __init__(self, graph: BoundedDegreeGraph, radius: int,
@@ -128,6 +131,7 @@ class WitnessFunction:
         self.vertices = vs
         self.vertex_set = frozenset(vs)
         self._uniformity: UniformityReport | None = None
+        self._supports_in_balls = False
 
     @property
     def is_full(self) -> bool:
@@ -162,27 +166,49 @@ class UniformityReport:
         return self.support_ok and self.max_edge_l1 <= eps
 
 
-def check_uniformity(w: WitnessFunction) -> UniformityReport:
-    """Measure max edge l1 over the domain and validate supports.
+def _record_supports_in_balls(w: WitnessFunction) -> WitnessFunction:
+    """Record on w that a BFS already showed each support inside B_radius(x) and the domain.
 
-    Support of each f(x) must lie in B_radius(x, G) intersected with the
-    domain.  The balls come from `ball_sweep`, so a pass that finds every
-    support valid leaves max |B_radius| in G's memo.  The measured maximum is
-    exact; thresholding is the caller's business.  The report is computed
-    once per witness and then cached on it.
+    Only a builder that read each support from that BFS (or took it from a
+    witness whose supports were checked) may record it; w is returned.
     """
+    w._supports_in_balls = True
+    return w
+
+
+def _bad_support_vertex(w: WitnessFunction) -> int | None:
+    """The first domain vertex whose support leaves B_radius(x) or the domain, or None.
+
+    A recorded witness, or one with a cached report, needs no sweep.  The
+    balls come from `ball_sweep`, so a pass that finds every support valid
+    leaves max |B_radius| in G's memo.
+    """
+    if w._supports_in_balls:
+        return None
     if w._uniformity is not None:
-        return w._uniformity
-    support_ok = True
-    bad_vertex = None
+        return w._uniformity.bad_support_vertex
     for x, reach in ball_sweep(w.graph, w.radius, profile=False):
         if x not in w.vertex_set:
             continue
         supp = w.dists[x].num.keys()
         if not (supp <= w.vertex_set and supp <= set(reach)):
-            support_ok = False
-            bad_vertex = x
-            break
+            return x
+    return None
+
+
+def check_uniformity(w: WitnessFunction) -> UniformityReport:
+    """Measure max edge l1 over the domain and validate supports.
+
+    Support of each f(x) must lie in B_radius(x, G) intersected with the
+    domain; the radius-r sweep that checks it runs only for a witness whose
+    builder did not record the fact.  The measured maximum is exact, and the
+    worst edge is the first edge attaining it, ascending; thresholding is the
+    caller's business.  The report is computed once per witness and then
+    cached on it.
+    """
+    if w._uniformity is not None:
+        return w._uniformity
+    bad_vertex = _bad_support_vertex(w)
     best = Fraction(0)
     worst = None
     for u, v in w.domain_edges():
@@ -190,8 +216,17 @@ def check_uniformity(w: WitnessFunction) -> UniformityReport:
         if d > best:
             best = d
             worst = (u, v)
-    w._uniformity = UniformityReport(best, worst, support_ok, bad_vertex)
+    w._uniformity = UniformityReport(best, worst, bad_vertex is None, bad_vertex)
     return w._uniformity
+
+
+def _require_uniform(rep: UniformityReport, eps: Fraction) -> None:
+    """Raise NotUniform unless the report shows valid supports and max edge l1 <= eps."""
+    if not rep.satisfies(eps):
+        raise NotUniform(
+            f"witness measures {rep.max_edge_l1} at edge {rep.worst_edge}, "
+            f"support_ok={rep.support_ok}; need max <= {eps}"
+        )
 
 
 def tighten_radius(w: WitnessFunction) -> WitnessFunction:
@@ -217,11 +252,15 @@ def tighten_radius(w: WitnessFunction) -> WitnessFunction:
 
 
 def uniform_ball_witness(G: BoundedDegreeGraph, r: int) -> WitnessFunction:
-    """The canonical witness: f(x) = uniform on B_r(x, G)."""
+    """The canonical witness: f(x) = uniform on B_r(x, G).
+
+    Each support is the ball itself, so the witness records that its supports
+    lie in their balls, and the completed sweep leaves max |B_r| in G's memo.
+    """
     if r < 1:
         raise ValueError(f"witness radius must be at least 1, got {r}")
-    dists = {x: RationalDist.uniform(bfs(G.adj, (x,), r)[0]) for x in range(G.n)}
-    return WitnessFunction(G, r, dists)
+    dists = {x: RationalDist.uniform(ball) for x, ball in ball_sweep(G, r, profile=False)}
+    return _record_supports_in_balls(WitnessFunction(G, r, dists))
 
 
 def discretize(f: RationalDist, alpha: int) -> RationalDist:
@@ -270,12 +309,7 @@ def discretize_witness(w: WitnessFunction, eps: Fraction, eps_prime: Fraction,
     against max ball size, so that every edge of the result measures at most
     2(eps' - eps)/3 + eps < eps'.
     """
-    rep = check_uniformity(w)
-    if not rep.satisfies(eps):
-        raise NotUniform(
-            f"witness measures {rep.max_edge_l1} at edge {rep.worst_edge}, "
-            f"support_ok={rep.support_ok}; need max <= {eps}"
-        )
+    _require_uniform(check_uniformity(w), eps)
     if alpha < 1:
         raise InfeasibleAlpha(f"alpha must be a positive integer, got {alpha}")
     bound = Fraction(3 * max_ball_size_actual(w.graph, w.radius))
@@ -285,7 +319,8 @@ def discretize_witness(w: WitnessFunction, eps: Fraction, eps_prime: Fraction,
             f"= {math.ceil(bound / (eps_prime - eps))}"
         )
     dists = {x: discretize(w.dists[x], alpha) for x in w.vertices}
-    return WitnessFunction(w.graph, w.radius, dists, w.vertices)
+    # each support is a subset of the one just checked
+    return _record_supports_in_balls(WitnessFunction(w.graph, w.radius, dists, w.vertices))
 
 
 def project_witness(w: WitnessFunction, f_vertices: Iterable[int]) -> WitnessFunction:

@@ -35,7 +35,7 @@ import networkx as nx
 from .errors import MalformedLabeling, NotAccepted
 from .graphs import BoundedDegreeGraph, RootedBall, ball, bfs, components, induced_subgraph
 from .labeling import ProofLabeling, SchemeParams
-from .measures import RationalDist, WitnessFunction
+from .measures import RationalDist, WitnessFunction, _record_supports_in_balls
 
 CHECK_PROPERNESS = "properness"
 CHECK_PROBABILITY = "probability"
@@ -172,7 +172,8 @@ def verify_and_decode(G: BoundedDegreeGraph,
 
     Each accepting x decodes f(x)(z) = T2(z)(C(x)) / alpha over z in B_r(x)
     from the ball it was judged on; the probability check guarantees each
-    f(x) sums to 1 exactly.
+    f(x) sums to 1 exactly.  Every support is read from that BFS's B_r(x)
+    prefix, so the witness records that its supports lie in their balls.
     """
     _validate_against_graph(G, labeling)
     params = labeling.params
@@ -189,7 +190,9 @@ def verify_and_decode(G: BoundedDegreeGraph,
             column = map(itemgetter(lball.colors[0]), lball.tables[:inner])
             dists[x] = RationalDist(params.alpha, dict(zip(lball.vertices[:inner], column)))
     verdict = Verdict(tuple(decisions))
-    return verdict, WitnessFunction(G, params.r, dists) if verdict.accept else None
+    if not verdict.accept:
+        return verdict, None
+    return verdict, _record_supports_in_balls(WitnessFunction(G, params.r, dists))
 
 
 def decode_accepted_witness(G: BoundedDegreeGraph, labeling: ProofLabeling) -> WitnessFunction:
@@ -209,6 +212,12 @@ def is_planar(G: BoundedDegreeGraph) -> bool:
         return True
     if G.m > 3 * G.n - 6:
         return False
+    # A non-planar graph contains a subdivision of K5 or K3,3, whose
+    # cyclomatic number m - n + c is 6 or 4, and neither subgraphs nor
+    # subdivisions raise it; so at most 3 means planar.  m <= n + 2 keeps
+    # the components pass to graphs where that test can succeed.
+    if G.m <= G.n + 2 and G.m - G.n + len(components(G)) <= 3:
+        return True
     H = nx.Graph()
     H.add_nodes_from(range(G.n))
     H.add_edges_from(G.edges())

@@ -126,7 +126,7 @@ def test_prove_k_shift_zero_exits_two(capsys, tmp_path):
 
 
 def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch):
-    """The support check and the coloring are prove's only sweeps; the witness is measured once."""
+    """The witness's own sweep and the coloring are prove's only sweeps; the witness is measured once."""
     g = tmp_path / "g8.graph"
     run(capsys, "gen", "--family", "grid", "--n", "8,8", "--out", str(g))
     sweeps = Counter()
@@ -151,10 +151,11 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
     assert code == 0
     assert sweeps[6] == 64  # the distance-(2r+2) coloring
     assert sweeps[4] == 0  # K = max |B_2r| comes from the coloring sweep
-    # witness and support check; alpha's max |B_r| is read from the support
-    # check's sweep, and the tables are scattered from the supports
-    assert sweeps[2] == 2 * 64
-    assert sweeps == {2: 128, 6: 64}
+    # the witness's own sweep: its supports are its balls, so the uniformity
+    # check sweeps no balls again; alpha's max |B_r| is read from the
+    # witness's sweep, and the tables are scattered from the supports
+    assert sweeps[2] == 64
+    assert sweeps == {2: 64, 6: 64}
     assert edges_measured["l1"] == 112
 
 
@@ -278,7 +279,11 @@ def test_report_golden(p11, capsys):
 
 
 def test_report_reads_each_ball_once(capsys, tmp_path, monkeypatch):
-    """Property A and the decoded witness come from one pass over the B_{r+1} balls."""
+    """Property A and the decoded witness come from one pass over the B_{r+1} balls.
+
+    The decoded witness is measured once, inside extraction's first pass over
+    the edges, with no radius-r sweep: its supports came from those balls.
+    """
     g = tmp_path / "g8.graph"
     labels = tmp_path / "g8.labels"
     run(capsys, "gen", "--family", "grid", "--n", "8,8", "--out", str(g))
@@ -297,8 +302,11 @@ def test_report_reads_each_ball_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert "verdict = accept\n" in out
     assert sweeps[3] == 64  # one B_{r+1} ball per vertex, judged and decoded
-    # the radius-r support check of the decoded witness, and one components pass
-    assert sweeps == {3: 64, 2: 64, None: 1}
+    # components passes only: one for the structural half, and one in
+    # is_planar for each of the 4 extraction blocks (of 9) that have more
+    # than 4 vertices and at most n + 2 edges, where the cyclomatic number
+    # can settle planarity
+    assert sweeps == {3: 64, None: 5}
 
 
 def test_report_rejecting_exit(p11, capsys, tmp_path):

@@ -72,6 +72,12 @@ def test_random_regular_is_regular_and_deterministic():
     assert lc.format_graph(other) != lc.format_graph(G)
 
 
+def test_family_spec_rejects_a_missing_seed():
+    """random.Random(None) seeds from the OS, so a None seed is refused, not run."""
+    with pytest.raises(InfeasibleSpec):
+        lc.FamilySpec("random_regular", (30, 3), None)
+
+
 def test_random_regular_infeasible():
     with pytest.raises(InfeasibleSpec):
         lc.generate(lc.FamilySpec("random_regular", (7, 3)))

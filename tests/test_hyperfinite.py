@@ -141,6 +141,15 @@ def test_extract_partition_guards():
         extract_partition(G, rel, Fraction(1))
 
 
+def test_extract_partition_rejects_a_support_outside_its_ball():
+    """f(0) = delta(3) lies outside B_1(0) on path 4: NotUniform, whatever eps allows."""
+    G = lc.generate(lc.FamilySpec("path", (4,)))
+    dists = dict(uniform_ball_witness(G, 1).dists)
+    dists[0] = RationalDist.delta(3)
+    with pytest.raises(NotUniform, match="support_ok=False"):
+        extract_partition(G, WitnessFunction(G, 1, dists), Fraction(2))
+
+
 def test_extract_partition_bounds_random():
     rng = random.Random(603)
     for _ in range(10):
@@ -209,6 +218,11 @@ def test_extract_partition_matches_reference_loop():
                 # one denominator throughout, like a decoded labeling
                 witnesses.append(discretize_witness(w, measured, eps_prime, alpha))
             for wit in witnesses:
+                # extraction measures a copy with no cached report in its own
+                # pass; that report must be check_uniformity's, worst edge included
+                copy = WitnessFunction(G, wit.radius, wit.dists)
+                outcome(extract_partition, G, copy, measured / 2)
+                assert copy._uniformity == lc.check_uniformity(wit), (G.n, r)
                 for eps in (measured, Fraction(1), measured / 2):
                     got = outcome(extract_partition, G, wit, eps)
                     want = outcome(reference_partition, G, wit, eps)

@@ -112,6 +112,28 @@ def test_check_uniformity_flags_bad_support():
     assert not rep.satisfies(Fraction(2))
 
 
+@pytest.mark.parametrize("family, params", [("grid", (6, 6)), ("cycle", (20,)),
+                                             ("full_tree", (2, 4))])
+def test_recorded_supports_agree_with_a_fresh_sweep(family, params):
+    """Witnesses whose builder read each support from a BFS skip the support sweep.
+
+    The report they get must equal the one a copy with no record gets from
+    a fresh radius-r sweep.
+    """
+    G = lc.generate(lc.FamilySpec(family, params))
+    w = uniform_ball_witness(G, 2)
+    eps = check_uniformity(w).max_edge_l1
+    eps_prime = (eps + 2) / 2
+    quantized = discretize_witness(w, eps, eps_prime, derive_alpha(G, 2, eps, eps_prime))
+    verdict, decoded = lc.verify_and_decode(G, lc.build_proof(G, quantized, eps_prime))
+    assert verdict.accept
+    for wit in (w, quantized, decoded):
+        assert wit._supports_in_balls
+        fresh = WitnessFunction(G, wit.radius, wit.dists, wit.vertices)
+        assert not fresh._supports_in_balls
+        assert check_uniformity(wit) == check_uniformity(fresh)
+
+
 def test_uniformity_per_edge_values():
     G = lc.generate(lc.FamilySpec("path", (3,)))
     w = uniform_ball_witness(G, 1)

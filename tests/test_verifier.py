@@ -4,7 +4,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import localcert as lc
 from conftest import prove_uniform, random_family_graph
@@ -252,6 +255,26 @@ def test_planarity_table():
         d=8,
     )
     assert is_planar(wheel)
+
+
+@pytest.mark.parametrize("isolated", [1, 2])
+def test_k33_with_isolated_vertices_is_not_planar(isolated):
+    """m <= n + 2 here, but the cyclomatic number is 4: the LR test must still run."""
+    k33 = build_graph([(a, b + 3) for a in range(3) for b in range(3)], d=3, n=6 + isolated)
+    assert k33.m <= k33.n + 2
+    assert not is_planar(k33)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(0, 12), data=st.data())
+def test_is_planar_matches_networkx(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    G = build_graph(edges, d=max(2, n - 1), n=n)
+    H = nx.Graph()
+    H.add_nodes_from(range(n))
+    H.add_edges_from(edges)
+    assert is_planar(G) == nx.check_planarity(H)[0]
 
 
 def test_acyclic_predicate():
