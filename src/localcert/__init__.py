@@ -86,7 +86,6 @@ from .verifier import (
     check_vertex,
     combine_verdicts,
     decode_accepted_witness,
-    extract_labeled_ball,
     format_verdict,
     is_acyclic,
     is_planar,

@@ -1,4 +1,4 @@
-"""Bounded-degree graphs: construction, the BFS kernel, balls, families, text format.
+"""Bounded-degree graphs: construction, BFS, the ball sweep, families, text format.
 
 Vertices are always 0..n-1.  Graphs are simple, undirected, and carry a hard
 degree bound d >= 2 that every operation preserves.  The text format is
@@ -10,7 +10,6 @@ degree bound d >= 2 that every operation preserves.  The text format is
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -97,14 +96,15 @@ def build_graph(edges: Iterable[tuple[int, int]], d: int, n: int | None = None) 
 
 def bfs(adj: Sequence[Sequence[int]], sources: Iterable[int], cutoff: int | None = None,
         dist: dict[int, int] | None = None) -> tuple[list[int], dict[int, int]]:
-    """Breadth-first search from `sources`, the one BFS loop of the package.
+    """Breadth-first search from `sources`, the package's search from a source set.
 
     Returns (order, dist): `order` lists the newly reached vertices in FIFO
     discovery order, sources first, and `dist` maps each of them to its hop
     distance from the nearest source, exploring no further than `cutoff`.
     Vertices already in a caller-passed `dist` count as visited: they are
     neither entered nor expanded.  That blocks a vertex set (seed it with the
-    set) and lets a component sweep share one map across calls.
+    set) and lets a component sweep share one map across calls.  A ball
+    around one center comes from `ball_sweep` or `RootedBall.around` instead.
     """
     if dist is None:
         dist = {}
@@ -126,27 +126,63 @@ def bfs(adj: Sequence[Sequence[int]], sources: Iterable[int], cutoff: int | None
     return order, dist
 
 
-class RootedBall:
-    """B_s(x) in local coordinates, from the (order, dist) of one `bfs` from x over `adj`.
+def _levels(adj: Sequence[Sequence[int]], x: int, q: int,
+            mark: list[int]) -> tuple[list[int], list[int]]:
+    """B_q(x) level by level: (order, ends), with ends[s] = |B_s(x)| for s = 0..q.
 
-    Local vertex i is the i-th vertex of that BFS, so x is local 0 and
-    `dist` (hop distance from x) is nondecreasing; `vertices[i]` is local i's
-    parent id.  `local_adj[i]` lists local i's neighbors inside the ball,
-    ascending; it is built from the parent adjacency on first read.
+    `order` is the FIFO BFS order from x, so B_s(x) is its prefix of length
+    ends[s].  `mark` is the visited stamp: w counts as reached iff
+    mark[w] == x, and every vertex of the ball is stamped x on return, so one
+    list serves a whole sweep as long as no center repeats.
+    """
+    mark[x] = x
+    order = [x]
+    ends = [1]
+    start = 0
+    for _ in range(q):
+        stop = len(order)
+        for u in order[start:stop]:
+            for w in adj[u]:
+                if mark[w] != x:
+                    mark[w] = x
+                    order.append(w)
+        if len(order) == stop:
+            # the component is exhausted: every larger ball is the same
+            ends += [stop] * (q + 1 - len(ends))
+            break
+        ends.append(len(order))
+        start = stop
+    return order, ends
+
+
+class RootedBall:
+    """B_q(x) in local coordinates, from the (order, ends) of one level sweep from x.
+
+    Local vertex i is the i-th vertex of the FIFO BFS from x over `adj`, so
+    x is local 0 and `vertices[i]` is local i's parent id.  `ends[s]` is
+    |B_s(x)|, for s = 0..q, so every smaller ball is a prefix (`within`).
+    `local_adj[i]` lists local i's neighbors inside the ball, ascending; it
+    is built from the parent adjacency on first read.
     """
 
-    __slots__ = ("vertices", "dist", "_adj", "_local_adj")
+    __slots__ = ("vertices", "ends", "_adj", "_local_adj")
 
     def __init__(self, adj: Sequence[Sequence[int]], order: Sequence[int],
-                 dist: dict[int, int]):
+                 ends: Sequence[int]):
         self.vertices = tuple(order)
-        self.dist = tuple(map(dist.__getitem__, order))
+        self.ends = ends
         self._adj = adj
         self._local_adj: tuple[tuple[int, ...], ...] | None = None
 
+    @classmethod
+    def around(cls, adj: Sequence[Sequence[int]], x: int, q: int) -> "RootedBall":
+        """B_q(x) over `adj`, from one level sweep with a fresh stamp list."""
+        return cls(adj, *_levels(adj, x, q, [-1] * len(adj)))
+
     def within(self, radius: int) -> int:
         """How many local vertices lie within `radius` of the center: B_radius is that prefix."""
-        return bisect_right(self.dist, radius)
+        ends = self.ends
+        return ends[radius] if radius < len(ends) else len(self.vertices)
 
     @property
     def local_adj(self) -> tuple[tuple[int, ...], ...]:
@@ -161,12 +197,12 @@ class RootedBall:
 
 
 def ball(G: BoundedDegreeGraph, x: int, s: int) -> RootedBall:
-    """Rooted ball of radius s around x, from one BFS."""
+    """Rooted ball of radius s around x, from one level sweep."""
     if not 0 <= x < G.n:
         raise ValueError(f"center {x} outside vertex range [0, {G.n})")
     if s < 0:
         raise ValueError(f"radius must be nonnegative, got {s}")
-    return RootedBall(G.adj, *bfs(G.adj, (x,), s))
+    return RootedBall.around(G.adj, x, s)
 
 
 def max_ball_size_bound(d: int, r: int) -> int:
@@ -181,40 +217,39 @@ def max_ball_size_bound(d: int, r: int) -> int:
 
 
 def ball_sweep(G: BoundedDegreeGraph, q: int,
-               profile: bool = True) -> Iterator[tuple[int, list[int]]]:
-    """Yield (x, B_q(x) in BFS order) for x = 0..n-1: the package's one per-vertex ball sweep.
+               vertices: range | None = None) -> Iterator[tuple[int, list[int], list[int]]]:
+    """Yield (x, order, ends) for x = 0..n-1: the package's one per-vertex ball sweep.
 
-    The sweep also measures G: once the last vertex has been yielded, G's
-    memo holds max_x |B_s(x)| (0 on an empty graph) for every s <= q, or for
-    s = q alone when `profile` is false, so max_ball_size_actual at those
-    radii needs no sweep of its own.
+    `order` is B_q(x) in FIFO BFS order and ends[s] = |B_s(x)| for s <= q
+    (see `RootedBall`).  One stamp list serves the whole sweep.  A full sweep
+    also measures G: once the last vertex has been yielded, G's memo holds
+    max_x |B_s(x)| (0 on an empty graph) for every s <= q, so
+    max_ball_size_actual at those radii needs no sweep of its own.  Passing
+    `vertices` sweeps only those centers (a pool worker's share) and records
+    nothing.
     """
     if q < 0:
         raise ValueError(f"radius must be nonnegative, got {q}")
     adj = G.adj
-    radii = range(q + 1) if profile else (q,)
-    best = [0] * len(radii)
-    for x in range(G.n):
-        order, dist = bfs(adj, (x,), q)
-        if profile:
-            # dist is filled in BFS order, so its values are nondecreasing
-            # and |B_s(x)| is the count of those at most s
-            col = list(dist.values())
-            sizes = [bisect_right(col, s) for s in radii]
-        else:
-            sizes = [len(order)]
-        best = list(map(max, best, sizes))
-        yield x, order
-    G._ball_sizes.update(zip(radii, best))
+    mark = [-1] * G.n
+    profiles = []
+    for x in range(G.n) if vertices is None else vertices:
+        order, ends = _levels(adj, x, q, mark)
+        profiles.append(ends)
+        yield x, order, ends
+    if vertices is None:
+        # one max per radius over all balls, in C, rather than a merge per ball
+        best = list(map(max, zip(*profiles))) or [0] * (q + 1)
+        G._ball_sizes.update(enumerate(best))
 
 
 def max_ball_size_actual(G: BoundedDegreeGraph, r: int) -> int:
-    """max_x |B_r(x, G)|, memoized per radius on G; a miss sweeps at radius r alone."""
+    """max_x |B_r(x, G)|, memoized per radius on G; a miss sweeps at radius r."""
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     sizes = G._ball_sizes
     if r not in sizes:
-        for _ in ball_sweep(G, r, profile=False):
+        for _ in ball_sweep(G, r):
             pass
     return sizes[r]
 

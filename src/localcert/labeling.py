@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, filterfalse
 from pathlib import Path
 
 from .errors import FormatError
@@ -93,13 +94,10 @@ def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[int, ...]:
     if q < 1:
         raise ValueError(f"coloring distance must be positive, got {q}")
     colors = [-1] * G.n
-    for v, ball in ball_sweep(G, q):
+    for v, ball, _ in ball_sweep(G, q):
         # -1 (not yet colored) never blocks a color
         taken = set(map(colors.__getitem__, ball))
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
+        colors[v] = next(filterfalse(taken.__contains__, count()))
     return tuple(colors)
 
 

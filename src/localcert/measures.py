@@ -107,8 +107,8 @@ class WitnessFunction:
 
     Immutable after construction: nothing may rebind or mutate its fields or
     distributions, because check_uniformity caches its report on the witness.
-    Next to that report, `_supports_in_balls` records that a BFS has already
-    shown every support inside B_radius(x) (see `_record_supports_in_balls`),
+    Next to that report, `_supports_in_balls` records that a ball sweep has
+    already shown every support inside B_radius(x) (see `_record_supports_in_balls`),
     so the measurement need not sweep the balls again.
     """
 
@@ -167,9 +167,9 @@ class UniformityReport:
 
 
 def _record_supports_in_balls(w: WitnessFunction) -> WitnessFunction:
-    """Record on w that a BFS already showed each support inside B_radius(x) and the domain.
+    """Record on w that a ball sweep already showed each support inside B_radius(x) and the domain.
 
-    Only a builder that read each support from that BFS (or took it from a
+    Only a builder that read each support from that sweep (or took it from a
     witness whose supports were checked) may record it; w is returned.
     """
     w._supports_in_balls = True
@@ -181,13 +181,13 @@ def _bad_support_vertex(w: WitnessFunction) -> int | None:
 
     A recorded witness, or one with a cached report, needs no sweep.  The
     balls come from `ball_sweep`, so a pass that finds every support valid
-    leaves max |B_radius| in G's memo.
+    leaves max |B_s| in G's memo for every s <= radius.
     """
     if w._supports_in_balls:
         return None
     if w._uniformity is not None:
         return w._uniformity.bad_support_vertex
-    for x, reach in ball_sweep(w.graph, w.radius, profile=False):
+    for x, reach, _ in ball_sweep(w.graph, w.radius):
         if x not in w.vertex_set:
             continue
         supp = w.dists[x].num.keys()
@@ -255,11 +255,12 @@ def uniform_ball_witness(G: BoundedDegreeGraph, r: int) -> WitnessFunction:
     """The canonical witness: f(x) = uniform on B_r(x, G).
 
     Each support is the ball itself, so the witness records that its supports
-    lie in their balls, and the completed sweep leaves max |B_r| in G's memo.
+    lie in their balls, and the completed sweep leaves max |B_s| in G's memo
+    for every s <= r.
     """
     if r < 1:
         raise ValueError(f"witness radius must be at least 1, got {r}")
-    dists = {x: RationalDist.uniform(ball) for x, ball in ball_sweep(G, r, profile=False)}
+    dists = {x: RationalDist.uniform(ball) for x, ball, _ in ball_sweep(G, r)}
     return _record_supports_in_balls(WitnessFunction(G, r, dists))
 
 

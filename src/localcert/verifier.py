@@ -1,8 +1,10 @@
 """Local verification: per-vertex acceptance from labeled balls alone.
 
-Each vertex x decides from its labeled ball N = B_{r+1}(x), read by one BFS
-from x: the hop distance of every ball vertex from x, its color and mass
-table, and, only when some color repeats inside N, the ball's own adjacency.
+Each vertex x decides from its labeled ball N = B_{r+1}(x), read from one
+level-by-level sweep over G (`graphs.ball_sweep`): the ball in BFS order with
+its level boundaries, so B_r(x) and x's neighbors are prefixes, each ball
+vertex's color and mass table, and, only when some color repeats inside N,
+the ball's own adjacency.
 A decision never reads parent vertex ids, so verdicts are oblivious to
 vertex identities and to any parallelism in the driver.  Beyond its ball, a
 vertex reads only the labels header (`labeling.params`).  Three checks run
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 from operator import itemgetter, sub
 from pathlib import Path
@@ -33,7 +36,7 @@ from typing import Callable, Sequence
 import networkx as nx
 
 from .errors import MalformedLabeling, NotAccepted
-from .graphs import BoundedDegreeGraph, RootedBall, ball, bfs, components, induced_subgraph
+from .graphs import BoundedDegreeGraph, RootedBall, ball_sweep, bfs, components, induced_subgraph
 from .labeling import ProofLabeling, SchemeParams
 from .measures import RationalDist, WitnessFunction, _record_supports_in_balls
 
@@ -60,24 +63,18 @@ class Verdict:
 class LabeledBall(RootedBall):
     """A rooted ball as its center sees it: `colors[i]` and `tables[i]` are local i's label.
 
-    A decision reads `dist`, the labels and, only when some color repeats
-    inside the ball, `local_adj`; never `vertices`, which is there for the
-    decoder.
+    A decision reads the level boundaries (`within`), the labels and, only
+    when some color repeats inside the ball, `local_adj`; never `vertices`,
+    which is there for the decoder.
     """
 
     __slots__ = ("colors", "tables")
 
     def __init__(self, adj: Sequence[Sequence[int]], order: Sequence[int],
-                 dist: dict[int, int], labeling: ProofLabeling):
-        super().__init__(adj, order, dist)
+                 ends: Sequence[int], labeling: ProofLabeling):
+        super().__init__(adj, order, ends)
         self.colors = tuple(map(labeling.colors.__getitem__, order))
         self.tables = tuple(map(labeling.tables.__getitem__, order))
-
-
-def extract_labeled_ball(G: BoundedDegreeGraph, labeling: ProofLabeling,
-                         x: int, radius: int) -> LabeledBall:
-    """B_radius(x) with its labels, from one BFS of G."""
-    return LabeledBall(G.adj, *bfs(G.adj, (x,), radius), labeling)
 
 
 def check_vertex(lball: LabeledBall, params: SchemeParams) -> str | None:
@@ -128,6 +125,16 @@ def _validate_against_graph(G: BoundedDegreeGraph, labeling: ProofLabeling) -> N
         )
 
 
+def _judged_balls(G: BoundedDegreeGraph, labeling: ProofLabeling,
+                  vertices: range | None = None):
+    """Yield (x, labeled B_{r+1}(x), decision) for x = 0..n-1, or for `vertices` only."""
+    params = labeling.params
+    adj = G.adj
+    for x, order, ends in ball_sweep(G, params.r + 1, vertices):
+        lball = LabeledBall(adj, order, ends, labeling)
+        yield x, lball, check_vertex(lball, params)
+
+
 _WORKER: dict[str, object] = {}
 
 
@@ -136,34 +143,47 @@ def _init_worker(G: BoundedDegreeGraph, labeling: ProofLabeling) -> None:
     _WORKER["labeling"] = labeling
 
 
-def _check_one(x: int) -> str | None:
-    """Pool task: decide vertex x from the state _init_worker left in this process."""
+def _check_range(vertices: range) -> list[str | None]:
+    """Pool task: decide a contiguous vertex range from the state _init_worker left here."""
     G: BoundedDegreeGraph = _WORKER["G"]  # type: ignore[assignment]
     labeling: ProofLabeling = _WORKER["labeling"]  # type: ignore[assignment]
-    params = labeling.params
-    return check_vertex(extract_labeled_ball(G, labeling, x, params.r + 1), params)
+    return [decision for _, _, decision in _judged_balls(G, labeling, vertices)]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; a pool larger than that only adds processes."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _make_pool(processes: int, G: BoundedDegreeGraph, labeling: ProofLabeling):
+    """A pool whose workers hold G and the labeling (tests put an in-process fake here)."""
+    import multiprocessing as mp
+
+    ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
+    return ctx.Pool(processes, initializer=_init_worker, initargs=(G, labeling))
 
 
 def verify_property_a(G: BoundedDegreeGraph, labeling: ProofLabeling,
                       jobs: int = 1) -> Verdict:
-    """Run the three-check verifier at every vertex of G, on `jobs` processes."""
+    """Run the three-check verifier at every vertex of G.
+
+    With jobs > 1 the vertices are cut into contiguous ranges, one per
+    process, and each process sweeps its own range; the pool has
+    min(jobs, usable CPUs, n) processes, and one means no pool.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     _validate_against_graph(G, labeling)
-    params = labeling.params
-    if jobs > 1 and G.n > 1:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-        with ctx.Pool(jobs, initializer=_init_worker, initargs=(G, labeling)) as pool:
-            chunk = max(1, G.n // (4 * jobs))
-            decisions = tuple(pool.map(_check_one, range(G.n), chunksize=chunk))
-        return Verdict(decisions)
-    radius = params.r + 1
-    return Verdict(tuple(
-        check_vertex(extract_labeled_ball(G, labeling, x, radius), params)
-        for x in range(G.n)
-    ))
+    workers = min(jobs, _usable_cpus(), G.n)
+    if workers > 1:
+        cuts = [G.n * i // workers for i in range(workers + 1)]
+        ranges = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        with _make_pool(workers, G, labeling) as pool:
+            parts = pool.map(_check_range, ranges, chunksize=1)
+        return Verdict(tuple(itertools.chain.from_iterable(parts)))
+    return Verdict(tuple(decision for _, _, decision in _judged_balls(G, labeling)))
 
 
 def verify_and_decode(G: BoundedDegreeGraph,
@@ -172,16 +192,14 @@ def verify_and_decode(G: BoundedDegreeGraph,
 
     Each accepting x decodes f(x)(z) = T2(z)(C(x)) / alpha over z in B_r(x)
     from the ball it was judged on; the probability check guarantees each
-    f(x) sums to 1 exactly.  Every support is read from that BFS's B_r(x)
+    f(x) sums to 1 exactly.  Every support is read from that ball's B_r(x)
     prefix, so the witness records that its supports lie in their balls.
     """
     _validate_against_graph(G, labeling)
     params = labeling.params
     decisions = []
     dists = {}
-    for x in range(G.n):
-        lball = extract_labeled_ball(G, labeling, x, params.r + 1)
-        decision = check_vertex(lball, params)
+    for x, lball, decision in _judged_balls(G, labeling):
         decisions.append(decision)
         # after the first reject no witness is returned, so decoding stops
         if decision is None and len(dists) == x:
@@ -380,7 +398,7 @@ class ProductVerifier:
 
     def accepts(self, adj: Sequence[Sequence[int]], labels: Sequence, center: int) -> bool:
         for idx, factor in ((0, self.first), (1, self.second)):
-            sub = RootedBall(adj, *bfs(adj, (center,), factor.radius))
+            sub = RootedBall.around(adj, center, factor.radius)
             if not factor.accepts(sub.local_adj, [labels[v][idx] for v in sub.vertices], 0):
                 return False
         return True
@@ -395,9 +413,9 @@ def run_ball_verifier(G: BoundedDegreeGraph, labels: Sequence, verifier) -> Verd
     if len(labels) != G.n:
         raise MalformedLabeling(f"got {len(labels)} labels for {G.n} vertices")
     decisions = []
-    for x in range(G.n):
-        b = ball(G, x, verifier.radius)
-        lab = tuple(labels[p] for p in b.vertices)
+    for _, order, ends in ball_sweep(G, verifier.radius):
+        b = RootedBall(G.adj, order, ends)
+        lab = tuple(labels[p] for p in order)
         decisions.append(None if verifier.accepts(b.local_adj, lab, 0) else "ballset")
     return Verdict(tuple(decisions))
 

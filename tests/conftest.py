@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import localcert as lc
+from localcert import verifier
 
 
 def random_family_graph(rng: random.Random) -> lc.BoundedDegreeGraph:
@@ -30,6 +31,23 @@ def random_family_graph(rng: random.Random) -> lc.BoundedDegreeGraph:
         return lc.generate(lc.FamilySpec("full_tree", (rng.randint(1, 3), rng.randint(1, 4))))
     n = rng.randrange(6, 40, 2)
     return lc.generate(lc.FamilySpec("random_regular", (n, 3), seed=rng.randint(0, 10**6)))
+
+
+class InProcessPool:
+    """Stands in for the process pool: records its size and maps in this process."""
+
+    def __init__(self, asked, processes, G, labeling):
+        asked.append(processes)
+        verifier._init_worker(G, labeling)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        verifier._WORKER.clear()
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)

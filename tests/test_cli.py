@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line driver through main()."""
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import localcert as lc
-from localcert import graphs, measures, verifier
+from conftest import InProcessPool
+from localcert import graphs, labeling, measures, verifier
 from localcert.cli import main
 
 
@@ -18,6 +20,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_searches(monkeypatch):
+    """Count balls yielded by ball_sweep, by radius, and graphs.bfs calls, by cutoff."""
+    balls, searches = Counter(), Counter()
+    sweep, kernel = graphs.ball_sweep, graphs.bfs
+
+    def counting_sweep(G, q, vertices=None):
+        for item in sweep(G, q, vertices):
+            balls[q] += 1
+            yield item
+
+    def counting_bfs(adj, sources, cutoff=None, dist=None):
+        searches[cutoff] += 1
+        return kernel(adj, sources, cutoff, dist)
+
+    for module in (graphs, measures, labeling, verifier):
+        monkeypatch.setattr(module, "ball_sweep", counting_sweep, raising=False)
+        monkeypatch.setattr(module, "bfs", counting_bfs, raising=False)
+    return balls, searches
 
 
 @pytest.fixture()
@@ -129,13 +151,7 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
     """The witness's own sweep and the coloring are prove's only sweeps; the witness is measured once."""
     g = tmp_path / "g8.graph"
     run(capsys, "gen", "--family", "grid", "--n", "8,8", "--out", str(g))
-    sweeps = Counter()
-    kernel = graphs.bfs
-
-    def counting_bfs(adj, sources, cutoff=None, dist=None):
-        sweeps[cutoff] += 1
-        return kernel(adj, sources, cutoff, dist)
-
+    balls, searches = count_searches(monkeypatch)
     edges_measured = Counter()
     l1 = measures.l1_distance
 
@@ -143,19 +159,18 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
         edges_measured["l1"] += 1
         return l1(p, q)
 
-    for module in (graphs, measures):
-        monkeypatch.setattr(module, "bfs", counting_bfs)
     monkeypatch.setattr(measures, "l1_distance", counting_l1)
     code, _, _ = run(capsys, "prove", str(g), "--witness", "uniform-ball", "--r", "2",
                      "--eps-prime", "3/2", "--out", str(tmp_path / "g8.labels"))
     assert code == 0
-    assert sweeps[6] == 64  # the distance-(2r+2) coloring
-    assert sweeps[4] == 0  # K = max |B_2r| comes from the coloring sweep
+    assert balls[6] == 64  # the distance-(2r+2) coloring
+    assert balls[4] == 0  # K = max |B_2r| comes from the coloring sweep
     # the witness's own sweep: its supports are its balls, so the uniformity
     # check sweeps no balls again; alpha's max |B_r| is read from the
     # witness's sweep, and the tables are scattered from the supports
-    assert sweeps[2] == 64
-    assert sweeps == {2: 64, 6: 64}
+    assert balls[2] == 64
+    assert balls == {2: 64, 6: 64}
+    assert searches == {}  # no ball is read outside the sweep
     assert edges_measured["l1"] == 112
 
 
@@ -211,6 +226,22 @@ def test_verify_accepts_and_is_quiet_about_it(p11, capsys):
     code, out, _ = run(capsys, "verify", str(g), str(labels))
     assert code == 0
     assert out == "verdict accept\n"
+
+
+def test_verify_huge_jobs_starts_a_capped_pool(p11, capsys, tmp_path, monkeypatch):
+    """--jobs 100000 asks for no more processes than usable CPUs; verdict bytes do not change."""
+    g, labels = p11
+    asked = []
+    monkeypatch.setattr(verifier, "_make_pool", functools.partial(InProcessPool, asked))
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 3)
+    outs = {}
+    for jobs in ("1", "100000"):
+        outs[jobs] = tmp_path / f"p11.verdict{jobs}"
+        code, _, _ = run(capsys, "verify", str(g), str(labels), "--jobs", jobs,
+                         "--out", str(outs[jobs]))
+        assert code == 0
+    assert asked == [3]
+    assert outs["1"].read_bytes() == outs["100000"].read_bytes()
 
 
 def test_verify_rejects_tampered_color(p11, capsys):
@@ -289,24 +320,16 @@ def test_report_reads_each_ball_once(capsys, tmp_path, monkeypatch):
     run(capsys, "gen", "--family", "grid", "--n", "8,8", "--out", str(g))
     run(capsys, "prove", str(g), "--witness", "uniform-ball", "--r", "2",
         "--eps-prime", "1", "--out", str(labels))
-    sweeps = Counter()
-    kernel = graphs.bfs
-
-    def counting_bfs(adj, sources, cutoff=None, dist=None):
-        sweeps[cutoff] += 1
-        return kernel(adj, sources, cutoff, dist)
-
-    for module in (graphs, measures, verifier):
-        monkeypatch.setattr(module, "bfs", counting_bfs)
+    balls, searches = count_searches(monkeypatch)
     code, out, _ = run(capsys, "report", str(g), str(labels))
     assert code == 0
     assert "verdict = accept\n" in out
-    assert sweeps[3] == 64  # one B_{r+1} ball per vertex, judged and decoded
+    assert balls == {3: 64}  # one B_{r+1} ball per vertex, judged and decoded
     # components passes only: one for the structural half, and one in
     # is_planar for each of the 4 extraction blocks (of 9) that have more
     # than 4 vertices and at most n + 2 edges, where the cyclomatic number
     # can settle planarity
-    assert sweeps == {3: 64, None: 5}
+    assert searches == {None: 5}
 
 
 def test_report_rejecting_exit(p11, capsys, tmp_path):

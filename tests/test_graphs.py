@@ -172,7 +172,7 @@ def test_rooted_ball_structure():
                 b = ball(G, x, s)
                 order, dist = bfs(G.adj, (x,), s)
                 assert b.vertices == tuple(order)
-                assert b.dist == tuple(dist[v] for v in order)
+                assert len(b.ends) == s + 1
                 for t in range(s + 2):
                     assert b.within(t) == sum(1 for d in dist.values() if d <= t)
                 inside = set(order)
@@ -201,8 +201,9 @@ def test_ball_size_bounds():
 def test_max_ball_size_actual_examples():
     P = lc.generate(lc.FamilySpec("path", (11,)))
     assert max_ball_size_actual(P, 2) == 5
+    assert P._ball_sizes == {0: 1, 1: 3, 2: 5}  # one sweep measures every s <= r
     assert max_ball_size_actual(P, 100) == 11
-    assert P._ball_sizes == {2: 5, 100: 11}
+    assert P._ball_sizes == {s: min(2 * s + 1, 11) for s in range(101)}
     assert P == lc.generate(lc.FamilySpec("path", (11,)))
 
 
@@ -210,14 +211,41 @@ def test_ball_sweep_yields_bfs_balls_and_memoizes_when_done():
     G = lc.generate(lc.FamilySpec("grid", (4, 5)))
     sweep = lc.ball_sweep(G, 3)
     first = next(sweep)
-    assert first == (0, lc.bfs(G.adj, (0,), 3)[0])
+    assert first == (0, lc.bfs(G.adj, (0,), 3)[0], [1, 3, 6, 10])
     assert G._ball_sizes == {}  # nothing is recorded before the last vertex
     rest = list(sweep)
-    assert [x for x, _ in rest] == list(range(1, G.n))
-    assert all(ball == lc.bfs(G.adj, (x,), 3)[0] for x, ball in rest)
+    assert [x for x, _, _ in rest] == list(range(1, G.n))
+    assert all(ball == lc.bfs(G.adj, (x,), 3)[0] for x, ball, _ in rest)
     assert G._ball_sizes == {0: 1, 1: 5, 2: 12, 3: 18}
     with pytest.raises(ValueError):
         next(lc.ball_sweep(G, -1))
+
+
+def test_ball_sweep_matches_bfs_on_random_graphs():
+    """Each swept ball is bfs's, in the same order; ends[s] counts distance <= s.
+
+    Also over part of the vertex range, which yields the same balls and
+    records nothing in G's memo.
+    """
+    rng = random.Random(132)
+    for _ in range(25):
+        G = random_family_graph(rng)
+        q = rng.randint(0, 6)
+        lo = rng.randrange(G.n)
+        hi = rng.randint(lo, G.n)
+        part = list(lc.ball_sweep(G, q, range(lo, hi)))
+        assert G._ball_sizes == {}
+        assert [x for x, _, _ in part] == list(range(lo, hi))
+        swept = list(lc.ball_sweep(G, q))
+        assert [x for x, _, _ in swept] == list(range(G.n))
+        assert swept[lo:hi] == part
+        for x, order, ends in swept:
+            want, dist = bfs(G.adj, (x,), q)
+            assert order == want
+            assert ends == [sum(1 for d in dist.values() if d <= s) for s in range(q + 1)]
+        assert G._ball_sizes == {
+            s: max(ends[s] for _, _, ends in swept) for s in range(q + 1)
+        }
 
 
 # --- subgraphs and components -----------------------------------------------

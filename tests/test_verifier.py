@@ -1,5 +1,6 @@
 """Per-vertex checks, pipeline verdicts, predicates, and ball-set verifiers."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localcert as lc
-from conftest import prove_uniform, random_family_graph
+from conftest import InProcessPool, prove_uniform, random_family_graph
+from localcert import verifier
 from localcert.errors import MalformedLabeling, NotAccepted
-from localcert.graphs import RootedBall, build_graph
+from localcert.graphs import RootedBall, ball_sweep, build_graph
 from localcert.labeling import ProofLabeling, SchemeParams
 from localcert.verifier import (
     CHECK_L1,
@@ -20,11 +22,11 @@ from localcert.verifier import (
     CHECK_PROBABILITY,
     CHECK_PROPERNESS,
     BallSetVerifier,
+    LabeledBall,
     canonical_ball,
     check_vertex,
     combine_verdicts,
     decode_accepted_witness,
-    extract_labeled_ball,
     format_verdict,
     is_acyclic,
     is_planar,
@@ -107,14 +109,31 @@ def test_decode_returns_the_encoded_witness(p11):
 
 def test_check_vertex_agrees_with_driver(p11):
     params = p11.labeling.params
-    for x in range(p11.G.n):
-        lball = extract_labeled_ball(p11.G, p11.labeling, x, params.r + 1)
+    for x, order, ends in ball_sweep(p11.G, params.r + 1):
+        lball = LabeledBall(p11.G.adj, order, ends, p11.labeling)
         assert check_vertex(lball, params) == p11.property_a.decisions[x]
 
 
 def test_jobs_do_not_change_decisions(p11):
     v2 = verify_property_a(p11.G, p11.labeling, jobs=2)
     assert v2 == p11.property_a
+
+
+@pytest.mark.parametrize("cpus, jobs, want", [(4, 100000, [4]), (64, 100000, [11]),
+                                              (64, 3, [3]), (1, 8, [])])
+def test_pool_size_is_capped_by_cpus_and_vertices(p11, monkeypatch, cpus, jobs, want):
+    """The pool gets min(jobs, usable CPUs, n) processes, none when that is 1."""
+    asked = []
+    monkeypatch.setattr(verifier, "_make_pool", functools.partial(InProcessPool, asked))
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: cpus)
+    lab = p11.labeling
+    assert verify_property_a(p11.G, lab, jobs=jobs) == p11.property_a
+    q = lab.colors[5]
+    bad = tampered(lab, 5, q, lab.tables[5][q] + 1)
+    want_bad = verify_property_a(p11.G, bad)
+    assert not want_bad.accept
+    assert verify_property_a(p11.G, bad, jobs=jobs) == want_bad
+    assert asked == want * 2
 
 
 # --- soundness pressure --------------------------------------------------------
@@ -317,7 +336,6 @@ def test_locally_p_matches_per_vertex_bruteforce():
 def test_locally_p_covering_probe_spares_per_vertex_bfs(monkeypatch, side):
     """K5 hung off a grid corner: the probe from the corner sees the whole
     component, so every ball within K - ecc of it is the failing component."""
-    from localcert import verifier
     from localcert.graphs import bfs, induced_subgraph
 
     grid = lc.generate(lc.FamilySpec("grid", (side, side)))
@@ -348,8 +366,6 @@ def test_locally_p_custom_callable_is_judged_per_ball():
 
 
 def test_locally_p_named_predicate_settles_a_passing_component_once(monkeypatch):
-    from localcert import verifier
-
     calls = []
 
     def counted(H):
