@@ -51,6 +51,7 @@ from .measures import (
     l1_distance,
     project_witness,
     read_witness_file,
+    require_quantizable,
     tighten_radius,
     uniform_ball_witness,
     write_witness_file,

@@ -33,7 +33,7 @@ from .measures import (
     WitnessFunction,
     check_uniformity,
     derive_alpha,
-    discretize_witness,
+    require_quantizable,
     tighten_radius,
     uniform_ball_witness,
 )
@@ -143,8 +143,11 @@ def cmd_prove(args: argparse.Namespace) -> int:
     alpha = args.alpha if args.alpha is not None else derive_alpha(
         G, w.radius, eps, args.eps_prime
     )
-    quantized = discretize_witness(w, eps, args.eps_prime, alpha)
-    labeling = build_proof(G, quantized, args.eps_prime)
+    require_quantizable(w, eps, args.eps_prime, alpha)
+    labeling = build_proof(G, w, args.eps_prime, alpha)
+    # the exact witness is the largest object prove holds; drop it before
+    # the label text is built
+    del w
     if args.K is not None:
         labeling = replace(labeling, k_local=args.K)
     _emit(format_labeling(labeling), args.out)
@@ -174,6 +177,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     labeling = read_labeling_file(args.labels)
     witness = decode_accepted_witness(G, labeling)
     eps = args.eps if args.eps is not None else labeling.params.eps_prime
+    del labeling  # the tables are not read again; release them before extraction
     partition = extract_partition(G, witness, eps)
     _emit(format_partition(partition), args.out)
     bound = edit_distance_upper_bound(G, partition, resolve_predicate(args.predicate))
@@ -192,12 +196,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     G = _read_nonempty_graph(args.graph, "report on")
     labeling = read_labeling_file(args.labels)
-    p = labeling.params
-    # property A and the decoded witness come from one pass over the balls
+    # property A and the decoded witness come from one pass over the balls;
+    # the tables are not read again, so only the header is kept
     property_a, witness = verify_and_decode(G, labeling)
-    verdict = combine_verdicts(
-        property_a, verify_locally_p(G, labeling.k_local, args.predicate)
-    )
+    p, k_local = labeling.params, labeling.k_local
+    del labeling
+    verdict = combine_verdicts(property_a, verify_locally_p(G, k_local, args.predicate))
     guarantee = Fraction(G.d * G.d, 1) * p.eps_prime / 2
     lines = [
         f"n = {G.n}",
@@ -207,7 +211,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         f"alpha = {p.alpha}",
         f"palette = {p.palette}",
         f"eps_prime = {_fraction_str(p.eps_prime)}",
-        f"K = {labeling.k_local}",
+        f"K = {k_local}",
         f"predicate = {args.predicate}",
         f"verdict = {'accept' if verdict.accept else 'reject'}",
         f"rejecting = {len(verdict.rejecting())}",
@@ -217,7 +221,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         partition = extract_partition(G, witness, p.eps_prime)
         decoded = check_uniformity(witness)  # cached by the extraction's pass
         hyper = check_hyperfinite(
-            G, partition, guarantee, labeling.k_local, normalization="vertices"
+            G, partition, guarantee, k_local, normalization="vertices"
         )
         bound = edit_distance_upper_bound(G, partition, resolve_predicate(args.predicate))
         lines += [

@@ -4,6 +4,8 @@ A labeling encodes a quantized witness g so that any vertex can recover
 g(x)(z) for nearby x from labels alone: T1 colors vertices so that equal
 colors never appear within distance 2r+2 of each other, and T2(z) stores, per
 color q, alpha * g(x)(z) for the unique q-colored x with z in B_r(x).
+`build_proof` quantizes the prover's exact witness into g while it writes
+the tables.
 
 Text format:
 
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from .errors import FormatError
 from .graphs import BoundedDegreeGraph, ball_sweep, max_ball_size_actual
-from .measures import WitnessFunction
+from .measures import WitnessFunction, discretize
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,9 @@ def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def build_proof(G: BoundedDegreeGraph, gtilde: WitnessFunction,
-                eps_prime: Fraction) -> ProofLabeling:
-    """Assemble the labeling that encodes a quantized witness.
+def build_proof(G: BoundedDegreeGraph, w: WitnessFunction, eps_prime: Fraction,
+                alpha: int | None = None) -> ProofLabeling:
+    """Assemble the labeling that encodes w quantized to denominator alpha.
 
     The prover picks its own coloring: distance_coloring at distance 2r+2,
     not 2r.  Two vertices of one color are then more than 2r+2 apart, so no
@@ -112,23 +114,26 @@ def build_proof(G: BoundedDegreeGraph, gtilde: WitnessFunction,
     exact.  Its sweep also memoizes max |B_2r|, the component bound the
     scheme certifies, which k_local is fixed to.
 
-    Each table is scattered from the supports, T[z][c(x)] = g(x)(z), so
-    gtilde must have every support inside B_r(x) (discretize_witness
-    guarantees it) and one common denominator alpha.
+    Each table is scattered from the supports, T[z][c(x)] = g(x)(z) with
+    g(x) = discretize(w(x), alpha), one vertex at a time, so the quantized
+    witness never exists as a whole.  Every support must lie inside B_r(x);
+    `require_quantizable` checks that, and that g stays eps'-uniform.  alpha
+    defaults to w's one common denominator, where discretize is the identity.
     """
-    if not gtilde.is_full:
+    if not w.is_full:
         raise ValueError("labels encode full-graph witnesses only")
-    r = gtilde.radius
-    alphas = {gtilde.dists[x].den for x in gtilde.vertices}
-    if len(alphas) != 1:
-        raise ValueError(f"witness must share one denominator, found {sorted(alphas)}")
-    (alpha,) = alphas
+    r = w.radius
+    if alpha is None:
+        alphas = {w.dists[x].den for x in w.vertices}
+        if len(alphas) != 1:
+            raise ValueError(f"witness must share one denominator, found {sorted(alphas)}")
+        (alpha,) = alphas
     colors = distance_coloring(G, 2 * r + 2)
     palette = max(colors) + 1
     params = SchemeParams(r=r, eps_prime=eps_prime, alpha=alpha, palette=palette)
     tables = [[0] * palette for _ in range(G.n)]
     for x, c in enumerate(colors):
-        for z, t in gtilde.dists[x].num.items():
+        for z, t in discretize(w.dists[x], alpha).num.items():
             tables[z][c] = t
     # in place, so each list row is freed as its tuple is made
     for z, row in enumerate(tables):
@@ -147,7 +152,8 @@ def format_labeling(labeling: ProofLabeling) -> str:
     )
     lines = [head]
     for x in range(labeling.n):
-        row = " ".join(str(t) for t in labeling.tables[x])
+        # a list, not map(str, ...): CPython specializes the str(t) call
+        row = " ".join([str(t) for t in labeling.tables[x]])
         lines.append(f"{x} {labeling.colors[x]} {row}")
     return "\n".join(lines) + "\n"
 

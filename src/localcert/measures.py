@@ -38,20 +38,27 @@ class RationalDist:
     __slots__ = ("den", "num")
 
     def __init__(self, den: int, num: Mapping[int, int]):
+        """Validate and adopt `num`: a dict without zero entries is kept, not copied.
+
+        The caller hands such a dict over and must not mutate it afterwards;
+        zero entries are dropped into a fresh dict.
+        """
         if den < 1:
             raise ValueError(f"denominator must be positive, got {den}")
-        cleaned: dict[int, int] = {}
-        total = 0
-        for z, c in num.items():
-            if c < 0:
-                raise ValueError(f"negative numerator {c} at vertex {z}")
-            if c:
-                cleaned[z] = c
-                total += c
+        values = num.values()
+        # min and sum scan the numerators in C; only a failing dist is walked for its entry
+        if values and min(values) < 0:
+            z, c = next((z, c) for z, c in num.items() if c < 0)
+            raise ValueError(f"negative numerator {c} at vertex {z}")
+        total = sum(values)
         if total != den:
             raise ValueError(f"numerators sum to {total}, expected {den}")
+        if 0 in values:
+            num = {z: c for z, c in num.items() if c}
+        elif not isinstance(num, dict):
+            num = dict(num)
         self.den = den
-        self.num = cleaned
+        self.num = num
 
     @classmethod
     def delta(cls, z: int) -> "RationalDist":
@@ -62,7 +69,7 @@ class RationalDist:
         vs = list(vertices)
         if not vs:
             raise ValueError("uniform distribution needs a nonempty support")
-        return cls(len(vs), {z: 1 for z in vs})
+        return cls(len(vs), dict.fromkeys(vs, 1))
 
     def value(self, z: int) -> Fraction:
         return Fraction(self.num.get(z, 0), self.den)
@@ -270,10 +277,13 @@ def discretize(f: RationalDist, alpha: int) -> RationalDist:
     Each value is floored to a multiple of 1/alpha; the mass deficit
     alpha - sum(floors) is returned by raising that many entries by 1/alpha,
     chosen by largest fractional part, ties by smaller vertex id.  Per entry
-    the error is < 1/alpha, so ||f - g||_1 <= |support| / alpha.
+    the error is < 1/alpha, so ||f - g||_1 <= |support| / alpha.  A
+    distribution already over alpha is returned as it is.
     """
     if alpha < 1:
         raise InfeasibleAlpha(f"alpha must be a positive integer, got {alpha}")
+    if f.den == alpha:
+        return f
     floors: dict[int, int] = {}
     fracs: list[tuple[int, int]] = []  # (-frac_numerator, vertex)
     total = 0
@@ -302,13 +312,15 @@ def derive_alpha(G: BoundedDegreeGraph, r: int, eps: Fraction, eps_prime: Fracti
     return math.ceil(Fraction(3 * max_ball_size_actual(G, r)) / (eps_prime - eps))
 
 
-def discretize_witness(w: WitnessFunction, eps: Fraction, eps_prime: Fraction,
-                       alpha: int) -> WitnessFunction:
-    """Quantize every distribution of an eps-uniform witness to denominator alpha.
+def require_quantizable(w: WitnessFunction, eps: Fraction, eps_prime: Fraction,
+                        alpha: int) -> None:
+    """Raise unless discretizing w to denominator alpha keeps every edge below eps'.
 
-    Requires w to measure at most eps and alpha to satisfy the sizing rule
-    against max ball size, so that every edge of the result measures at most
-    2(eps' - eps)/3 + eps < eps'.
+    w must measure at most eps with valid supports (NotUniform otherwise),
+    and alpha must be a positive integer meeting the sizing rule against
+    max ball size (InfeasibleAlpha otherwise).  Then each distribution moves
+    by at most (eps' - eps)/3, so every edge of the quantized witness
+    measures at most 2(eps' - eps)/3 + eps < eps'.
     """
     _require_uniform(check_uniformity(w), eps)
     if alpha < 1:
@@ -319,6 +331,17 @@ def discretize_witness(w: WitnessFunction, eps: Fraction, eps_prime: Fraction,
             f"alpha={alpha} too small: need alpha >= {bound}/(eps'-eps) "
             f"= {math.ceil(bound / (eps_prime - eps))}"
         )
+
+
+def discretize_witness(w: WitnessFunction, eps: Fraction, eps_prime: Fraction,
+                       alpha: int) -> WitnessFunction:
+    """Quantize every distribution of an eps-uniform witness to denominator alpha.
+
+    The whole quantized witness is held at once; the prover instead passes
+    the exact witness and alpha to `build_proof`, which quantizes one vertex
+    at a time.  Checked by `require_quantizable`.
+    """
+    require_quantizable(w, eps, eps_prime, alpha)
     dists = {x: discretize(w.dists[x], alpha) for x in w.vertices}
     # each support is a subset of the one just checked
     return _record_supports_in_balls(WitnessFunction(w.graph, w.radius, dists, w.vertices))

@@ -141,7 +141,11 @@ def witness_from_separators(G: BoundedDegreeGraph, dist: SeparatorDistribution) 
                 row = nums[x]
                 for z in comp:
                     row[z] = row.get(z, 0) + share
-    dists = {x: RationalDist(den, nums[x]) for x in range(G.n)}
+    # one vertex at a time: each row is handed to its distribution and
+    # dropped from nums, so no row is held twice
+    dists = {}
+    for x in range(G.n):
+        dists[x], nums[x] = RationalDist(den, nums[x]), None
     return WitnessFunction(G, dist.K, dists)
 
 

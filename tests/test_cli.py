@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import localcert as lc
 from conftest import InProcessPool
-from localcert import graphs, labeling, measures, verifier
+from localcert import cli, graphs, labeling, measures, verifier
 from localcert.cli import main
 
 
@@ -196,6 +197,43 @@ def test_prove_alpha_below_one_exits_two(p11, capsys, alpha):
     assert code == 2
     assert out == ""
     assert err == f"error: --alpha must be positive, got {alpha}\n"
+
+
+def test_prove_alpha_too_small_exits_one_without_labels(p11, capsys, tmp_path):
+    g, _ = p11
+    labels = tmp_path / "a7.labels"
+    code, out, err = run(capsys, "prove", str(g), "--eps-prime", "5/6", "--alpha", "7",
+                         "--out", str(labels))
+    assert code == 1
+    assert out == ""
+    assert err == "error: alpha=7 too small: need alpha >= 21/(eps'-eps) = 630\n"
+    assert not labels.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--eps-prime", "3/2", "--witness", "uniform-ball", "--r", "2"),
+    ("--eps-prime", "1/2"),
+])
+def test_prove_drops_the_exact_witness_before_formatting(capsys, tmp_path, monkeypatch, flags):
+    """prove holds the exact witness or the label text, never both."""
+    g = tmp_path / "t.graph"
+    run(capsys, "gen", "--family", "full_tree", "--n", "2,4", "--out", str(g))
+    witnesses, alive_at_format = [], []
+    build, fmt = cli.build_proof, cli.format_labeling
+
+    def spy_build(G, w, eps_prime, alpha=None):
+        witnesses.append(weakref.ref(w))
+        return build(G, w, eps_prime, alpha)
+
+    def spy_format(lab):
+        alive_at_format.append([ref() is not None for ref in witnesses])
+        return fmt(lab)
+
+    monkeypatch.setattr(cli, "build_proof", spy_build)
+    monkeypatch.setattr(cli, "format_labeling", spy_format)
+    code, out, _ = run(capsys, "prove", str(g), *flags)
+    assert code == 0 and out.startswith("labels 31 ")
+    assert alive_at_format == [[False]]
 
 
 @pytest.mark.parametrize("flags", [

@@ -148,6 +148,52 @@ def test_decode_round_trip_random():
                 assert decoded.dists[x].value(z) == g.dists[x].value(z)
 
 
+def fused_cases():
+    """Exact witnesses with their eps' and a feasible alpha: uniform balls and separator shifts."""
+    rng = random.Random(404)
+    cases = []
+    while len(cases) < 20:
+        G = random_family_graph(rng)
+        w = uniform_ball_witness(G, rng.randint(1, 3))
+        eps = lc.check_uniformity(w).max_edge_l1
+        eps_prime = eps + Fraction(rng.randint(1, 5), rng.randint(8, 40))
+        if eps_prime >= 2:
+            continue
+        alpha = lc.derive_alpha(G, w.radius, eps, eps_prime) + rng.choice((0, 0, 1, 17))
+        cases.append((G, w, eps, eps_prime, alpha))
+    for family, params, k in (("path", (23,), 4), ("cycle", (24,), 6), ("full_tree", (2, 5), 3)):
+        G = lc.generate(lc.FamilySpec(family, params))
+        w = lc.tighten_radius(lc.witness_from_separators(G, lc.shift_family_distribution(G, k)))
+        eps = lc.check_uniformity(w).max_edge_l1
+        eps_prime = min(eps + Fraction(1, 8), (eps + 2) / 2)
+        cases.append((G, w, eps, eps_prime, lc.derive_alpha(G, w.radius, eps, eps_prime)))
+    return cases
+
+
+def assert_same_labeling(fused, staged):
+    assert fused.params == staged.params
+    assert fused.colors == staged.colors
+    assert fused.tables == staged.tables
+    assert fused.k_local == staged.k_local
+    assert format_labeling(fused) == format_labeling(staged)
+
+
+@pytest.mark.parametrize("G, w, eps, eps_prime, alpha", fused_cases())
+def test_fused_build_proof_matches_discretize_witness(G, w, eps, eps_prime, alpha):
+    """Quantizing while scattering writes the labeling the whole quantized witness gives."""
+    staged = build_proof(G, discretize_witness(w, eps, eps_prime, alpha), eps_prime)
+    assert_same_labeling(build_proof(G, w, eps_prime, alpha), staged)
+
+
+def test_fused_build_proof_matches_on_proved_instances(accepted_instances):
+    """The session's uniform-ball and separator instances, proved through discretize_witness."""
+    for inst in accepted_instances:
+        eps_prime, alpha = inst.labeling.params.eps_prime, inst.labeling.params.alpha
+        assert_same_labeling(build_proof(inst.G, inst.raw, eps_prime, alpha), inst.labeling)
+        # alpha defaults to the one common denominator of a quantized witness
+        assert build_proof(inst.G, inst.quantized, eps_prime) == inst.labeling, inst.name
+
+
 def test_support_outside_the_ball_is_rejected_at_its_owner():
     """An atom beyond B_r(x) lands in a table that x cannot read, so x's masses fall short."""
     G = lc.generate(lc.FamilySpec("path", (6,)))

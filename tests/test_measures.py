@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -16,6 +17,7 @@ from localcert.measures import (
     discretize_witness,
     l1_distance,
     project_witness,
+    require_quantizable,
     uniform_ball_witness,
 )
 
@@ -41,6 +43,35 @@ def test_rational_dist_basics():
         RationalDist(4, {0: 1, 1: 2})
     with pytest.raises(ValueError):
         RationalDist(2, {0: 3, 1: -1})
+
+
+@pytest.mark.parametrize("den, num, message", [
+    (0, {0: 1}, "denominator must be positive, got 0"),
+    (2, {0: 3, 1: -1}, "negative numerator -1 at vertex 1"),
+    (4, {0: 1, 1: 2}, "numerators sum to 3, expected 4"),
+    (4, {0: 1, 1: 0, 2: 2}, "numerators sum to 3, expected 4"),
+    (1, {}, "numerators sum to 0, expected 1"),
+])
+def test_rational_dist_rejects_with_the_offending_entry(den, num, message):
+    with pytest.raises(ValueError) as exc:
+        RationalDist(den, num)
+    assert str(exc.value) == message
+
+
+def test_rational_dist_adopts_a_zero_free_dict_and_drops_zeros():
+    num = {4: 1, 2: 2}
+    assert RationalDist(3, num).num is num
+    with_zero = {4: 1, 5: 0, 2: 2}
+    d = RationalDist(3, with_zero)
+    assert d.num == {4: 1, 2: 2} and d.num is not with_zero
+    assert with_zero == {4: 1, 5: 0, 2: 2}
+    proxy = RationalDist(3, MappingProxyType({0: 1, 1: 2}))
+    assert type(proxy.num) is dict and proxy.num == {0: 1, 1: 2}
+    assert RationalDist.uniform(range(4)).num == {0: 1, 1: 1, 2: 1, 3: 1}
+    with pytest.raises(ValueError):
+        RationalDist.uniform([])
+    with pytest.raises(ValueError):
+        RationalDist.uniform([1, 1])
 
 
 def test_rational_dist_equality_ignores_representation():
@@ -172,6 +203,13 @@ def test_discretize_is_deterministic():
     assert discretize(f, 11) == discretize(f, 11)
 
 
+def test_discretize_to_its_own_denominator_is_the_identity():
+    f = RationalDist(7, {0: 3, 1: 2, 2: 2})
+    assert discretize(f, 7) is f
+    with pytest.raises(InfeasibleAlpha):
+        discretize(f, 0)
+
+
 def test_derive_alpha_examples():
     P = lc.generate(lc.FamilySpec("path", (11,)))
     assert derive_alpha(P, 1, Fraction(2, 3), Fraction(5, 6)) == 54
@@ -180,12 +218,18 @@ def test_derive_alpha_examples():
 
 
 def test_discretize_witness_guards():
+    """discretize_witness runs exactly the up-front checks the prover runs."""
     G = lc.generate(lc.FamilySpec("path", (11,)))
     w = uniform_ball_witness(G, 1)
-    with pytest.raises(NotUniform):
-        discretize_witness(w, Fraction(1, 2), Fraction(3, 4), 100)
-    with pytest.raises(InfeasibleAlpha):
-        discretize_witness(w, Fraction(2, 3), Fraction(5, 6), 53)
+    for check in (require_quantizable, discretize_witness):
+        with pytest.raises(NotUniform):
+            check(w, Fraction(1, 2), Fraction(3, 4), 100)
+        with pytest.raises(InfeasibleAlpha, match="alpha must be a positive integer, got 0"):
+            check(w, Fraction(2, 3), Fraction(5, 6), 0)
+        with pytest.raises(InfeasibleAlpha) as exc:
+            check(w, Fraction(2, 3), Fraction(5, 6), 53)
+        assert str(exc.value) == "alpha=53 too small: need alpha >= 9/(eps'-eps) = 54"
+        check(w, Fraction(2, 3), Fraction(5, 6), 54)
 
 
 def test_discretize_witness_edge_bound():
