@@ -43,6 +43,7 @@ from .separators import (
     witness_from_separators,
 )
 from .verifier import (
+    PREDICATES,
     combine_verdicts,
     decode_accepted_witness,
     format_verdict,
@@ -275,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn_help)
         p.add_argument("graph")
         p.add_argument("labels")
-        p.add_argument("--predicate", default="planar",
-                       choices=["planar", "acyclic", "always-true"])
+        p.add_argument("--predicate", default="planar", choices=list(PREDICATES))
         if name == "verify":
             p.add_argument("--jobs", type=int, default=1)
         elif name == "extract":

@@ -144,18 +144,37 @@ def build_proof(G: BoundedDegreeGraph, w: WitnessFunction, eps_prime: Fraction,
 
 # --- text format ----------------------------------------------------------
 
+class _Converted(dict):
+    """token -> convert(token), computed on first lookup and kept.
+
+    Label files repeat a few values (grid 50^2: 767 500 tokens, 2 500
+    distinct), so the text format converts each distinct token once per call;
+    equal entries then share one object.  A fresh instance per call keeps no
+    state between calls.
+    """
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, token):
+        value = self[token] = self.convert(token)
+        return value
+
+
 def format_labeling(labeling: ProofLabeling) -> str:
     p = labeling.params
     head = (
         f"labels {labeling.n} {p.r} {p.alpha} {p.palette} "
         f"{p.eps_prime.numerator}/{p.eps_prime.denominator} {labeling.k_local}"
     )
+    to_str = _Converted(str).__getitem__
     lines = [head]
-    for x in range(labeling.n):
-        # a list, not map(str, ...): CPython specializes the str(t) call
-        row = " ".join([str(t) for t in labeling.tables[x]])
-        lines.append(f"{x} {labeling.colors[x]} {row}")
-    return "\n".join(lines) + "\n"
+    for x, (c, row) in enumerate(zip(labeling.colors, labeling.tables)):
+        lines.append(f"{x} {c} " + " ".join(map(to_str, row)))
+    # the empty last line gives the trailing newline without a second copy of the text
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_labeling(text: str) -> ProofLabeling:
@@ -174,6 +193,8 @@ def parse_labeling(text: str) -> ProofLabeling:
         raise FormatError(f"bad labels header: {lines[0]!r}") from exc
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} label lines, got {len(lines) - 1}")
+    # validation (ranges included) stays in ProofLabeling; the memo only converts
+    to_int = _Converted(int).__getitem__
     colors = []
     tables = []
     for i, ln in enumerate(lines[1:]):
@@ -183,9 +204,9 @@ def parse_labeling(text: str) -> ProofLabeling:
                 f"label line needs vertex, color and {palette} entries: {ln!r}"
             )
         try:
-            x = int(parts[0])
-            colors.append(int(parts[1]))
-            tables.append(tuple(map(int, parts[2:])))
+            x = to_int(parts[0])
+            colors.append(to_int(parts[1]))
+            tables.append(tuple(map(to_int, parts[2:])))
         except ValueError as exc:
             raise FormatError(f"non-integer label line: {ln!r}") from exc
         if x != i:

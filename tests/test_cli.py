@@ -282,6 +282,23 @@ def test_verify_huge_jobs_starts_a_capped_pool(p11, capsys, tmp_path, monkeypatc
     assert outs["1"].read_bytes() == outs["100000"].read_bytes()
 
 
+@pytest.mark.parametrize("command", ["verify", "extract", "report"])
+def test_predicate_choices_come_from_predicates(p11, capsys, monkeypatch, command):
+    """--predicate offers exactly verifier.PREDICATES, in its order."""
+    g, labels = p11
+    calls = []
+    monkeypatch.setitem(verifier.PREDICATES, "counted", lambda G: not calls.append(G.n))
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "{planar,acyclic,always-true,counted}" in capsys.readouterr().out
+    code, _, _ = run(capsys, command, str(g), str(labels), "--predicate", "counted")
+    assert code == 0 and calls
+    monkeypatch.delitem(verifier.PREDICATES, "counted")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(g), str(labels), "--predicate", "counted"])
+    assert exc.value.code == 2
+
+
 def test_verify_rejects_tampered_color(p11, capsys):
     g, labels = p11
     lines = labels.read_text().splitlines()

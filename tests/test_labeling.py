@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import localcert as lc
 from conftest import random_family_graph
@@ -264,6 +266,9 @@ def test_labeling_format_golden():
     assert lines[1] == "0 0 3 2 0"
 
 
+VALID_TEXT = "labels 2 1 4 2 1/2 3\n0 0 4 0\n1 1 0 4\n"
+
+
 @pytest.mark.parametrize("text", [
     "",
     "labels 2 1 4 2 1/2\n0 0 4 0\n1 1 0 4\n",
@@ -271,7 +276,56 @@ def test_labeling_format_golden():
     "labels 2 1 4 2 1/2 3\n0 0 4 0 9\n1 1 0 4 0\n",
     "labels 2 1 4 2 1/2 3\n0 5 4 0\n1 1 0 4\n",
     "labels 2 1 4 2 2/1 3\n0 0 4 0\n1 1 0 4\n",
+    "labels 2 1 4 2 1/2 3\n0 0 x 0\n1 1 0 4\n",  # non-integer entry
+    "labels 2 1 4 2 1/2 3\n0 0 4.0 0\n1 1 0 4\n",  # non-integer entry
+    "labels 2 1 4 2 1/2 3\n0 0 4 -1\n1 1 0 4\n",  # negative entry
+    "labels 2 1 4 2 1/2 3\n0 0 4 0\n1 1 0 5\n",  # entry above alpha
+    "labels 2 1 4 2 1/2 3\n0 c 4 0\n1 1 0 4\n",  # non-integer colour
+    "labels 2 1 4 2 1/2 3\n0 0 4 0\nv 1 0 4\n",  # non-integer vertex id
 ])
 def test_parse_labeling_rejects_malformed(text):
     with pytest.raises(FormatError):
         parse_labeling(text)
+
+
+def test_parse_labeling_keeps_no_state_between_calls():
+    """A malformed text read between two reads of a valid one changes nothing."""
+    first = parse_labeling(VALID_TEXT)
+    with pytest.raises(FormatError):
+        parse_labeling(VALID_TEXT.replace("0 4\n", "0 4.0\n"))
+    assert parse_labeling(VALID_TEXT) == first
+
+
+def reference_format(labeling):
+    """The labels text spelled out one row at a time."""
+    p = labeling.params
+    out = (f"labels {labeling.n} {p.r} {p.alpha} {p.palette} "
+           f"{p.eps_prime.numerator}/{p.eps_prime.denominator} {labeling.k_local}\n")
+    for x, (c, row) in enumerate(zip(labeling.colors, labeling.tables)):
+        out += f"{x} {c} " + " ".join(map(str, row)) + "\n"
+    return out
+
+
+@st.composite
+def labelings(draw):
+    """Small labelings whose tables repeat a few values, some above 256."""
+    alpha = draw(st.integers(1, 5000))
+    palette = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 8))
+    eps_den = draw(st.integers(1, 9))
+    params = SchemeParams(r=draw(st.integers(1, 4)),
+                          eps_prime=Fraction(draw(st.integers(1, 2 * eps_den - 1)), eps_den),
+                          alpha=alpha, palette=palette)
+    values = draw(st.lists(st.integers(0, alpha), min_size=1, max_size=4))
+    entry = st.sampled_from(values + [alpha])
+    colors = draw(st.lists(st.integers(0, palette - 1), min_size=n, max_size=n))
+    tables = draw(st.lists(st.tuples(*[entry] * palette), min_size=n, max_size=n))
+    return ProofLabeling(params, tuple(colors), tuple(tables), draw(st.integers(0, 3000)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(labeling=labelings())
+def test_labeling_text_round_trip_property(labeling):
+    text = format_labeling(labeling)
+    assert text == reference_format(labeling)
+    assert parse_labeling(text) == labeling
