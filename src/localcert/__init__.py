@@ -50,11 +50,9 @@ from .measures import (
     discretize_witness,
     l1_distance,
     project_witness,
-    read_witness_file,
     require_quantizable,
     tighten_radius,
     uniform_ball_witness,
-    write_witness_file,
 )
 from .separators import (
     SeparatorDistribution,
@@ -90,6 +88,7 @@ from .verifier import (
     format_verdict,
     is_acyclic,
     is_planar,
+    locality_radius,
     pipeline_verify,
     product_verify,
     resolve_predicate,

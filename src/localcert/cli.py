@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +46,7 @@ from .verifier import (
     combine_verdicts,
     decode_accepted_witness,
     format_verdict,
+    locality_radius,
     pipeline_verify,
     resolve_predicate,
     verify_and_decode,
@@ -123,9 +123,16 @@ def _build_witness(G: BoundedDegreeGraph, args: argparse.Namespace) -> WitnessFu
     )
 
 
+def _require_nonnegative_eps(eps: Fraction | None) -> None:
+    # 0 stays legal: an edgeless graph measures 0
+    if eps is not None and eps < 0:
+        raise ValueError(f"--eps must be nonnegative, got {eps}")
+
+
 def cmd_prove(args: argparse.Namespace) -> int:
     if args.eps_prime <= 0:
         raise ValueError(f"--eps-prime must be positive, got {args.eps_prime}")
+    _require_nonnegative_eps(args.eps)
     if args.alpha is not None and args.alpha < 1:
         raise ValueError(f"--alpha must be positive, got {args.alpha}")
     G = _read_nonempty_graph(args.graph, "prove")
@@ -149,8 +156,6 @@ def cmd_prove(args: argparse.Namespace) -> int:
     # the exact witness is the largest object prove holds; drop it before
     # the label text is built
     del w
-    if args.K is not None:
-        labeling = replace(labeling, k_local=args.K)
     _emit(format_labeling(labeling), args.out)
     p = labeling.params
     sys.stderr.write(
@@ -174,6 +179,7 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    _require_nonnegative_eps(args.eps)
     G = _read_nonempty_graph(args.graph, "extract from")
     labeling = read_labeling_file(args.labels)
     witness = decode_accepted_witness(G, labeling)
@@ -202,7 +208,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     property_a, witness = verify_and_decode(G, labeling)
     p, k_local = labeling.params, labeling.k_local
     del labeling
-    verdict = combine_verdicts(property_a, verify_locally_p(G, k_local, args.predicate))
+    local_p = verify_locally_p(G, locality_radius(p), args.predicate)
+    verdict = combine_verdicts(property_a, local_p)
     guarantee = Fraction(G.d * G.d, 1) * p.eps_prime / 2
     lines = [
         f"n = {G.n}",
@@ -221,9 +228,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if verdict.accept:
         partition = extract_partition(G, witness, p.eps_prime)
         decoded = check_uniformity(witness)  # cached by the extraction's pass
-        hyper = check_hyperfinite(
-            G, partition, guarantee, k_local, normalization="vertices"
-        )
+        hyper = check_hyperfinite(G, partition, guarantee, k_local)
         bound = edit_distance_upper_bound(G, partition, resolve_predicate(args.predicate))
         lines += [
             f"eps_decoded = {_fraction_str(decoded.max_edge_l1)}",
@@ -266,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="uniform-ball | separators:<file> | auto")
     prove.add_argument("--k-shift", type=int, default=None,
                        help="shift modulus for auto separator witnesses")
-    prove.add_argument("--K", type=int, default=None,
-                       help="override the locality bound written to the header")
     prove.add_argument("--out", default=None)
 
     for name, fn_help in (("verify", "check a labeling"),

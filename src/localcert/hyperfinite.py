@@ -19,6 +19,7 @@ Partition text format:
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,38 +231,22 @@ def _superlevel_cut(G: BoundedDegreeGraph, domain: Container[int], zeta: Mapping
                     den: int, z0: int, eps: Fraction) -> LowBoundaryResult:
     """First superlevel set of zeta (positive numerators over den), in ascending
     threshold order, whose boundary within the domain is at most d*eps/2 of its size."""
-    # superlevel sets, largest first: vertices sorted by zeta descending,
-    # boundary edge count maintained incrementally per distinct-value batch
+    # superlevel sets, largest first: vertices sorted by zeta descending and
+    # added one at a time, the boundary edge count snapshotted per
+    # distinct-value batch (an edge inside a batch counts +1, then -1)
     order = sorted(zeta, key=lambda x: (-zeta[x], x))
-    batch_of: dict[int, int] = {}
     snapshots: list[tuple[int, int]] = []  # (|Omega|, |edge boundary|) per batch
     values: list[int] = []
     added: set[int] = set()
     cut = 0
-    i = 0
-    while i < len(order):
-        j = i
-        val = zeta[order[i]]
-        batch = []
-        while j < len(order) and zeta[order[j]] == val:
-            batch.append(order[j])
-            j += 1
-        for x in batch:
-            batch_of[x] = len(values)
+    for val, batch in itertools.groupby(order, key=zeta.__getitem__):
         for x in batch:
             for y in G.adj[x]:
-                if y not in domain:
-                    continue
-                if y in added:
-                    cut -= 1
-                elif batch_of.get(y) == len(values):
-                    pass  # same batch: never a boundary edge
-                else:
-                    cut += 1
-        added.update(batch)
+                if y in domain:
+                    cut += -1 if y in added else 1
+            added.add(x)
         values.append(val)
         snapshots.append((len(added), cut))
-        i = j
 
     # ascending thresholds: 0 pairs with the full positive support, then each
     # positive value t = values[j] pairs with the prefix above it
@@ -510,27 +495,24 @@ class HyperfiniteReport:
     removed_per_edge: Fraction
     max_block_size: int
     component_bound: int
-    normalization: str
 
 
 def check_hyperfinite(G: BoundedDegreeGraph, partition: PartitionResult,
-                      eps_e: Fraction, K: int,
-                      normalization: str = "vertices") -> HyperfiniteReport:
-    """Is (blocks, W) an (eps_e, K) certificate?  Reports both normalizations."""
-    if normalization not in ("vertices", "edges"):
-        raise ValueError(f"normalization must be 'vertices' or 'edges', got {normalization!r}")
+                      eps_e: Fraction, K: int) -> HyperfiniteReport:
+    """Is (blocks, W) an (eps_e, K) certificate?
+
+    `ok` judges |W| per vertex; |W| per edge is reported alongside.
+    """
     removed = partition.num_removed
     per_vertex = Fraction(removed, G.n) if G.n else Fraction(0)
     per_edge = Fraction(removed, G.m) if G.m else Fraction(0)
-    chosen = per_vertex if normalization == "vertices" else per_edge
-    ok = partition.max_block_size <= K and chosen <= eps_e
+    ok = partition.max_block_size <= K and per_vertex <= eps_e
     return HyperfiniteReport(
         ok=ok,
         removed_per_vertex=per_vertex,
         removed_per_edge=per_edge,
         max_block_size=partition.max_block_size,
         component_bound=K,
-        normalization=normalization,
     )
 
 

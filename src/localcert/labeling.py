@@ -12,8 +12,10 @@ Text format:
     labels <n> <r> <alpha> <palette> <epsnum>/<epsden> <K>
     <x> <color> <t_0> <t_1> ... <t_{palette-1}>
 
-where eps is the scheme's target eps' and K is the locality radius for the
-locally-checkable half of the pipeline.
+where eps is the scheme's target eps' and K is the component bound
+max |B_2r|, the block size a certificate is judged against.  K is a size,
+not a radius: the verifier checks its predicate at radius 2r, derived from
+r (`verifier.locality_radius`), and never reads K.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ class SchemeParams:
 class ProofLabeling:
     """One label per vertex: a color and a full mass table over the palette.
 
-    `k_local` is the locality radius the pipeline's structural half runs at;
-    it travels with the labeling because the verifier reads it from the
-    header, never from the graph.
+    `k_local` is the header's K: the component bound max |B_2r| that
+    `check_hyperfinite` holds extracted blocks to.  It is a size, not a
+    radius; the verifier's predicate radius is `verifier.locality_radius`.
     """
 
     params: SchemeParams

@@ -4,11 +4,6 @@ Everything here is exact: distributions are integer numerators over one
 positive denominator, l1 distances are Fractions, and no float appears
 anywhere.  A witness assigns each vertex x a distribution supported inside
 B_r(x); its quality is the maximum l1 distance across edges.
-
-Witness text format (full-graph witnesses only):
-
-    witness <n> <r>
-    <x> <D> <z>:<num> <z>:<num> ...   (one line per vertex, z ascending)
 """
 
 from __future__ import annotations
@@ -16,15 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import (
-    EmptySubgraph,
-    FormatError,
-    InfeasibleAlpha,
-    NotUniform,
-)
+from .errors import EmptySubgraph, InfeasibleAlpha, NotUniform
 from .graphs import BoundedDegreeGraph, ball_sweep, bfs, max_ball_size_actual
 
 
@@ -389,69 +378,3 @@ def project_witness(w: WitnessFunction, f_vertices: Iterable[int]) -> WitnessFun
             moved[target] = moved.get(target, 0) + c
         dists[x] = RationalDist(src.den, moved)
     return WitnessFunction(G, 2 * w.radius, dists, fvs)
-
-
-# --- text format ----------------------------------------------------------
-
-def format_witness(w: WitnessFunction) -> str:
-    if not w.is_full:
-        raise ValueError("only full-graph witnesses are serialized")
-    lines = [f"witness {w.graph.n} {w.radius}"]
-    for x in w.vertices:
-        d = w.dists[x]
-        entries = " ".join(f"{z}:{c}" for z, c in sorted(d.num.items()))
-        lines.append(f"{x} {d.den} {entries}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_witness(text: str, G: BoundedDegreeGraph) -> WitnessFunction:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty witness file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "witness":
-        raise FormatError(f"bad witness header: {lines[0]!r}")
-    try:
-        n, r = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise FormatError(f"non-integer witness header field: {lines[0]!r}") from exc
-    if n != G.n:
-        raise FormatError(f"witness is for n={n}, graph has n={G.n}")
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} vertex lines, got {len(lines) - 1}")
-    dists: dict[int, RationalDist] = {}
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) < 3:
-            raise FormatError(f"bad witness line: {ln!r}")
-        try:
-            x, den = int(parts[0]), int(parts[1])
-            num: dict[int, int] = {}
-            prev = -1
-            for tok in parts[2:]:
-                zs, cs = tok.split(":")
-                z, c = int(zs), int(cs)
-                if z <= prev:
-                    raise FormatError(f"support must be strictly ascending: {ln!r}")
-                prev = z
-                num[z] = c
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"bad witness line: {ln!r}") from exc
-        if x != i:
-            raise FormatError(f"expected vertex {i}, got line for {x}")
-        try:
-            dists[x] = RationalDist(den, num)
-        except ValueError as exc:
-            raise FormatError(f"invalid distribution at vertex {x}: {exc}") from exc
-    try:
-        return WitnessFunction(G, r, dists)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-
-
-def write_witness_file(w: WitnessFunction, path: str | Path) -> None:
-    Path(path).write_text(format_witness(w))
-
-
-def read_witness_file(path: str | Path, G: BoundedDegreeGraph) -> WitnessFunction:
-    return parse_witness(Path(path).read_text(), G)

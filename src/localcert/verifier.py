@@ -16,8 +16,9 @@ per vertex:
                z in N stays at or below eps' * alpha
 
 `verify_and_decode` also returns the witness the accepting vertices read from
-those same balls.  The structural half checks a graph predicate on B_K(x);
-the pipeline verdict is the conjunction.  Verdict report format:
+those same balls.  The structural half checks a hereditary graph predicate
+on B_2r(x), a radius derived from the header's r (`locality_radius`); the
+pipeline verdict is the conjunction.  Verdict report format:
 
     verdict <accept|reject>
     reject <x> <check>        (one line per rejecting vertex)
@@ -30,7 +31,6 @@ import itertools
 import os
 from dataclasses import dataclass
 from operator import itemgetter, sub
-from pathlib import Path
 from typing import Callable, Sequence
 
 import networkx as nx
@@ -249,7 +249,8 @@ def is_acyclic(G: BoundedDegreeGraph) -> bool:
 
 # Every built-in predicate must be hereditary (closed under induced
 # subgraphs): verify_locally_p lets one passing call on a whole component
-# stand for all of its balls when the predicate is given by name.
+# stand for all of its balls, and locality_radius's argument carries the
+# predicate from a ball to every block inside it.
 PREDICATES: dict[str, Callable[[BoundedDegreeGraph], bool]] = {
     "planar": is_planar,
     "acyclic": is_acyclic,
@@ -257,44 +258,54 @@ PREDICATES: dict[str, Callable[[BoundedDegreeGraph], bool]] = {
 }
 
 
-def resolve_predicate(predicate: str | Callable[[BoundedDegreeGraph], bool]) -> Callable[[BoundedDegreeGraph], bool]:
-    if callable(predicate):
-        return predicate
+def resolve_predicate(name: str) -> Callable[[BoundedDegreeGraph], bool]:
     try:
-        return PREDICATES[predicate]
+        return PREDICATES[name]
     except KeyError:
         raise ValueError(
-            f"unknown predicate {predicate!r}; known: {sorted(PREDICATES)}"
+            f"unknown predicate {name!r}; known: {sorted(PREDICATES)}"
         ) from None
 
 
-def verify_locally_p(G: BoundedDegreeGraph, K: int,
-                     predicate: str | Callable[[BoundedDegreeGraph], bool]) -> Verdict:
-    """Check predicate(B_K(x)) for every x.
+def locality_radius(params: SchemeParams) -> int:
+    """The radius 2r at which every vertex checks the predicate.
 
-    A predicate named in PREDICATES is hereditary, so when it holds on a whole
-    component it holds on every ball inside it: one call settles the
-    component.  Otherwise each vertex is judged on its own ball, and balls
-    with identical vertex sets share one call.  A radius-K BFS from a probe
-    vertex that reaches the whole component shows, with no further BFS, that
-    B_K(x) is the component wherever dist(probe, x) + ecc(probe) <= K; when
-    2 * ecc(probe) <= K that is every vertex, so one call settles the
-    component for any predicate.  The per-ball loop runs for custom
-    callables, which may not be hereditary, and for named predicates only
-    inside components where they fail.
+    Soundness: every block `extract_partition` cuts is a superlevel set
+    {x : f'(x)(z0) > t} with t >= 0, where f' is the witness projected onto
+    the remaining set R and z0 is a vertex of R.  An atom a held by x in R
+    moves to its nearest point of R, so it lands within
+    d(x, a) + d(a, R) <= 2r of x (x is in R, so d(a, R) <= d(a, x) <= r).
+    Hence every x with f'(x)(z0) > 0 lies in B_2r(z0), and so does the
+    block.  z0 is a vertex of G that accepted the predicate on B_2r(z0),
+    and every PREDICATES entry is hereditary, so the predicate holds on the
+    block's induced subgraph.  The radius comes from the header's r alone;
+    the header's K plays no part in it.
+    """
+    return 2 * params.r
+
+
+def verify_locally_p(G: BoundedDegreeGraph, K: int, predicate: str) -> Verdict:
+    """Check the named predicate on B_K(x) for every x.
+
+    Every PREDICATES entry is hereditary, so when the predicate holds on a
+    whole component it holds on every ball inside it: one call settles the
+    component.  Inside a component where it fails, each vertex is judged on
+    its own ball, and balls with identical vertex sets share one call.  A
+    radius-K BFS from a probe vertex that reaches the whole component shows,
+    with no further BFS, that B_K(x) is the component wherever
+    dist(probe, x) + ecc(probe) <= K, and those vertices reuse the failed
+    component call.
     """
     if K < 0:
         raise ValueError(f"locality radius must be nonnegative, got {K}")
     pred = resolve_predicate(predicate)
-    hereditary = isinstance(predicate, str)
     decisions: list[str | None] = [None] * G.n
     cache: dict[frozenset[int], bool] = {}
     for comp in components(G):
         whole = frozenset(comp)
-        if hereditary:
-            cache[whole] = bool(pred(induced_subgraph(G, comp)))
-            if cache[whole]:
-                continue
+        cache[whole] = bool(pred(induced_subgraph(G, comp)))
+        if cache[whole]:
+            continue
         probe, dist = bfs(G.adj, (comp[0],), K)
         # ecc(probe) is known only when the probe reached the whole component
         slack = K - dist[probe[-1]] if len(probe) == len(comp) else -1
@@ -321,16 +332,15 @@ def combine_verdicts(first: Verdict, second: Verdict) -> Verdict:
 
 
 def pipeline_verify(G: BoundedDegreeGraph, labeling: ProofLabeling,
-                    predicate: str | Callable[[BoundedDegreeGraph], bool] = "planar",
-                    jobs: int = 1) -> Verdict:
-    """Full scheme verdict: uniformity checks plus predicate on B_K balls.
+                    predicate: str = "planar", jobs: int = 1) -> Verdict:
+    """Full scheme verdict: uniformity checks plus the predicate on B_2r balls.
 
-    K comes from the labeling header, never from the graph, so a transplanted
-    labeling is judged on the prover's own claim.
+    The radius is `locality_radius` of the header's r; the header's K, a
+    prover's claim nobody checks, never steers verification.
     """
     _validate_against_graph(G, labeling)
     a = verify_property_a(G, labeling, jobs=jobs)
-    b = verify_locally_p(G, labeling.k_local, predicate)
+    b = verify_locally_p(G, locality_radius(labeling.params), predicate)
     return combine_verdicts(a, b)
 
 
@@ -427,6 +437,3 @@ def format_verdict(verdict: Verdict) -> str:
     lines.extend(f"reject {x} {check}" for x, check in verdict.rejecting())
     return "\n".join(lines) + "\n"
 
-
-def write_verdict_file(verdict: Verdict, path: str | Path) -> None:
-    Path(path).write_text(format_verdict(verdict))

@@ -55,7 +55,7 @@ def test_criterion_2_path_cycle_tree_completeness(tmp_path, capsys, p100, c100, 
     for inst in (p100, c100, tree511):
         full = lc.combine_verdicts(
             inst.property_a,
-            lc.verify_locally_p(inst.G, inst.labeling.k_local, "planar"),
+            lc.verify_locally_p(inst.G, lc.locality_radius(inst.labeling.params), "planar"),
         )
         if inst.name == "tree_depth8_k6":
             rebuilt = tightened_separator_witness(
@@ -182,7 +182,8 @@ def test_criterion_6_extraction_soundness(accepted_instances):
         ok = (ok and measured <= eps_prime
               and part.max_block_size <= lab.k_local
               and part.num_removed <= budget)
-        if lc.verify_locally_p(inst.G, lab.k_local, "planar").accept:
+        # a locally-planar accept at 2r must make every block planar
+        if lc.verify_locally_p(inst.G, lc.locality_radius(lab.params), "planar").accept:
             ok = ok and lc.edit_distance_upper_bound(inst.G, part, lc.is_planar).feasible
         if inst.name == "cycle100_r5":
             ok = ok and part.num_removed <= 36 and part.max_block_size <= 21

@@ -250,13 +250,38 @@ def test_prove_empty_graph_exits_two(capsys, tmp_path, flags):
     assert err == f"error: cannot prove the empty graph: {g} has no vertices\n"
 
 
-def test_prove_K_override(p11, capsys, tmp_path):
-    g, _ = p11
-    labels = tmp_path / "k3.labels"
-    code, _, _ = run(capsys, "prove", str(g), "--eps-prime", "5/6",
-                     "--K", "3", "--out", str(labels))
-    assert code == 0
-    assert lc.read_labeling_file(labels).k_local == 3
+@pytest.mark.parametrize("command", ["prove", "extract"])
+def test_negative_eps_exits_two(p11, capsys, command):
+    g, labels = p11
+    args = {"prove": (str(g), "--eps-prime", "5/6"), "extract": (str(g), str(labels))}
+    code, out, err = run(capsys, command, *args[command], "--eps=-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --eps must be nonnegative, got -1\n"
+
+
+def test_forged_header_K_does_not_steer_the_predicate(capsys, tmp_path):
+    """The predicate radius is 2r from the header; a forged K = 0 changes nothing.
+
+    K3,3 with the uniform-ball witness at r = 1 passes property A (every
+    edge measures l1 = 1 < eps' = 3/2), and its B_2 balls are the whole
+    non-planar graph, so every vertex rejects with localP.
+    """
+    g = tmp_path / "k33.graph"
+    labels = tmp_path / "k33.labels"
+    k33 = lc.build_graph([(a, b) for a in range(3) for b in range(3, 6)], d=3)
+    g.write_text(lc.format_graph(k33))
+    prove = ("prove", str(g), "--witness", "uniform-ball", "--r", "1", "--eps-prime", "3/2")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *prove, "--K", "0")
+    assert exc.value.code == 2
+    assert run(capsys, *prove, "--out", str(labels))[0] == 0
+    head, rest = labels.read_text().split("\n", 1)
+    labels.write_text(head.rsplit(" ", 1)[0] + " 0\n" + rest)
+    assert lc.read_labeling_file(labels).k_local == 0
+    code, out, _ = run(capsys, "verify", str(g), str(labels))
+    assert code == 1
+    assert out == "verdict reject\n" + "".join(f"reject {x} localP\n" for x in range(6))
 
 
 def test_verify_accepts_and_is_quiet_about_it(p11, capsys):

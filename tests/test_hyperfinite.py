@@ -234,6 +234,35 @@ def test_extract_partition_matches_reference_loop():
     assert errors == {NotUniform}
 
 
+def test_every_block_lies_within_2r_of_its_z0():
+    """The soundness argument behind the verifier's predicate radius 2r.
+
+    The projected witness moves each atom within 2r of its holder, so the
+    superlevel set a cut takes around z0 lies in B_2r(z0) of G.
+    """
+    graphs = [
+        lc.generate(lc.FamilySpec("grid", (12, 12))),
+        lc.generate(lc.FamilySpec("cycle", (60,))),
+        lc.generate(lc.FamilySpec("full_tree", (2, 6))),
+        lc.generate(lc.FamilySpec("random_regular", (40, 3), 7)),
+        lc.generate(lc.FamilySpec("path", (30,))),
+    ]
+    reached = set()
+    for G in graphs:
+        for r in (1, 2, 3):
+            w = uniform_ball_witness(G, r)
+            eps = lc.check_uniformity(w).max_edge_l1
+            remaining = list(range(G.n))
+            while remaining:
+                res = find_low_boundary_set(project_witness(w, remaining), eps)
+                _, dist = lc.bfs(G.adj, (res.z0,), 2 * r)
+                assert all(x in dist for x in res.vertices), (G.n, r, res.z0)
+                reached.add(max(dist[x] for x in res.vertices) == 2 * r)
+                gone = set(res.vertices)
+                remaining = [v for v in remaining if v not in gone]
+    assert reached == {True, False}  # some blocks reach exactly 2r
+
+
 def test_extract_partition_golden_grid20():
     G = lc.generate(lc.FamilySpec("grid", (20, 20)))
     w = uniform_ball_witness(G, 4)
@@ -260,15 +289,13 @@ def test_check_hyperfinite_normalizations():
     part = PartitionResult(
         10, ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)), ((0, 9), (4, 5))
     )
-    by_v = check_hyperfinite(C, part, Fraction(1, 5), K=5, normalization="vertices")
+    by_v = check_hyperfinite(C, part, Fraction(1, 5), K=5)
     assert by_v.ok and by_v.removed_per_vertex == Fraction(1, 5)
     assert by_v.removed_per_edge == Fraction(1, 5)
     tight = check_hyperfinite(C, part, Fraction(1, 6), K=5)
     assert not tight.ok
     small_k = check_hyperfinite(C, part, Fraction(1, 5), K=4)
     assert not small_k.ok
-    with pytest.raises(ValueError):
-        check_hyperfinite(C, part, Fraction(1, 5), K=5, normalization="mass")
 
 
 def test_edit_distance_bound():

@@ -293,15 +293,3 @@ def test_project_witness_errors():
     with pytest.raises(ValueError):
         project_witness(rel, [0])
 
-
-# --- text format ---------------------------------------------------------------
-
-def test_witness_file_round_trip(tmp_path):
-    G = lc.generate(lc.FamilySpec("grid", (3, 3)))
-    w = uniform_ball_witness(G, 1)
-    path = tmp_path / "w.witness"
-    lc.write_witness_file(w, path)
-    back = lc.read_witness_file(path, G)
-    assert back.radius == w.radius
-    for x in range(G.n):
-        assert back.dists[x] == w.dists[x]

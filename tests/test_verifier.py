@@ -14,7 +14,7 @@ import localcert as lc
 from conftest import InProcessPool, prove_uniform, random_family_graph
 from localcert import verifier
 from localcert.errors import MalformedLabeling, NotAccepted
-from localcert.graphs import RootedBall, ball_sweep, build_graph
+from localcert.graphs import RootedBall, ball_sweep, build_graph, induced_subgraph
 from localcert.labeling import ProofLabeling, SchemeParams
 from localcert.verifier import (
     CHECK_L1,
@@ -26,10 +26,12 @@ from localcert.verifier import (
     canonical_ball,
     check_vertex,
     combine_verdicts,
+    Verdict,
     decode_accepted_witness,
     format_verdict,
     is_acyclic,
     is_planar,
+    locality_radius,
     pipeline_verify,
     product_verify,
     resolve_predicate,
@@ -208,8 +210,8 @@ def test_accepted_labeling_decodes_eps_prime_uniform():
 
     Every table entry 1 passes the probability check on a 3-regular graph
     (|B_1| = alpha = 4) and the unmasked l1 check (equal columns), while the
-    decoded uniform balls differ by l1 = 1 across each edge; K = 0 makes the
-    predicate half vacuous.
+    decoded uniform balls differ by l1 = 1 across each edge; every B_2 ball of
+    this graph is planar.
     """
     G = lc.generate(lc.FamilySpec("random_regular", (200, 3), seed=42))
     colors = lc.distance_coloring(G, 2)
@@ -302,10 +304,38 @@ def test_acyclic_predicate():
     assert not is_acyclic(lc.generate(lc.FamilySpec("cycle", (9,))))
 
 
+def _minor_carriers():
+    """Small non-planar graphs: K5 and K3,3, each with a pendant path, and Petersen."""
+    tail = [(v, v + 1) for v in range(5, 11)]
+    k5 = build_graph(list(itertools.combinations(range(5), 2)) + [(4, 5)] + tail, d=5)
+    k33 = build_graph([(a, b) for a in range(3) for b in range(3, 6)] + tail, d=4)
+    return [k5, k33, petersen()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(verifier.PREDICATES)), pick=st.integers(0, 3),
+       seed=st.integers(0, 10**6))
+def test_predicates_are_hereditary(name, pick, seed):
+    """Along a chain of induced subgraphs, one vertex removed at a time in a
+    random order, a predicate that holds never fails again.
+
+    locality_radius's soundness argument and verify_locally_p's one call per
+    passing component both rest on this.
+    """
+    rng = random.Random(seed)
+    pred = verifier.PREDICATES[name]
+    G = ([random_family_graph(rng)] + _minor_carriers())[pick]
+    order = list(range(G.n))
+    rng.shuffle(order)
+    held = pred(G)
+    for k in range(G.n - 1, -1, -1):
+        now = pred(induced_subgraph(G, order[:k]))
+        assert now or not held, (name, G.edges(), order[:k])
+        held = now
+
+
 def test_resolve_predicate():
     assert resolve_predicate("acyclic") is is_acyclic
-    fn = lambda G: True
-    assert resolve_predicate(fn) is fn
     with pytest.raises(ValueError):
         resolve_predicate("no-such-predicate")
 
@@ -318,7 +348,7 @@ def test_locally_p_flags_exactly_the_k5_component():
 
 
 def test_locally_p_matches_per_vertex_bruteforce():
-    from localcert.graphs import bfs, induced_subgraph
+    from localcert.graphs import bfs
 
     rng = random.Random(503)
     for _ in range(10):
@@ -336,7 +366,7 @@ def test_locally_p_matches_per_vertex_bruteforce():
 def test_locally_p_covering_probe_spares_per_vertex_bfs(monkeypatch, side):
     """K5 hung off a grid corner: the probe from the corner sees the whole
     component, so every ball within K - ecc of it is the failing component."""
-    from localcert.graphs import bfs, induced_subgraph
+    from localcert.graphs import bfs
 
     grid = lc.generate(lc.FamilySpec("grid", (side, side)))
     n0 = side * side
@@ -358,13 +388,6 @@ def test_locally_p_covering_probe_spares_per_vertex_bfs(monkeypatch, side):
     assert len(calls) < G.n
 
 
-def test_locally_p_custom_callable_is_judged_per_ball():
-    """A callable may not be hereditary: passing on the whole path settles nothing."""
-    P = lc.generate(lc.FamilySpec("path", (10,)))
-    verdict = verify_locally_p(P, 1, lambda H: H.n >= 5)
-    assert [x for x, _ in verdict.rejecting()] == list(range(10))
-
-
 def test_locally_p_named_predicate_settles_a_passing_component_once(monkeypatch):
     calls = []
 
@@ -380,10 +403,10 @@ def test_locally_p_named_predicate_settles_a_passing_component_once(monkeypatch)
 
 def test_pipeline_conjunction(p11):
     a = verify_property_a(p11.G, p11.labeling)
-    b = verify_locally_p(p11.G, p11.labeling.k_local, "planar")
+    b = verify_locally_p(p11.G, locality_radius(p11.labeling.params), "planar")
     both = combine_verdicts(a, b)
     assert both.accept
-    bad = combine_verdicts(a, verify_locally_p(p11.G, 1, lambda G: False))
+    bad = combine_verdicts(a, Verdict((CHECK_LOCAL_P,) * p11.G.n))
     assert not bad.accept
     assert len(bad.rejecting()) == 11
 
