@@ -13,8 +13,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import FormatError, LocalcertError, NotUniform, WitnessTooRough
+from .errors import FormatError, LocalcertError, WitnessTooRough
 from .graphs import (
+    FAMILIES,
     BoundedDegreeGraph,
     FamilySpec,
     format_graph,
@@ -96,62 +97,40 @@ def _default_shift(eps_prime: Fraction) -> int:
     return max(2, 4 // eps_prime + 1)
 
 
-def _auto_witness(G: BoundedDegreeGraph, args: argparse.Namespace) -> WitnessFunction:
-    """Shift-family witness when G is a canonical path/cycle/tree, else uniform-ball."""
-    k = args.k_shift if args.k_shift is not None else _default_shift(args.eps_prime)
-    dist = shift_family_distribution(G, k)
+def _build_witness(G: BoundedDegreeGraph, args: argparse.Namespace) -> WitnessFunction:
+    """The --witness source; auto takes the shift family when G is a canonical
+    path, cycle or tree, and the uniform-ball witness otherwise."""
+    mode, dist = args.witness, None
+    if mode == "auto":
+        dist = shift_family_distribution(G, _default_shift(args.eps_prime))
+    elif mode.startswith("separators:"):
+        dist = read_separator_distribution_file(mode.split(":", 1)[1], G)
+    elif mode != "uniform-ball":
+        raise ValueError(
+            f"unknown witness source {mode!r}; use uniform-ball, separators:<file>, or auto"
+        )
     if dist is not None:
         return tighten_radius(witness_from_separators(G, dist))
     if args.r is None:
-        raise ValueError("no shift family matches this graph; pass --r for uniform-ball")
+        raise ValueError("--witness uniform-ball needs --r" if mode == "uniform-ball"
+                         else "no shift family matches this graph; pass --r for uniform-ball")
     return uniform_ball_witness(G, args.r)
 
 
-def _build_witness(G: BoundedDegreeGraph, args: argparse.Namespace) -> WitnessFunction:
-    mode = args.witness
-    if mode == "uniform-ball":
-        if args.r is None:
-            raise ValueError("--witness uniform-ball needs --r")
-        return uniform_ball_witness(G, args.r)
-    if mode.startswith("separators:"):
-        dist = read_separator_distribution_file(mode.split(":", 1)[1], G)
-        return tighten_radius(witness_from_separators(G, dist))
-    if mode == "auto":
-        return _auto_witness(G, args)
-    raise ValueError(
-        f"unknown witness source {mode!r}; use uniform-ball, separators:<file>, or auto"
-    )
-
-
-def _require_nonnegative_eps(eps: Fraction | None) -> None:
-    # 0 stays legal: an edgeless graph measures 0
-    if eps is not None and eps < 0:
-        raise ValueError(f"--eps must be nonnegative, got {eps}")
-
-
 def cmd_prove(args: argparse.Namespace) -> int:
-    if args.eps_prime <= 0:
-        raise ValueError(f"--eps-prime must be positive, got {args.eps_prime}")
-    _require_nonnegative_eps(args.eps)
-    if args.alpha is not None and args.alpha < 1:
-        raise ValueError(f"--alpha must be positive, got {args.alpha}")
+    # the header holds 0 < eps' < 2; refuse anything else before any work
+    if not 0 < args.eps_prime < 2:
+        raise ValueError(f"--eps-prime must be positive and below 2, got {args.eps_prime}")
     G = _read_nonempty_graph(args.graph, "prove")
     w = _build_witness(G, args)
-    report = check_uniformity(w)
-    assert report.support_ok, "constructed witness must respect its radius"
-    measured = report.max_edge_l1
+    measured = check_uniformity(w).max_edge_l1
     if measured >= args.eps_prime:
         raise WitnessTooRough(
             f"witness measures {measured} >= eps' = {args.eps_prime} at radius "
             f"{w.radius}; this graph does not admit the claimed smoothness here"
         )
-    eps = args.eps if args.eps is not None else measured
-    if eps < measured:
-        raise NotUniform(f"--eps {eps} is below the measured value {measured}")
-    alpha = args.alpha if args.alpha is not None else derive_alpha(
-        G, w.radius, eps, args.eps_prime
-    )
-    require_quantizable(w, eps, args.eps_prime, alpha)
+    alpha = derive_alpha(G, w.radius, measured, args.eps_prime)
+    require_quantizable(w, measured, args.eps_prime, alpha)
     labeling = build_proof(G, w, args.eps_prime, alpha)
     # the exact witness is the largest object prove holds; drop it before
     # the label text is built
@@ -179,13 +158,12 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    _require_nonnegative_eps(args.eps)
     G = _read_nonempty_graph(args.graph, "extract from")
     labeling = read_labeling_file(args.labels)
     witness = decode_accepted_witness(G, labeling)
-    eps = args.eps if args.eps is not None else labeling.params.eps_prime
+    eps_prime = labeling.params.eps_prime
     del labeling  # the tables are not read again; release them before extraction
-    partition = extract_partition(G, witness, eps)
+    partition = extract_partition(G, witness, eps_prime)
     _emit(format_partition(partition), args.out)
     bound = edit_distance_upper_bound(G, partition, resolve_predicate(args.predicate))
     lines = [
@@ -252,39 +230,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    gen = sub.add_parser("gen", help="generate a family graph file")
-    gen.add_argument("--family", required=True,
-                     choices=["path", "cycle", "grid", "full_tree", "random_regular"])
+    # no subcommand prefix-matches its flags, so `prove --eps` cannot stand for --eps-prime
+    gen = sub.add_parser("gen", help="generate a family graph file", allow_abbrev=False)
+    gen.add_argument("--family", required=True, choices=list(FAMILIES))
     gen.add_argument("--n", required=True,
                      help="family parameters, comma-separated (e.g. 100 or 50,50)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=None)
 
-    prove = sub.add_parser("prove", help="build a proof labeling for a graph")
+    prove = sub.add_parser("prove", help="build a proof labeling for a graph", allow_abbrev=False)
     prove.add_argument("graph")
     prove.add_argument("--r", type=int, default=None, help="witness radius (uniform-ball)")
-    prove.add_argument("--eps", type=parse_fraction, default=None,
-                       help="claimed uniformity (default: measured)")
     prove.add_argument("--eps-prime", type=parse_fraction, required=True)
-    prove.add_argument("--alpha", type=int, default=None, help="override denominator")
     prove.add_argument("--witness", default="auto",
                        help="uniform-ball | separators:<file> | auto")
-    prove.add_argument("--k-shift", type=int, default=None,
-                       help="shift modulus for auto separator witnesses")
     prove.add_argument("--out", default=None)
 
     for name, fn_help in (("verify", "check a labeling"),
                           ("extract", "decode and partition"),
                           ("report", "aggregate summary")):
-        p = sub.add_parser(name, help=fn_help)
+        p = sub.add_parser(name, help=fn_help, allow_abbrev=False)
         p.add_argument("graph")
         p.add_argument("labels")
         p.add_argument("--predicate", default="planar", choices=list(PREDICATES))
         if name == "verify":
             p.add_argument("--jobs", type=int, default=1)
-        elif name == "extract":
-            p.add_argument("--eps", type=parse_fraction, default=None,
-                           help="extraction threshold (default: header eps')")
         p.add_argument("--out", default=None)
 
     return parser

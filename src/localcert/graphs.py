@@ -295,9 +295,9 @@ class FamilySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in _GENERATORS:
+        if self.family not in FAMILIES:
             raise InfeasibleSpec(
-                f"unknown family {self.family!r}; known: {sorted(_GENERATORS)}"
+                f"unknown family {self.family!r}; known: {sorted(FAMILIES)}"
             )
         # random.Random(None) would seed from the OS: a different graph per run
         if not isinstance(self.seed, int):
@@ -377,25 +377,24 @@ def _gen_random_regular(params: tuple[int, ...], seed: int) -> BoundedDegreeGrap
     )
 
 
-_GENERATORS = {
-    "path": _gen_path,
-    "cycle": _gen_cycle,
-    "grid": _gen_grid,
-    "full_tree": _gen_full_tree,
-    "random_regular": _gen_random_regular,
+# family name -> (generator, parameter count); `gen --family` offers these names
+FAMILIES = {
+    "path": (_gen_path, 1),
+    "cycle": (_gen_cycle, 1),
+    "grid": (_gen_grid, 2),
+    "full_tree": (_gen_full_tree, 2),
+    "random_regular": (_gen_random_regular, 2),
 }
-
-_PARAM_COUNTS = {"path": 1, "cycle": 1, "grid": 2, "full_tree": 2, "random_regular": 2}
 
 
 def generate(spec: FamilySpec) -> BoundedDegreeGraph:
     """Deterministically generate the graph described by spec."""
-    want = _PARAM_COUNTS[spec.family]
+    gen, want = FAMILIES[spec.family]
     if len(spec.params) != want:
         raise InfeasibleSpec(
             f"family {spec.family!r} takes {want} parameter(s), got {spec.params}"
         )
-    return _GENERATORS[spec.family](spec.params, spec.seed)
+    return gen(spec.params, spec.seed)
 
 
 # --- text format ----------------------------------------------------------

@@ -256,7 +256,7 @@ def shift_family_distribution(G: BoundedDegreeGraph, k: int) -> SeparatorDistrib
         if k > n:
             raise ValueError(
                 f"shift modulus k = {k} exceeds the cycle length n = {n}; "
-                "pass --k-shift at most n or a larger --eps-prime"
+                "a larger eps' gives a smaller k"
             )
         while n % k:
             k += 1

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line driver through main()."""
 
+import argparse
 import functools
 import hashlib
 import os
@@ -91,16 +92,6 @@ def test_prove_auto_path(p11, capsys, tmp_path):
     assert labels.read_text().startswith("labels 11 3 630 9 5/6 11\n")
 
 
-def test_prove_k_shift_override(p11, capsys, tmp_path):
-    g, _ = p11
-    labels = tmp_path / "k9.labels"
-    code, _, err = run(capsys, "prove", str(g), "--eps-prime", "5/6",
-                       "--k-shift", "9", "--out", str(labels))
-    assert code == 0
-    assert "measured_eps = 4/9\n" in err
-    assert labels.read_text().startswith("labels 11 7 85 11 5/6 11\n")
-
-
 def test_prove_auto_cycle_rounds_shift(capsys, tmp_path):
     """12 % 5 != 0, so the default shift 5 is bumped to the divisor 6."""
     g = tmp_path / "c12.graph"
@@ -126,26 +117,17 @@ def test_prove_auto_tree_then_verify(capsys, tmp_path):
     assert out == "verdict accept\n"
 
 
-def test_prove_separator_file_matches_k_shift(p11, capsys, tmp_path):
-    g, _ = p11
+def test_prove_separator_file_matches_default_shift(p11, capsys, tmp_path):
+    """eps' = 5/6 gives the default shift width k = 5; a stored k = 5 file proves the same."""
+    g, auto = p11
     G = lc.read_graph_file(g)
     dist_path = tmp_path / "shift.sep"
-    lc.write_separator_distribution_file(lc.path_shift_distribution(G, 9), dist_path)
+    lc.write_separator_distribution_file(lc.path_shift_distribution(G, 5), dist_path)
     from_file = tmp_path / "file.labels"
-    from_flag = tmp_path / "flag.labels"
-    run(capsys, "prove", str(g), "--eps-prime", "5/6",
-        "--witness", f"separators:{dist_path}", "--out", str(from_file))
-    run(capsys, "prove", str(g), "--eps-prime", "5/6",
-        "--k-shift", "9", "--out", str(from_flag))
-    assert from_file.read_text() == from_flag.read_text()
-
-
-def test_prove_k_shift_zero_exits_two(capsys, tmp_path):
-    g = tmp_path / "c12.graph"
-    run(capsys, "gen", "--family", "cycle", "--n", "12", "--out", str(g))
-    code, _, err = run(capsys, "prove", str(g), "--eps-prime", "1/2", "--k-shift", "0")
-    assert code == 2
-    assert err == "error: shift modulus must be positive, got 0\n"
+    code, _, _ = run(capsys, "prove", str(g), "--eps-prime", "5/6",
+                     "--witness", f"separators:{dist_path}", "--out", str(from_file))
+    assert code == 0
+    assert from_file.read_text() == auto.read_text()
 
 
 def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch):
@@ -190,26 +172,6 @@ def test_prove_labels_golden(capsys, tmp_path, family, n, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("alpha", ["0", "-5"])
-def test_prove_alpha_below_one_exits_two(p11, capsys, alpha):
-    g, _ = p11
-    code, out, err = run(capsys, "prove", str(g), "--eps-prime", "5/6", "--alpha", alpha)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: --alpha must be positive, got {alpha}\n"
-
-
-def test_prove_alpha_too_small_exits_one_without_labels(p11, capsys, tmp_path):
-    g, _ = p11
-    labels = tmp_path / "a7.labels"
-    code, out, err = run(capsys, "prove", str(g), "--eps-prime", "5/6", "--alpha", "7",
-                         "--out", str(labels))
-    assert code == 1
-    assert out == ""
-    assert err == "error: alpha=7 too small: need alpha >= 21/(eps'-eps) = 630\n"
-    assert not labels.exists()
-
-
 @pytest.mark.parametrize("flags", [
     ("--eps-prime", "3/2", "--witness", "uniform-ball", "--r", "2"),
     ("--eps-prime", "1/2"),
@@ -239,7 +201,7 @@ def test_prove_drops_the_exact_witness_before_formatting(capsys, tmp_path, monke
 @pytest.mark.parametrize("flags", [
     ("--eps-prime", "1/2"),
     ("--eps-prime", "1/2", "--witness", "uniform-ball", "--r", "2"),
-    ("--eps-prime", "1/2", "--alpha", "7"),
+    ("--eps-prime", "1/2", "--witness", "separators:missing.sep"),
 ])
 def test_prove_empty_graph_exits_two(capsys, tmp_path, flags):
     g = tmp_path / "empty.graph"
@@ -250,14 +212,59 @@ def test_prove_empty_graph_exits_two(capsys, tmp_path, flags):
     assert err == f"error: cannot prove the empty graph: {g} has no vertices\n"
 
 
-@pytest.mark.parametrize("command", ["prove", "extract"])
-def test_negative_eps_exits_two(p11, capsys, command):
+def _options(command):
+    """The option strings of one subcommand, -h/--help left out."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions
+            for opt in action.option_strings} - {"-h", "--help"}
+
+
+def test_prove_and_extract_option_sets():
+    """Every scheme constant is derived: eps' and the witness are the only inputs."""
+    assert _options("prove") == {"--r", "--eps-prime", "--witness", "--out"}
+    assert _options("extract") == {"--predicate", "--out"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("prove", "--eps=1/2"),
+    ("prove", "--alpha=630"),
+    ("prove", "--k-shift=5"),
+    ("extract", "--eps=5/6"),
+])
+def test_removed_scheme_flags_exit_two(p11, capsys, command, flag):
+    """Argparse refuses each removed flag; --eps is not taken as short for --eps-prime."""
     g, labels = p11
     args = {"prove": (str(g), "--eps-prime", "5/6"), "extract": (str(g), str(labels))}
-    code, out, err = run(capsys, command, *args[command], "--eps=-1")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args[command], flag])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: --eps must be nonnegative, got -1\n"
+    assert f"unrecognized arguments: {flag}" in err
+
+
+def test_family_choices_come_from_families(capsys, monkeypatch):
+    """gen --family offers exactly graphs.FAMILIES, in its order."""
+    calls = []
+
+    def counted(params, seed):
+        calls.append(params)
+        return graphs.BoundedDegreeGraph(params[0], 2, [])
+
+    monkeypatch.setitem(graphs.FAMILIES, "counted", (counted, 1))
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    assert "{path,cycle,grid,full_tree,random_regular,counted}" in capsys.readouterr().out
+    code, out, _ = run(capsys, "gen", "--family", "counted", "--n", "3")
+    assert code == 0 and out == "graph 3 0 2\n" and calls == [(3,)]
+    code, _, err = run(capsys, "gen", "--family", "counted", "--n", "3,1")
+    assert code == 1
+    assert err == "error: family 'counted' takes 1 parameter(s), got (3, 1)\n"
+    monkeypatch.delitem(graphs.FAMILIES, "counted")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--family", "counted", "--n", "3"])
+    assert exc.value.code == 2
 
 
 def test_forged_header_K_does_not_steer_the_predicate(capsys, tmp_path):
@@ -363,7 +370,10 @@ def test_extract_golden(p11, capsys):
     assert out == (
         "partition 11 3 2\n4 0 1 2 3\n4 4 5 6 7\n3 8 9 10\nremoved\n3 4\n7 8\n"
     )
-    assert "edit_bound = 2/11" in err
+    assert err == (
+        "blocks = 3\nmax_block = 4\nremoved_edges = 2\n"
+        "removed_per_vertex = 2/11\nedit_bound = 2/11\n"
+    )
 
 
 def test_extract_refuses_rejected_labeling(p11, capsys, tmp_path):
@@ -436,12 +446,16 @@ def test_extract_and_report_empty_graph_exit_two(capsys, tmp_path, command, acti
 
 
 def test_prove_rough_witness_exits_one(capsys, tmp_path):
+    """A declined prove writes no labels file."""
     g = tmp_path / "g5.graph"
+    labels = tmp_path / "g5.labels"
     run(capsys, "gen", "--family", "grid", "--n", "5,5", "--out", str(g))
-    code, _, err = run(capsys, "prove", str(g), "--witness", "uniform-ball",
-                       "--r", "2", "--eps-prime", "1/2")
+    code, out, err = run(capsys, "prove", str(g), "--witness", "uniform-ball",
+                         "--r", "2", "--eps-prime", "1/2", "--out", str(labels))
     assert code == 1
+    assert out == ""
     assert err.startswith("error: witness measures 5/6")
+    assert not labels.exists()
 
 
 def test_missing_file_exits_two(capsys):
@@ -491,9 +505,23 @@ def test_prove_nonpositive_eps_prime_exits_two(tmp_path, flag):
     assert "eps-prime must be positive" in out.stderr
 
 
+@pytest.mark.parametrize("eps_prime", ["2", "9/4"])
+def test_prove_eps_prime_two_or_more_exits_before_any_work(p11, capsys, monkeypatch, eps_prime):
+    """The header needs eps' < 2; prove refuses a larger eps' before it reads the graph."""
+    g, _ = p11
+    called = []
+    monkeypatch.setattr(cli, "read_graph_file", lambda *a: called.append("read"))
+    monkeypatch.setattr(cli, "_build_witness", lambda *a: called.append("witness"))
+    code, out, err = run(capsys, "prove", str(g), "--eps-prime", eps_prime)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --eps-prime must be positive and below 2, got {eps_prime}\n"
+    assert called == []
+
+
 @pytest.mark.parametrize("flags, k", [
     (("--eps-prime", "1/100"), 401),            # the default modulus, least k with 4/k < eps'
-    (("--eps-prime", "1/2", "--k-shift", "11"), 11),
+    (("--eps-prime", "2/5"), 11),               # 4/10 = eps' is not below eps', so k = 11
 ])
 def test_prove_cycle_shift_longer_than_cycle_exits_two(tmp_path, flags, k):
     g = tmp_path / "c10.graph"
