@@ -6,7 +6,8 @@ The constructive loop: project the witness onto the remaining vertices, pick
 a coordinate z0 with a low smoothed boundary-to-mass ratio, sweep superlevel
 sets of zeta(x) = f(x)(z0) until one has edge boundary at most (d eps/2) of
 its size, cut it off, repeat.  extract_partition keeps the projection and its
-sums up to date across cuts instead of recomputing them.
+per-coordinate sums (dense lists over the vertex ids) up to date across cuts
+instead of recomputing them; a cut zeroes its block's own coordinates at once.
 
 Partition text format:
 
@@ -138,9 +139,16 @@ def find_low_boundary_set(w: WitnessFunction, eps: Fraction) -> LowBoundaryResul
     most d*eps, and the coarea identity then guarantees some superlevel set
     of zeta(x) = f(x)(z0) qualifies.  Thresholds are swept ascending over the
     distinct zeta values; the first qualifying nonempty set is returned.
+    Raises ValueError when an atom lies outside the graph's 0..n-1.
     """
     if not w.vertices:
         raise NoQualifyingSet("empty domain")
+    n = w.graph.n
+    for x in w.vertices:
+        supp = w.dists[x].num.keys()
+        if min(supp) < 0 or max(supp) >= n:
+            atom = next(z for z in supp if not 0 <= z < n)
+            raise ValueError(f"vertex {x} has atom {atom} outside the graph's 0..{n - 1}")
     den = math.lcm(*(w.dists[x].den for x in w.vertices))
     num = {x: _scaled(w.dists[x], den) for x in w.vertices}
     mass, diff, _, _ = _coordinate_sums(w.graph, w.vertices, w.vertex_set, num)
@@ -156,61 +164,57 @@ def _scaled(d: RationalDist, den: int) -> dict[int, int]:
     return d.num if scale == 1 else {z: c * scale for z, c in d.num.items()}
 
 
-def _add_counts(counts: dict[int, int], p: Mapping[int, int], sign: int) -> None:
-    """counts[z] += sign * p[z] for every z, keeping only nonzero entries."""
-    for z, c in p.items():
-        total = counts.get(z, 0) + sign * c
-        if total:
-            counts[z] = total
-        else:
-            counts.pop(z, None)
-
-
-def _add_diff(diff: dict[int, int], pu: Mapping[int, int], pv: Mapping[int, int],
-              sign: int) -> int:
-    """Add sign * 2|pu(z) - pv(z)| to diff[z] for every z (2: the edge's two ordered pairs).
+def _add_edge(diff: list[int], pu: Mapping[int, int], pv: Mapping[int, int], sign: int) -> int:
+    """Add sign * |pu(z) - pv(z)| to diff[z] for every z.
 
     Returns sum_z |pu(z) - pv(z)|: the edge's l1 distance times the denominator.
     """
     edge = 0
-    for z in pu.keys() | pv.keys():
-        delta = abs(pu.get(z, 0) - pv.get(z, 0))
+    get = pv.get
+    for z, c in pu.items():
+        delta = c - get(z, 0)
         if delta:
+            if delta < 0:
+                delta = -delta
+            diff[z] += sign * delta
             edge += delta
-            total = diff.get(z, 0) + sign * 2 * delta
-            if total:
-                diff[z] = total
-            else:
-                del diff[z]
+    for z in pv.keys() - pu.keys():
+        c = pv[z]
+        diff[z] += sign * c
+        edge += c
     return edge
 
 
 def _coordinate_sums(G: BoundedDegreeGraph, domain: Iterable[int], member: Container[int],
                      num: Mapping[int, Mapping[int, int]]
-                     ) -> tuple[dict[int, int], dict[int, int], int, tuple[int, int] | None]:
+                     ) -> tuple[list[int], list[int], int, tuple[int, int] | None]:
     """Per coordinate z: summed mass over the domain and summed edge differences.
 
-    Also the largest per-edge sum of differences and the first edge attaining
-    it, ascending (adjacency lists are sorted); over the common denominator
-    that is the domain's max edge l1 and its worst edge.
+    Both are dense lists over 0..n-1, 0 where no distribution has mass; each
+    domain edge counts once in diff (the ratio key doubles it, for the edge's
+    two ordered pairs).  Also the largest per-edge sum of differences and the
+    first edge attaining it, ascending (adjacency lists are sorted); over the
+    common denominator that is the domain's max edge l1 and its worst edge.
     """
-    mass: dict[int, int] = {}
-    diff: dict[int, int] = {}
+    mass = [0] * G.n
+    diff = [0] * G.n
     best, worst = 0, None
     for u in domain:
         nu = num[u]
-        _add_counts(mass, nu, 1)
+        for z, c in nu.items():
+            mass[z] += c
         for v in G.adj[u]:
             if u < v and v in member:
-                edge = _add_diff(diff, nu, num[v], 1)
+                edge = _add_edge(diff, nu, num[v], 1)
                 if edge > best:
                     best, worst = edge, (u, v)
     return mass, diff, best, worst
 
 
-def _ratio_heap(mass: Mapping[int, int], diff: Mapping[int, int]
+def _ratio_heap(mass: list[int], diff: list[int]
                 ) -> tuple[dict[int, Fraction], list[tuple[Fraction, int]]]:
-    key = {z: Fraction(diff.get(z, 0), m) for z, m in mass.items()}
+    """Ratio 2 diff/mass per coordinate with mass, and a heap of (ratio, z)."""
+    key = {z: Fraction(2 * diff[z], m) for z, m in enumerate(mass) if m}
     heap = [(k, z) for z, k in key.items()]
     heapq.heapify(heap)
     return key, heap
@@ -280,10 +284,22 @@ class _ShrinkingProjection:
     with tau[t] == z, holders[t] the vertices whose distribution has an atom
     at t.  proj[x] is x's pushed-forward distribution over the common
     denominator `den`; it shares the witness's own dict until x is first
-    touched.  mass/diff are the sums find_low_boundary_set takes, and a lazy
-    heap keyed (diff/mass, z) yields the same z0.  The pass that first fills
-    them also measures the witness: `uniformity` is its exact report, given
-    that every support lies in its ball.
+    touched.  mass/diff are the sums find_low_boundary_set takes, as dense
+    lists indexed by coordinate (0: no mass there), and a lazy heap keyed
+    (2 diff/mass, z) yields the same z0.  The pass that first fills them also
+    measures the witness: `uniformity` is its exact report, given that every
+    support lies in its ball.
+
+    A cut kills every coordinate inside its block at once.  Projected
+    distributions live on R, and each atom mapped into the block is either
+    relocated into the rest of R or dropped because no vertex left in R
+    holds it, so after the cut no distribution has mass at a block
+    coordinate: their mass and diff are set to 0 and their keys dropped,
+    with no per-atom bookkeeping.  At every other coordinate the sums move
+    only by the block's own distributions and edges, which leave, and by
+    the mass each holder gains where its relocated atoms land; an edge's
+    difference changes only at the coordinates one of its endpoints gains,
+    so those are the only ones the per-edge update visits.
     """
 
     def __init__(self, w: WitnessFunction):
@@ -320,62 +336,71 @@ class _ShrinkingProjection:
 
     def _remove(self, block: tuple[int, ...]) -> None:
         adj, R, proj, mass, diff = self.G.adj, self.remaining, self.proj, self.mass, self.diff
+        atoms, scale = self.atoms, self.scale
         changed: set[int] = set()
         # the block's distributions and every edge touching it leave the sums
         bset = set(block)
         for x in block:
             px = proj[x]
-            _add_counts(mass, px, -1)
+            for z, c in px.items():
+                mass[z] -= c
             changed.update(px)
             for y in adj[x]:
                 if y in R and (y not in bset or x < y):
-                    _add_diff(diff, px, proj[y], -1)
-                    changed.update(proj[y])
+                    _add_edge(diff, px, proj[y], -1)
+                    if y not in bset:  # a block neighbour's support is added as its own
+                        changed.update(proj[y])
         R.difference_update(block)
 
-        # holders of relocated atoms: per-coordinate change of their distribution
-        delta: dict[int, dict[int, int]] = {}
+        # holders left in R of relocated atoms: the block coordinate goes, and
+        # the atom's mass is gained where it lands
+        gain: dict[int, dict[int, int]] = {}
         for t, old, new in self._relocate(block):
             for x in self.holders[t]:
                 if x in R:
                     assert new is not None, "dropped atom still held inside R"
-                    c = self.atoms[x][t] * self.scale[x]
-                    dx = delta.setdefault(x, {})
-                    dx[old] = dx.get(old, 0) - c
-                    dx[new] = dx.get(new, 0) + c
-        for x, dx in delta.items():
-            if proj[x] is self.atoms[x]:
-                proj[x] = dict(proj[x])  # stop sharing the witness's dict
-            _add_counts(proj[x], dx, 1)
-            _add_counts(mass, dx, 1)
-            changed.update(dx)
-        # edges with a changed endpoint: only the changed coordinates move
-        steps: dict[int, int] = {}
-        for x, dx in delta.items():
+                    px = proj[x]
+                    if px is atoms[x]:
+                        px = proj[x] = dict(px)  # stop sharing the witness's dict
+                    px.pop(old, None)
+                    gx = gain.get(x)
+                    if gx is None:
+                        gx = gain[x] = {}
+                    gx[new] = gx.get(new, 0) + atoms[x][t] * scale[x]
+        for x, gx in gain.items():
+            px = proj[x]
+            for z, c in gx.items():
+                px[z] = px.get(z, 0) + c
+                mass[z] += c
+            changed.update(gx)
+        # edges with a gaining endpoint: only the gained coordinates move
+        no_gain: dict[int, int] = {}
+        for x, gx in gain.items():
             px = proj[x]
             for y in adj[x]:
                 if y not in R:
                     continue
-                dy = delta.get(y)
-                if dy is None:
-                    dy = {}
+                gy = gain.get(y)
+                if gy is None:
+                    gy = no_gain
                 elif y < x:
                     continue  # handled from y's side
                 py = proj[y]
-                for z in dx.keys() | dy.keys():
+                for z in gx.keys() | gy.keys():
                     a, b = px.get(z, 0), py.get(z, 0)
-                    step = abs(a - b) - abs(a - dx.get(z, 0) - b + dy.get(z, 0))
-                    if step:
-                        steps[z] = steps.get(z, 0) + step
-        _add_counts(diff, steps, 2)
+                    diff[z] += abs(a - b) - abs(a - gx.get(z, 0) - b + gy.get(z, 0))
 
+        key, heap = self.key, self.heap
+        for z in block:
+            mass[z] = diff[z] = 0
+            key.pop(z, None)
         for z in changed:
-            m = mass.get(z)
-            if m is None:
-                self.key.pop(z, None)
+            m = mass[z]
+            if m:
+                k = key[z] = Fraction(2 * diff[z], m)
+                heapq.heappush(heap, (k, z))
             else:
-                k = self.key[z] = Fraction(diff.get(z, 0), m)
-                heapq.heappush(self.heap, (k, z))
+                key.pop(z, None)
 
     def _relocate(self, block: tuple[int, ...]) -> list[tuple[int, int, int | None]]:
         """Re-resolve the atoms whose nearest point was cut: (atom, old, new or None).

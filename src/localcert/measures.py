@@ -231,20 +231,26 @@ def tighten_radius(w: WitnessFunction) -> WitnessFunction:
     Exact, one BFS per vertex.  Each BFS stops at the best reach found so far,
     and only a vertex with an atom beyond it is searched again out to the
     declared radius, so the total work tracks the final reach rather than the
-    declared radius.
+    declared radius.  These searches see every atom, so when the witness is
+    full and every atom was reached within the final radius, the result
+    records that its supports lie in their balls and check_uniformity runs
+    no sweep of its own; otherwise nothing is recorded.
     """
     adj = w.graph.adj
     best = 1
+    reached = w.is_full
     for x in w.vertices:
         supp = w.dists[x].num.keys()
         _, dist = bfs(adj, (x,), best)
         if all(z in dist for z in supp):
             continue
         _, dist = bfs(adj, (x,), w.radius)
-        best = max([best] + [dist[z] for z in supp if z in dist])
-    if best >= w.radius:
-        return w
-    return WitnessFunction(w.graph, best, w.dists, w.vertices)
+        found = [dist[z] for z in supp if z in dist]
+        reached = reached and len(found) == len(supp)
+        best = max([best] + found)
+    # best exceeds the declared radius only when that is 0
+    out = w if best >= w.radius else WitnessFunction(w.graph, best, w.dists, w.vertices)
+    return _record_supports_in_balls(out) if reached and best <= w.radius else out
 
 
 def uniform_ball_witness(G: BoundedDegreeGraph, r: int) -> WitnessFunction:

@@ -11,6 +11,8 @@ from conftest import random_family_graph
 from localcert.errors import FormatError, NoQualifyingSet, NotUniform, OutOfRange
 from localcert.hyperfinite import (
     PartitionResult,
+    _coordinate_sums,
+    _ShrinkingProjection,
     area_coarea_check,
     boundary_sets,
     check_hyperfinite,
@@ -109,6 +111,16 @@ def test_find_low_boundary_respects_the_ratio():
         inside = set(res.vertices)
         for x in w.vertices:
             assert (w.dists[x].value(res.z0) > res.threshold) == (x in inside)
+
+
+@pytest.mark.parametrize("atom", [-1, 3, 7])
+def test_find_low_boundary_refuses_an_atom_outside_the_graph(atom):
+    """Dense coordinate sums index by atom: -1 would wrap and 3 would overrun on path 3."""
+    P = lc.generate(lc.FamilySpec("path", (3,)))
+    dists = {x: RationalDist.delta(x) for x in range(3)}
+    dists[1] = RationalDist(2, {1: 1, atom: 1})
+    with pytest.raises(ValueError, match=f"vertex 1 has atom {atom} outside"):
+        find_low_boundary_set(WitnessFunction(P, 2, dists), Fraction(2))
 
 
 def test_find_low_boundary_can_fail_on_rough_witness():
@@ -232,6 +244,81 @@ def test_extract_partition_matches_reference_loop():
         rel = project_witness(w, range(G.n - 1))
         assert outcome(extract_partition, G, rel, Fraction(1)) is ValueError
     assert errors == {NotUniform}
+
+
+def random_witness(G, r, rng, smooth):
+    """Random supports inside B_r(x), random numerators over per-vertex denominators.
+
+    A smooth witness spreads mass over the whole ball with numerators 3 or 4,
+    so it measures below 1 on most graphs; a rough one takes a random subset.
+    """
+    dists = {}
+    for x in range(G.n):
+        _, dist = lc.bfs(G.adj, (x,), r)
+        least = len(dist) if smooth else 1
+        supp = rng.sample(sorted(dist), rng.randint(least, len(dist)))
+        nums = [rng.randint(3 if smooth else 1, 4) for _ in supp]
+        dists[x] = RationalDist(sum(nums), dict(zip(supp, nums)))
+    return WitnessFunction(G, r, dists)
+
+
+def random_witness_suite(seed):
+    """Random witnesses on the five families at r = 1..3, with their measured eps."""
+    rng = random.Random(seed)
+    graphs = [
+        lc.generate(lc.FamilySpec("grid", (rng.randint(4, 7), rng.randint(4, 7)))),
+        lc.generate(lc.FamilySpec("path", (rng.randint(20, 40),))),
+        lc.generate(lc.FamilySpec("cycle", (rng.randint(20, 40),))),
+        lc.generate(lc.FamilySpec("full_tree", (2, rng.randint(3, 4)))),
+        lc.generate(lc.FamilySpec("random_regular", (2 * rng.randint(10, 16), 3),
+                                  rng.randint(0, 999))),
+    ]
+    for G in graphs:
+        for r in (1, 2, 3):
+            for smooth in (False, True):
+                w = random_witness(G, r, rng, smooth)
+                yield G, w, lc.check_uniformity(w).max_edge_l1
+
+
+def test_extract_partition_matches_reference_loop_on_random_witnesses(monkeypatch):
+    relocate = _ShrinkingProjection._relocate
+    dropped = []
+
+    def spy(self, block):
+        out = relocate(self, block)
+        dropped.extend(t for t, _, new in out if new is None)
+        return out
+
+    monkeypatch.setattr(_ShrinkingProjection, "_relocate", spy)
+    for G, w, eps in random_witness_suite(605):
+        got = outcome(extract_partition, G, w, eps)
+        assert got == outcome(reference_partition, G, w, eps), (G.n, w.radius, eps)
+        assert isinstance(got, PartitionResult)
+    assert dropped  # some atom lost its last holder in R
+
+
+def test_shrinking_projection_sums_after_every_cut():
+    """The incrementally kept sums equal a recount over R's current projection.
+
+    Every coordinate of a cut block reads 0 and has no key, and the ratio
+    keys are exactly 2 diff/mass over the coordinates with mass.
+    """
+    for G, w, eps in random_witness_suite(606):
+        state = _ShrinkingProjection(w)
+        while state.remaining:
+            block = state.cut(eps).vertices
+            R = state.remaining
+            mass, diff, _, _ = _coordinate_sums(G, sorted(R), R, state.proj)
+            assert (state.mass, state.diff) == (mass, diff), (G.n, w.radius)
+            assert all(mass[z] == diff[z] == 0 and z not in state.key for z in block)
+            assert state.key == {
+                z: Fraction(2 * diff[z], m) for z, m in enumerate(mass) if m
+            }
+            if R:
+                want = project_witness(w, R)
+                assert all(
+                    RationalDist(state.den, state.proj[x]) == want.dists[x] for x in R
+                )
 
 
 def test_every_block_lies_within_2r_of_its_z0():

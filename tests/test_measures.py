@@ -18,6 +18,7 @@ from localcert.measures import (
     l1_distance,
     project_witness,
     require_quantizable,
+    tighten_radius,
     uniform_ball_witness,
 )
 
@@ -163,6 +164,48 @@ def test_recorded_supports_agree_with_a_fresh_sweep(family, params):
         fresh = WitnessFunction(G, wit.radius, wit.dists, wit.vertices)
         assert not fresh._supports_in_balls
         assert check_uniformity(wit) == check_uniformity(fresh)
+
+
+@pytest.mark.parametrize("family, params", [("path", (30,)), ("cycle", (30,)),
+                                             ("full_tree", (2, 5))])
+def test_tighten_radius_records_shift_witnesses(family, params):
+    """Its searches saw every atom, so the measurement sweeps no ball again."""
+    G = lc.generate(lc.FamilySpec(family, params))
+    raw = lc.witness_from_separators(G, lc.shift_family_distribution(G, 5))
+    w = tighten_radius(raw)
+    assert w.radius < raw.radius
+    assert w._supports_in_balls
+    fresh = WitnessFunction(G, w.radius, w.dists, w.vertices)
+    assert check_uniformity(w) == check_uniformity(fresh)
+    assert check_uniformity(w).support_ok
+
+
+def _unrecordable_witnesses():
+    """(witness, bad vertex): an atom beyond the declared radius, one outside
+    the graph, and a relative witness with an atom outside its domain."""
+    G = lc.generate(lc.FamilySpec("path", (10,)))
+    base = uniform_ball_witness(G, 1).dists
+    beyond = {**base, 4: RationalDist(2, {4: 1, 9: 1})}  # d(4, 9) = 5 > 3
+    outside = {**base, 2: RationalDist(2, {2: 1, 10: 1})}
+    relative = {x: RationalDist.delta(x) for x in range(5)}
+    relative[4] = RationalDist(2, {4: 1, 5: 1})
+    return {
+        "beyond": (WitnessFunction(G, 3, beyond), 4),
+        "outside": (WitnessFunction(G, 3, outside), 2),
+        "relative": (WitnessFunction(G, 3, relative, range(5)), 4),
+    }
+
+
+@pytest.mark.parametrize("case", ["beyond", "outside", "relative"])
+def test_tighten_radius_leaves_unreached_atoms_unrecorded(case):
+    w, bad = _unrecordable_witnesses()[case]
+    tight = tighten_radius(w)
+    assert tight.radius == 1
+    assert not tight._supports_in_balls
+    rep = check_uniformity(tight)
+    assert (rep.support_ok, rep.bad_support_vertex) == (False, bad)
+    fresh = WitnessFunction(w.graph, 1, w.dists, w.vertices)
+    assert check_uniformity(fresh) == rep
 
 
 def test_uniformity_per_edge_values():
