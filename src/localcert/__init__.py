@@ -45,12 +45,9 @@ from .measures import (
     UniformityReport,
     WitnessFunction,
     check_uniformity,
-    derive_alpha,
     discretize,
-    discretize_witness,
     l1_distance,
     project_witness,
-    require_quantizable,
     tighten_radius,
     uniform_ball_witness,
 )

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import FormatError, LocalcertError, WitnessTooRough
+from .errors import FormatError, LocalcertError
 from .graphs import (
     FAMILIES,
     BoundedDegreeGraph,
@@ -23,20 +23,14 @@ from .graphs import (
     read_graph_file,
 )
 from .hyperfinite import (
+    PartitionResult,
     check_hyperfinite,
     edit_distance_upper_bound,
     extract_partition,
     format_partition,
 )
 from .labeling import build_proof, format_labeling, read_labeling_file
-from .measures import (
-    WitnessFunction,
-    check_uniformity,
-    derive_alpha,
-    require_quantizable,
-    tighten_radius,
-    uniform_ball_witness,
-)
+from .measures import WitnessFunction, check_uniformity, tighten_radius, uniform_ball_witness
 from .separators import (
     read_separator_distribution_file,
     shift_family_distribution,
@@ -60,6 +54,10 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational {text!r}; write <num>/<den>") from exc
+
+
+def _fraction_str(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _parse_params(text: str) -> tuple[int, ...]:
@@ -123,22 +121,15 @@ def cmd_prove(args: argparse.Namespace) -> int:
         raise ValueError(f"--eps-prime must be positive and below 2, got {args.eps_prime}")
     G = _read_nonempty_graph(args.graph, "prove")
     w = _build_witness(G, args)
-    measured = check_uniformity(w).max_edge_l1
-    if measured >= args.eps_prime:
-        raise WitnessTooRough(
-            f"witness measures {measured} >= eps' = {args.eps_prime} at radius "
-            f"{w.radius}; this graph does not admit the claimed smoothness here"
-        )
-    alpha = derive_alpha(G, w.radius, measured, args.eps_prime)
-    require_quantizable(w, measured, args.eps_prime, alpha)
-    labeling = build_proof(G, w, args.eps_prime, alpha)
+    labeling = build_proof(G, w, args.eps_prime)
+    measured = check_uniformity(w).max_edge_l1  # cached by build_proof
     # the exact witness is the largest object prove holds; drop it before
     # the label text is built
     del w
     _emit(format_labeling(labeling), args.out)
     p = labeling.params
     sys.stderr.write(
-        f"measured_eps = {measured.numerator}/{measured.denominator}\n"
+        f"measured_eps = {_fraction_str(measured)}\n"
         f"radius = {p.r}\nalpha = {p.alpha}\npalette = {p.palette}\n"
         f"K = {labeling.k_local}\n"
     )
@@ -153,8 +144,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if verdict.accept else 1
 
 
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _edit_bound_line(G: BoundedDegreeGraph, partition: PartitionResult, predicate: str) -> str:
+    bound = edit_distance_upper_bound(G, partition, resolve_predicate(predicate))
+    return "edit_bound = " + (
+        _fraction_str(bound.bound) if bound.feasible else f"infeasible block {bound.offending_block}"
+    )
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -165,14 +159,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
     del labeling  # the tables are not read again; release them before extraction
     partition = extract_partition(G, witness, eps_prime)
     _emit(format_partition(partition), args.out)
-    bound = edit_distance_upper_bound(G, partition, resolve_predicate(args.predicate))
     lines = [
         f"blocks = {partition.num_blocks}",
         f"max_block = {partition.max_block_size}",
         f"removed_edges = {partition.num_removed}",
         f"removed_per_vertex = {_fraction_str(Fraction(partition.num_removed, G.n))}",
-        "edit_bound = "
-        + (_fraction_str(bound.bound) if bound.feasible else f"infeasible block {bound.offending_block}"),
+        _edit_bound_line(G, partition, args.predicate),
     ]
     sys.stderr.write("\n".join(lines) + "\n")
     return 0
@@ -207,7 +199,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         partition = extract_partition(G, witness, p.eps_prime)
         decoded = check_uniformity(witness)  # cached by the extraction's pass
         hyper = check_hyperfinite(G, partition, guarantee, k_local)
-        bound = edit_distance_upper_bound(G, partition, resolve_predicate(args.predicate))
         lines += [
             f"eps_decoded = {_fraction_str(decoded.max_edge_l1)}",
             f"blocks = {partition.num_blocks}",
@@ -216,8 +207,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"removed_per_vertex = {_fraction_str(hyper.removed_per_vertex)}",
             f"removed_per_edge = {_fraction_str(hyper.removed_per_edge)}",
             f"hyperfinite_ok = {'true' if hyper.ok else 'false'}",
-            "edit_bound = "
-            + (_fraction_str(bound.bound) if bound.feasible else f"infeasible block {bound.offending_block}"),
+            _edit_bound_line(G, partition, args.predicate),
         ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if verdict.accept else 1

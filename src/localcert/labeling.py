@@ -4,8 +4,9 @@ A labeling encodes a quantized witness g so that any vertex can recover
 g(x)(z) for nearby x from labels alone: T1 colors vertices so that equal
 colors never appear within distance 2r+2 of each other, and T2(z) stores, per
 color q, alpha * g(x)(z) for the unique q-colored x with z in B_r(x).
-`build_proof` quantizes the prover's exact witness into g while it writes
-the tables.
+`build_proof` is the whole prover: it measures the exact witness, sizes
+alpha from that measurement, colors, and quantizes the witness into g while
+it writes the tables.
 
 Text format:
 
@@ -20,14 +21,15 @@ r (`verifier.locality_radius`), and never reads K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, filterfalse
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, WitnessTooRough
 from .graphs import BoundedDegreeGraph, ball_sweep, max_ball_size_actual
-from .measures import WitnessFunction, discretize
+from .measures import WitnessFunction, _require_uniform, check_uniformity, discretize
 
 
 @dataclass(frozen=True)
@@ -105,32 +107,38 @@ def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def build_proof(G: BoundedDegreeGraph, w: WitnessFunction, eps_prime: Fraction,
-                alpha: int | None = None) -> ProofLabeling:
-    """Assemble the labeling that encodes w quantized to denominator alpha.
+def build_proof(G: BoundedDegreeGraph, w: WitnessFunction,
+                eps_prime: Fraction) -> ProofLabeling:
+    """The prover: measure w, size alpha, color, and encode w at target eps'.
 
-    The prover picks its own coloring: distance_coloring at distance 2r+2,
-    not 2r.  Two vertices of one color are then more than 2r+2 apart, so no
-    table slot has two owners, and every slot whose owner lies outside the
-    reader's radius-r ball is zero, which keeps the honest l1 check sums
-    exact.  Its sweep also memoizes max |B_2r|, the component bound the
-    scheme certifies, which k_local is fixed to.
+    w must measure below eps' (WitnessTooRough otherwise) with every support
+    inside its ball B_r(x) (NotUniform otherwise).  The coloring is at
+    distance 2r+2, not 2r: two vertices of one color are then more than 2r+2
+    apart, so no table slot has two owners, and every slot whose owner lies
+    outside the reader's radius-r ball is zero, which keeps the honest l1
+    check sums exact.  Its sweep memoizes max |B_s| for every s <= 2r+2, so
+    alpha = ceil(3 max |B_r| / (eps' - eps)) and k_local = max |B_2r|, the
+    component bound the scheme certifies, are memo reads.
 
-    Each table is scattered from the supports, T[z][c(x)] = g(x)(z) with
-    g(x) = discretize(w(x), alpha), one vertex at a time, so the quantized
-    witness never exists as a whole.  Every support must lie inside B_r(x);
-    `require_quantizable` checks that, and that g stays eps'-uniform.  alpha
-    defaults to w's one common denominator, where discretize is the identity.
+    That alpha moves each distribution by at most (eps' - eps)/3 when it is
+    rounded, so every edge of the quantized witness g measures at most
+    eps + 2(eps' - eps)/3 < eps'.  Each table is scattered from the
+    supports, T[z][c(x)] = g(x)(z) with g(x) = discretize(w(x), alpha), one
+    vertex at a time, so g never exists as a whole.
     """
     if not w.is_full:
         raise ValueError("labels encode full-graph witnesses only")
     r = w.radius
-    if alpha is None:
-        alphas = {w.dists[x].den for x in w.vertices}
-        if len(alphas) != 1:
-            raise ValueError(f"witness must share one denominator, found {sorted(alphas)}")
-        (alpha,) = alphas
+    report = check_uniformity(w)
+    eps = report.max_edge_l1
+    if eps >= eps_prime:
+        raise WitnessTooRough(
+            f"witness measures {eps} >= eps' = {eps_prime} at radius "
+            f"{r}; this graph does not admit the claimed smoothness here"
+        )
+    _require_uniform(report, eps_prime)  # only a support outside its ball fails here
     colors = distance_coloring(G, 2 * r + 2)
+    alpha = math.ceil(Fraction(3 * max_ball_size_actual(G, r)) / (eps_prime - eps))
     palette = max(colors) + 1
     params = SchemeParams(r=r, eps_prime=eps_prime, alpha=alpha, palette=palette)
     tables = [[0] * palette for _ in range(G.n)]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import EmptySubgraph, InfeasibleAlpha, NotUniform
-from .graphs import BoundedDegreeGraph, ball_sweep, bfs, max_ball_size_actual
+from .graphs import BoundedDegreeGraph, ball_sweep, bfs
 
 
 class RationalDist:
@@ -294,52 +294,6 @@ def discretize(f: RationalDist, alpha: int) -> RationalDist:
     for _, z in fracs[:need]:
         floors[z] += 1
     return RationalDist(alpha, floors)
-
-
-def derive_alpha(G: BoundedDegreeGraph, r: int, eps: Fraction, eps_prime: Fraction) -> int:
-    """Smallest alpha meeting the discretization sizing rule.
-
-    alpha >= 3 * max_x |B_r(x,G)| / (eps' - eps) guarantees the per-vertex
-    rounding error is at most (eps' - eps)/3.
-    """
-    if not eps_prime > eps:
-        raise InfeasibleAlpha(f"need eps' > eps, got eps={eps}, eps'={eps_prime}")
-    return math.ceil(Fraction(3 * max_ball_size_actual(G, r)) / (eps_prime - eps))
-
-
-def require_quantizable(w: WitnessFunction, eps: Fraction, eps_prime: Fraction,
-                        alpha: int) -> None:
-    """Raise unless discretizing w to denominator alpha keeps every edge below eps'.
-
-    w must measure at most eps with valid supports (NotUniform otherwise),
-    and alpha must be a positive integer meeting the sizing rule against
-    max ball size (InfeasibleAlpha otherwise).  Then each distribution moves
-    by at most (eps' - eps)/3, so every edge of the quantized witness
-    measures at most 2(eps' - eps)/3 + eps < eps'.
-    """
-    _require_uniform(check_uniformity(w), eps)
-    if alpha < 1:
-        raise InfeasibleAlpha(f"alpha must be a positive integer, got {alpha}")
-    bound = Fraction(3 * max_ball_size_actual(w.graph, w.radius))
-    if Fraction(bound, alpha) > eps_prime - eps:
-        raise InfeasibleAlpha(
-            f"alpha={alpha} too small: need alpha >= {bound}/(eps'-eps) "
-            f"= {math.ceil(bound / (eps_prime - eps))}"
-        )
-
-
-def discretize_witness(w: WitnessFunction, eps: Fraction, eps_prime: Fraction,
-                       alpha: int) -> WitnessFunction:
-    """Quantize every distribution of an eps-uniform witness to denominator alpha.
-
-    The whole quantized witness is held at once; the prover instead passes
-    the exact witness and alpha to `build_proof`, which quantizes one vertex
-    at a time.  Checked by `require_quantizable`.
-    """
-    require_quantizable(w, eps, eps_prime, alpha)
-    dists = {x: discretize(w.dists[x], alpha) for x in w.vertices}
-    # each support is a subset of the one just checked
-    return _record_supports_in_balls(WitnessFunction(w.graph, w.radius, dists, w.vertices))
 
 
 def project_witness(w: WitnessFunction, f_vertices: Iterable[int]) -> WitnessFunction:

@@ -338,7 +338,6 @@ def pipeline_verify(G: BoundedDegreeGraph, labeling: ProofLabeling,
     The radius is `locality_radius` of the header's r; the header's K, a
     prover's claim nobody checks, never steers verification.
     """
-    _validate_against_graph(G, labeling)
     a = verify_property_a(G, labeling, jobs=jobs)
     b = verify_locally_p(G, locality_radius(labeling.params), predicate)
     return combine_verdicts(a, b)

@@ -50,13 +50,38 @@ class InProcessPool:
         return [fn(item) for item in items]
 
 
+def encode_as_written(G: lc.BoundedDegreeGraph, w: lc.WitnessFunction,
+                      eps_prime: Fraction) -> lc.ProofLabeling:
+    """Labels for w exactly as written, over its one common denominator.
+
+    `build_proof`'s distance-(2r+2) coloring and table scatter without its
+    measurement or alpha sizing, so tests can encode rough witnesses,
+    supports outside their balls, and witnesses quantized by hand.
+    """
+    (alpha,) = {w.dists[x].den for x in w.vertices}
+    colors = lc.distance_coloring(G, 2 * w.radius + 2)
+    palette = max(colors) + 1
+    tables = [[0] * palette for _ in range(G.n)]
+    for x, c in enumerate(colors):
+        for z, t in w.dists[x].num.items():
+            tables[z][c] = t
+    params = lc.SchemeParams(r=w.radius, eps_prime=eps_prime, alpha=alpha, palette=palette)
+    return lc.ProofLabeling(params, colors, tuple(map(tuple, tables)),
+                            lc.max_ball_size_actual(G, 2 * w.radius))
+
+
+def discretized(w: lc.WitnessFunction, alpha: int) -> lc.WitnessFunction:
+    """The whole witness quantized to denominator alpha at once: the staged reference."""
+    return lc.WitnessFunction(w.graph, w.radius,
+                              {x: lc.discretize(w.dists[x], alpha) for x in w.vertices})
+
+
 @dataclass(frozen=True)
 class ProvedInstance:
     name: str
     G: lc.BoundedDegreeGraph
     raw: lc.WitnessFunction
     measured: Fraction
-    quantized: lc.WitnessFunction
     labeling: lc.ProofLabeling
     prove_seconds: float
     verify_seconds: float
@@ -66,12 +91,7 @@ class ProvedInstance:
 def prove_instance(name: str, G: lc.BoundedDegreeGraph, w: lc.WitnessFunction,
                    eps_prime: Fraction) -> ProvedInstance:
     t0 = time.monotonic()
-    report = lc.check_uniformity(w)
-    assert report.support_ok
-    eps = report.max_edge_l1
-    alpha = lc.derive_alpha(G, w.radius, eps, eps_prime)
-    quantized = lc.discretize_witness(w, eps, eps_prime, alpha)
-    labeling = lc.build_proof(G, quantized, eps_prime)
+    labeling = lc.build_proof(G, w, eps_prime)
     t1 = time.monotonic()
     verdict = lc.verify_property_a(G, labeling)
     t2 = time.monotonic()
@@ -79,8 +99,7 @@ def prove_instance(name: str, G: lc.BoundedDegreeGraph, w: lc.WitnessFunction,
         name=name,
         G=G,
         raw=w,
-        measured=eps,
-        quantized=quantized,
+        measured=lc.check_uniformity(w).max_edge_l1,  # cached by build_proof
         labeling=labeling,
         prove_seconds=t1 - t0,
         verify_seconds=t2 - t1,

@@ -107,8 +107,8 @@ def test_criterion_3_discretization_bounds():
         w = lc.uniform_ball_witness(G, r)
         eps = lc.check_uniformity(w).max_edge_l1
         eps_prime = eps + Fraction(1, rng2.randint(2, 6))
-        alpha = lc.derive_alpha(G, r, eps, eps_prime)
-        q = lc.discretize_witness(w, eps, eps_prime, alpha)
+        # the witness the labels encode, read back by the verifier's decoder
+        q = lc.decode_accepted_witness(G, lc.build_proof(G, w, eps_prime))
         bound = 2 * (eps_prime - eps) / 3 + eps
         for a, b in G.edges():
             ok = ok and lc.l1_distance(q.dists[a], q.dists[b]) <= bound

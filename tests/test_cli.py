@@ -130,10 +130,20 @@ def test_prove_separator_file_matches_default_shift(p11, capsys, tmp_path):
     assert from_file.read_text() == auto.read_text()
 
 
-def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch):
-    """The witness's own sweep and the coloring are prove's only sweeps; the witness is measured once."""
-    g = tmp_path / "g8.graph"
-    run(capsys, "gen", "--family", "grid", "--n", "8,8", "--out", str(g))
+@pytest.mark.parametrize("family, n, flags, want_balls, want_l1", [
+    # the uniform-ball witness's own sweep at r = 2 and the distance-6 coloring:
+    # its supports are its balls, so the uniformity check sweeps no balls again
+    ("grid", "8,8", ("--witness", "uniform-ball", "--r", "2", "--eps-prime", "3/2"),
+     {2: 64, 6: 64}, 112),
+    # the auto witness is tightened to r = 12, whose searches record its
+    # supports; max |B_12| for alpha is read from the distance-26 coloring
+    ("full_tree", "2,6", ("--eps-prime", "1/2"), {26: 127}, 126),
+], ids=["uniform-ball-grid8x8", "auto-full_tree2x6"])
+def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch,
+                                                        family, n, flags, want_balls, want_l1):
+    """The coloring is prove's only sweep besides the witness's own; the witness is measured once."""
+    g = tmp_path / "g.graph"
+    run(capsys, "gen", "--family", family, "--n", n, "--out", str(g))
     balls, searches = count_searches(monkeypatch)
     edges_measured = Counter()
     l1 = measures.l1_distance
@@ -143,18 +153,14 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
         return l1(p, q)
 
     monkeypatch.setattr(measures, "l1_distance", counting_l1)
-    code, _, _ = run(capsys, "prove", str(g), "--witness", "uniform-ball", "--r", "2",
-                     "--eps-prime", "3/2", "--out", str(tmp_path / "g8.labels"))
+    code, _, _ = run(capsys, "prove", str(g), *flags, "--out", str(tmp_path / "g.labels"))
     assert code == 0
-    assert balls[6] == 64  # the distance-(2r+2) coloring
-    assert balls[4] == 0  # K = max |B_2r| comes from the coloring sweep
-    # the witness's own sweep: its supports are its balls, so the uniformity
-    # check sweeps no balls again; alpha's max |B_r| is read from the
-    # witness's sweep, and the tables are scattered from the supports
-    assert balls[2] == 64
-    assert balls == {2: 64, 6: 64}
-    assert searches == {}  # no ball is read outside the sweep
-    assert edges_measured["l1"] == 112
+    # K = max |B_2r| and alpha's max |B_r| are memo reads, and the tables are
+    # scattered from the supports
+    assert balls == want_balls
+    if family == "grid":
+        assert searches == {}  # no ball is read outside the sweep
+    assert edges_measured["l1"] == want_l1
 
 
 @pytest.mark.parametrize("family, n, flags, digest", [
@@ -183,9 +189,9 @@ def test_prove_drops_the_exact_witness_before_formatting(capsys, tmp_path, monke
     witnesses, alive_at_format = [], []
     build, fmt = cli.build_proof, cli.format_labeling
 
-    def spy_build(G, w, eps_prime, alpha=None):
+    def spy_build(G, w, eps_prime):
         witnesses.append(weakref.ref(w))
-        return build(G, w, eps_prime, alpha)
+        return build(G, w, eps_prime)
 
     def spy_format(lab):
         alive_at_format.append([ref() is not None for ref in witnesses])
@@ -511,7 +517,6 @@ def test_prove_eps_prime_two_or_more_exits_before_any_work(p11, capsys, monkeypa
     g, _ = p11
     called = []
     monkeypatch.setattr(cli, "read_graph_file", lambda *a: called.append("read"))
-    monkeypatch.setattr(cli, "_build_witness", lambda *a: called.append("witness"))
     code, out, err = run(capsys, "prove", str(g), "--eps-prime", eps_prime)
     assert code == 2
     assert out == ""

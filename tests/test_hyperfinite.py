@@ -26,7 +26,6 @@ from localcert.hyperfinite import (
 from localcert.measures import (
     RationalDist,
     WitnessFunction,
-    discretize_witness,
     project_witness,
     uniform_ball_witness,
 )
@@ -226,9 +225,8 @@ def test_extract_partition_matches_reference_loop():
             witnesses = [w]
             if measured < 1:
                 eps_prime = (measured + 1) / 2
-                alpha = lc.derive_alpha(G, r, measured, eps_prime)
-                # one denominator throughout, like a decoded labeling
-                witnesses.append(discretize_witness(w, measured, eps_prime, alpha))
+                # one denominator throughout: the witness a labeling decodes to
+                witnesses.append(lc.decode_accepted_witness(G, lc.build_proof(G, w, eps_prime)))
             for wit in witnesses:
                 # extraction measures a copy with no cached report in its own
                 # pass; that report must be check_uniformity's, worst edge included

@@ -1,5 +1,6 @@
 """Distance coloring, label assembly, decode, and the labels file format."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localcert as lc
-from conftest import random_family_graph
-from localcert.errors import FormatError
+from conftest import discretized, encode_as_written, random_family_graph
+from localcert.errors import FormatError, NotUniform
 from localcert.graphs import bfs, max_ball_size_actual, max_ball_size_bound
 from localcert.labeling import (
     ProofLabeling,
@@ -19,12 +20,7 @@ from localcert.labeling import (
     format_labeling,
     parse_labeling,
 )
-from localcert.measures import (
-    RationalDist,
-    WitnessFunction,
-    discretize_witness,
-    uniform_ball_witness,
-)
+from localcert.measures import RationalDist, WitnessFunction, uniform_ball_witness
 from localcert.verifier import CHECK_PROBABILITY, decode_accepted_witness, verify_property_a
 
 
@@ -109,21 +105,35 @@ def test_coloring_sweep_records_ball_size_profile(G, q):
 
 
 def test_build_proof_path3_tables():
-    G, g = quantized_path_witness()
-    labeling = build_proof(G, g, Fraction(5, 6))
+    G = lc.generate(lc.FamilySpec("path", (3,)))
+    labeling = build_proof(G, uniform_ball_witness(G, 1), Fraction(5, 6))
     p = labeling.params
-    assert (p.r, p.alpha, p.palette) == (1, 6, 3)
+    # the witness measures 2/3, so alpha = ceil(3 * 3 / (5/6 - 2/3)) = 54
+    assert (p.r, p.alpha, p.palette) == (1, 54, 3)
     assert labeling.colors == (0, 1, 2)
     # the middle vertex is seen by all three, so its table holds each
-    # owner's mass for vertex 1: 3/6, 2/6, 3/6
-    assert labeling.tables[1] == (3, 2, 3)
-    assert labeling.tables[0] == (3, 2, 0)
+    # owner's mass for vertex 1: 27/54, 18/54, 27/54
+    assert labeling.tables[1] == (27, 18, 27)
+    assert labeling.tables[0] == (27, 18, 0)
     assert labeling.k_local == max_ball_size_actual(G, 2)
+
+
+def test_build_proof_refuses_a_support_outside_its_ball(monkeypatch):
+    G = lc.generate(lc.FamilySpec("path", (10,)))
+    dists = dict(uniform_ball_witness(G, 1).dists)
+    dists[4] = RationalDist(2, {4: 1, 9: 1})  # d(4, 9) = 5 > r = 1
+    w = WitnessFunction(G, 1, dists)
+    coloring = []
+    monkeypatch.setattr("localcert.labeling.distance_coloring", lambda *a: coloring.append(a))
+    # the witness measures 4/3, below eps', so only the support fails
+    with pytest.raises(NotUniform, match="support_ok=False"):
+        build_proof(G, w, Fraction(3, 2))
+    assert coloring == []  # refused before any coloring work
 
 
 def test_decode_value_round_trip():
     G, g = quantized_path_witness()
-    labeling = build_proof(G, g, Fraction(5, 6))
+    labeling = encode_as_written(G, g, Fraction(5, 6))
     decoded = decode_accepted_witness(G, labeling)
     for x in range(G.n):
         for z in range(G.n):
@@ -141,17 +151,23 @@ def test_decode_round_trip_random():
         eps_prime = eps + Fraction(1, 4)
         if eps_prime >= 2:
             continue
-        alpha = lc.derive_alpha(G, r, eps, eps_prime)
-        g = discretize_witness(w, eps, eps_prime, alpha)
-        labeling = build_proof(G, g, eps_prime)
+        labeling = build_proof(G, w, eps_prime)
+        g = discretized(w, labeling.params.alpha)
         decoded = decode_accepted_witness(G, labeling)
         for x in range(G.n):
             for z in g.dists[x].support():
                 assert decoded.dists[x].value(z) == g.dists[x].value(z)
 
 
+def least_alpha(G, w, eps, eps_prime):
+    """The sizing rule ceil(3 max |B_r| / (eps' - eps)), with the balls read afresh."""
+    max_ball = max(len(bfs(G.adj, (x,), w.radius)[0]) for x in range(G.n))
+    return math.ceil(Fraction(3 * max_ball) / (eps_prime - eps))
+
+
 def fused_cases():
-    """Exact witnesses with their eps' and a feasible alpha: uniform balls and separator shifts."""
+    """Exact witnesses with their eps' and an alpha at or above the least one:
+    uniform balls and separator shifts."""
     rng = random.Random(404)
     cases = []
     while len(cases) < 20:
@@ -161,14 +177,14 @@ def fused_cases():
         eps_prime = eps + Fraction(rng.randint(1, 5), rng.randint(8, 40))
         if eps_prime >= 2:
             continue
-        alpha = lc.derive_alpha(G, w.radius, eps, eps_prime) + rng.choice((0, 0, 1, 17))
+        alpha = least_alpha(G, w, eps, eps_prime) + rng.choice((0, 0, 1, 17))
         cases.append((G, w, eps, eps_prime, alpha))
     for family, params, k in (("path", (23,), 4), ("cycle", (24,), 6), ("full_tree", (2, 5), 3)):
         G = lc.generate(lc.FamilySpec(family, params))
         w = lc.tighten_radius(lc.witness_from_separators(G, lc.shift_family_distribution(G, k)))
         eps = lc.check_uniformity(w).max_edge_l1
         eps_prime = min(eps + Fraction(1, 8), (eps + 2) / 2)
-        cases.append((G, w, eps, eps_prime, lc.derive_alpha(G, w.radius, eps, eps_prime)))
+        cases.append((G, w, eps, eps_prime, least_alpha(G, w, eps, eps_prime)))
     return cases
 
 
@@ -182,18 +198,25 @@ def assert_same_labeling(fused, staged):
 
 @pytest.mark.parametrize("G, w, eps, eps_prime, alpha", fused_cases())
 def test_fused_build_proof_matches_discretize_witness(G, w, eps, eps_prime, alpha):
-    """Quantizing while scattering writes the labeling the whole quantized witness gives."""
-    staged = build_proof(G, discretize_witness(w, eps, eps_prime, alpha), eps_prime)
-    assert_same_labeling(build_proof(G, w, eps_prime, alpha), staged)
+    """Quantizing while scattering writes the labeling the whole quantized witness gives.
+
+    build_proof takes the least alpha the sizing rule allows; any alpha at or
+    above it keeps the whole quantized witness within eps + 2(eps' - eps)/3.
+    """
+    fused = build_proof(G, w, eps_prime)
+    least = fused.params.alpha
+    assert least == least_alpha(G, w, eps, eps_prime) <= alpha
+    assert_same_labeling(fused, encode_as_written(G, discretized(w, least), eps_prime))
+    bound = eps + 2 * (eps_prime - eps) / 3
+    assert lc.check_uniformity(discretized(w, alpha)).max_edge_l1 <= bound
 
 
 def test_fused_build_proof_matches_on_proved_instances(accepted_instances):
-    """The session's uniform-ball and separator instances, proved through discretize_witness."""
+    """The session's uniform-ball and separator instances against the staged quantization."""
     for inst in accepted_instances:
-        eps_prime, alpha = inst.labeling.params.eps_prime, inst.labeling.params.alpha
-        assert_same_labeling(build_proof(inst.G, inst.raw, eps_prime, alpha), inst.labeling)
-        # alpha defaults to the one common denominator of a quantized witness
-        assert build_proof(inst.G, inst.quantized, eps_prime) == inst.labeling, inst.name
+        p = inst.labeling.params
+        staged = encode_as_written(inst.G, discretized(inst.raw, p.alpha), p.eps_prime)
+        assert staged == inst.labeling, inst.name
 
 
 def test_support_outside_the_ball_is_rejected_at_its_owner():
@@ -201,16 +224,9 @@ def test_support_outside_the_ball_is_rejected_at_its_owner():
     G = lc.generate(lc.FamilySpec("path", (6,)))
     dists = {x: RationalDist(6, {x: 6}) for x in range(G.n)}
     dists[0] = RationalDist(6, {0: 3, 3: 3})  # vertex 3 lies at distance 3 > r = 1
-    labeling = build_proof(G, WitnessFunction(G, 1, dists), Fraction(1, 2))
+    labeling = encode_as_written(G, WitnessFunction(G, 1, dists), Fraction(1, 2))
     verdict = verify_property_a(G, labeling)
     assert verdict.decisions[0] == CHECK_PROBABILITY
-
-
-def test_build_proof_requires_common_denominator():
-    G = lc.generate(lc.FamilySpec("path", (3,)))
-    w = uniform_ball_witness(G, 1)  # denominators 2, 3, 2
-    with pytest.raises(ValueError):
-        build_proof(G, w, Fraction(1))
 
 
 def test_scheme_params_validation():
@@ -238,7 +254,7 @@ def test_proof_labeling_validation():
 
 def test_labeling_format_round_trip(tmp_path):
     G, g = quantized_path_witness()
-    labeling = build_proof(G, g, Fraction(5, 6))
+    labeling = encode_as_written(G, g, Fraction(5, 6))
     text = format_labeling(labeling)
     back = parse_labeling(text)
     assert back.colors == labeling.colors
@@ -260,7 +276,7 @@ def test_header_round_trips(accepted_instances):
 
 def test_labeling_format_golden():
     G, g = quantized_path_witness()
-    labeling = build_proof(G, g, Fraction(5, 6))
+    labeling = encode_as_written(G, g, Fraction(5, 6))
     lines = format_labeling(labeling).splitlines()
     assert lines[0] == "labels 3 1 6 3 5/6 3"
     assert lines[1] == "0 0 3 2 0"

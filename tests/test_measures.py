@@ -7,17 +7,14 @@ from types import MappingProxyType
 import pytest
 
 import localcert as lc
-from localcert.errors import EmptySubgraph, InfeasibleAlpha, NotUniform
+from localcert.errors import EmptySubgraph, InfeasibleAlpha, WitnessTooRough
 from localcert.measures import (
     RationalDist,
     WitnessFunction,
     check_uniformity,
-    derive_alpha,
     discretize,
-    discretize_witness,
     l1_distance,
     project_witness,
-    require_quantizable,
     tighten_radius,
     uniform_ball_witness,
 )
@@ -156,10 +153,9 @@ def test_recorded_supports_agree_with_a_fresh_sweep(family, params):
     w = uniform_ball_witness(G, 2)
     eps = check_uniformity(w).max_edge_l1
     eps_prime = (eps + 2) / 2
-    quantized = discretize_witness(w, eps, eps_prime, derive_alpha(G, 2, eps, eps_prime))
-    verdict, decoded = lc.verify_and_decode(G, lc.build_proof(G, quantized, eps_prime))
+    verdict, decoded = lc.verify_and_decode(G, lc.build_proof(G, w, eps_prime))
     assert verdict.accept
-    for wit in (w, quantized, decoded):
+    for wit in (w, decoded):
         assert wit._supports_in_balls
         fresh = WitnessFunction(G, wit.radius, wit.dists, wit.vertices)
         assert not fresh._supports_in_balls
@@ -254,28 +250,17 @@ def test_discretize_to_its_own_denominator_is_the_identity():
 
 
 def test_derive_alpha_examples():
+    """build_proof derives alpha = ceil(3 max |B_r| / (eps' - eps)) and needs eps' > eps."""
     P = lc.generate(lc.FamilySpec("path", (11,)))
-    assert derive_alpha(P, 1, Fraction(2, 3), Fraction(5, 6)) == 54
-    with pytest.raises(InfeasibleAlpha):
-        derive_alpha(P, 1, Fraction(1, 2), Fraction(1, 2))
-
-
-def test_discretize_witness_guards():
-    """discretize_witness runs exactly the up-front checks the prover runs."""
-    G = lc.generate(lc.FamilySpec("path", (11,)))
-    w = uniform_ball_witness(G, 1)
-    for check in (require_quantizable, discretize_witness):
-        with pytest.raises(NotUniform):
-            check(w, Fraction(1, 2), Fraction(3, 4), 100)
-        with pytest.raises(InfeasibleAlpha, match="alpha must be a positive integer, got 0"):
-            check(w, Fraction(2, 3), Fraction(5, 6), 0)
-        with pytest.raises(InfeasibleAlpha) as exc:
-            check(w, Fraction(2, 3), Fraction(5, 6), 53)
-        assert str(exc.value) == "alpha=53 too small: need alpha >= 9/(eps'-eps) = 54"
-        check(w, Fraction(2, 3), Fraction(5, 6), 54)
+    w = uniform_ball_witness(P, 1)  # measures 2/3; max |B_1| = 3
+    assert lc.build_proof(P, w, Fraction(5, 6)).params.alpha == 54
+    for eps_prime in (Fraction(1, 2), Fraction(2, 3)):
+        with pytest.raises(WitnessTooRough, match=f"witness measures 2/3 >= eps' = {eps_prime} "):
+            lc.build_proof(P, w, eps_prime)
 
 
 def test_discretize_witness_edge_bound():
+    """The witness the labels encode, decoded, keeps every edge within eps + 2(eps' - eps)/3."""
     rng = random.Random(203)
     for _ in range(25):
         G = random_family_graph(rng)
@@ -285,8 +270,7 @@ def test_discretize_witness_edge_bound():
         eps_prime = eps + Fraction(rng.randint(1, 5), rng.randint(20, 40))
         if eps_prime >= 2:
             continue
-        alpha = derive_alpha(G, r, eps, eps_prime)
-        g = discretize_witness(w, eps, eps_prime, alpha)
+        g = lc.decode_accepted_witness(G, lc.build_proof(G, w, eps_prime))
         bound = 2 * (eps_prime - eps) / 3 + eps
         for u, v in G.edges():
             assert l1_distance(g.dists[u], g.dists[v]) <= bound

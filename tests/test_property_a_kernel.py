@@ -127,9 +127,7 @@ def honest(name):
     w = lc.uniform_ball_witness(G, r)
     eps = lc.check_uniformity(w).max_edge_l1
     eps_prime = (eps + 2) / 2 if eps >= Fraction(1, 2) else Fraction(1, 2)
-    alpha = lc.derive_alpha(G, r, eps, eps_prime)
-    g = lc.discretize_witness(w, eps, eps_prime, alpha)
-    return G, lc.build_proof(G, g, eps_prime)
+    return G, lc.build_proof(G, w, eps_prime)
 
 
 def relabeled(labeling, colors=None, tables=None):

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localcert as lc
-from conftest import InProcessPool, prove_uniform, random_family_graph
+from conftest import (
+    InProcessPool,
+    discretized,
+    encode_as_written,
+    prove_uniform,
+    random_family_graph,
+)
 from localcert import verifier
 from localcert.errors import MalformedLabeling, NotAccepted
 from localcert.graphs import RootedBall, ball_sweep, build_graph, induced_subgraph
@@ -94,9 +100,7 @@ def test_completeness_on_random_families():
         eps_prime = eps + Fraction(1, rng.randint(3, 8))
         if eps_prime >= 2:
             continue
-        alpha = lc.derive_alpha(G, r, eps, eps_prime)
-        g = lc.discretize_witness(w, eps, eps_prime, alpha)
-        labeling = lc.build_proof(G, g, eps_prime)
+        labeling = lc.build_proof(G, w, eps_prime)
         verdict = verify_property_a(G, labeling)
         assert verdict.accept, (G.n, G.m, r, verdict.rejecting()[:3])
         done += 1
@@ -104,9 +108,10 @@ def test_completeness_on_random_families():
 
 def test_decode_returns_the_encoded_witness(p11):
     decoded = decode_accepted_witness(p11.G, p11.labeling)
-    assert decoded.radius == p11.quantized.radius
+    encoded = discretized(p11.raw, p11.labeling.params.alpha)
+    assert decoded.radius == encoded.radius
     for x in range(p11.G.n):
-        assert decoded.dists[x] == p11.quantized.dists[x]
+        assert decoded.dists[x] == encoded.dists[x]
 
 
 def test_check_vertex_agrees_with_driver(p11):
@@ -199,7 +204,7 @@ def test_l1_check_catches_rough_witness():
         0: lc.RationalDist(4, {0: 4}),
         1: lc.RationalDist(4, {1: 4}),
     })
-    labeling = lc.build_proof(G, g, Fraction(1, 2))
+    labeling = encode_as_written(G, g, Fraction(1, 2))
     verdict = verify_property_a(G, labeling)
     assert set(verdict.decisions) == {CHECK_L1}
 
