@@ -21,6 +21,7 @@ r (`verifier.locality_radius`), and never reads K.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,8 +49,12 @@ class SchemeParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.palette < 1:
             raise ValueError(f"palette must be positive, got {self.palette}")
-        if not 0 < self.eps_prime < 2:
-            raise ValueError(f"need 0 < eps' < 2, got eps'={self.eps_prime}")
+        _require_eps_prime(self.eps_prime)
+
+
+def _require_eps_prime(eps_prime: Fraction) -> None:
+    if not 0 < eps_prime < 2:
+        raise ValueError(f"need 0 < eps' < 2, got eps'={eps_prime}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,15 @@ class ProofLabeling:
     @property
     def n(self) -> int:
         return len(self.colors)
+
+    @functools.cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The tables transposed on first read: `columns[q][z] == tables[z][q]`.
+
+        A ball's view of color q is then one C-level gather from `columns[q]`
+        (`verifier.LabeledBall`).  The cache lives and dies with the labeling.
+        """
+        return tuple(zip(*self.tables))
 
 
 def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[int, ...]:
@@ -128,6 +142,7 @@ def build_proof(G: BoundedDegreeGraph, w: WitnessFunction,
     """
     if not w.is_full:
         raise ValueError("labels encode full-graph witnesses only")
+    _require_eps_prime(eps_prime)  # before the measurement and the coloring it would waste
     r = w.radius
     report = check_uniformity(w)
     eps = report.max_edge_l1

@@ -2,9 +2,11 @@
 
 Each vertex x decides from its labeled ball N = B_{r+1}(x), read from one
 level-by-level sweep over G (`graphs.ball_sweep`): the ball in BFS order with
-its level boundaries, so B_r(x) and x's neighbors are prefixes, each ball
-vertex's color and mass table, and, only when some color repeats inside N,
-the ball's own adjacency.
+its level boundaries, so B_r(x) and x's neighbors are prefixes, the ball's
+colors, and the label columns the checks sum: x's own color column and one
+per neighbor color, each the ball's entries in local order, gathered in one
+C call from the labeling's transposed tables (`ProofLabeling.columns`).
+Only when some color repeats inside N does it read the ball's own adjacency.
 A decision never reads parent vertex ids, so verdicts are oblivious to
 vertex identities and to any parallelism in the driver.  Beyond its ball, a
 vertex reads only the labels header (`labeling.params`).  Three checks run
@@ -16,7 +18,9 @@ per vertex:
                z in N stays at or below eps' * alpha
 
 `verify_and_decode` also returns the witness the accepting vertices read from
-those same balls.  The structural half checks a hereditary graph predicate
+those same balls, the B_r(x) prefix of x's own column;
+`decode_accepted_witness` reads the same and stops at the first reject.  The
+structural half checks a hereditary graph predicate
 on B_2r(x), a radius derived from the header's r (`locality_radius`); the
 pipeline verdict is the conjunction.  Verdict report format:
 
@@ -60,21 +64,43 @@ class Verdict:
         return [(x, d) for x, d in enumerate(self.decisions) if d is not None]
 
 
-class LabeledBall(RootedBall):
-    """A rooted ball as its center sees it: `colors[i]` and `tables[i]` are local i's label.
+def _gatherer(order: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """One C call that reads a sequence at the positions in `order`, as a tuple.
 
-    A decision reads the level boundaries (`within`), the labels and, only
-    when some color repeats inside the ball, `local_adj`; never `vertices`,
-    which is there for the decoder.
+    `itemgetter` of a single index returns the item bare, so a one-vertex
+    ball gets a function that wraps it.
+    """
+    if len(order) == 1:
+        (i,) = order
+        return lambda seq: (seq[i],)
+    return itemgetter(*order)
+
+
+class LabeledBall(RootedBall):
+    """A rooted ball as its center sees it: its colors and its label columns, in local order.
+
+    `colors[i]` is local i's color and `column(q)[i]` local i's mass for
+    color q; `own_column` is `column(colors[0])`, the center's own column.
+    Each is gathered from the labeling's transposed tables
+    (`ProofLabeling.columns`) in one C call.  A decision reads the level
+    boundaries (`within`), the labels and, only when some color repeats
+    inside the ball, `local_adj`; never `vertices`, which is there for the
+    decoder.
     """
 
-    __slots__ = ("colors", "tables")
+    __slots__ = ("colors", "own_column", "_gather", "_columns")
 
     def __init__(self, adj: Sequence[Sequence[int]], order: Sequence[int],
                  ends: Sequence[int], labeling: ProofLabeling):
         super().__init__(adj, order, ends)
-        self.colors = tuple(map(labeling.colors.__getitem__, order))
-        self.tables = tuple(map(labeling.tables.__getitem__, order))
+        gather = self._gather = _gatherer(order)
+        columns = self._columns = labeling.columns
+        self.colors = gather(labeling.colors)
+        self.own_column = gather(columns[self.colors[0]])
+
+    def column(self, q: int) -> tuple[int, ...]:
+        """Color q's table entries over the ball, in local order."""
+        return self._gather(self._columns[q])
 
 
 def check_vertex(lball: LabeledBall, params: SchemeParams) -> str | None:
@@ -85,7 +111,6 @@ def check_vertex(lball: LabeledBall, params: SchemeParams) -> str | None:
     integers; the l1 sum covers every row of the ball.
     """
     colors = lball.colors
-    tables = lball.tables
     c0 = colors[0]
     r = params.r
 
@@ -103,7 +128,7 @@ def check_vertex(lball: LabeledBall, params: SchemeParams) -> str | None:
                 if any(z != y and z in mset for z in reach):
                     return CHECK_PROPERNESS
 
-    col0 = tuple(map(itemgetter(c0), tables))
+    col0 = lball.own_column
     if sum(col0[:lball.within(r)]) != params.alpha:
         return CHECK_PROBABILITY
 
@@ -112,7 +137,7 @@ def check_vertex(lball: LabeledBall, params: SchemeParams) -> str | None:
     for cy in colors[1:lball.within(1)]:
         if cy == c0:
             continue
-        total = sum(map(abs, map(sub, col0, map(itemgetter(cy), tables))))
+        total = sum(map(abs, map(sub, col0, lball.column(cy))))
         if total * eden > budget:
             return CHECK_L1
     return None
@@ -186,40 +211,61 @@ def verify_property_a(G: BoundedDegreeGraph, labeling: ProofLabeling,
     return Verdict(tuple(decision for _, _, decision in _judged_balls(G, labeling)))
 
 
+def _decoding_sweep(G: BoundedDegreeGraph, labeling: ProofLabeling):
+    """Yield (x, decision, f(x)) for x = 0..n-1; f(x) is None from the first reject on.
+
+    Each accepting x decodes f(x)(z) = T2(z)(C(x)) / alpha over z in B_r(x)
+    from the ball it was judged on: the B_r(x) prefix of its own column,
+    zeros dropped in C.  The probability check guarantees each f(x) sums to
+    1 exactly, and every support lies in its ball, so a witness built from
+    these may record that.  After a reject no witness is returned, so
+    decoding stops.
+    """
+    _validate_against_graph(G, labeling)
+    alpha, r = labeling.params.alpha, labeling.params.r
+    decoding = True
+    for x, lball, decision in _judged_balls(G, labeling):
+        decoding = decoding and decision is None
+        dist = None
+        if decoding:
+            inner = lball.within(r)
+            mass = lball.own_column[:inner]
+            support = itertools.compress(lball.vertices[:inner], mass)
+            dist = RationalDist(alpha, dict(zip(support, itertools.compress(mass, mass))))
+        yield x, decision, dist
+
+
 def verify_and_decode(G: BoundedDegreeGraph,
                       labeling: ProofLabeling) -> tuple[Verdict, WitnessFunction | None]:
     """The sequential verifier, plus the encoded witness when every vertex accepts.
 
-    Each accepting x decodes f(x)(z) = T2(z)(C(x)) / alpha over z in B_r(x)
-    from the ball it was judged on; the probability check guarantees each
-    f(x) sums to 1 exactly.  Every support is read from that ball's B_r(x)
-    prefix, so the witness records that its supports lie in their balls.
+    Both come from one pass over the balls (`_decoding_sweep`), and every
+    vertex is judged, so the verdict is the whole of `verify_property_a`'s.
     """
-    _validate_against_graph(G, labeling)
-    params = labeling.params
     decisions = []
     dists = {}
-    for x, lball, decision in _judged_balls(G, labeling):
+    for x, decision, dist in _decoding_sweep(G, labeling):
         decisions.append(decision)
-        # after the first reject no witness is returned, so decoding stops
-        if decision is None and len(dists) == x:
-            # B_r(x) is the ball's prefix; RationalDist drops the zero entries
-            inner = lball.within(params.r)
-            column = map(itemgetter(lball.colors[0]), lball.tables[:inner])
-            dists[x] = RationalDist(params.alpha, dict(zip(lball.vertices[:inner], column)))
+        if dist is not None:
+            dists[x] = dist
     verdict = Verdict(tuple(decisions))
     if not verdict.accept:
         return verdict, None
-    return verdict, _record_supports_in_balls(WitnessFunction(G, params.r, dists))
+    return verdict, _record_supports_in_balls(WitnessFunction(G, labeling.params.r, dists))
 
 
 def decode_accepted_witness(G: BoundedDegreeGraph, labeling: ProofLabeling) -> WitnessFunction:
-    """The witness an accepted labeling encodes; raises NotAccepted on any reject."""
-    verdict, witness = verify_and_decode(G, labeling)
-    if witness is None:
-        rejecting = verdict.rejecting()
-        raise NotAccepted(f"verifier rejects at {len(rejecting)} vertices, first: {rejecting[0]}")
-    return witness
+    """The witness an accepted labeling encodes; raises NotAccepted at the first reject.
+
+    The sweep stops at the first rejecting vertex in id order, so no vertex
+    after it is judged.
+    """
+    dists = {}
+    for x, decision, dist in _decoding_sweep(G, labeling):
+        if decision is not None:
+            raise NotAccepted(f"verifier rejects at vertex {x} ({decision} check)")
+        dists[x] = dist
+    return _record_supports_in_balls(WitnessFunction(G, labeling.params.r, dists))
 
 
 # --- structural predicates --------------------------------------------------
@@ -284,20 +330,20 @@ def locality_radius(params: SchemeParams) -> int:
     return 2 * params.r
 
 
-def verify_locally_p(G: BoundedDegreeGraph, K: int, predicate: str) -> Verdict:
-    """Check the named predicate on B_K(x) for every x.
+def verify_locally_p(G: BoundedDegreeGraph, radius: int, predicate: str) -> Verdict:
+    """Check the named predicate on B_radius(x) for every x.
 
     Every PREDICATES entry is hereditary, so when the predicate holds on a
     whole component it holds on every ball inside it: one call settles the
     component.  Inside a component where it fails, each vertex is judged on
-    its own ball, and balls with identical vertex sets share one call.  A
-    radius-K BFS from a probe vertex that reaches the whole component shows,
-    with no further BFS, that B_K(x) is the component wherever
-    dist(probe, x) + ecc(probe) <= K, and those vertices reuse the failed
-    component call.
+    its own ball, and balls with identical vertex sets share one call.  A BFS
+    of that radius from a probe vertex that reaches the whole component
+    shows, with no further BFS, that B_radius(x) is the component wherever
+    dist(probe, x) + ecc(probe) <= radius, and those vertices reuse the
+    failed component call.
     """
-    if K < 0:
-        raise ValueError(f"locality radius must be nonnegative, got {K}")
+    if radius < 0:
+        raise ValueError(f"locality radius must be nonnegative, got {radius}")
     pred = resolve_predicate(predicate)
     decisions: list[str | None] = [None] * G.n
     cache: dict[frozenset[int], bool] = {}
@@ -306,14 +352,14 @@ def verify_locally_p(G: BoundedDegreeGraph, K: int, predicate: str) -> Verdict:
         cache[whole] = bool(pred(induced_subgraph(G, comp)))
         if cache[whole]:
             continue
-        probe, dist = bfs(G.adj, (comp[0],), K)
+        probe, dist = bfs(G.adj, (comp[0],), radius)
         # ecc(probe) is known only when the probe reached the whole component
-        slack = K - dist[probe[-1]] if len(probe) == len(comp) else -1
+        slack = radius - dist[probe[-1]] if len(probe) == len(comp) else -1
         for x in comp:
             if 0 <= slack and dist[x] <= slack:
                 key = whole
             else:
-                key = frozenset(bfs(G.adj, (x,), K)[0])
+                key = frozenset(bfs(G.adj, (x,), radius)[0])
             if key not in cache:
                 cache[key] = bool(pred(induced_subgraph(G, key)))
             if not cache[key]:

@@ -131,6 +131,18 @@ def test_build_proof_refuses_a_support_outside_its_ball(monkeypatch):
     assert coloring == []  # refused before any coloring work
 
 
+@pytest.mark.parametrize("eps_prime", [Fraction(5, 2), Fraction(2), Fraction(0), Fraction(-1, 2)])
+def test_build_proof_checks_eps_prime_before_measuring_or_coloring(monkeypatch, eps_prime):
+    G = lc.generate(lc.FamilySpec("grid", (6, 6)))
+    w = uniform_ball_witness(G, 2)
+    calls = []
+    monkeypatch.setattr("localcert.labeling.check_uniformity", lambda *a: calls.append("measure"))
+    monkeypatch.setattr("localcert.labeling.distance_coloring", lambda *a: calls.append("color"))
+    with pytest.raises(ValueError, match=f"need 0 < eps' < 2, got eps'={eps_prime}$"):
+        build_proof(G, w, eps_prime)
+    assert calls == []
+
+
 def test_decode_value_round_trip():
     G, g = quantized_path_witness()
     labeling = encode_as_written(G, g, Fraction(5, 6))

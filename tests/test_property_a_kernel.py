@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import localcert as lc
+from localcert import verifier
 from localcert.errors import NotAccepted
 from localcert.labeling import ProofLabeling
 from localcert.measures import RationalDist
@@ -117,6 +118,9 @@ INSTANCES = {
     "full_tree2x4_r1": (lambda: lc.generate(lc.FamilySpec("full_tree", (2, 4))), 1),
     "random_regular20_r1": (
         lambda: lc.generate(lc.FamilySpec("random_regular", (20, 3), seed=7)), 1),
+    # one-vertex balls: a gather at a single index must still give a tuple
+    "path1_r1": (lambda: lc.generate(lc.FamilySpec("path", (1,))), 1),
+    "path3_plus_isolated_r1": (lambda: lc.BoundedDegreeGraph(4, 2, [(0, 1), (1, 2)]), 1),
 }
 
 
@@ -208,6 +212,22 @@ def test_concentrated_mass_fails_l1():
     assert decisions[20] == CHECK_L1
 
 
+@pytest.mark.parametrize("transposed_first", [False, True])
+def test_pool_workers_read_the_sequential_columns(monkeypatch, transposed_first):
+    """Two real worker processes judge tampered labels as one process does,
+    whether they inherit the transposed columns or transpose their own."""
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    G, labeling = honest("grid6x7_r2")
+    bad = concentrate(G, bump(labeling, 30, labeling.colors[30], 2), 9)
+    want = reference_verdict(G, bad)
+    assert None in want and set(want) != {None}
+    if transposed_first:
+        assert verify_property_a(G, bad).decisions == want
+    assert ("columns" in vars(bad)) == transposed_first
+    assert verify_property_a(G, bad, jobs=2).decisions == want
+    assert verify_property_a(G, bad).decisions == want
+
+
 # --- random mutations ---------------------------------------------------------------
 
 MUTATION = st.tuples(
@@ -263,6 +283,27 @@ def test_decode_without_verdict_equals_decode_with_verdict(fixture, request):
     bad = bump(labeling, 7, labeling.colors[7], 1)
     with pytest.raises(NotAccepted) as err:
         decode_accepted_witness(G, bad)
-    rejecting = verify_property_a(G, bad).rejecting()
-    assert str(err.value) == (
-        f"verifier rejects at {len(rejecting)} vertices, first: {rejecting[0]}")
+    x, check = verify_property_a(G, bad).rejecting()[0]
+    assert str(err.value) == f"verifier rejects at vertex {x} ({check} check)"
+
+
+def test_decode_refuses_at_the_first_rejecting_vertex(monkeypatch):
+    G, labeling = honest("grid6x7_r2")
+    bad = bump(labeling, 0, labeling.colors[0], 1)
+    assert verify_property_a(G, bad).decisions[0] == CHECK_PROBABILITY
+    judged = []
+    check = verifier.check_vertex
+
+    def counting_check(lball, params):
+        judged.append(lball.vertices[0])
+        return check(lball, params)
+
+    monkeypatch.setattr(verifier, "check_vertex", counting_check)
+    with pytest.raises(NotAccepted, match=r"^verifier rejects at vertex 0 \(probability check\)$"):
+        decode_accepted_witness(G, bad)
+    assert judged == [0]
+    # verify_and_decode still judges every vertex, for report's whole verdict
+    judged.clear()
+    verdict, witness = verifier.verify_and_decode(G, bad)
+    assert witness is None and judged == list(range(G.n))
+    assert verdict == verify_property_a(G, bad)
