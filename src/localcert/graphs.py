@@ -22,11 +22,14 @@ _RANDOM_REGULAR_TRIES = 2000
 class BoundedDegreeGraph:
     """Immutable simple graph on vertices 0..n-1 with max degree <= d.
 
-    `_ball_sizes` memoizes max_ball_size_actual per radius (`ball_sweep`
-    fills it); it is derived data, so equality and hashing ignore it.
+    `_ball_sizes` memoizes max_ball_size_actual per radius, always for
+    radii 0..D with no gap (`ball_sweep` fills it).  `_ball_sizes_saturated`
+    records that a sweep found every ball whole by radius D, so each larger
+    radius has the size at D.  Both are derived data, so equality and
+    hashing ignore them.
     """
 
-    __slots__ = ("n", "d", "adj", "_edge_set", "_ball_sizes")
+    __slots__ = ("n", "d", "adj", "_edge_set", "_ball_sizes", "_ball_sizes_saturated")
 
     def __init__(self, n: int, d: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -56,6 +59,7 @@ class BoundedDegreeGraph:
         )
         self._edge_set = frozenset(seen)
         self._ball_sizes: dict[int, int] = {}
+        self._ball_sizes_saturated = False
 
     @property
     def m(self) -> int:
@@ -128,12 +132,15 @@ def bfs(adj: Sequence[Sequence[int]], sources: Iterable[int], cutoff: int | None
 
 def _levels(adj: Sequence[Sequence[int]], x: int, q: int,
             mark: list[int]) -> tuple[list[int], list[int]]:
-    """B_q(x) level by level: (order, ends), with ends[s] = |B_s(x)| for s = 0..q.
+    """B_q(x) level by level: (order, ends), with ends[s] = |B_s(x)|.
 
-    `order` is the FIFO BFS order from x, so B_s(x) is its prefix of length
-    ends[s].  `mark` is the visited stamp: w counts as reached iff
-    mark[w] == x, and every vertex of the ball is stamped x on return, so one
-    list serves a whole sweep as long as no center repeats.
+    `ends` runs over s = 0..q, or stops early at x's eccentricity once the
+    component is exhausted: every larger ball is the same, so its length is
+    bounded by the graph and not by q.  `order` is the FIFO BFS order from
+    x, so B_s(x) is its prefix of length ends[s].  `mark` is the visited
+    stamp: w counts as reached iff mark[w] == x, and every vertex of the
+    ball is stamped x on return, so one list serves a whole sweep as long
+    as no center repeats.
     """
     mark[x] = x
     order = [x]
@@ -147,8 +154,6 @@ def _levels(adj: Sequence[Sequence[int]], x: int, q: int,
                     mark[w] = x
                     order.append(w)
         if len(order) == stop:
-            # the component is exhausted: every larger ball is the same
-            ends += [stop] * (q + 1 - len(ends))
             break
         ends.append(len(order))
         start = stop
@@ -160,7 +165,9 @@ class RootedBall:
 
     Local vertex i is the i-th vertex of the FIFO BFS from x over `adj`, so
     x is local 0 and `vertices[i]` is local i's parent id.  `ends[s]` is
-    |B_s(x)|, for s = 0..q, so every smaller ball is a prefix (`within`).
+    |B_s(x)| for s = 0..q, cut short where the component runs out, so every
+    smaller ball is a prefix (`within`, which maps any radius past the end
+    of `ends` to the whole ball).
     `local_adj[i]` lists local i's neighbors inside the ball, ascending; it
     is built from the parent adjacency on first read.
     """
@@ -220,38 +227,52 @@ def ball_sweep(G: BoundedDegreeGraph, q: int,
                vertices: range | None = None) -> Iterator[tuple[int, list[int], list[int]]]:
     """Yield (x, order, ends) for x = 0..n-1: the package's one per-vertex ball sweep.
 
-    `order` is B_q(x) in FIFO BFS order and ends[s] = |B_s(x)| for s <= q
-    (see `RootedBall`).  One stamp list serves the whole sweep.  A full sweep
-    also measures G: once the last vertex has been yielded, G's memo holds
-    max_x |B_s(x)| (0 on an empty graph) for every s <= q, so
-    max_ball_size_actual at those radii needs no sweep of its own.  Passing
-    `vertices` sweeps only those centers (a pool worker's share) and records
-    nothing.
+    `order` is B_q(x) in FIFO BFS order and ends[s] = |B_s(x)| for s <= q,
+    cut short where x's component runs out (see `RootedBall`).  One stamp
+    list serves the whole sweep.  A full sweep also measures G: once the
+    last vertex has been yielded, G's memo holds max_x |B_s(x)| (0 on an
+    empty graph) for every s <= q, so max_ball_size_actual at those radii
+    needs no sweep of its own.  The memo stores radii only up to the deepest
+    profile; when that lies below q every ball is whole, and the memo
+    answers every larger radius too.  Passing `vertices` sweeps only those
+    centers (a pool worker's share) and records nothing.
     """
     if q < 0:
         raise ValueError(f"radius must be nonnegative, got {q}")
     adj = G.adj
     mark = [-1] * G.n
-    profiles = []
+    best = [0]  # max |B_s| over the balls so far, s = 0..deepest profile
+    last = None
     for x in range(G.n) if vertices is None else vertices:
         order, ends = _levels(adj, x, q, mark)
-        profiles.append(ends)
+        # neighbouring balls mostly share a profile, and a repeat changes no max
+        if ends != last:
+            last = ends
+            # the shorter profile is of whole balls: it extends by its last size
+            gap = len(best) - len(ends)
+            if gap < 0:
+                best += [best[-1]] * -gap
+            best = list(map(max, best, ends if gap <= 0 else ends + [ends[-1]] * gap))
         yield x, order, ends
     if vertices is None:
-        # one max per radius over all balls, in C, rather than a merge per ball
-        best = list(map(max, zip(*profiles))) or [0] * (q + 1)
         G._ball_sizes.update(enumerate(best))
+        if len(best) <= q:
+            G._ball_sizes_saturated = True
 
 
 def max_ball_size_actual(G: BoundedDegreeGraph, r: int) -> int:
-    """max_x |B_r(x, G)|, memoized per radius on G; a miss sweeps at radius r."""
+    """max_x |B_r(x, G)|, memoized per radius on G; a miss sweeps at radius r.
+
+    A radius past the memo's deepest entry, once a sweep found every ball
+    whole there, reads that entry (see `ball_sweep`).
+    """
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     sizes = G._ball_sizes
-    if r not in sizes:
+    if r not in sizes and not G._ball_sizes_saturated:
         for _ in ball_sweep(G, r):
             pass
-    return sizes[r]
+    return sizes[r] if r in sizes else sizes[len(sizes) - 1]
 
 
 def components(G: BoundedDegreeGraph) -> list[list[int]]:

@@ -6,7 +6,9 @@ colors never appear within distance 2r+2 of each other, and T2(z) stores, per
 color q, alpha * g(x)(z) for the unique q-colored x with z in B_r(x).
 `build_proof` is the whole prover: it measures the exact witness, sizes
 alpha from that measurement, colors, and quantizes the witness into g while
-it writes the tables.
+it writes the tables.  The rounding is `measures.discretize`'s rule, applied
+in the scatter loop itself; tests hold the tables to `discretize` as the
+reference.
 
 Text format:
 
@@ -30,7 +32,7 @@ from pathlib import Path
 
 from .errors import FormatError, WitnessTooRough
 from .graphs import BoundedDegreeGraph, ball_sweep, max_ball_size_actual
-from .measures import WitnessFunction, _require_uniform, check_uniformity, discretize
+from .measures import WitnessFunction, _require_uniform, check_uniformity
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,10 @@ def build_proof(G: BoundedDegreeGraph, w: WitnessFunction,
     That alpha moves each distribution by at most (eps' - eps)/3 when it is
     rounded, so every edge of the quantized witness g measures at most
     eps + 2(eps' - eps)/3 < eps'.  Each table is scattered from the
-    supports, T[z][c(x)] = g(x)(z) with g(x) = discretize(w(x), alpha), one
-    vertex at a time, so g never exists as a whole.
+    supports, T[z][c(x)] = alpha * g(x)(z), one vertex at a time, so g never
+    exists as a whole.  g(x) follows `measures.discretize`'s rule without a
+    call to it: each alpha * w(x)(z) is floored, and the units still missing
+    go to the atoms with the largest remainders, ties to the smaller id.
     """
     if not w.is_full:
         raise ValueError("labels encode full-graph witnesses only")
@@ -156,10 +160,30 @@ def build_proof(G: BoundedDegreeGraph, w: WitnessFunction,
     alpha = math.ceil(Fraction(3 * max_ball_size_actual(G, r)) / (eps_prime - eps))
     palette = max(colors) + 1
     params = SchemeParams(r=r, eps_prime=eps_prime, alpha=alpha, palette=palette)
-    tables = [[0] * palette for _ in range(G.n)]
-    for x, c in enumerate(colors):
-        for z, t in discretize(w.dists[x], alpha).num.items():
-            tables[z][c] = t
+    n = G.n
+    tables = [[0] * palette for _ in range(n)]
+    for x, col in enumerate(colors):
+        f = w.dists[x]
+        den, num = f.den, f.num
+        # one divmod per distinct numerator; an atom's key (den - rem) * n + z
+        # orders by largest remainder, then smaller id (0 <= z < n holds, as
+        # the support check passed); a zero remainder sorts last, never among
+        # the `need` taken, as need < the number of positive remainders
+        split = {}
+        for c in set(num.values()):
+            q, rem = divmod(c * alpha, den)
+            split[c] = (q, (den - rem) * n)
+        need = alpha
+        keys = []
+        for z, c in num.items():
+            q, offset = split[c]
+            tables[z][col] = q
+            need -= q
+            keys.append(offset + z)
+        if need:
+            keys.sort()
+            for key in keys[:need]:
+                tables[key % n][col] += 1
     # in place, so each list row is freed as its tuple is made
     for z, row in enumerate(tables):
         tables[z] = tuple(row)

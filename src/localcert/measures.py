@@ -83,15 +83,25 @@ class RationalDist:
 
 
 def l1_distance(p: RationalDist, q: RationalDist) -> Fraction:
-    """Exact l1 distance between two distributions."""
+    """Exact l1 distance between two distributions.
+
+    Both are brought onto the least common denominator pd * (qd // g), with
+    g = gcd(pd, qd): p's numerators scale by qd // g and q's by pd // g.
+    Over one shared denominator both factors are 1, so witnesses that share
+    a large denominator (the separator witnesses) cost no multi-digit
+    cross-multiplication.
+    """
     pd, qd = p.den, q.den
+    g = math.gcd(pd, qd)
+    ps, qs = qd // g, pd // g
+    pn, qn = p.num, q.num
     total = 0
-    for z, c in p.num.items():
-        total += abs(c * qd - q.num.get(z, 0) * pd)
-    for z, c in q.num.items():
-        if z not in p.num:
-            total += c * pd
-    return Fraction(total, pd * qd)
+    for z, c in pn.items():
+        total += abs(c * ps - qn.get(z, 0) * qs)
+    for z, c in qn.items():
+        if z not in pn:
+            total += c * qs
+    return Fraction(total, pd * ps)
 
 
 class WitnessFunction:
@@ -273,7 +283,9 @@ def discretize(f: RationalDist, alpha: int) -> RationalDist:
     alpha - sum(floors) is returned by raising that many entries by 1/alpha,
     chosen by largest fractional part, ties by smaller vertex id.  Per entry
     the error is < 1/alpha, so ||f - g||_1 <= |support| / alpha.  A
-    distribution already over alpha is returned as it is.
+    distribution already over alpha is returned as it is.  The prover
+    (`labeling.build_proof`) applies this rule while it writes its tables;
+    this function is the reference its tests compare against.
     """
     if alpha < 1:
         raise InfeasibleAlpha(f"alpha must be a positive integer, got {alpha}")

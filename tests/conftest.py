@@ -33,6 +33,13 @@ def random_family_graph(rng: random.Random) -> lc.BoundedDegreeGraph:
     return lc.generate(lc.FamilySpec("random_regular", (n, 3), seed=rng.randint(0, 10**6)))
 
 
+def forbid_sweeps(monkeypatch) -> None:
+    """Make any further ball sweep fail: what follows must be memo reads."""
+    def sweep(*args):
+        raise AssertionError(f"unexpected ball sweep {args[1:]}")
+    monkeypatch.setattr(lc.graphs, "ball_sweep", sweep)
+
+
 class InProcessPool:
     """Stands in for the process pool: records its size and maps in this process."""
 

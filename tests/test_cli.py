@@ -178,6 +178,28 @@ def test_prove_labels_golden(capsys, tmp_path, family, n, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_prove_at_a_radius_past_the_graph(capsys, tmp_path):
+    """On a 20-vertex path, --r 10**9 costs what --r 19 costs and writes its rows.
+
+    Ball profiles and the ball-size memo stop where the graph runs out, so a
+    radius far past the diameter allocates nothing per radius.
+    """
+    g = tmp_path / "p20.graph"
+    labels = tmp_path / "p20.labels"
+    run(capsys, "gen", "--family", "path", "--n", "20", "--out", str(g))
+    rows = {}
+    for r in ("19", str(10**9)):
+        code, out, _ = run(capsys, "prove", str(g), "--witness", "uniform-ball",
+                           "--r", r, "--eps-prime", "1/2")
+        assert code == 0
+        head, *rows[r] = out.splitlines()
+        assert head == f"labels 20 {r} 120 20 1/2 20"
+    assert rows["19"] == rows[str(10**9)]
+    labels.write_text(out)
+    code, out, _ = run(capsys, "verify", str(g), str(labels))
+    assert (code, out) == (0, "verdict accept\n")
+
+
 @pytest.mark.parametrize("flags", [
     ("--eps-prime", "3/2", "--witness", "uniform-ball", "--r", "2"),
     ("--eps-prime", "1/2"),

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 import localcert as lc
-from conftest import random_family_graph
+from conftest import forbid_sweeps, random_family_graph
 from localcert.errors import DegreeExceeded, FormatError, InfeasibleSpec, NonSimple
 from localcert.graphs import (
     ball,
@@ -172,7 +172,9 @@ def test_rooted_ball_structure():
                 b = ball(G, x, s)
                 order, dist = bfs(G.adj, (x,), s)
                 assert b.vertices == tuple(order)
-                assert len(b.ends) == s + 1
+                # ends stops where the component runs out: each level grows
+                assert len(b.ends) <= s + 1
+                assert all(a < c for a, c in zip(b.ends, b.ends[1:]))
                 for t in range(s + 2):
                     assert b.within(t) == sum(1 for d in dist.values() if d <= t)
                 inside = set(order)
@@ -198,13 +200,29 @@ def test_ball_size_bounds():
         assert max_ball_size_actual(G, r) <= max_ball_size_bound(G.d, r)
 
 
-def test_max_ball_size_actual_examples():
+def test_max_ball_size_actual_examples(monkeypatch):
     P = lc.generate(lc.FamilySpec("path", (11,)))
     assert max_ball_size_actual(P, 2) == 5
     assert P._ball_sizes == {0: 1, 1: 3, 2: 5}  # one sweep measures every s <= r
     assert max_ball_size_actual(P, 100) == 11
-    assert P._ball_sizes == {s: min(2 * s + 1, 11) for s in range(101)}
+    # the memo stops at the deepest profile, radius 10, and answers past it
+    assert P._ball_sizes == {s: min(2 * s + 1, 11) for s in range(11)}
+    forbid_sweeps(monkeypatch)
+    for s in range(101):
+        assert max_ball_size_actual(P, s) == min(2 * s + 1, 11)
+    assert max_ball_size_actual(P, 10**9) == 11
     assert P == lc.generate(lc.FamilySpec("path", (11,)))
+    monkeypatch.undo()
+    # profiles and the memo are bounded by the graph, not by the radius
+    P = lc.generate(lc.FamilySpec("path", (20,)))
+    assert len(ball(P, 0, 10**9).ends) <= 21
+    assert max_ball_size_actual(P, 10**9) == 20
+    assert len(P._ball_sizes) <= 21
+    # a sweep short of the deepest profile proves nothing past its radius
+    Q = lc.generate(lc.FamilySpec("path", (20,)))
+    assert max_ball_size_actual(Q, 9) == 19
+    assert not Q._ball_sizes_saturated
+    assert max_ball_size_actual(Q, 10) == 20
 
 
 def test_ball_sweep_yields_bfs_balls_and_memoizes_when_done():
@@ -221,8 +239,8 @@ def test_ball_sweep_yields_bfs_balls_and_memoizes_when_done():
         next(lc.ball_sweep(G, -1))
 
 
-def test_ball_sweep_matches_bfs_on_random_graphs():
-    """Each swept ball is bfs's, in the same order; ends[s] counts distance <= s.
+def test_ball_sweep_matches_bfs_on_random_graphs(monkeypatch):
+    """Each swept ball is bfs's, in the same order; within(s) counts distance <= s.
 
     Also over part of the vertex range, which yields the same balls and
     records nothing in G's memo.
@@ -239,13 +257,18 @@ def test_ball_sweep_matches_bfs_on_random_graphs():
         swept = list(lc.ball_sweep(G, q))
         assert [x for x, _, _ in swept] == list(range(G.n))
         assert swept[lo:hi] == part
+        within = []
         for x, order, ends in swept:
             want, dist = bfs(G.adj, (x,), q)
             assert order == want
-            assert ends == [sum(1 for d in dist.values() if d <= s) for s in range(q + 1)]
-        assert G._ball_sizes == {
-            s: max(ends[s] for _, _, ends in swept) for s in range(q + 1)
-        }
+            assert len(ends) <= q + 1
+            b = lc.RootedBall(G.adj, order, ends)
+            within.append([b.within(s) for s in range(q + 1)])
+            assert within[-1] == [sum(1 for d in dist.values() if d <= s) for s in range(q + 1)]
+        with monkeypatch.context() as m:
+            forbid_sweeps(m)
+            for s in range(q + 1):
+                assert max_ball_size_actual(G, s) == max(sizes[s] for sizes in within)
 
 
 # --- subgraphs and components -----------------------------------------------

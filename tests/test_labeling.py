@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localcert as lc
-from conftest import discretized, encode_as_written, random_family_graph
+from conftest import discretized, encode_as_written, forbid_sweeps, random_family_graph
 from localcert.errors import FormatError, NotUniform
 from localcert.graphs import bfs, max_ball_size_actual, max_ball_size_bound
 from localcert.labeling import (
@@ -94,13 +94,12 @@ def sweep_cases():
 
 
 @pytest.mark.parametrize("G, q", sweep_cases())
-def test_coloring_sweep_records_ball_size_profile(G, q):
+def test_coloring_sweep_records_ball_size_profile(G, q, monkeypatch):
     colors = distance_coloring(G, q)
     assert colors == reference_greedy_coloring(G, q)
-    assert sorted(G._ball_sizes) == list(range(q + 1))
+    forbid_sweeps(monkeypatch)  # every s <= q is now a memo read
     for s in range(q + 1):
         fresh = max((len(bfs(G.adj, (x,), s)[0]) for x in range(G.n)), default=0)
-        assert G._ball_sizes[s] == fresh
         assert max_ball_size_actual(G, s) == fresh
 
 
@@ -197,7 +196,47 @@ def fused_cases():
         eps = lc.check_uniformity(w).max_edge_l1
         eps_prime = min(eps + Fraction(1, 8), (eps + 2) / 2)
         cases.append((G, w, eps, eps_prime, least_alpha(G, w, eps, eps_prime)))
+    # alpha a prime above every ball size, so no ball size divides it and each
+    # uniform ball's remainders tie across its whole support
+    for family, params, r in (("cycle", (12,), 2), ("grid", (5, 7), 1), ("path", (9,), 3)):
+        G = lc.generate(lc.FamilySpec(family, params))
+        w = uniform_ball_witness(G, r)
+        cases.append(at_prime_alpha(G, w))
+    # random small numerators over each ball, so atoms tie often, vertex n - 1
+    # (the largest key) among them
+    for family, params, r in (("path", (8,), 2), ("grid", (4, 5), 1), ("full_tree", (2, 3), 2)):
+        G = lc.generate(lc.FamilySpec(family, params))
+        dists = {}
+        for x in range(G.n):
+            ball = bfs(G.adj, (x,), r)[0]
+            num = {z: rng.randint(1, 3) for z in ball}
+            if G.n - 1 in num:
+                num[G.n - 1] = num[x]  # a tie with the center
+            dists[x] = RationalDist(sum(num.values()), num)
+        w = WitnessFunction(G, r, dists)
+        cases.append(at_prime_alpha(G, w))
+    # a grid shift with random sample weights: many distinct numerators per vertex
+    G = lc.generate(lc.FamilySpec("grid", (6, 7)))
+    base = lc.grid_shift_distribution(G, 6, 7, 3)
+    weights = [rng.randint(1, 50) for _ in base.support]
+    dist = lc.SeparatorDistribution(G, base.K, [
+        (Y, Fraction(wt, sum(weights))) for (Y, _), wt in zip(base.support, weights)
+    ])
+    w = lc.tighten_radius(lc.witness_from_separators(G, dist))
+    assert max(len(set(f.num.values())) for f in w.dists.values()) >= 8
+    cases.append(at_prime_alpha(G, w))
     return cases
+
+
+def at_prime_alpha(G, w):
+    """A fused case at the least prime alpha above every ball size that keeps
+    eps' = eps + 3 max |B_r| / alpha below 2; the sizing rule gives that alpha."""
+    eps = lc.check_uniformity(w).max_edge_l1
+    max_ball = max(len(bfs(G.adj, (x,), w.radius)[0]) for x in range(G.n))
+    alpha = max_ball + 1
+    while Fraction(3 * max_ball, alpha) >= 2 - eps or any(alpha % d == 0 for d in range(2, alpha)):
+        alpha += 1
+    return G, w, eps, eps + Fraction(3 * max_ball, alpha), alpha
 
 
 def assert_same_labeling(fused, staged):

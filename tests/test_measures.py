@@ -87,6 +87,17 @@ def test_l1_distance_hand_case():
     assert l1_distance(f, f) == 0
 
 
+def dist_over(rng, support, den):
+    """A random distribution on the support whose numerators sum to den, unreduced."""
+    cuts = sorted(rng.randint(0, den) for _ in support[1:])
+    weights = [hi - lo for lo, hi in zip([0] + cuts, cuts + [den])]
+    return RationalDist(den, dict(zip(support, weights)))
+
+
+def exact_l1(f, g):
+    return sum(abs(f.value(z) - g.value(z)) for z in set(f.num) | set(g.num))
+
+
 def test_l1_distance_properties():
     rng = random.Random(201)
     for _ in range(100):
@@ -95,9 +106,20 @@ def test_l1_distance_properties():
         g = random_dist(rng, rng.sample(range(20), rng.randint(1, 6)))
         h = random_dist(rng, rng.sample(range(20), rng.randint(1, 6)))
         d = l1_distance(f, g)
+        assert d == exact_l1(f, g)
         assert d == l1_distance(g, f)
         assert 0 <= d <= 2
         assert l1_distance(f, h) <= d + l1_distance(g, h)
+    # one shared large denominator, as separator witnesses have, and
+    # denominators with a large common factor
+    for _ in range(100):
+        shared = rng.randint(2**27, 2**28)
+        k = rng.randint(2, 5000)
+        for pd, qd in ((shared, shared), (k * rng.randint(1, 400), k * rng.randint(1, 400))):
+            f = dist_over(rng, rng.sample(range(20), rng.randint(1, 6)), pd)
+            g = dist_over(rng, rng.sample(range(20), rng.randint(1, 6)), qd)
+            assert l1_distance(f, g) == exact_l1(f, g) == l1_distance(g, f)
+            assert l1_distance(f, f) == 0
 
 
 # --- witnesses and their measurement ----------------------------------------
