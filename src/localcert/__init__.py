@@ -87,7 +87,6 @@ from .verifier import (
     is_planar,
     locality_radius,
     pipeline_verify,
-    product_verify,
     resolve_predicate,
     run_ball_verifier,
     verify_locally_p,

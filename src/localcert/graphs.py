@@ -22,14 +22,12 @@ _RANDOM_REGULAR_TRIES = 2000
 class BoundedDegreeGraph:
     """Immutable simple graph on vertices 0..n-1 with max degree <= d.
 
-    `_ball_sizes` memoizes max_ball_size_actual per radius, always for
-    radii 0..D with no gap (`ball_sweep` fills it).  `_ball_sizes_saturated`
-    records that a sweep found every ball whole by radius D, so each larger
-    radius has the size at D.  Both are derived data, so equality and
-    hashing ignore them.
+    A plain value: `adj[v]` lists v's neighbours ascending, `m` counts the
+    edges, and nothing else is stored, so equality and hashing read
+    (n, d, adj).
     """
 
-    __slots__ = ("n", "d", "adj", "_edge_set", "_ball_sizes", "_ball_sizes_saturated")
+    __slots__ = ("n", "d", "adj", "m")
 
     def __init__(self, n: int, d: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -54,23 +52,18 @@ class BoundedDegreeGraph:
                 raise DegreeExceeded(v, len(nbrs), d)
         self.n = n
         self.d = d
+        self.m = len(seen)
         self.adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(nbrs)) for nbrs in buckets
         )
-        self._edge_set = frozenset(seen)
-        self._ball_sizes: dict[int, int] = {}
-        self._ball_sizes_saturated = False
-
-    @property
-    def m(self) -> int:
-        return len(self._edge_set)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically ascending."""
-        return sorted(self._edge_set)
+        return [(u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_set
+        # the range guard keeps a negative u from indexing from the end
+        return 0 <= u < self.n and v in self.adj[u]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -81,10 +74,10 @@ class BoundedDegreeGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoundedDegreeGraph):
             return NotImplemented
-        return (self.n, self.d, self._edge_set) == (other.n, other.d, other._edge_set)
+        return (self.n, self.d, self.adj) == (other.n, other.d, other.adj)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.d, self._edge_set))
+        return hash((self.n, self.d, self.adj))
 
     def __repr__(self) -> str:
         return f"BoundedDegreeGraph(n={self.n}, m={self.m}, d={self.d})"
@@ -229,50 +222,21 @@ def ball_sweep(G: BoundedDegreeGraph, q: int,
 
     `order` is B_q(x) in FIFO BFS order and ends[s] = |B_s(x)| for s <= q,
     cut short where x's component runs out (see `RootedBall`).  One stamp
-    list serves the whole sweep.  A full sweep also measures G: once the
-    last vertex has been yielded, G's memo holds max_x |B_s(x)| (0 on an
-    empty graph) for every s <= q, so max_ball_size_actual at those radii
-    needs no sweep of its own.  The memo stores radii only up to the deepest
-    profile; when that lies below q every ball is whole, and the memo
-    answers every larger radius too.  Passing `vertices` sweeps only those
-    centers (a pool worker's share) and records nothing.
+    list serves the whole sweep.  Passing `vertices` sweeps only those
+    centers (a pool worker's share).
     """
     if q < 0:
         raise ValueError(f"radius must be nonnegative, got {q}")
     adj = G.adj
     mark = [-1] * G.n
-    best = [0]  # max |B_s| over the balls so far, s = 0..deepest profile
-    last = None
     for x in range(G.n) if vertices is None else vertices:
         order, ends = _levels(adj, x, q, mark)
-        # neighbouring balls mostly share a profile, and a repeat changes no max
-        if ends != last:
-            last = ends
-            # the shorter profile is of whole balls: it extends by its last size
-            gap = len(best) - len(ends)
-            if gap < 0:
-                best += [best[-1]] * -gap
-            best = list(map(max, best, ends if gap <= 0 else ends + [ends[-1]] * gap))
         yield x, order, ends
-    if vertices is None:
-        G._ball_sizes.update(enumerate(best))
-        if len(best) <= q:
-            G._ball_sizes_saturated = True
 
 
 def max_ball_size_actual(G: BoundedDegreeGraph, r: int) -> int:
-    """max_x |B_r(x, G)|, memoized per radius on G; a miss sweeps at radius r.
-
-    A radius past the memo's deepest entry, once a sweep found every ball
-    whole there, reads that entry (see `ball_sweep`).
-    """
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    sizes = G._ball_sizes
-    if r not in sizes and not G._ball_sizes_saturated:
-        for _ in ball_sweep(G, r):
-            pass
-    return sizes[r] if r in sizes else sizes[len(sizes) - 1]
+    """max_x |B_r(x, G)| (0 on an empty graph), from one ball sweep at radius r."""
+    return max((len(order) for _, order, _ in ball_sweep(G, r)), default=0)
 
 
 def components(G: BoundedDegreeGraph) -> list[list[int]]:
@@ -284,6 +248,8 @@ def components(G: BoundedDegreeGraph) -> list[list[int]]:
 def induced_subgraph(G: BoundedDegreeGraph, vertices: Iterable[int]) -> BoundedDegreeGraph:
     """Subgraph induced on the given vertices, re-indexed to 0..k-1 by rank."""
     order = sorted(set(vertices))
+    if order and not (0 <= order[0] and order[-1] < G.n):
+        raise ValueError(f"vertex ids {order[0]}..{order[-1]} outside vertex range [0, {G.n})")
     pos = {v: i for i, v in enumerate(order)}
     edges = [
         (pos[u], pos[w])

@@ -522,12 +522,19 @@ class HyperfiniteReport:
     component_bound: int
 
 
+def _require_same_vertices(G: BoundedDegreeGraph, partition: PartitionResult) -> None:
+    """A partition certifies G only if its blocks cover exactly G's vertices."""
+    if partition.n != G.n:
+        raise ValueError(f"partition of {partition.n} vertices checked against a graph of {G.n}")
+
+
 def check_hyperfinite(G: BoundedDegreeGraph, partition: PartitionResult,
                       eps_e: Fraction, K: int) -> HyperfiniteReport:
     """Is (blocks, W) an (eps_e, K) certificate?
 
     `ok` judges |W| per vertex; |W| per edge is reported alongside.
     """
+    _require_same_vertices(G, partition)
     removed = partition.num_removed
     per_vertex = Fraction(removed, G.n) if G.n else Fraction(0)
     per_edge = Fraction(removed, G.m) if G.m else Fraction(0)
@@ -556,6 +563,7 @@ def edit_distance_upper_bound(G: BoundedDegreeGraph, partition: PartitionResult,
     subgraphs; if each lies in the (monotone, union-closed) property, the
     whole edited graph does, and only |W| edge edits were spent.
     """
+    _require_same_vertices(G, partition)
     for i, block in enumerate(partition.blocks):
         sub = induced_subgraph(G, block)
         if not predicate(sub):

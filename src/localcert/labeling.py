@@ -31,7 +31,7 @@ from itertools import count, filterfalse
 from pathlib import Path
 
 from .errors import FormatError, WitnessTooRough
-from .graphs import BoundedDegreeGraph, ball_sweep, max_ball_size_actual
+from .graphs import BoundedDegreeGraph, ball_sweep
 from .measures import WitnessFunction, _require_uniform, check_uniformity
 
 
@@ -104,23 +104,34 @@ class ProofLabeling:
         return tuple(zip(*self.tables))
 
 
-def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[int, ...]:
-    """Greedy coloring of the q-th graph power, vertices in id order.
+def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[tuple[int, ...], list[int]]:
+    """Greedy coloring of the q-th graph power, vertices in id order; and ball sizes.
 
     Any two vertices within distance q receive different colors; each vertex
     takes the smallest color unused in its q-ball so far.  Palette size is
     whatever the greedy run needed (at most max |B_q| by a counting argument).
-    The balls come from `ball_sweep`, so afterwards max_ball_size_actual(G, s)
-    is a memo read for every s <= q.
+    The sweep measures G on the way: sizes[s] = max_x |B_s(x)| (0 on an
+    empty graph) for s up to the deepest ball profile.  When that lies below
+    q every ball is whole, and the last entry holds for every larger radius.
     """
     if q < 1:
         raise ValueError(f"coloring distance must be positive, got {q}")
     colors = [-1] * G.n
-    for v, ball, _ in ball_sweep(G, q):
+    sizes = [0]
+    last = None
+    for v, ball, ends in ball_sweep(G, q):
         # -1 (not yet colored) never blocks a color
         taken = set(map(colors.__getitem__, ball))
         colors[v] = next(filterfalse(taken.__contains__, count()))
-    return tuple(colors)
+        # neighbouring balls mostly share a profile, and a repeat changes no max
+        if ends != last:
+            last = ends
+            # the shorter profile is of whole balls: it extends by its last size
+            gap = len(sizes) - len(ends)
+            if gap < 0:
+                sizes += [sizes[-1]] * -gap
+            sizes = list(map(max, sizes, ends if gap <= 0 else ends + [ends[-1]] * gap))
+    return tuple(colors), sizes
 
 
 def build_proof(G: BoundedDegreeGraph, w: WitnessFunction,
@@ -132,9 +143,10 @@ def build_proof(G: BoundedDegreeGraph, w: WitnessFunction,
     distance 2r+2, not 2r: two vertices of one color are then more than 2r+2
     apart, so no table slot has two owners, and every slot whose owner lies
     outside the reader's radius-r ball is zero, which keeps the honest l1
-    check sums exact.  Its sweep memoizes max |B_s| for every s <= 2r+2, so
-    alpha = ceil(3 max |B_r| / (eps' - eps)) and k_local = max |B_2r|, the
-    component bound the scheme certifies, are memo reads.
+    check sums exact.  The coloring's sweep also measures max |B_s| for
+    every s <= 2r+2, so alpha = ceil(3 max |B_r| / (eps' - eps)) and
+    k_local = max |B_2r|, the component bound the scheme certifies, need no
+    sweep of their own.
 
     That alpha moves each distribution by at most (eps' - eps)/3 when it is
     rounded, so every edge of the quantized witness g measures at most
@@ -156,8 +168,8 @@ def build_proof(G: BoundedDegreeGraph, w: WitnessFunction,
             f"{r}; this graph does not admit the claimed smoothness here"
         )
     _require_uniform(report, eps_prime)  # only a support outside its ball fails here
-    colors = distance_coloring(G, 2 * r + 2)
-    alpha = math.ceil(Fraction(3 * max_ball_size_actual(G, r)) / (eps_prime - eps))
+    colors, sizes = distance_coloring(G, 2 * r + 2)
+    alpha = math.ceil(Fraction(3 * sizes[min(r, len(sizes) - 1)]) / (eps_prime - eps))
     palette = max(colors) + 1
     params = SchemeParams(r=r, eps_prime=eps_prime, alpha=alpha, palette=palette)
     n = G.n
@@ -187,7 +199,7 @@ def build_proof(G: BoundedDegreeGraph, w: WitnessFunction,
     # in place, so each list row is freed as its tuple is made
     for z, row in enumerate(tables):
         tables[z] = tuple(row)
-    k_local = max_ball_size_actual(G, 2 * r)
+    k_local = sizes[min(2 * r, len(sizes) - 1)]
     return ProofLabeling(params, colors, tuple(tables), k_local)
 
 

@@ -185,9 +185,7 @@ def _record_supports_in_balls(w: WitnessFunction) -> WitnessFunction:
 def _bad_support_vertex(w: WitnessFunction) -> int | None:
     """The first domain vertex whose support leaves B_radius(x) or the domain, or None.
 
-    A recorded witness, or one with a cached report, needs no sweep.  The
-    balls come from `ball_sweep`, so a pass that finds every support valid
-    leaves max |B_s| in G's memo for every s <= radius.
+    A recorded witness, or one with a cached report, needs no sweep.
     """
     if w._supports_in_balls:
         return None
@@ -267,8 +265,7 @@ def uniform_ball_witness(G: BoundedDegreeGraph, r: int) -> WitnessFunction:
     """The canonical witness: f(x) = uniform on B_r(x, G).
 
     Each support is the ball itself, so the witness records that its supports
-    lie in their balls, and the completed sweep leaves max |B_s| in G's memo
-    for every s <= r.
+    lie in their balls.
     """
     if r < 1:
         raise ValueError(f"witness radius must be at least 1, got {r}")

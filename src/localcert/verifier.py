@@ -459,10 +459,6 @@ class ProductVerifier:
         return True
 
 
-def product_verify(first, second) -> ProductVerifier:
-    return ProductVerifier(first, second)
-
-
 def run_ball_verifier(G: BoundedDegreeGraph, labels: Sequence, verifier) -> Verdict:
     """Apply a ball-set (or product) verifier at every vertex."""
     if len(labels) != G.n:

@@ -33,13 +33,6 @@ def random_family_graph(rng: random.Random) -> lc.BoundedDegreeGraph:
     return lc.generate(lc.FamilySpec("random_regular", (n, 3), seed=rng.randint(0, 10**6)))
 
 
-def forbid_sweeps(monkeypatch) -> None:
-    """Make any further ball sweep fail: what follows must be memo reads."""
-    def sweep(*args):
-        raise AssertionError(f"unexpected ball sweep {args[1:]}")
-    monkeypatch.setattr(lc.graphs, "ball_sweep", sweep)
-
-
 class InProcessPool:
     """Stands in for the process pool: records its size and maps in this process."""
 
@@ -66,7 +59,7 @@ def encode_as_written(G: lc.BoundedDegreeGraph, w: lc.WitnessFunction,
     supports outside their balls, and witnesses quantized by hand.
     """
     (alpha,) = {w.dists[x].den for x in w.vertices}
-    colors = lc.distance_coloring(G, 2 * w.radius + 2)
+    colors, sizes = lc.distance_coloring(G, 2 * w.radius + 2)
     palette = max(colors) + 1
     tables = [[0] * palette for _ in range(G.n)]
     for x, c in enumerate(colors):
@@ -74,7 +67,7 @@ def encode_as_written(G: lc.BoundedDegreeGraph, w: lc.WitnessFunction,
             tables[z][c] = t
     params = lc.SchemeParams(r=w.radius, eps_prime=eps_prime, alpha=alpha, palette=palette)
     return lc.ProofLabeling(params, colors, tuple(map(tuple, tables)),
-                            lc.max_ball_size_actual(G, 2 * w.radius))
+                            sizes[min(2 * w.radius, len(sizes) - 1)])
 
 
 def discretized(w: lc.WitnessFunction, alpha: int) -> lc.WitnessFunction:

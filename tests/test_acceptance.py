@@ -245,7 +245,7 @@ def test_criterion_8_product_verifier_exhaustive():
     for _ in range(50):
         V1 = BallSetVerifier(1, frozenset(rng.sample(U, rng.randint(1, len(U)))))
         V2 = BallSetVerifier(1, frozenset(rng.sample(U, rng.randint(1, len(U)))))
-        V3 = lc.product_verify(V1, V2)
+        V3 = lc.ProductVerifier(V1, V2)
         for G, labelings in per_graph:
             accept1 = [lc.run_ball_verifier(G, l, V1).accept for l in labelings]
             accept2 = [lc.run_ball_verifier(G, l, V2).accept for l in labelings]

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 import localcert as lc
-from conftest import forbid_sweeps, random_family_graph
+from conftest import random_family_graph
 from localcert.errors import DegreeExceeded, FormatError, InfeasibleSpec, NonSimple
 from localcert.graphs import (
     ball,
@@ -105,11 +105,28 @@ def test_build_graph_rejects_bad_input():
 
 
 def test_graph_equality_and_adjacency():
+    """A graph is the value (n, d, adj): edge order does not matter, ids are range-checked."""
+    assert lc.BoundedDegreeGraph.__slots__ == ("n", "d", "adj", "m")
     G = build_graph([(0, 1), (1, 2)], d=2)
     H = build_graph([(1, 2), (0, 1)], d=2)
-    assert G == H
+    assert G == H and hash(G) == hash(H)
+    assert G != build_graph([(0, 1), (1, 2)], d=3)
     assert G.neighbors(1) == (0, 2)
     assert G.degree(1) == 2 and G.degree(0) == 1
+    assert G.has_edge(0, 1) and G.has_edge(1, 0) and not G.has_edge(0, 2)
+    # -1 must not read vertex n-1's row, which holds 1
+    assert not G.has_edge(-1, 1) and not G.has_edge(-1, 0)
+    assert not G.has_edge(0, G.n) and not G.has_edge(G.n, 0)
+    rng = random.Random(106)
+    for _ in range(15):
+        G = random_family_graph(rng)
+        edges = G.edges()
+        assert edges == sorted(tuple(sorted(e)) for e in to_nx(G).edges())
+        assert G.m == len(edges)
+        shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(shuffled)
+        H = lc.BoundedDegreeGraph(G.n, G.d, shuffled)
+        assert H == G and hash(H) == hash(G)
 
 
 # --- balls and distances, against an independent BFS ------------------------
@@ -200,50 +217,39 @@ def test_ball_size_bounds():
         assert max_ball_size_actual(G, r) <= max_ball_size_bound(G.d, r)
 
 
-def test_max_ball_size_actual_examples(monkeypatch):
+def test_max_ball_size_actual_examples():
     P = lc.generate(lc.FamilySpec("path", (11,)))
-    assert max_ball_size_actual(P, 2) == 5
-    assert P._ball_sizes == {0: 1, 1: 3, 2: 5}  # one sweep measures every s <= r
-    assert max_ball_size_actual(P, 100) == 11
-    # the memo stops at the deepest profile, radius 10, and answers past it
-    assert P._ball_sizes == {s: min(2 * s + 1, 11) for s in range(11)}
-    forbid_sweeps(monkeypatch)
     for s in range(101):
         assert max_ball_size_actual(P, s) == min(2 * s + 1, 11)
     assert max_ball_size_actual(P, 10**9) == 11
-    assert P == lc.generate(lc.FamilySpec("path", (11,)))
-    monkeypatch.undo()
-    # profiles and the memo are bounded by the graph, not by the radius
+    assert max_ball_size_actual(lc.build_graph([], 2, n=0), 3) == 0
+    with pytest.raises(ValueError):
+        max_ball_size_actual(P, -1)
+    # profiles are bounded by the graph, not by the radius
     P = lc.generate(lc.FamilySpec("path", (20,)))
     assert len(ball(P, 0, 10**9).ends) <= 21
     assert max_ball_size_actual(P, 10**9) == 20
-    assert len(P._ball_sizes) <= 21
-    # a sweep short of the deepest profile proves nothing past its radius
-    Q = lc.generate(lc.FamilySpec("path", (20,)))
-    assert max_ball_size_actual(Q, 9) == 19
-    assert not Q._ball_sizes_saturated
-    assert max_ball_size_actual(Q, 10) == 20
+    assert max_ball_size_actual(P, 9) == 19
+    assert max_ball_size_actual(P, 10) == 20
 
 
-def test_ball_sweep_yields_bfs_balls_and_memoizes_when_done():
+def test_ball_sweep_yields_bfs_balls():
     G = lc.generate(lc.FamilySpec("grid", (4, 5)))
     sweep = lc.ball_sweep(G, 3)
     first = next(sweep)
     assert first == (0, lc.bfs(G.adj, (0,), 3)[0], [1, 3, 6, 10])
-    assert G._ball_sizes == {}  # nothing is recorded before the last vertex
     rest = list(sweep)
     assert [x for x, _, _ in rest] == list(range(1, G.n))
     assert all(ball == lc.bfs(G.adj, (x,), 3)[0] for x, ball, _ in rest)
-    assert G._ball_sizes == {0: 1, 1: 5, 2: 12, 3: 18}
+    assert G == lc.generate(lc.FamilySpec("grid", (4, 5)))
     with pytest.raises(ValueError):
         next(lc.ball_sweep(G, -1))
 
 
-def test_ball_sweep_matches_bfs_on_random_graphs(monkeypatch):
+def test_ball_sweep_matches_bfs_on_random_graphs():
     """Each swept ball is bfs's, in the same order; within(s) counts distance <= s.
 
-    Also over part of the vertex range, which yields the same balls and
-    records nothing in G's memo.
+    Also over part of the vertex range, which yields the same balls.
     """
     rng = random.Random(132)
     for _ in range(25):
@@ -252,7 +258,6 @@ def test_ball_sweep_matches_bfs_on_random_graphs(monkeypatch):
         lo = rng.randrange(G.n)
         hi = rng.randint(lo, G.n)
         part = list(lc.ball_sweep(G, q, range(lo, hi)))
-        assert G._ball_sizes == {}
         assert [x for x, _, _ in part] == list(range(lo, hi))
         swept = list(lc.ball_sweep(G, q))
         assert [x for x, _, _ in swept] == list(range(G.n))
@@ -265,10 +270,8 @@ def test_ball_sweep_matches_bfs_on_random_graphs(monkeypatch):
             b = lc.RootedBall(G.adj, order, ends)
             within.append([b.within(s) for s in range(q + 1)])
             assert within[-1] == [sum(1 for d in dist.values() if d <= s) for s in range(q + 1)]
-        with monkeypatch.context() as m:
-            forbid_sweeps(m)
-            for s in range(q + 1):
-                assert max_ball_size_actual(G, s) == max(sizes[s] for sizes in within)
+        for s in range(q + 1):
+            assert max_ball_size_actual(G, s) == max(sizes[s] for sizes in within)
 
 
 # --- subgraphs and components -----------------------------------------------
@@ -286,6 +289,16 @@ def test_induced_subgraph_matches_networkx():
             tuple(sorted((relabel[u], relabel[v]))) for u, v in want.edges()
         )
         assert sub.edges() == expected
+
+
+def test_induced_subgraph_refuses_ids_outside_the_graph():
+    P = lc.generate(lc.FamilySpec("path", (5,)))
+    # -1 would otherwise index vertex 4's row and give a 2-vertex graph
+    for chosen in ([-1, 0], [3, 5], [-2, 7]):
+        with pytest.raises(ValueError, match=r"outside vertex range \[0, 5\)"):
+            induced_subgraph(P, chosen)
+    assert induced_subgraph(P, []).n == 0
+    assert induced_subgraph(P, [4, 0]).n == 2
 
 
 def test_components_match_networkx():

@@ -399,6 +399,19 @@ def test_edit_distance_bound():
     assert fine.feasible and fine.bound == 0
 
 
+@pytest.mark.parametrize("graph_n, part_n", [(5, 3), (3, 5)], ids=["fewer", "more"])
+def test_certificate_checks_refuse_a_partition_of_another_vertex_count(graph_n, part_n):
+    """A partition of 3 vertices does not certify path 5 (vertices 3 and 4 lie in no
+    block), and one of 5 vertices names ids path 3 does not have."""
+    G = lc.generate(lc.FamilySpec("path", (graph_n,)))
+    part = PartitionResult(part_n, (tuple(range(part_n)),), ())
+    want = f"partition of {part_n} vertices checked against a graph of {graph_n}"
+    with pytest.raises(ValueError, match=want):
+        check_hyperfinite(G, part, Fraction(1), K=part_n)
+    with pytest.raises(ValueError, match=want):
+        edit_distance_upper_bound(G, part, lambda H: True)
+
+
 def test_edit_distance_bound_on_empty_graph():
     G = lc.BoundedDegreeGraph(0, 2, [])
     res = edit_distance_upper_bound(G, PartitionResult(0, (), ()), is_planar)

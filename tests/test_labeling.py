@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localcert as lc
-from conftest import discretized, encode_as_written, forbid_sweeps, random_family_graph
+from conftest import discretized, encode_as_written, random_family_graph
 from localcert.errors import FormatError, NotUniform
 from localcert.graphs import bfs, max_ball_size_actual, max_ball_size_bound
 from localcert.labeling import (
@@ -37,8 +37,10 @@ def quantized_path_witness():
 
 def test_distance_coloring_path():
     G = lc.generate(lc.FamilySpec("path", (5,)))
-    assert distance_coloring(G, 1) == (0, 1, 0, 1, 0)
-    assert distance_coloring(G, 2) == (0, 1, 2, 0, 1)
+    assert distance_coloring(G, 1) == ((0, 1, 0, 1, 0), [1, 3])
+    assert distance_coloring(G, 2) == ((0, 1, 2, 0, 1), [1, 3, 5])
+    # the profile stops at the deepest ball, radius 4, however far q reaches
+    assert distance_coloring(G, 10**9) == ((0, 1, 2, 3, 4), [1, 3, 5, 5, 5])
 
 
 def test_distance_coloring_is_proper():
@@ -46,7 +48,7 @@ def test_distance_coloring_is_proper():
     for _ in range(20):
         G = random_family_graph(rng)
         q = rng.randint(1, 4)
-        colors = distance_coloring(G, q)
+        colors, _ = distance_coloring(G, q)
         assert len(colors) == G.n
         for v in range(G.n):
             for u in range(v):
@@ -94,13 +96,15 @@ def sweep_cases():
 
 
 @pytest.mark.parametrize("G, q", sweep_cases())
-def test_coloring_sweep_records_ball_size_profile(G, q, monkeypatch):
-    colors = distance_coloring(G, q)
+def test_coloring_sweep_records_ball_size_profile(G, q):
+    """sizes[s] is max |B_s| up to the deepest ball profile, whose last entry holds past it."""
+    colors, sizes = distance_coloring(G, q)
     assert colors == reference_greedy_coloring(G, q)
-    forbid_sweeps(monkeypatch)  # every s <= q is now a memo read
+    deepest = max((max(bfs(G.adj, (x,), q)[1].values()) for x in range(G.n)), default=0)
+    assert len(sizes) == deepest + 1
     for s in range(q + 1):
         fresh = max((len(bfs(G.adj, (x,), s)[0]) for x in range(G.n)), default=0)
-        assert max_ball_size_actual(G, s) == fresh
+        assert sizes[min(s, len(sizes) - 1)] == fresh
 
 
 def test_build_proof_path3_tables():

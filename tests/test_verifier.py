@@ -29,6 +29,7 @@ from localcert.verifier import (
     CHECK_PROPERNESS,
     BallSetVerifier,
     LabeledBall,
+    ProductVerifier,
     canonical_ball,
     check_vertex,
     combine_verdicts,
@@ -39,7 +40,6 @@ from localcert.verifier import (
     is_planar,
     locality_radius,
     pipeline_verify,
-    product_verify,
     resolve_predicate,
     run_ball_verifier,
     verify_locally_p,
@@ -219,7 +219,7 @@ def test_accepted_labeling_decodes_eps_prime_uniform():
     this graph is planar.
     """
     G = lc.generate(lc.FamilySpec("random_regular", (200, 3), seed=42))
-    colors = lc.distance_coloring(G, 2)
+    colors, _ = lc.distance_coloring(G, 2)
     palette = max(colors) + 1
     assert palette == 8
     eps_prime = Fraction(3, 10)
@@ -477,7 +477,7 @@ def test_product_verifier_agrees_with_intersection():
     for _ in range(10):
         V1 = BallSetVerifier(1, frozenset(rng.sample(U, rng.randint(1, len(U)))))
         V2 = BallSetVerifier(1, frozenset(rng.sample(U, rng.randint(1, len(U)))))
-        V3 = product_verify(V1, V2)
+        V3 = ProductVerifier(V1, V2)
         for l1 in itertools.product((0, 1), repeat=5):
             for l2 in itertools.product((0, 1), repeat=5):
                 pair = tuple(zip(l1, l2))
