@@ -53,7 +53,6 @@ from .measures import (
 )
 from .separators import (
     SeparatorDistribution,
-    SeparatorSample,
     grid_shift_distribution,
     is_k_separator,
     max_marginal,

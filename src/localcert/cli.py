@@ -102,13 +102,16 @@ def _build_witness(G: BoundedDegreeGraph, args: argparse.Namespace) -> WitnessFu
     if mode == "auto":
         dist = shift_family_distribution(G, _default_shift(args.eps_prime))
     elif mode.startswith("separators:"):
+        if args.r is not None:
+            raise ValueError("--r does not apply to --witness separators:<file>, whose "
+                             "radius is the distribution's K, tightened; drop --r")
         dist = read_separator_distribution_file(mode.split(":", 1)[1], G)
     elif mode != "uniform-ball":
         raise ValueError(
             f"unknown witness source {mode!r}; use uniform-ball, separators:<file>, or auto"
         )
     if dist is not None:
-        return tighten_radius(witness_from_separators(G, dist))
+        return tighten_radius(witness_from_separators(dist))
     if args.r is None:
         raise ValueError("--witness uniform-ball needs --r" if mode == "uniform-ball"
                          else "no shift family matches this graph; pass --r for uniform-ball")
@@ -121,7 +124,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
         raise ValueError(f"--eps-prime must be positive and below 2, got {args.eps_prime}")
     G = _read_nonempty_graph(args.graph, "prove")
     w = _build_witness(G, args)
-    labeling = build_proof(G, w, args.eps_prime)
+    labeling = build_proof(w, args.eps_prime)
     measured = check_uniformity(w).max_edge_l1  # cached by build_proof
     # the exact witness is the largest object prove holds; drop it before
     # the label text is built
@@ -157,7 +160,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     witness = decode_accepted_witness(G, labeling)
     eps_prime = labeling.params.eps_prime
     del labeling  # the tables are not read again; release them before extraction
-    partition = extract_partition(G, witness, eps_prime)
+    partition = extract_partition(witness, eps_prime)
     _emit(format_partition(partition), args.out)
     lines = [
         f"blocks = {partition.num_blocks}",
@@ -196,7 +199,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         f"apls_guarantee = {_fraction_str(guarantee)}",
     ]
     if verdict.accept:
-        partition = extract_partition(G, witness, p.eps_prime)
+        partition = extract_partition(witness, p.eps_prime)
         decoded = check_uniformity(witness)  # cached by the extraction's pass
         hyper = check_hyperfinite(G, partition, guarantee, k_local)
         lines += [
@@ -230,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     prove = sub.add_parser("prove", help="build a proof labeling for a graph", allow_abbrev=False)
     prove.add_argument("graph")
-    prove.add_argument("--r", type=int, default=None, help="witness radius (uniform-ball)")
+    prove.add_argument("--r", type=int, default=None,
+                       help="witness radius (uniform-ball, and auto's fallback)")
     prove.add_argument("--eps-prime", type=parse_fraction, required=True)
     prove.add_argument("--witness", default="auto",
                        help="uniform-ball | separators:<file> | auto")

@@ -100,8 +100,11 @@ def bfs(adj: Sequence[Sequence[int]], sources: Iterable[int], cutoff: int | None
     distance from the nearest source, exploring no further than `cutoff`.
     Vertices already in a caller-passed `dist` count as visited: they are
     neither entered nor expanded.  That blocks a vertex set (seed it with the
-    set) and lets a component sweep share one map across calls.  A ball
-    around one center comes from `ball_sweep` or `RootedBall.around` instead.
+    set) and lets a component sweep share one map across calls.  A ball with
+    its level boundaries comes from `ball_sweep` (every center) or
+    `RootedBall.around` (one center) instead; per-vertex searches that read
+    only a ball's vertices or distances (`measures.tighten_radius`,
+    `verifier.verify_locally_p`) run here.
     """
     if dist is None:
         dist = {}
@@ -218,7 +221,10 @@ def max_ball_size_bound(d: int, r: int) -> int:
 
 def ball_sweep(G: BoundedDegreeGraph, q: int,
                vertices: range | None = None) -> Iterator[tuple[int, list[int], list[int]]]:
-    """Yield (x, order, ends) for x = 0..n-1: the package's one per-vertex ball sweep.
+    """Yield (x, order, ends) for x = 0..n-1: the per-vertex ball sweep.
+
+    The prover's coloring, the uniform-ball witness, the uniformity support
+    check and the property-A verifier read their balls from it.
 
     `order` is B_q(x) in FIFO BFS order and ends[s] = |B_s(x)| for s <= q,
     cut short where x's component runs out (see `RootedBall`).  One stamp
@@ -239,9 +245,9 @@ def max_ball_size_actual(G: BoundedDegreeGraph, r: int) -> int:
     return max((len(order) for _, order, _ in ball_sweep(G, r)), default=0)
 
 
-def components(G: BoundedDegreeGraph) -> list[list[int]]:
-    """Connected components as sorted id lists, ordered by smallest member."""
-    seen: dict[int, int] = {}
+def components(G: BoundedDegreeGraph, removed: Iterable[int] = ()) -> list[list[int]]:
+    """Connected components of G - removed as sorted id lists, ordered by smallest member."""
+    seen = dict.fromkeys(removed, 0)
     return [sorted(bfs(G.adj, (x,), dist=seen)[0]) for x in range(G.n) if x not in seen]
 
 

@@ -475,8 +475,8 @@ class PartitionResult:
         return len(self.removed_edges)
 
 
-def extract_partition(G: BoundedDegreeGraph, w: WitnessFunction, eps: Fraction) -> PartitionResult:
-    """Greedy low-boundary decomposition driven by an eps-uniform witness.
+def extract_partition(w: WitnessFunction, eps: Fraction) -> PartitionResult:
+    """Greedy low-boundary decomposition of G = w.graph, driven by the eps-uniform w.
 
     Each iteration cuts off find_low_boundary_set(project_witness(w, R), eps)
     from the remaining vertices R and records the edges leaving it.  The
@@ -510,7 +510,7 @@ def extract_partition(G: BoundedDegreeGraph, w: WitnessFunction, eps: Fraction) 
         res = state.cut(eps)
         blocks.append(res.vertices)
         removed.extend(tuple(sorted(e)) for e in res.boundary.edges)
-    return PartitionResult(G.n, tuple(blocks), tuple(sorted(removed)))
+    return PartitionResult(w.graph.n, tuple(blocks), tuple(sorted(removed)))
 
 
 @dataclass(frozen=True)

@@ -134,9 +134,8 @@ def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[tuple[int, ...], l
     return tuple(colors), sizes
 
 
-def build_proof(G: BoundedDegreeGraph, w: WitnessFunction,
-                eps_prime: Fraction) -> ProofLabeling:
-    """The prover: measure w, size alpha, color, and encode w at target eps'.
+def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
+    """The prover: measure w, size alpha, color w.graph, and encode w at target eps'.
 
     w must measure below eps' (WitnessTooRough otherwise) with every support
     inside its ball B_r(x) (NotUniform otherwise).  The coloring is at
@@ -168,6 +167,7 @@ def build_proof(G: BoundedDegreeGraph, w: WitnessFunction,
             f"{r}; this graph does not admit the claimed smoothness here"
         )
     _require_uniform(report, eps_prime)  # only a support outside its ball fails here
+    G = w.graph
     colors, sizes = distance_coloring(G, 2 * r + 2)
     alpha = math.ceil(Fraction(3 * sizes[min(r, len(sizes) - 1)]) / (eps_prime - eps))
     palette = max(colors) + 1

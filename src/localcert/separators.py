@@ -27,13 +27,11 @@ from .measures import RationalDist, WitnessFunction
 
 def is_k_separator(G: BoundedDegreeGraph, Y: Iterable[int], K: int) -> bool:
     """True iff every component of G - Y has at most K vertices."""
-    seen = dict.fromkeys(Y, 0)
-    for v in seen:
+    removed = set(Y)
+    for v in removed:
         if not 0 <= v < G.n:
             raise ValueError(f"separator vertex {v} outside graph")
-    return all(
-        len(bfs(G.adj, (x,), dist=seen)[0]) <= K for x in range(G.n) if x not in seen
-    )
+    return all(len(c) <= K for c in components(G, removed))
 
 
 class SeparatorDistribution:
@@ -74,27 +72,6 @@ class SeparatorDistribution:
         return len(self.support)
 
 
-class SeparatorSample:
-    """One separator with the residual structure the witness build needs."""
-
-    __slots__ = ("Y", "weight", "component_of", "component_sizes")
-
-    def __init__(self, G: BoundedDegreeGraph, Y: tuple[int, ...], weight: Fraction):
-        self.Y = frozenset(Y)
-        self.weight = weight
-        self.component_of: dict[int, int] = {}
-        self.component_sizes: list[int] = []
-        seen = dict.fromkeys(self.Y, 0)
-        for x in range(G.n):
-            if x in seen:
-                continue
-            comp, _ = bfs(G.adj, (x,), dist=seen)
-            ci = len(self.component_sizes)
-            self.component_sizes.append(len(comp))
-            for v in comp:
-                self.component_of[v] = ci
-
-
 def max_marginal(dist: SeparatorDistribution) -> tuple[Fraction, int | None]:
     """Largest P[x in Y] over vertices, with its smallest witness vertex."""
     acc: dict[int, Fraction] = {}
@@ -108,30 +85,28 @@ def max_marginal(dist: SeparatorDistribution) -> tuple[Fraction, int | None]:
     return best, vertex
 
 
-def witness_from_separators(G: BoundedDegreeGraph, dist: SeparatorDistribution) -> WitnessFunction:
-    """Mix per-separator measures into a witness of radius K.
+def witness_from_separators(dist: SeparatorDistribution) -> WitnessFunction:
+    """Mix per-separator measures into a witness of radius K on dist.graph.
 
     For each sample Y: a vertex x in Y contributes weight * delta_x, a vertex
     x outside Y spreads weight uniformly over its component of G - Y.  All
     arithmetic happens over one common denominator, so the mix is exact.
     """
-    samples = [SeparatorSample(G, Y, wt) for Y, wt in dist.support]
+    G = dist.graph
+    samples = [(Y, wt, components(G, Y)) for Y, wt in dist.support]
     den = 1
-    for s in samples:
-        den = math.lcm(den, s.weight.denominator)
-        for size in s.component_sizes:
+    for _, wt, comps in samples:
+        den = math.lcm(den, wt.denominator)
+        for comp in comps:
             # weight/size itself must scale to an integer; lcm with the bare
             # size is not enough when it shares factors with the weight
-            den = math.lcm(den, (s.weight / size).denominator)
+            den = math.lcm(den, (wt / len(comp)).denominator)
     nums: list[dict[int, int]] = [dict() for _ in range(G.n)]
-    for s in samples:
-        comps: list[list[int]] = [[] for _ in s.component_sizes]
-        for v, ci in s.component_of.items():
-            comps[ci].append(v)
-        w_scaled = s.weight * den
+    for Y, wt, comps in samples:
+        w_scaled = wt * den
         assert w_scaled.denominator == 1
         w_int = w_scaled.numerator
-        for y in s.Y:
+        for y in Y:
             row = nums[y]
             row[y] = row.get(y, 0) + w_int
         for comp in comps:

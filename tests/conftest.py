@@ -50,8 +50,7 @@ class InProcessPool:
         return [fn(item) for item in items]
 
 
-def encode_as_written(G: lc.BoundedDegreeGraph, w: lc.WitnessFunction,
-                      eps_prime: Fraction) -> lc.ProofLabeling:
+def encode_as_written(w: lc.WitnessFunction, eps_prime: Fraction) -> lc.ProofLabeling:
     """Labels for w exactly as written, over its one common denominator.
 
     `build_proof`'s distance-(2r+2) coloring and table scatter without its
@@ -59,9 +58,9 @@ def encode_as_written(G: lc.BoundedDegreeGraph, w: lc.WitnessFunction,
     supports outside their balls, and witnesses quantized by hand.
     """
     (alpha,) = {w.dists[x].den for x in w.vertices}
-    colors, sizes = lc.distance_coloring(G, 2 * w.radius + 2)
+    colors, sizes = lc.distance_coloring(w.graph, 2 * w.radius + 2)
     palette = max(colors) + 1
-    tables = [[0] * palette for _ in range(G.n)]
+    tables = [[0] * palette for _ in range(w.graph.n)]
     for x, c in enumerate(colors):
         for z, t in w.dists[x].num.items():
             tables[z][c] = t
@@ -88,10 +87,10 @@ class ProvedInstance:
     property_a: lc.Verdict
 
 
-def prove_instance(name: str, G: lc.BoundedDegreeGraph, w: lc.WitnessFunction,
-                   eps_prime: Fraction) -> ProvedInstance:
+def prove_instance(name: str, w: lc.WitnessFunction, eps_prime: Fraction) -> ProvedInstance:
+    G = w.graph
     t0 = time.monotonic()
-    labeling = lc.build_proof(G, w, eps_prime)
+    labeling = lc.build_proof(w, eps_prime)
     t1 = time.monotonic()
     verdict = lc.verify_property_a(G, labeling)
     t2 = time.monotonic()
@@ -109,13 +108,12 @@ def prove_instance(name: str, G: lc.BoundedDegreeGraph, w: lc.WitnessFunction,
 
 def prove_uniform(name: str, G: lc.BoundedDegreeGraph, r: int,
                   eps_prime: Fraction) -> ProvedInstance:
-    return prove_instance(name, G, lc.uniform_ball_witness(G, r), eps_prime)
+    return prove_instance(name, lc.uniform_ball_witness(G, r), eps_prime)
 
 
-def tightened_separator_witness(G: lc.BoundedDegreeGraph,
-                                dist: lc.SeparatorDistribution) -> lc.WitnessFunction:
+def tightened_separator_witness(dist: lc.SeparatorDistribution) -> lc.WitnessFunction:
     """Separator witness with its radius trimmed to the real support reach."""
-    return lc.tighten_radius(lc.witness_from_separators(G, dist))
+    return lc.tighten_radius(lc.witness_from_separators(dist))
 
 
 @pytest.fixture(scope="session")
@@ -139,8 +137,8 @@ def c100() -> ProvedInstance:
 @pytest.fixture(scope="session")
 def tree511() -> ProvedInstance:
     G = lc.generate(lc.FamilySpec("full_tree", (2, 8)))
-    w = tightened_separator_witness(G, lc.tree_depth_shift_distribution(G, 6))
-    return prove_instance("tree_depth8_k6", G, w, Fraction(3, 4))
+    w = tightened_separator_witness(lc.tree_depth_shift_distribution(G, 6))
+    return prove_instance("tree_depth8_k6", w, Fraction(3, 4))
 
 
 @pytest.fixture(scope="session")

@@ -58,9 +58,7 @@ def test_criterion_2_path_cycle_tree_completeness(tmp_path, capsys, p100, c100, 
             lc.verify_locally_p(inst.G, lc.locality_radius(inst.labeling.params), "planar"),
         )
         if inst.name == "tree_depth8_k6":
-            rebuilt = tightened_separator_witness(
-                inst.G, lc.tree_depth_shift_distribution(inst.G, 6)
-            )
+            rebuilt = tightened_separator_witness(lc.tree_depth_shift_distribution(inst.G, 6))
         else:
             rebuilt = lc.uniform_ball_witness(inst.G, inst.raw.radius)
         stable = lc.check_uniformity(rebuilt).max_edge_l1
@@ -108,7 +106,7 @@ def test_criterion_3_discretization_bounds():
         eps = lc.check_uniformity(w).max_edge_l1
         eps_prime = eps + Fraction(1, rng2.randint(2, 6))
         # the witness the labels encode, read back by the verifier's decoder
-        q = lc.decode_accepted_witness(G, lc.build_proof(G, w, eps_prime))
+        q = lc.decode_accepted_witness(G, lc.build_proof(w, eps_prime))
         bound = 2 * (eps_prime - eps) / 3 + eps
         for a, b in G.edges():
             ok = ok and lc.l1_distance(q.dists[a], q.dists[b]) <= bound
@@ -120,7 +118,7 @@ def test_criterion_4_grid_shift_witness_bounds():
     G = lc.generate(lc.FamilySpec("grid", (30, 30)))
     dist = lc.grid_shift_distribution(G, 30, 30, 10)
     marginal, _ = lc.max_marginal(dist)
-    w = lc.witness_from_separators(G, dist)
+    w = lc.witness_from_separators(dist)
     rep = lc.check_uniformity(w)
     ok = (marginal == Fraction(19, 100)
           and marginal <= Fraction(2, 10)
@@ -177,7 +175,7 @@ def test_criterion_6_extraction_soundness(accepted_instances):
         eps_prime = lab.params.eps_prime
         decoded = lc.decode_accepted_witness(inst.G, lab)
         measured = lc.check_uniformity(decoded).max_edge_l1
-        part = lc.extract_partition(inst.G, decoded, eps_prime)
+        part = lc.extract_partition(decoded, eps_prime)
         budget = Fraction(inst.G.d * inst.G.d, 2) * eps_prime * inst.G.n
         ok = (ok and measured <= eps_prime
               and part.max_block_size <= lab.k_local

@@ -130,6 +130,20 @@ def test_prove_separator_file_matches_default_shift(p11, capsys, tmp_path):
     assert from_file.read_text() == auto.read_text()
 
 
+def test_prove_refuses_r_with_a_separator_file(p11, capsys, tmp_path):
+    """A separators:<file> witness takes its radius from the file, so --r is refused, not ignored."""
+    g, _ = p11
+    dist_path = tmp_path / "shift.sep"
+    lc.write_separator_distribution_file(
+        lc.path_shift_distribution(lc.read_graph_file(g), 5), dist_path)
+    labels = tmp_path / "file.labels"
+    code, out, err = run(capsys, "prove", str(g), "--eps-prime", "5/6", "--r", "4",
+                         "--witness", f"separators:{dist_path}", "--out", str(labels))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --r does not apply to --witness separators:<file>")
+    assert not labels.exists()
+
+
 @pytest.mark.parametrize("family, n, flags, want_balls, want_l1", [
     # the uniform-ball witness's own sweep at r = 2 and the distance-6 coloring:
     # its supports are its balls, so the uniformity check sweeps no balls again
@@ -155,8 +169,8 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
     monkeypatch.setattr(measures, "l1_distance", counting_l1)
     code, _, _ = run(capsys, "prove", str(g), *flags, "--out", str(tmp_path / "g.labels"))
     assert code == 0
-    # K = max |B_2r| and alpha's max |B_r| are memo reads, and the tables are
-    # scattered from the supports
+    # K = max |B_2r| and alpha's max |B_r| come from the sizes the coloring
+    # returns, and the tables are scattered from the supports
     assert balls == want_balls
     if family == "grid":
         assert searches == {}  # no ball is read outside the sweep
@@ -181,8 +195,9 @@ def test_prove_labels_golden(capsys, tmp_path, family, n, flags, digest):
 def test_prove_at_a_radius_past_the_graph(capsys, tmp_path):
     """On a 20-vertex path, --r 10**9 costs what --r 19 costs and writes its rows.
 
-    Ball profiles and the ball-size memo stop where the graph runs out, so a
-    radius far past the diameter allocates nothing per radius.
+    Ball profiles, and the ball sizes the coloring returns for alpha and K,
+    stop where the graph runs out, so a radius far past the diameter
+    allocates nothing per radius.
     """
     g = tmp_path / "p20.graph"
     labels = tmp_path / "p20.labels"
@@ -211,9 +226,9 @@ def test_prove_drops_the_exact_witness_before_formatting(capsys, tmp_path, monke
     witnesses, alive_at_format = [], []
     build, fmt = cli.build_proof, cli.format_labeling
 
-    def spy_build(G, w, eps_prime):
+    def spy_build(w, eps_prime):
         witnesses.append(weakref.ref(w))
-        return build(G, w, eps_prime)
+        return build(w, eps_prime)
 
     def spy_format(lab):
         alive_at_format.append([ref() is not None for ref in witnesses])
@@ -499,11 +514,18 @@ def test_bad_fraction_exits_two(capsys):
 
 
 def test_auto_witness_needs_r_for_general_graphs(capsys, tmp_path):
+    """auto on a graph no shift family matches falls back to uniform-ball at --r."""
     g = tmp_path / "g.graph"
     run(capsys, "gen", "--family", "grid", "--n", "4,4", "--out", str(g))
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "1/2")
     assert code == 2
     assert "pass --r" in err
+    outs = []
+    for flags in ((), ("--witness", "uniform-ball")):
+        code, out, _ = run(capsys, "prove", str(g), "--r", "2", "--eps-prime", "3/2", *flags)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and outs[0].startswith("labels 16 2 ")
 
 
 def run_cli_child(*args, timeout=60):

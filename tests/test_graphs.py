@@ -302,14 +302,18 @@ def test_induced_subgraph_refuses_ids_outside_the_graph():
 
 
 def test_components_match_networkx():
+    """components(H, removed) lists the components of H - removed, sorted, by smallest member."""
     rng = random.Random(105)
     for _ in range(15):
         G = random_family_graph(rng)
         cut = [e for e in G.edges() if rng.random() < 0.3]
         H = remove_edges(G, cut)
-        mine = {frozenset(c) for c in components(H)}
-        theirs = {frozenset(c) for c in nx.connected_components(to_nx(H))}
-        assert mine == theirs
+        for removed in ((), [v for v in range(H.n) if rng.random() < 0.4], range(H.n)):
+            rest = to_nx(H)
+            rest.remove_nodes_from(removed)
+            theirs = sorted(sorted(c) for c in nx.connected_components(rest))
+            assert components(H, removed) == theirs, (H, list(removed))
+        assert components(H) == components(H, ())
 
 
 def test_remove_edges_keeps_vertex_count():

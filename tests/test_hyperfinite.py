@@ -136,7 +136,7 @@ def test_find_low_boundary_can_fail_on_rough_witness():
 def test_extract_partition_path11():
     G = lc.generate(lc.FamilySpec("path", (11,)))
     w = uniform_ball_witness(G, 1)
-    part = extract_partition(G, w, Fraction(5, 6))
+    part = extract_partition(w, Fraction(5, 6))
     assert part.block_sizes == (3, 3, 3, 2)
     assert part.removed_edges == ((2, 3), (5, 6), (8, 9))
     assert part.max_block_size <= 5
@@ -146,10 +146,10 @@ def test_extract_partition_guards():
     G = lc.generate(lc.FamilySpec("path", (6,)))
     w = uniform_ball_witness(G, 1)
     with pytest.raises(NotUniform):
-        extract_partition(G, w, Fraction(1, 100))
+        extract_partition(w, Fraction(1, 100))
     rel = lc.project_witness(w, [0, 1, 2])
     with pytest.raises(ValueError):
-        extract_partition(G, rel, Fraction(1))
+        extract_partition(rel, Fraction(1))
 
 
 def test_extract_partition_rejects_a_support_outside_its_ball():
@@ -158,7 +158,7 @@ def test_extract_partition_rejects_a_support_outside_its_ball():
     dists = dict(uniform_ball_witness(G, 1).dists)
     dists[0] = RationalDist.delta(3)
     with pytest.raises(NotUniform, match="support_ok=False"):
-        extract_partition(G, WitnessFunction(G, 1, dists), Fraction(2))
+        extract_partition(WitnessFunction(G, 1, dists), Fraction(2))
 
 
 def test_extract_partition_bounds_random():
@@ -170,7 +170,7 @@ def test_extract_partition_bounds_random():
         eps = lc.check_uniformity(w).max_edge_l1
         if eps == 0:
             eps = Fraction(1, 4)
-        part = extract_partition(G, w, eps)
+        part = extract_partition(w, eps)
         assert part.num_removed <= Fraction(G.d, 2) * eps * G.n
         assert part.max_block_size <= lc.max_ball_size_actual(G, 2 * r)
         # removed edges all exist and joined different blocks
@@ -183,13 +183,13 @@ def test_extract_partition_bounds_random():
             assert block_of[u] != block_of[v]
 
 
-def reference_partition(G, w, eps):
+def reference_partition(w, eps):
     """The plain extraction loop: re-project onto the remaining vertices, cut, repeat."""
     if not w.is_full:
         raise ValueError("extraction expects a full-graph witness")
     if not lc.check_uniformity(w).satisfies(eps):
         raise NotUniform("witness is not eps-uniform")
-    remaining = list(range(G.n))
+    remaining = list(range(w.graph.n))
     blocks, removed = [], []
     while remaining:
         res = find_low_boundary_set(project_witness(w, remaining), eps)
@@ -197,7 +197,7 @@ def reference_partition(G, w, eps):
         removed.extend(tuple(sorted(e)) for e in res.boundary.edges)
         gone = set(res.vertices)
         remaining = [v for v in remaining if v not in gone]
-    return PartitionResult(G.n, tuple(blocks), tuple(sorted(removed)))
+    return PartitionResult(w.graph.n, tuple(blocks), tuple(sorted(removed)))
 
 
 def outcome(fn, *args):
@@ -226,21 +226,21 @@ def test_extract_partition_matches_reference_loop():
             if measured < 1:
                 eps_prime = (measured + 1) / 2
                 # one denominator throughout: the witness a labeling decodes to
-                witnesses.append(lc.decode_accepted_witness(G, lc.build_proof(G, w, eps_prime)))
+                witnesses.append(lc.decode_accepted_witness(G, lc.build_proof(w, eps_prime)))
             for wit in witnesses:
                 # extraction measures a copy with no cached report in its own
                 # pass; that report must be check_uniformity's, worst edge included
                 copy = WitnessFunction(G, wit.radius, wit.dists)
-                outcome(extract_partition, G, copy, measured / 2)
+                outcome(extract_partition, copy, measured / 2)
                 assert copy._uniformity == lc.check_uniformity(wit), (G.n, r)
                 for eps in (measured, Fraction(1), measured / 2):
-                    got = outcome(extract_partition, G, wit, eps)
-                    want = outcome(reference_partition, G, wit, eps)
+                    got = outcome(extract_partition, wit, eps)
+                    want = outcome(reference_partition, wit, eps)
                     assert got == want, (G.n, r, eps)
                     if isinstance(want, type):
                         errors.add(want)
         rel = project_witness(w, range(G.n - 1))
-        assert outcome(extract_partition, G, rel, Fraction(1)) is ValueError
+        assert outcome(extract_partition, rel, Fraction(1)) is ValueError
     assert errors == {NotUniform}
 
 
@@ -289,8 +289,8 @@ def test_extract_partition_matches_reference_loop_on_random_witnesses(monkeypatc
 
     monkeypatch.setattr(_ShrinkingProjection, "_relocate", spy)
     for G, w, eps in random_witness_suite(605):
-        got = outcome(extract_partition, G, w, eps)
-        assert got == outcome(reference_partition, G, w, eps), (G.n, w.radius, eps)
+        got = outcome(extract_partition, w, eps)
+        assert got == outcome(reference_partition, w, eps), (G.n, w.radius, eps)
         assert isinstance(got, PartitionResult)
     assert dropped  # some atom lost its last holder in R
 
@@ -351,7 +351,7 @@ def test_every_block_lies_within_2r_of_its_z0():
 def test_extract_partition_golden_grid20():
     G = lc.generate(lc.FamilySpec("grid", (20, 20)))
     w = uniform_ball_witness(G, 4)
-    part = extract_partition(G, w, lc.check_uniformity(w).max_edge_l1)
+    part = extract_partition(w, lc.check_uniformity(w).max_edge_l1)
     assert (part.num_blocks, part.num_removed) == (16, 162)
     digest = hashlib.sha256(format_partition(part).encode()).hexdigest()
     assert digest == "9c55cfca7f541b9d025e01b816cd0980fc5c530814d161a4433f8bec4940bc85"
@@ -422,7 +422,7 @@ def test_edit_distance_bound_on_empty_graph():
 
 def test_partition_file_round_trip(tmp_path):
     G = lc.generate(lc.FamilySpec("path", (11,)))
-    part = extract_partition(G, uniform_ball_witness(G, 1), Fraction(5, 6))
+    part = extract_partition(uniform_ball_witness(G, 1), Fraction(5, 6))
     text = format_partition(part)
     back = parse_partition(text)
     assert back == part

@@ -109,7 +109,7 @@ def test_coloring_sweep_records_ball_size_profile(G, q):
 
 def test_build_proof_path3_tables():
     G = lc.generate(lc.FamilySpec("path", (3,)))
-    labeling = build_proof(G, uniform_ball_witness(G, 1), Fraction(5, 6))
+    labeling = build_proof(uniform_ball_witness(G, 1), Fraction(5, 6))
     p = labeling.params
     # the witness measures 2/3, so alpha = ceil(3 * 3 / (5/6 - 2/3)) = 54
     assert (p.r, p.alpha, p.palette) == (1, 54, 3)
@@ -130,7 +130,7 @@ def test_build_proof_refuses_a_support_outside_its_ball(monkeypatch):
     monkeypatch.setattr("localcert.labeling.distance_coloring", lambda *a: coloring.append(a))
     # the witness measures 4/3, below eps', so only the support fails
     with pytest.raises(NotUniform, match="support_ok=False"):
-        build_proof(G, w, Fraction(3, 2))
+        build_proof(w, Fraction(3, 2))
     assert coloring == []  # refused before any coloring work
 
 
@@ -142,13 +142,13 @@ def test_build_proof_checks_eps_prime_before_measuring_or_coloring(monkeypatch, 
     monkeypatch.setattr("localcert.labeling.check_uniformity", lambda *a: calls.append("measure"))
     monkeypatch.setattr("localcert.labeling.distance_coloring", lambda *a: calls.append("color"))
     with pytest.raises(ValueError, match=f"need 0 < eps' < 2, got eps'={eps_prime}$"):
-        build_proof(G, w, eps_prime)
+        build_proof(w, eps_prime)
     assert calls == []
 
 
 def test_decode_value_round_trip():
     G, g = quantized_path_witness()
-    labeling = encode_as_written(G, g, Fraction(5, 6))
+    labeling = encode_as_written(g, Fraction(5, 6))
     decoded = decode_accepted_witness(G, labeling)
     for x in range(G.n):
         for z in range(G.n):
@@ -166,7 +166,7 @@ def test_decode_round_trip_random():
         eps_prime = eps + Fraction(1, 4)
         if eps_prime >= 2:
             continue
-        labeling = build_proof(G, w, eps_prime)
+        labeling = build_proof(w, eps_prime)
         g = discretized(w, labeling.params.alpha)
         decoded = decode_accepted_witness(G, labeling)
         for x in range(G.n):
@@ -196,7 +196,7 @@ def fused_cases():
         cases.append((G, w, eps, eps_prime, alpha))
     for family, params, k in (("path", (23,), 4), ("cycle", (24,), 6), ("full_tree", (2, 5), 3)):
         G = lc.generate(lc.FamilySpec(family, params))
-        w = lc.tighten_radius(lc.witness_from_separators(G, lc.shift_family_distribution(G, k)))
+        w = lc.tighten_radius(lc.witness_from_separators(lc.shift_family_distribution(G, k)))
         eps = lc.check_uniformity(w).max_edge_l1
         eps_prime = min(eps + Fraction(1, 8), (eps + 2) / 2)
         cases.append((G, w, eps, eps_prime, least_alpha(G, w, eps, eps_prime)))
@@ -226,7 +226,7 @@ def fused_cases():
     dist = lc.SeparatorDistribution(G, base.K, [
         (Y, Fraction(wt, sum(weights))) for (Y, _), wt in zip(base.support, weights)
     ])
-    w = lc.tighten_radius(lc.witness_from_separators(G, dist))
+    w = lc.tighten_radius(lc.witness_from_separators(dist))
     assert max(len(set(f.num.values())) for f in w.dists.values()) >= 8
     cases.append(at_prime_alpha(G, w))
     return cases
@@ -258,10 +258,10 @@ def test_fused_build_proof_matches_discretize_witness(G, w, eps, eps_prime, alph
     build_proof takes the least alpha the sizing rule allows; any alpha at or
     above it keeps the whole quantized witness within eps + 2(eps' - eps)/3.
     """
-    fused = build_proof(G, w, eps_prime)
+    fused = build_proof(w, eps_prime)
     least = fused.params.alpha
     assert least == least_alpha(G, w, eps, eps_prime) <= alpha
-    assert_same_labeling(fused, encode_as_written(G, discretized(w, least), eps_prime))
+    assert_same_labeling(fused, encode_as_written(discretized(w, least), eps_prime))
     bound = eps + 2 * (eps_prime - eps) / 3
     assert lc.check_uniformity(discretized(w, alpha)).max_edge_l1 <= bound
 
@@ -270,7 +270,7 @@ def test_fused_build_proof_matches_on_proved_instances(accepted_instances):
     """The session's uniform-ball and separator instances against the staged quantization."""
     for inst in accepted_instances:
         p = inst.labeling.params
-        staged = encode_as_written(inst.G, discretized(inst.raw, p.alpha), p.eps_prime)
+        staged = encode_as_written(discretized(inst.raw, p.alpha), p.eps_prime)
         assert staged == inst.labeling, inst.name
 
 
@@ -279,7 +279,7 @@ def test_support_outside_the_ball_is_rejected_at_its_owner():
     G = lc.generate(lc.FamilySpec("path", (6,)))
     dists = {x: RationalDist(6, {x: 6}) for x in range(G.n)}
     dists[0] = RationalDist(6, {0: 3, 3: 3})  # vertex 3 lies at distance 3 > r = 1
-    labeling = encode_as_written(G, WitnessFunction(G, 1, dists), Fraction(1, 2))
+    labeling = encode_as_written(WitnessFunction(G, 1, dists), Fraction(1, 2))
     verdict = verify_property_a(G, labeling)
     assert verdict.decisions[0] == CHECK_PROBABILITY
 
@@ -309,7 +309,7 @@ def test_proof_labeling_validation():
 
 def test_labeling_format_round_trip(tmp_path):
     G, g = quantized_path_witness()
-    labeling = encode_as_written(G, g, Fraction(5, 6))
+    labeling = encode_as_written(g, Fraction(5, 6))
     text = format_labeling(labeling)
     back = parse_labeling(text)
     assert back.colors == labeling.colors
@@ -331,7 +331,7 @@ def test_header_round_trips(accepted_instances):
 
 def test_labeling_format_golden():
     G, g = quantized_path_witness()
-    labeling = encode_as_written(G, g, Fraction(5, 6))
+    labeling = encode_as_written(g, Fraction(5, 6))
     lines = format_labeling(labeling).splitlines()
     assert lines[0] == "labels 3 1 6 3 5/6 3"
     assert lines[1] == "0 0 3 2 0"

@@ -175,7 +175,7 @@ def test_recorded_supports_agree_with_a_fresh_sweep(family, params):
     w = uniform_ball_witness(G, 2)
     eps = check_uniformity(w).max_edge_l1
     eps_prime = (eps + 2) / 2
-    verdict, decoded = lc.verify_and_decode(G, lc.build_proof(G, w, eps_prime))
+    verdict, decoded = lc.verify_and_decode(G, lc.build_proof(w, eps_prime))
     assert verdict.accept
     for wit in (w, decoded):
         assert wit._supports_in_balls
@@ -189,7 +189,7 @@ def test_recorded_supports_agree_with_a_fresh_sweep(family, params):
 def test_tighten_radius_records_shift_witnesses(family, params):
     """Its searches saw every atom, so the measurement sweeps no ball again."""
     G = lc.generate(lc.FamilySpec(family, params))
-    raw = lc.witness_from_separators(G, lc.shift_family_distribution(G, 5))
+    raw = lc.witness_from_separators(lc.shift_family_distribution(G, 5))
     w = tighten_radius(raw)
     assert w.radius < raw.radius
     assert w._supports_in_balls
@@ -275,10 +275,10 @@ def test_derive_alpha_examples():
     """build_proof derives alpha = ceil(3 max |B_r| / (eps' - eps)) and needs eps' > eps."""
     P = lc.generate(lc.FamilySpec("path", (11,)))
     w = uniform_ball_witness(P, 1)  # measures 2/3; max |B_1| = 3
-    assert lc.build_proof(P, w, Fraction(5, 6)).params.alpha == 54
+    assert lc.build_proof(w, Fraction(5, 6)).params.alpha == 54
     for eps_prime in (Fraction(1, 2), Fraction(2, 3)):
         with pytest.raises(WitnessTooRough, match=f"witness measures 2/3 >= eps' = {eps_prime} "):
-            lc.build_proof(P, w, eps_prime)
+            lc.build_proof(w, eps_prime)
 
 
 def test_discretize_witness_edge_bound():
@@ -292,7 +292,7 @@ def test_discretize_witness_edge_bound():
         eps_prime = eps + Fraction(rng.randint(1, 5), rng.randint(20, 40))
         if eps_prime >= 2:
             continue
-        g = lc.decode_accepted_witness(G, lc.build_proof(G, w, eps_prime))
+        g = lc.decode_accepted_witness(G, lc.build_proof(w, eps_prime))
         bound = 2 * (eps_prime - eps) / 3 + eps
         for u, v in G.edges():
             assert l1_distance(g.dists[u], g.dists[v]) <= bound

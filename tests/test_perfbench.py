@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark's traced path: one repetition with the span tracer on.
+"""Smoke test of the benchmark's traced path: one repetition per workload with the span tracer on.
 
 The tracer wraps package functions by name and reads the prover's
 `ProofLabeling` (tables, k_local), so a refactor of those can break
@@ -10,16 +10,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_child_run_reports_labeling_layers(tmp_path):
+# tree-tamper is the one workload whose traced run mixes a separator witness
+# (depth shifts on a tree) and takes the verifier's reject path and
+# extract's refusal
+@pytest.mark.parametrize("workload, codes", [
+    ("cycle-shift", [0, 0, 0]),
+    ("tree-tamper", [0, 1, 1]),
+])
+def test_traced_child_run_reports_labeling_layers(tmp_path, workload, codes):
     cmd = [sys.executable, "-E", "-s", str(ROOT / "perfbench" / "child.py"),
-           "--src", str(ROOT / "src"), "--workload", "cycle-shift", "--seed", "1",
+           "--src", str(ROOT / "src"), "--workload", workload, "--seed", "1",
            "--workdir", str(tmp_path), "--trace"]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     record = json.loads(proc.stdout.splitlines()[-1])
-    assert [record[cmd]["rc"] for cmd in ("prove", "verify", "extract")] == [0, 0, 0]
+    assert [record[cmd]["rc"] for cmd in ("prove", "verify", "extract")] == codes
     layers = record["layers"]
     assert "labeling.palette" in layers and "labeling.k_local" in layers
+    if workload == "tree-tamper":
+        assert layers["verifier.rejecting"][0] > 0

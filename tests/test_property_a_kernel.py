@@ -131,7 +131,7 @@ def honest(name):
     w = lc.uniform_ball_witness(G, r)
     eps = lc.check_uniformity(w).max_edge_l1
     eps_prime = (eps + 2) / 2 if eps >= Fraction(1, 2) else Fraction(1, 2)
-    return G, lc.build_proof(G, w, eps_prime)
+    return G, lc.build_proof(w, eps_prime)
 
 
 def relabeled(labeling, colors=None, tables=None):

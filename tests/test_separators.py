@@ -9,10 +9,10 @@ import pytest
 import localcert as lc
 from conftest import random_family_graph
 from localcert.errors import InvalidDistribution
+from localcert.graphs import components
 from localcert.measures import check_uniformity, l1_distance
 from localcert.separators import (
     SeparatorDistribution,
-    SeparatorSample,
     format_separator_distribution,
     grid_shift_distribution,
     is_k_separator,
@@ -33,6 +33,9 @@ def test_is_k_separator():
     C = lc.generate(lc.FamilySpec("cycle", (10,)))
     assert not is_k_separator(C, {0}, 8)
     assert is_k_separator(C, {0, 5}, 4)
+    for bad in (-1, 10):
+        with pytest.raises(ValueError, match="outside graph"):
+            is_k_separator(P, {4, bad}, 9)
 
 
 def test_distribution_validation():
@@ -64,7 +67,7 @@ def test_path_shift_marginals_and_witness():
     assert d.K == 3
     value, _ = max_marginal(d)
     assert value == Fraction(1, 4)
-    w = witness_from_separators(P, d)
+    w = witness_from_separators(d)
     rep = check_uniformity(w)
     assert rep.support_ok
     assert rep.max_edge_l1 <= 4 * value
@@ -74,7 +77,7 @@ def test_path_shift_shared_factor_denominators():
     # k = 9 on P_11 leaves components of size 3; the mixing denominator has
     # to absorb 27, not just lcm(9, 3)
     P = lc.generate(lc.FamilySpec("path", (11,)))
-    w = witness_from_separators(P, path_shift_distribution(P, 9))
+    w = witness_from_separators(path_shift_distribution(P, 9))
     for x in range(11):
         assert sum(w.dists[x].num.values()) == w.dists[x].den
     assert check_uniformity(w).max_edge_l1 == Fraction(4, 9)
@@ -102,7 +105,7 @@ def test_grid_shift_small():
     assert len(d) == 9
     value, _ = max_marginal(d)
     assert value <= Fraction(2, 3)
-    w = witness_from_separators(G, d)
+    w = witness_from_separators(d)
     rep = check_uniformity(w)
     assert rep.support_ok
     assert rep.max_edge_l1 <= 4 * value
@@ -114,7 +117,7 @@ def test_tree_depth_shift():
     assert len(d) == 3
     for Y, _ in d.support:
         assert is_k_separator(T, set(Y), d.K)
-    w = witness_from_separators(T, d)
+    w = witness_from_separators(d)
     assert check_uniformity(w).support_ok
 
 
@@ -163,22 +166,24 @@ def test_separator_witness_structure():
     """Mixed measure: delta on separator vertices, uniform over components."""
     P = lc.generate(lc.FamilySpec("path", (5,)))
     d = SeparatorDistribution(P, 2, [((2,), Fraction(1))])
-    w = witness_from_separators(P, d)
+    w = witness_from_separators(d)
     assert w.dists[2] == lc.RationalDist.delta(2)
     assert w.dists[0] == lc.RationalDist.uniform([0, 1])
     assert w.dists[4] == lc.RationalDist.uniform([3, 4])
 
 
 def test_separator_witness_per_sample_identity():
-    """Vertices outside Y sharing an edge share their component's measure."""
+    """Vertices outside Y sharing an edge share their component of G - Y."""
     G = lc.generate(lc.FamilySpec("grid", (6, 6)))
     d = grid_shift_distribution(G, 6, 6, 3)
-    for Y, wt in d.support:
-        s = SeparatorSample(G, Y, wt)
+    for Y, _ in d.support:
+        comps = components(G, Y)
+        component_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        assert sorted(component_of) == sorted(set(range(G.n)) - set(Y))
         for u, v in G.edges():
-            if u in s.Y or v in s.Y:
+            if u in Y or v in Y:
                 continue
-            assert s.component_of[u] == s.component_of[v]
+            assert component_of[u] == component_of[v]
 
 
 def test_separator_witness_edge_bound_random():
@@ -188,7 +193,7 @@ def test_separator_witness_edge_bound_random():
         P = lc.generate(lc.FamilySpec("path", (n,)))
         k = rng.randint(2, min(6, n - 1))
         d = path_shift_distribution(P, k)
-        w = witness_from_separators(P, d)
+        w = witness_from_separators(d)
         value, _ = max_marginal(d)
         for u, v in P.edges():
             assert l1_distance(w.dists[u], w.dists[v]) <= 4 * value

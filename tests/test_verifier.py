@@ -100,7 +100,7 @@ def test_completeness_on_random_families():
         eps_prime = eps + Fraction(1, rng.randint(3, 8))
         if eps_prime >= 2:
             continue
-        labeling = lc.build_proof(G, w, eps_prime)
+        labeling = lc.build_proof(w, eps_prime)
         verdict = verify_property_a(G, labeling)
         assert verdict.accept, (G.n, G.m, r, verdict.rejecting()[:3])
         done += 1
@@ -204,7 +204,7 @@ def test_l1_check_catches_rough_witness():
         0: lc.RationalDist(4, {0: 4}),
         1: lc.RationalDist(4, {1: 4}),
     })
-    labeling = encode_as_written(G, g, Fraction(1, 2))
+    labeling = encode_as_written(g, Fraction(1, 2))
     verdict = verify_property_a(G, labeling)
     assert set(verdict.decisions) == {CHECK_L1}
 
