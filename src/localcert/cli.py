@@ -111,6 +111,9 @@ def _build_witness(G: BoundedDegreeGraph, args: argparse.Namespace) -> WitnessFu
             f"unknown witness source {mode!r}; use uniform-ball, separators:<file>, or auto"
         )
     if dist is not None:
+        if args.r is not None:
+            sys.stderr.write(f"note: --r {args.r} went unused; --witness auto chose the "
+                             "shift-family witness, whose radius comes from its separators\n")
         return tighten_radius(witness_from_separators(dist))
     if args.r is None:
         raise ValueError("--witness uniform-ball needs --r" if mode == "uniform-ball"
@@ -140,7 +143,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    G = read_graph_file(args.graph)
+    G = _read_nonempty_graph(args.graph, "verify")
     labeling = read_labeling_file(args.labels)
     verdict = pipeline_verify(G, labeling, args.predicate, jobs=args.jobs)
     _emit(format_verdict(verdict), args.out)

@@ -4,11 +4,12 @@ A labeling encodes a quantized witness g so that any vertex can recover
 g(x)(z) for nearby x from labels alone: T1 colors vertices so that equal
 colors never appear within distance 2r+2 of each other, and T2(z) stores, per
 color q, alpha * g(x)(z) for the unique q-colored x with z in B_r(x).
-`build_proof` is the whole prover: it measures the exact witness, sizes
-alpha from that measurement, colors, and quantizes the witness into g while
-it writes the tables.  The rounding is `measures.discretize`'s rule, applied
-in the scatter loop itself; tests hold the tables to `discretize` as the
-reference.
+`build_proof` is the whole prover: it measures the exact witness, colors,
+sizes alpha by halving the worst-case rule's value while every vertex's
+exact rounding error stays within the budget that rule guarantees, and
+quantizes the witness into g while it writes the tables.  The rounding is
+`measures.discretize`'s rule, applied in the scatter loop itself; tests hold
+the tables to `discretize` as the reference.
 
 Text format:
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, filterfalse
@@ -32,7 +34,7 @@ from pathlib import Path
 
 from .errors import FormatError, WitnessTooRough
 from .graphs import BoundedDegreeGraph, ball_sweep
-from .measures import WitnessFunction, _require_uniform, check_uniformity
+from .measures import WitnessFunction, _require_uniform, check_uniformity, rounding_plan
 
 
 @dataclass(frozen=True)
@@ -143,17 +145,25 @@ def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
     apart, so no table slot has two owners, and every slot whose owner lies
     outside the reader's radius-r ball is zero, which keeps the honest l1
     check sums exact.  The coloring's sweep also measures max |B_s| for
-    every s <= 2r+2, so alpha = ceil(3 max |B_r| / (eps' - eps)) and
-    k_local = max |B_2r|, the component bound the scheme certifies, need no
-    sweep of their own.
+    every s <= 2r+2, so alpha's max |B_r| and k_local = max |B_2r|, the
+    component bound the scheme certifies, need no sweep of their own.
 
-    That alpha moves each distribution by at most (eps' - eps)/3 when it is
-    rounded, so every edge of the quantized witness g measures at most
-    eps + 2(eps' - eps)/3 < eps'.  Each table is scattered from the
-    supports, T[z][c(x)] = alpha * g(x)(z), one vertex at a time, so g never
-    exists as a whole.  g(x) follows `measures.discretize`'s rule without a
-    call to it: each alpha * w(x)(z) is floored, and the units still missing
-    go to the atoms with the largest remainders, ties to the smaller id.
+    Rounding may move each distribution by at most (eps' - eps)/3, so every
+    edge of the quantized witness g measures at most eps + 2(eps' - eps)/3
+    < eps'.  alpha = ceil(3 max |B_r| / (eps' - eps)) keeps every vertex
+    inside that budget whatever its remainders, so it is the top rung of a
+    ladder: alpha is halved (rounding up) while every vertex's exact error
+    (`measures.rounding_plan`) stays within the budget, and the first rung
+    that fails ends the descent.
+
+    Each table is scattered from the supports, T[z][c(x)] = alpha * g(x)(z),
+    one vertex at a time, so g never exists as a whole.  g(x) follows
+    `measures.discretize`'s rule without a call to it: each alpha * w(x)(z)
+    is floored, and the units still missing go to the atoms with the
+    largest remainders, ties to the smaller id.  The error and the rounding
+    depend only on a distribution's denominator and the multiset of its
+    numerators, its shape, so both are worked out once per shape
+    (grid 50^2 at r = 10 has 57 shapes among 2500 vertices).
     """
     if not w.is_full:
         raise ValueError("labels encode full-graph witnesses only")
@@ -168,34 +178,35 @@ def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
         )
     _require_uniform(report, eps_prime)  # only a support outside its ball fails here
     G = w.graph
+    n = G.n
     colors, sizes = distance_coloring(G, 2 * r + 2)
-    alpha = math.ceil(Fraction(3 * sizes[min(r, len(sizes) - 1)]) / (eps_prime - eps))
+    budget = (eps_prime - eps) / 3
+    alpha = math.ceil(sizes[min(r, len(sizes) - 1)] / budget)
+    # each vertex's shape, the index of its (denominator, numerator multiset)
+    index = {}
+    shape_of = [index.setdefault((f.den, tuple(sorted(f.num.values()))), len(index))
+                for f in map(w.dists.__getitem__, range(n))]
+    shapes = [(den, Counter(nums)) for den, nums in index]
+    plans = [rounding_plan(den, counts, alpha) for den, counts in shapes]
+    while alpha > 1:
+        half = (alpha + 1) // 2
+        lower = [rounding_plan(den, counts, half) for den, counts in shapes]
+        if any(plan.error > budget for plan in lower):
+            break
+        alpha, plans = half, lower
     palette = max(colors) + 1
     params = SchemeParams(r=r, eps_prime=eps_prime, alpha=alpha, palette=palette)
-    n = G.n
     tables = [[0] * palette for _ in range(n)]
     for x, col in enumerate(colors):
-        f = w.dists[x]
-        den, num = f.den, f.num
-        # one divmod per distinct numerator; an atom's key (den - rem) * n + z
-        # orders by largest remainder, then smaller id (0 <= z < n holds, as
-        # the support check passed); a zero remainder sorts last, never among
-        # the `need` taken, as need < the number of positive remainders
-        split = {}
-        for c in set(num.values()):
-            q, rem = divmod(c * alpha, den)
-            split[c] = (q, (den - rem) * n)
-        need = alpha
-        keys = []
+        num = w.dists[x].num
+        lift, tied, extra, _ = plans[shape_of[x]]
         for z, c in num.items():
-            q, offset = split[c]
-            tables[z][col] = q
-            need -= q
-            keys.append(offset + z)
-        if need:
-            keys.sort()
-            for key in keys[:need]:
-                tables[key % n][col] += 1
+            tables[z][col] = lift[c]
+        if extra:
+            # the tied class's units go to its smallest ids
+            ids = sorted(num) if tied is None else sorted(z for z, c in num.items() if c in tied)
+            for z in ids[:extra]:
+                tables[z][col] += 1
     # in place, so each list row is freed as its tuple is made
     for z, row in enumerate(tables):
         tables[z] = tuple(row)

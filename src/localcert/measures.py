@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EmptySubgraph, InfeasibleAlpha, NotUniform
 from .graphs import BoundedDegreeGraph, ball_sweep, bfs
@@ -273,16 +273,31 @@ def uniform_ball_witness(G: BoundedDegreeGraph, r: int) -> WitnessFunction:
     return _record_supports_in_balls(WitnessFunction(G, r, dists))
 
 
+class RoundingPlan(NamedTuple):
+    """`discretize`'s rule for one (denominator, numerator counts) shape; see `rounding_plan`.
+
+    An atom with numerator c gets lift[c] units of 1/alpha, and `extra` more
+    units go to the smallest ids among the atoms whose numerator lies in
+    `tied` (None: every atom).  `error` is ||discretize(f, alpha) - f||_1.
+    """
+
+    lift: dict[int, int]
+    tied: frozenset[int] | None
+    extra: int
+    error: Fraction
+
+
 def discretize(f: RationalDist, alpha: int) -> RationalDist:
     """Round f to a distribution with denominator alpha, exactly preserving mass.
 
     Each value is floored to a multiple of 1/alpha; the mass deficit
     alpha - sum(floors) is returned by raising that many entries by 1/alpha,
     chosen by largest fractional part, ties by smaller vertex id.  Per entry
-    the error is < 1/alpha, so ||f - g||_1 <= |support| / alpha.  A
-    distribution already over alpha is returned as it is.  The prover
-    (`labeling.build_proof`) applies this rule while it writes its tables;
-    this function is the reference its tests compare against.
+    the error is < 1/alpha, so ||f - g||_1 < |support| / alpha; the exact
+    error is `rounding_plan`'s.  A distribution already over alpha is
+    returned as it is.  The prover (`labeling.build_proof`) applies this
+    rule while it writes its tables; this function is the reference its
+    tests compare against.
     """
     if alpha < 1:
         raise InfeasibleAlpha(f"alpha must be a positive integer, got {alpha}")
@@ -303,6 +318,41 @@ def discretize(f: RationalDist, alpha: int) -> RationalDist:
     for _, z in fracs[:need]:
         floors[z] += 1
     return RationalDist(alpha, floors)
+
+
+def rounding_plan(den: int, counts: Mapping[int, int], alpha: int) -> RoundingPlan:
+    """`discretize`'s rule at alpha for every f over den whose numerators occur `counts` times.
+
+    counts maps each distinct numerator c to how many atoms carry it; the
+    rounding depends on nothing else but the atoms' ids, which only break
+    ties.  An atom's remainder is rem = c * alpha mod den.  Whole classes of
+    equal remainders are raised, largest first, while the deficit covers
+    them; the next class is raised in part, at its smallest ids.  A floored
+    atom is off by rem / (alpha * den) and a raised one by
+    (den - rem) / (alpha * den); the remainders sum to the deficit times
+    den, so the raised atoms' costs sum to the floored atoms' remainders,
+    and the error is twice those over alpha * den.
+    """
+    if alpha < 1:
+        raise InfeasibleAlpha(f"alpha must be a positive integer, got {alpha}")
+    lift, by_rem = {}, {}
+    for c in counts:
+        lift[c], rem = divmod(c * alpha, den)
+        by_rem.setdefault(rem, []).append(c)
+    need = alpha - sum(lift[c] * k for c, k in counts.items())
+    tied, extra, floored = None, 0, 0
+    for rem in sorted(by_rem, reverse=True):
+        cs = by_rem[rem]
+        size = sum(map(counts.__getitem__, cs))
+        raised = min(need, size)
+        need -= raised
+        floored += rem * (size - raised)
+        if raised == size:
+            for c in cs:
+                lift[c] += 1
+        elif raised:
+            tied, extra = (None if len(cs) == len(counts) else frozenset(cs)), raised
+    return RoundingPlan(lift, tied, extra, Fraction(2 * floored, alpha * den))
 
 
 def project_witness(w: WitnessFunction, f_vertices: Iterable[int]) -> WitnessFunction:

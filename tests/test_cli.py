@@ -88,8 +88,22 @@ def test_prove_auto_path(p11, capsys, tmp_path):
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "5/6",
                        "--out", str(labels))
     assert code == 0
-    assert err == "measured_eps = 4/5\nradius = 3\nalpha = 630\npalette = 9\nK = 11\n"
-    assert labels.read_text().startswith("labels 11 3 630 9 5/6 11\n")
+    assert err == "measured_eps = 4/5\nradius = 3\nalpha = 315\npalette = 9\nK = 11\n"
+    assert labels.read_text().startswith("labels 11 3 315 9 5/6 11\n")
+
+
+def test_prove_auto_notes_an_unused_r(p11, capsys, tmp_path):
+    """When a shift family matches, auto's uniform-ball fallback --r goes unused, and prove says so."""
+    g, auto = p11
+    labels = tmp_path / "r7.labels"
+    code, out, err = run(capsys, "prove", str(g), "--eps-prime", "5/6", "--r", "7",
+                         "--out", str(labels))
+    assert (code, out) == (0, "")
+    note, rest = err.split("\n", 1)
+    assert note == ("note: --r 7 went unused; --witness auto chose the shift-family "
+                    "witness, whose radius comes from its separators")
+    assert rest.startswith("measured_eps = 4/5\nradius = 3\n")
+    assert labels.read_text() == auto.read_text()
 
 
 def test_prove_auto_cycle_rounds_shift(capsys, tmp_path):
@@ -101,7 +115,7 @@ def test_prove_auto_cycle_rounds_shift(capsys, tmp_path):
                        "--out", str(labels))
     assert code == 0
     assert "measured_eps = 2/3\nradius = 4\n" in err
-    assert labels.read_text().startswith("labels 12 4 162 12 5/6 12\n")
+    assert labels.read_text().startswith("labels 12 4 81 12 5/6 12\n")
 
 
 def test_prove_auto_tree_then_verify(capsys, tmp_path):
@@ -111,7 +125,7 @@ def test_prove_auto_tree_then_verify(capsys, tmp_path):
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "3/4",
                        "--out", str(labels))
     assert code == 0
-    assert labels.read_text().startswith("labels 31 8 1116 31 3/4 31\n")
+    assert labels.read_text().startswith("labels 31 8 558 31 3/4 31\n")
     code, out, _ = run(capsys, "verify", str(g), str(labels))
     assert code == 0
     assert out == "verdict accept\n"
@@ -179,12 +193,13 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
 
 @pytest.mark.parametrize("family, n, flags, digest", [
     ("grid", "12,12", ("--witness", "uniform-ball", "--r", "3", "--eps-prime", "3/4"),
-     "cc4e62f57db3793a9279d784b303871d8b04dd9e41951f43a296db1559dd73ee"),
+     "2a330cdd8b325f9787cf3e8b5af7f045a7ee0be1e039a702748b85f28b95350b"),
     ("full_tree", "2,5", ("--eps-prime", "1/2"),
-     "dcb466f26097bf7d209d1f78f84f478804af45cc42b6c9038b4b429150270f73"),
-])
+     "b01045568f8c6c88ce58433fbafba7f0f1b6dd317f7c28b6e134a7c306762993"),
+], ids=["grid-12,12", "full_tree-2,5"])
 def test_prove_labels_golden(capsys, tmp_path, family, n, flags, digest):
-    """Digests recorded from the code that measured ball sizes with sweeps of their own."""
+    """Digests recorded with alpha halved from its top rung: 900 -> 450 on the
+    grid, 3402 -> 1701 on the tree."""
     g = tmp_path / "g.graph"
     run(capsys, "gen", "--family", family, "--n", n, "--out", str(g))
     code, out, _ = run(capsys, "prove", str(g), *flags)
@@ -208,7 +223,7 @@ def test_prove_at_a_radius_past_the_graph(capsys, tmp_path):
                            "--r", r, "--eps-prime", "1/2")
         assert code == 0
         head, *rows[r] = out.splitlines()
-        assert head == f"labels 20 {r} 120 20 1/2 20"
+        assert head == f"labels 20 {r} 60 20 1/2 20"
     assert rows["19"] == rows[str(10**9)]
     labels.write_text(out)
     code, out, _ = run(capsys, "verify", str(g), str(labels))
@@ -433,7 +448,7 @@ def test_report_golden(p11, capsys):
     code, out, _ = run(capsys, "report", str(g), str(labels))
     assert code == 0
     assert out == (
-        "n = 11\nm = 10\nd = 2\nr = 3\nalpha = 630\npalette = 9\n"
+        "n = 11\nm = 10\nd = 2\nr = 3\nalpha = 315\npalette = 9\n"
         "eps_prime = 5/6\nK = 11\npredicate = planar\nverdict = accept\n"
         "rejecting = 0\napls_guarantee = 5/3\neps_decoded = 4/5\n"
         "blocks = 3\nmax_block = 4\nremoved_edges = 2\n"
@@ -459,10 +474,10 @@ def test_report_reads_each_ball_once(capsys, tmp_path, monkeypatch):
     assert "verdict = accept\n" in out
     assert balls == {3: 64}  # one B_{r+1} ball per vertex, judged and decoded
     # components passes only: one for the structural half, and one in
-    # is_planar for each of the 4 extraction blocks (of 9) that have more
+    # is_planar for each of the 5 extraction blocks (of 8) that have more
     # than 4 vertices and at most n + 2 edges, where the cyclomatic number
     # can settle planarity
-    assert searches == {None: 5}
+    assert searches == {None: 6}
 
 
 def test_report_rejecting_exit(p11, capsys, tmp_path):
@@ -476,7 +491,8 @@ def test_report_rejecting_exit(p11, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command, action", [("extract", "extract from"),
-                                             ("report", "report on")])
+                                             ("report", "report on"),
+                                             ("verify", "verify")])
 def test_extract_and_report_empty_graph_exit_two(capsys, tmp_path, command, action):
     g = tmp_path / "empty.graph"
     labels = tmp_path / "empty.labels"

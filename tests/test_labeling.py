@@ -20,7 +20,13 @@ from localcert.labeling import (
     format_labeling,
     parse_labeling,
 )
-from localcert.measures import RationalDist, WitnessFunction, uniform_ball_witness
+from localcert.measures import (
+    RationalDist,
+    WitnessFunction,
+    discretize,
+    l1_distance,
+    uniform_ball_witness,
+)
 from localcert.verifier import CHECK_PROBABILITY, decode_accepted_witness, verify_property_a
 
 
@@ -111,13 +117,15 @@ def test_build_proof_path3_tables():
     G = lc.generate(lc.FamilySpec("path", (3,)))
     labeling = build_proof(uniform_ball_witness(G, 1), Fraction(5, 6))
     p = labeling.params
-    # the witness measures 2/3, so alpha = ceil(3 * 3 / (5/6 - 2/3)) = 54
-    assert (p.r, p.alpha, p.palette) == (1, 54, 3)
+    # the witness measures 2/3, so the top rung is ceil(3 * 3 / (5/6 - 2/3)) = 54;
+    # at 27 the halves round to 14/27 and 13/27, off by 1/27 <= (5/6 - 2/3)/3,
+    # while at 14 the thirds round to 5, 5, 4 and are off by 2/21
+    assert (p.r, p.alpha, p.palette) == (1, 27, 3)
     assert labeling.colors == (0, 1, 2)
     # the middle vertex is seen by all three, so its table holds each
-    # owner's mass for vertex 1: 27/54, 18/54, 27/54
-    assert labeling.tables[1] == (27, 18, 27)
-    assert labeling.tables[0] == (27, 18, 0)
+    # owner's mass for vertex 1: 13/27 (the tie goes to vertex 0), 9/27, 14/27
+    assert labeling.tables[1] == (13, 9, 14)
+    assert labeling.tables[0] == (14, 9, 0)
     assert labeling.k_local == max_ball_size_actual(G, 2)
 
 
@@ -174,14 +182,28 @@ def test_decode_round_trip_random():
                 assert decoded.dists[x].value(z) == g.dists[x].value(z)
 
 
-def least_alpha(G, w, eps, eps_prime):
-    """The sizing rule ceil(3 max |B_r| / (eps' - eps)), with the balls read afresh."""
+def formula_alpha(G, w, eps, eps_prime):
+    """The ladder's top rung ceil(3 max |B_r| / (eps' - eps)), with the balls read afresh."""
     max_ball = max(len(bfs(G.adj, (x,), w.radius)[0]) for x in range(G.n))
     return math.ceil(Fraction(3 * max_ball) / (eps_prime - eps))
 
 
+def certified(w, alpha, eps, eps_prime):
+    """Every vertex's rounding error at alpha, measured by l1, is within (eps' - eps)/3."""
+    budget = (eps_prime - eps) / 3
+    return all(l1_distance(f, discretize(f, alpha)) <= budget for f in w.dists.values())
+
+
+def reference_alpha(G, w, eps, eps_prime):
+    """The sizing rule in plain loops: halve the top rung while the half is certified."""
+    alpha = formula_alpha(G, w, eps, eps_prime)
+    while alpha > 1 and certified(w, (alpha + 1) // 2, eps, eps_prime):
+        alpha = (alpha + 1) // 2
+    return alpha
+
+
 def fused_cases():
-    """Exact witnesses with their eps' and an alpha at or above the least one:
+    """Exact witnesses with their eps' and an alpha at or above the top rung:
     uniform balls and separator shifts."""
     rng = random.Random(404)
     cases = []
@@ -192,14 +214,14 @@ def fused_cases():
         eps_prime = eps + Fraction(rng.randint(1, 5), rng.randint(8, 40))
         if eps_prime >= 2:
             continue
-        alpha = least_alpha(G, w, eps, eps_prime) + rng.choice((0, 0, 1, 17))
+        alpha = formula_alpha(G, w, eps, eps_prime) + rng.choice((0, 0, 1, 17))
         cases.append((G, w, eps, eps_prime, alpha))
     for family, params, k in (("path", (23,), 4), ("cycle", (24,), 6), ("full_tree", (2, 5), 3)):
         G = lc.generate(lc.FamilySpec(family, params))
         w = lc.tighten_radius(lc.witness_from_separators(lc.shift_family_distribution(G, k)))
         eps = lc.check_uniformity(w).max_edge_l1
         eps_prime = min(eps + Fraction(1, 8), (eps + 2) / 2)
-        cases.append((G, w, eps, eps_prime, least_alpha(G, w, eps, eps_prime)))
+        cases.append((G, w, eps, eps_prime, formula_alpha(G, w, eps, eps_prime)))
     # alpha a prime above every ball size, so no ball size divides it and each
     # uniform ball's remainders tie across its whole support
     for family, params, r in (("cycle", (12,), 2), ("grid", (5, 7), 1), ("path", (9,), 3)):
@@ -234,7 +256,7 @@ def fused_cases():
 
 def at_prime_alpha(G, w):
     """A fused case at the least prime alpha above every ball size that keeps
-    eps' = eps + 3 max |B_r| / alpha below 2; the sizing rule gives that alpha."""
+    eps' = eps + 3 max |B_r| / alpha below 2; that alpha is the top rung."""
     eps = lc.check_uniformity(w).max_edge_l1
     max_ball = max(len(bfs(G.adj, (x,), w.radius)[0]) for x in range(G.n))
     alpha = max_ball + 1
@@ -255,15 +277,48 @@ def assert_same_labeling(fused, staged):
 def test_fused_build_proof_matches_discretize_witness(G, w, eps, eps_prime, alpha):
     """Quantizing while scattering writes the labeling the whole quantized witness gives.
 
-    build_proof takes the least alpha the sizing rule allows; any alpha at or
-    above it keeps the whole quantized witness within eps + 2(eps' - eps)/3.
+    build_proof takes the alpha the plain-loop rule picks; that alpha, and
+    any at or above the top rung, keeps the whole quantized witness within
+    eps + 2(eps' - eps)/3.
     """
     fused = build_proof(w, eps_prime)
-    least = fused.params.alpha
-    assert least == least_alpha(G, w, eps, eps_prime) <= alpha
-    assert_same_labeling(fused, encode_as_written(discretized(w, least), eps_prime))
+    chosen = fused.params.alpha
+    assert chosen == reference_alpha(G, w, eps, eps_prime)
+    assert chosen <= formula_alpha(G, w, eps, eps_prime) <= alpha
+    assert_same_labeling(fused, encode_as_written(discretized(w, chosen), eps_prime))
     bound = eps + 2 * (eps_prime - eps) / 3
-    assert lc.check_uniformity(discretized(w, alpha)).max_edge_l1 <= bound
+    for a in (chosen, alpha):
+        assert lc.check_uniformity(discretized(w, a)).max_edge_l1 <= bound
+
+
+def ladder_cases():
+    grid = lc.generate(lc.FamilySpec("grid", (9, 9)))
+    tree = lc.generate(lc.FamilySpec("full_tree", (2, 5)))
+    cycle = lc.generate(lc.FamilySpec("cycle", (24,)))
+    shift = lc.shift_family_distribution
+    return [
+        pytest.param(uniform_ball_witness(grid, 3), Fraction(4, 5), id="grid9x9-ball3"),
+        pytest.param(uniform_ball_witness(grid, 2), Fraction(1), id="grid9x9-ball2"),
+        pytest.param(lc.tighten_radius(lc.witness_from_separators(shift(tree, 5))),
+                     Fraction(9, 10), id="tree2x5-shift5"),
+        pytest.param(lc.tighten_radius(lc.witness_from_separators(shift(cycle, 6))),
+                     Fraction(3, 4), id="cycle24-shift6"),
+        pytest.param(uniform_ball_witness(cycle, 2), Fraction(1, 2), id="cycle24-ball2"),
+        # one vertex, no edge: every rung is exact, so the ladder runs down to 1
+        pytest.param(uniform_ball_witness(lc.generate(lc.FamilySpec("path", (1,))), 1),
+                     Fraction(1, 2), id="path1-ball1"),
+    ]
+
+
+@pytest.mark.parametrize("w, eps_prime", ladder_cases())
+def test_chosen_alpha_is_the_last_certified_rung(w, eps_prime):
+    """The chosen alpha keeps every vertex's rounding error within (eps' - eps)/3;
+    its half, rounded up, does not, unless alpha is already 1."""
+    eps = lc.check_uniformity(w).max_edge_l1
+    alpha = build_proof(w, eps_prime).params.alpha
+    assert alpha <= formula_alpha(w.graph, w, eps, eps_prime)
+    assert certified(w, alpha, eps, eps_prime)
+    assert alpha == 1 or not certified(w, (alpha + 1) // 2, eps, eps_prime)
 
 
 def test_fused_build_proof_matches_on_proved_instances(accepted_instances):

@@ -1,10 +1,13 @@
 """Distributions, uniformity measurement, quantization, projection."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import localcert as lc
 from localcert.errors import EmptySubgraph, InfeasibleAlpha, WitnessTooRough
@@ -15,6 +18,7 @@ from localcert.measures import (
     discretize,
     l1_distance,
     project_witness,
+    rounding_plan,
     tighten_radius,
     uniform_ball_witness,
 )
@@ -269,13 +273,49 @@ def test_discretize_to_its_own_denominator_is_the_identity():
     assert discretize(f, 7) is f
     with pytest.raises(InfeasibleAlpha):
         discretize(f, 0)
+    with pytest.raises(InfeasibleAlpha):
+        rounding_plan(7, {3: 1, 2: 2}, 0)
+
+
+@st.composite
+def rounding_cases(draw):
+    """A distribution with few distinct numerators (ties are common) and an alpha."""
+    numerators = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    scale = draw(st.integers(1, 3))  # a denominator that is not the least one
+    ids = draw(st.permutations(range(40)))
+    f = RationalDist(scale * sum(numerators),
+                     {z: scale * c for z, c in zip(ids, numerators)})
+    alpha = draw(st.one_of(st.integers(1, 3 * f.den), st.just(f.den)))
+    return f, alpha
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=rounding_cases())
+@example(case=(RationalDist(6, {0: 1, 1: 2, 2: 3}), 2))  # alpha < |supp|: an atom rounds to 0
+@example(case=(RationalDist(7, {0: 3, 1: 2, 2: 2}), 7))  # alpha == den: no change
+@example(case=(RationalDist(4, {5: 1, 2: 1, 9: 1, 0: 1}), 6))  # four equal remainders, two raised
+@example(case=(RationalDist(12, {0: 2, 1: 4, 2: 6}), 9))  # numerators 2 and 6 tie on remainder 6
+@example(case=(RationalDist(5, {3: 1, 1: 4}), 1))  # alpha 1: all mass on one atom
+def test_rounding_plan_is_discretize_grouped(case):
+    """The plan over numerator counts rounds as discretize does, and its
+    closed-form error is l1(f, discretize(f, alpha)) exactly."""
+    f, alpha = case
+    g = discretize(f, alpha)
+    plan = rounding_plan(f.den, Counter(f.num.values()), alpha)
+    assert plan.error == l1_distance(f, g)
+    num = {z: plan.lift[c] for z, c in f.num.items()}
+    tied = sorted(z for z, c in f.num.items() if plan.tied is None or c in plan.tied)
+    for z in tied[:plan.extra]:
+        num[z] += 1
+    assert RationalDist(alpha, num) == g
 
 
 def test_derive_alpha_examples():
-    """build_proof derives alpha = ceil(3 max |B_r| / (eps' - eps)) and needs eps' > eps."""
+    """build_proof halves alpha from ceil(3 max |B_r| / (eps' - eps)) and needs eps' > eps."""
     P = lc.generate(lc.FamilySpec("path", (11,)))
     w = uniform_ball_witness(P, 1)  # measures 2/3; max |B_1| = 3
-    assert lc.build_proof(w, Fraction(5, 6)).params.alpha == 54
+    # the top rung is 54; at 27 halves are off by 1/27 <= 1/18, at 14 thirds by 2/21
+    assert lc.build_proof(w, Fraction(5, 6)).params.alpha == 27
     for eps_prime in (Fraction(1, 2), Fraction(2, 3)):
         with pytest.raises(WitnessTooRough, match=f"witness measures 2/3 >= eps' = {eps_prime} "):
             lc.build_proof(w, eps_prime)
