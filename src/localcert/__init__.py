@@ -56,7 +56,6 @@ from .separators import (
     grid_shift_distribution,
     is_k_separator,
     max_marginal,
-    minimax_separator_search,
     path_shift_distribution,
     read_separator_distribution_file,
     shift_family_distribution,

@@ -3,7 +3,8 @@
 Every subcommand is a pure function of its input files and flags; outputs are
 byte-identical across reruns and across --jobs settings.  Rational flags are
 written <num>/<den> (a bare integer is accepted).  Exit codes: 0 success or
-accept, 1 reject or infeasible, 2 usage or format error.
+accept, 1 reject or infeasible, 2 usage or format error (labels for another
+vertex count included).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import FormatError, LocalcertError
+from .errors import FormatError, LocalcertError, MalformedLabeling
 from .graphs import (
     FAMILIES,
     BoundedDegreeGraph,
@@ -271,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (FormatError, ValueError, OSError) as exc:
+    except (FormatError, MalformedLabeling, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except LocalcertError as exc:

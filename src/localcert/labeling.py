@@ -2,7 +2,7 @@
 
 A labeling encodes a quantized witness g so that any vertex can recover
 g(x)(z) for nearby x from labels alone: T1 colors vertices so that equal
-colors never appear within distance 2r+2 of each other, and T2(z) stores, per
+colors never appear within distance 2r+1 of each other, and T2(z) stores, per
 color q, alpha * g(x)(z) for the unique q-colored x with z in B_r(x).
 `build_proof` is the whole prover: it measures the exact witness, colors,
 sizes alpha by halving the worst-case rule's value while every vertex's
@@ -141,12 +141,14 @@ def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
 
     w must measure below eps' (WitnessTooRough otherwise) with every support
     inside its ball B_r(x) (NotUniform otherwise).  The coloring is at
-    distance 2r+2, not 2r: two vertices of one color are then more than 2r+2
-    apart, so no table slot has two owners, and every slot whose owner lies
-    outside the reader's radius-r ball is zero, which keeps the honest l1
-    check sums exact.  The coloring's sweep also measures max |B_s| for
-    every s <= 2r+2, so alpha's max |B_r| and k_local = max |B_2r|, the
-    component bound the scheme certifies, need no sweep of their own.
+    distance 2r+1, not 2r: two vertices of one color are then more than 2r+1
+    apart, so no table slot has two owners, x's own color is zero on shell
+    r+1 of its ball, and a neighbor y's color has no owner but y whose
+    radius-r ball meets B_r(x); the verifier's support check and exact l1
+    sums hold for honest labels.  The coloring's sweep also measures max
+    |B_s| for every s <= 2r+1, so alpha's max |B_r| and k_local = max
+    |B_2r|, the component bound the scheme certifies, need no sweep of
+    their own.
 
     Rounding may move each distribution by at most (eps' - eps)/3, so every
     edge of the quantized witness g measures at most eps + 2(eps' - eps)/3
@@ -179,7 +181,7 @@ def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
     _require_uniform(report, eps_prime)  # only a support outside its ball fails here
     G = w.graph
     n = G.n
-    colors, sizes = distance_coloring(G, 2 * r + 2)
+    colors, sizes = distance_coloring(G, 2 * r + 1)
     budget = (eps_prime - eps) / 3
     alpha = math.ceil(sizes[min(r, len(sizes) - 1)] / budget)
     # each vertex's shape, the index of its (denominator, numerator multiset)

@@ -15,7 +15,6 @@ Text format:
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
@@ -239,53 +238,6 @@ def shift_family_distribution(G: BoundedDegreeGraph, k: int) -> SeparatorDistrib
     if G.m == n - 1 and len(components(G)) == 1:
         return tree_depth_shift_distribution(G, k)
     return None
-
-
-def minimax_separator_search(G: BoundedDegreeGraph, K: int, rounds: int,
-                             seed: int | None = None) -> SeparatorDistribution:
-    """Best-effort low-marginal distribution by multiplicative-weights peeling.
-
-    Each round greedily builds a K-separator preferring vertices that were
-    used rarely before (weights double on use), then the collected separators
-    are averaged.  No optimality guarantee.
-    """
-    if K < 1:
-        raise ValueError(f"component bound must be positive, got {K}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be positive, got {rounds}")
-    rng = random.Random(seed)
-    weight = [1] * G.n
-    collected: list[tuple[int, ...]] = []
-    for _ in range(rounds):
-        Y: set[int] = set()
-        # `seen` holds every vertex but those of the piece being split, so a
-        # BFS started inside the piece stays inside it
-        seen: dict[int, int] = {}
-        pending = []
-        for x in range(G.n):
-            if x not in seen:
-                comp, _ = bfs(G.adj, (x,), dist=seen)
-                if len(comp) > K:
-                    pending.append(comp)
-        while pending:
-            comp = pending.pop()
-            low = min(weight[v] for v in comp)
-            victim = rng.choice(sorted(v for v in comp if weight[v] == low))
-            Y.add(victim)
-            rest = set(comp)
-            rest.discard(victim)
-            for v in rest:
-                del seen[v]
-            while rest:
-                piece, _ = bfs(G.adj, (rest.pop(),), dist=seen)
-                rest.difference_update(piece)
-                if len(piece) > K:
-                    pending.append(piece)
-        for y in Y:
-            weight[y] *= 2
-        collected.append(tuple(sorted(Y)))
-    samples = [(Y, Fraction(1, rounds)) for Y in collected]
-    return SeparatorDistribution(G, K, samples)
 
 
 # --- text format ----------------------------------------------------------

@@ -3,29 +3,47 @@
 Each vertex x decides from its labeled ball N = B_{r+1}(x), read from one
 level-by-level sweep over G (`graphs.ball_sweep`): the ball in BFS order with
 its level boundaries, so B_r(x) and x's neighbors are prefixes, the ball's
-colors, and the label columns the checks sum: x's own color column and one
-per neighbor color, each the ball's entries in local order, gathered in one
-C call from the labeling's transposed tables (`ProofLabeling.columns`).
-Only when some color repeats inside N does it read the ball's own adjacency.
-A decision never reads parent vertex ids, so verdicts are oblivious to
-vertex identities and to any parallelism in the driver.  Beyond its ball, a
-vertex reads only the labels header (`labeling.params`).  Three checks run
-per vertex:
+colors, and the label columns the checks sum: x's own color column over N,
+and one column per neighbor color over B_r(x), each gathered in one C call
+from the labeling's transposed tables (`ProofLabeling.columns`).  A decision
+never reads parent vertex ids or the ball's adjacency, so verdicts are
+oblivious to vertex identities and to any parallelism in the driver.  Beyond
+its ball, a vertex reads only the labels header (`labeling.params`).  Three
+checks run per vertex on N, with T2(z)(q) the table entry of z for color q,
+and the structural half adds a fourth on B_2r(x):
 
-  properness   equal colors never repeat within ball-distance r of each other
-  probability  the masses stored for x's color across B_r(x) sum to alpha
-  l1           for every neighbor y, sum_z |T2(z)(C(x)) - T2(z)(C(y))| over
-               z in N stays at or below eps' * alpha
+  probability  sum_{z in B_r(x)} T2(z)(C(x)) = alpha
+  support      T2(z)(C(x)) = 0 on shell r+1 of N, the z with d(x, z) = r+1
+  l1           for every neighbor color q = C(y) != C(x),
+               sum_{z in B_r(x)} |T2(z)(C(x)) - T2(z)(q)|
+                 + alpha - sum_{z in B_r(x)} T2(z)(q)  <=  eps' * alpha
+  localP       a hereditary graph predicate holds on B_2r(x), a radius
+               derived from the header's r (`locality_radius`)
+
+Soundness, in the sense of approximate proof labeling schemes
+(Censor-Hillel, Paz and Perry): whatever the labels, if every vertex accepts,
+the decoded witness is eps'-uniform.  The decoder reads
+f(x)(z) = T2(z)(C(x)) / alpha on B_r(x), zero elsewhere.  Let y be a neighbor of x that passes its probability and support
+checks, with C(y) != C(x).  A z in B_r(x) outside B_r(y) lies on shell r+1
+of y's ball, so T2(z)(C(y)) = 0 there, and y's mass on B_r(y) outside B_r(x)
+is alpha minus its mass on B_r(x).  So x's l1 sum is exactly
+alpha * l1(f(x), f(y)), read from B_r(x) rows alone.  When C(y) = C(x), the
+support checks at both ends make f(x) = f(y).  Hence when every vertex
+accepts, every edge of the decoded witness measures at most eps'.  No step
+uses a proper coloring.  Honest labels keep the sums exact because the
+prover colors at distance 2r+1 (`labeling.build_proof`): a second owner of
+C(x) on shell r+1, or of C(y) inside B_r(x), would lie within 2r+1 of x or y.
 
 `verify_and_decode` also returns the witness the accepting vertices read from
 those same balls, the B_r(x) prefix of x's own column;
 `decode_accepted_witness` reads the same and stops at the first reject.  The
-structural half checks a hereditary graph predicate
-on B_2r(x), a radius derived from the header's r (`locality_radius`); the
-pipeline verdict is the conjunction.  Verdict report format:
+pipeline verdict is the conjunction of property A and the predicate, and a
+vertex reports its first failed check in the order listed.  Verdict report
+format:
 
     verdict <accept|reject>
-    reject <x> <check>        (one line per rejecting vertex)
+    reject <x> <check>        (one line per rejecting vertex; <check> is
+                               probability, support, l1 or localP)
 """
 
 from __future__ import annotations
@@ -44,8 +62,8 @@ from .graphs import BoundedDegreeGraph, RootedBall, ball_sweep, bfs, components,
 from .labeling import ProofLabeling, SchemeParams
 from .measures import RationalDist, WitnessFunction, _record_supports_in_balls
 
-CHECK_PROPERNESS = "properness"
 CHECK_PROBABILITY = "probability"
+CHECK_SUPPORT = "support"
 CHECK_L1 = "l1"
 CHECK_LOCAL_P = "localP"
 
@@ -79,65 +97,55 @@ def _gatherer(order: Sequence[int]) -> Callable[[Sequence], tuple]:
 class LabeledBall(RootedBall):
     """A rooted ball as its center sees it: its colors and its label columns, in local order.
 
-    `colors[i]` is local i's color and `column(q)[i]` local i's mass for
-    color q; `own_column` is `column(colors[0])`, the center's own column.
-    Each is gathered from the labeling's transposed tables
-    (`ProofLabeling.columns`) in one C call.  A decision reads the level
-    boundaries (`within`), the labels and, only when some color repeats
-    inside the ball, `local_adj`; never `vertices`, which is there for the
-    decoder.
+    `colors[i]` is local i's color; `own_column` is the center's own color
+    column over the whole ball, and `column(q)` color q's column over the
+    B_r prefix, `inner` vertices long.  Each is gathered from the labeling's
+    transposed tables (`ProofLabeling.columns`) in one C call.  A decision
+    reads the level boundaries and the labels; never `vertices`, which is
+    there for the decoder.
     """
 
-    __slots__ = ("colors", "own_column", "_gather", "_columns")
+    __slots__ = ("colors", "own_column", "inner", "_gather_inner", "_columns")
 
     def __init__(self, adj: Sequence[Sequence[int]], order: Sequence[int],
                  ends: Sequence[int], labeling: ProofLabeling):
         super().__init__(adj, order, ends)
-        gather = self._gather = _gatherer(order)
+        gather = _gatherer(order)
         columns = self._columns = labeling.columns
         self.colors = gather(labeling.colors)
         self.own_column = gather(columns[self.colors[0]])
+        self.inner = self.within(labeling.params.r)
+        self._gather_inner = _gatherer(order[:self.inner])
 
     def column(self, q: int) -> tuple[int, ...]:
-        """Color q's table entries over the ball, in local order."""
-        return self._gather(self._columns[q])
+        """Color q's table entries over B_r of the center, in local order."""
+        return self._gather_inner(self._columns[q])
 
 
 def check_vertex(lball: LabeledBall, params: SchemeParams) -> str | None:
     """Decide one vertex from its labeled ball; None means accept.
 
-    On multiple failures the first check in the fixed order properness,
-    probability, l1 is reported.  Sums run over whole columns of exact
-    integers; the l1 sum covers every row of the ball.
+    On multiple failures the first check in the fixed order probability,
+    support, l1 is reported.  Sums run over columns of exact integers; the
+    l1 sum is alpha * l1(f(x), f(y)) whenever y passes its own first two
+    checks (module docstring).
     """
-    colors = lball.colors
-    c0 = colors[0]
-    r = params.r
-
-    if len(set(colors)) < len(colors):
-        adj = lball.local_adj
-        by_color: dict[int, list[int]] = {}
-        for i, c in enumerate(colors):
-            by_color.setdefault(c, []).append(i)
-        for members in by_color.values():
-            if len(members) < 2:
-                continue
-            mset = set(members)
-            for y in members:
-                reach, _ = bfs(adj, (y,), r)
-                if any(z != y and z in mset for z in reach):
-                    return CHECK_PROPERNESS
-
     col0 = lball.own_column
-    if sum(col0[:lball.within(r)]) != params.alpha:
+    inner = lball.inner
+    own = col0[:inner]
+    alpha = params.alpha
+    if sum(own) != alpha:
         return CHECK_PROBABILITY
+    if any(col0[inner:]):
+        return CHECK_SUPPORT
 
+    colors = lball.colors
     enum, eden = params.eps_prime.numerator, params.eps_prime.denominator
-    budget = enum * params.alpha
-    for cy in colors[1:lball.within(1)]:
-        if cy == c0:
-            continue
-        total = sum(map(abs, map(sub, col0, lball.column(cy))))
+    budget = enum * alpha
+    # a neighbor of the center's color decodes to f(x) itself
+    for cy in set(colors[1:lball.within(1)]) - {colors[0]}:
+        col = lball.column(cy)
+        total = sum(map(abs, map(sub, own, col))) + alpha - sum(col)
         if total * eden > budget:
             return CHECK_L1
     return None
@@ -222,13 +230,13 @@ def _decoding_sweep(G: BoundedDegreeGraph, labeling: ProofLabeling):
     decoding stops.
     """
     _validate_against_graph(G, labeling)
-    alpha, r = labeling.params.alpha, labeling.params.r
+    alpha = labeling.params.alpha
     decoding = True
     for x, lball, decision in _judged_balls(G, labeling):
         decoding = decoding and decision is None
         dist = None
         if decoding:
-            inner = lball.within(r)
+            inner = lball.inner
             mass = lball.own_column[:inner]
             support = itertools.compress(lball.vertices[:inner], mass)
             dist = RationalDist(alpha, dict(zip(support, itertools.compress(mass, mass))))

@@ -53,12 +53,12 @@ class InProcessPool:
 def encode_as_written(w: lc.WitnessFunction, eps_prime: Fraction) -> lc.ProofLabeling:
     """Labels for w exactly as written, over its one common denominator.
 
-    `build_proof`'s distance-(2r+2) coloring and table scatter without its
+    `build_proof`'s distance-(2r+1) coloring and table scatter without its
     measurement or alpha sizing, so tests can encode rough witnesses,
     supports outside their balls, and witnesses quantized by hand.
     """
     (alpha,) = {w.dists[x].den for x in w.vertices}
-    colors, sizes = lc.distance_coloring(w.graph, 2 * w.radius + 2)
+    colors, sizes = lc.distance_coloring(w.graph, 2 * w.radius + 1)
     palette = max(colors) + 1
     tables = [[0] * palette for _ in range(w.graph.n)]
     for x, c in enumerate(colors):

@@ -88,8 +88,8 @@ def test_prove_auto_path(p11, capsys, tmp_path):
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "5/6",
                        "--out", str(labels))
     assert code == 0
-    assert err == "measured_eps = 4/5\nradius = 3\nalpha = 315\npalette = 9\nK = 11\n"
-    assert labels.read_text().startswith("labels 11 3 315 9 5/6 11\n")
+    assert err == "measured_eps = 4/5\nradius = 3\nalpha = 315\npalette = 8\nK = 11\n"
+    assert labels.read_text().startswith("labels 11 3 315 8 5/6 11\n")
 
 
 def test_prove_auto_notes_an_unused_r(p11, capsys, tmp_path):
@@ -159,13 +159,13 @@ def test_prove_refuses_r_with_a_separator_file(p11, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("family, n, flags, want_balls, want_l1", [
-    # the uniform-ball witness's own sweep at r = 2 and the distance-6 coloring:
+    # the uniform-ball witness's own sweep at r = 2 and the distance-5 coloring:
     # its supports are its balls, so the uniformity check sweeps no balls again
     ("grid", "8,8", ("--witness", "uniform-ball", "--r", "2", "--eps-prime", "3/2"),
-     {2: 64, 6: 64}, 112),
+     {2: 64, 5: 64}, 112),
     # the auto witness is tightened to r = 12, whose searches record its
-    # supports; max |B_12| for alpha is read from the distance-26 coloring
-    ("full_tree", "2,6", ("--eps-prime", "1/2"), {26: 127}, 126),
+    # supports; max |B_12| for alpha is read from the distance-25 coloring
+    ("full_tree", "2,6", ("--eps-prime", "1/2"), {25: 127}, 126),
 ], ids=["uniform-ball-grid8x8", "auto-full_tree2x6"])
 def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch,
                                                         family, n, flags, want_balls, want_l1):
@@ -193,13 +193,13 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
 
 @pytest.mark.parametrize("family, n, flags, digest", [
     ("grid", "12,12", ("--witness", "uniform-ball", "--r", "3", "--eps-prime", "3/4"),
-     "2a330cdd8b325f9787cf3e8b5af7f045a7ee0be1e039a702748b85f28b95350b"),
+     "ee5d38734b1035635e16b4f4625a72c6d8623b96d15f7730a0fcee0b21e00ce3"),
     ("full_tree", "2,5", ("--eps-prime", "1/2"),
      "b01045568f8c6c88ce58433fbafba7f0f1b6dd317f7c28b6e134a7c306762993"),
 ], ids=["grid-12,12", "full_tree-2,5"])
 def test_prove_labels_golden(capsys, tmp_path, family, n, flags, digest):
-    """Digests recorded with alpha halved from its top rung: 900 -> 450 on the
-    grid, 3402 -> 1701 on the tree."""
+    """Digests recorded with alpha halved from its top rung (900 -> 450 on the
+    grid, 3402 -> 1701 on the tree) and the coloring at distance 2r+1."""
     g = tmp_path / "g.graph"
     run(capsys, "gen", "--family", family, "--n", n, "--out", str(g))
     code, out, _ = run(capsys, "prove", str(g), *flags)
@@ -397,9 +397,8 @@ def test_verify_rejects_tampered_color(p11, capsys):
     lines[1] = " ".join(fields)
     labels.write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "verify", str(g), str(labels))
-    assert code == 1
-    assert out.startswith("verdict reject\n")
-    assert "properness" in out
+    # vertex 0's new column misses alpha on B_r(0)
+    assert (code, out) == (1, "verdict reject\nreject 0 probability\n")
 
 
 @pytest.mark.parametrize("command", ["verify"])
@@ -412,12 +411,14 @@ def test_jobs_below_one_exits_two(p11, capsys, command, jobs):
     assert err == f"error: jobs must be at least 1, got {jobs}\n"
 
 
-def test_verify_rejects_vertex_count_mismatch(p11, capsys, tmp_path):
+@pytest.mark.parametrize("command", ["verify", "extract", "report"])
+def test_verify_rejects_vertex_count_mismatch(p11, capsys, tmp_path, command):
+    """Labels for another vertex count are malformed input (exit 2), not a reject (exit 1)."""
     _, labels = p11
     other = tmp_path / "c12.graph"
     run(capsys, "gen", "--family", "cycle", "--n", "12", "--out", str(other))
-    code, _, err = run(capsys, "verify", str(other), str(labels))
-    assert code == 1
+    code, out, err = run(capsys, command, str(other), str(labels))
+    assert (code, out) == (2, "")
     assert err == "error: labeling covers 11 vertices, graph has 12\n"
 
 
@@ -448,7 +449,7 @@ def test_report_golden(p11, capsys):
     code, out, _ = run(capsys, "report", str(g), str(labels))
     assert code == 0
     assert out == (
-        "n = 11\nm = 10\nd = 2\nr = 3\nalpha = 315\npalette = 9\n"
+        "n = 11\nm = 10\nd = 2\nr = 3\nalpha = 315\npalette = 8\n"
         "eps_prime = 5/6\nK = 11\npredicate = planar\nverdict = accept\n"
         "rejecting = 0\napls_guarantee = 5/3\neps_decoded = 4/5\n"
         "blocks = 3\nmax_block = 4\nremoved_edges = 2\n"

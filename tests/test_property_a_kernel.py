@@ -1,9 +1,11 @@
-"""The property-A kernel against a reference copy of the re-indexing verifier.
+"""The property-A kernel against a plain-loop reference copy of its three checks.
 
-`reference_verdict` is the verifier as it was before balls were read in BFS
-order: each ball is re-indexed into its own local graph, and the checks walk
-it with Python loops.  The kernel in `localcert.verifier` must reach the same
-decision, reason included, at every vertex, sequentially and on a pool.
+`reference_verdict` reads each ball with a dict-based BFS and walks the
+ball's rows with Python loops: the probability sum over B_r(x), the support
+scan of shell r+1, and for each neighbor color the l1 sum over B_r(x) plus
+the neighbor's mass missing from B_r(x).  The kernel in `localcert.verifier`
+must reach the same decision, reason included, at every vertex,
+sequentially and on a pool.
 """
 
 import functools
@@ -22,7 +24,7 @@ from localcert.measures import RationalDist
 from localcert.verifier import (
     CHECK_L1,
     CHECK_PROBABILITY,
-    CHECK_PROPERNESS,
+    CHECK_SUPPORT,
     decode_accepted_witness,
     verify_property_a,
 )
@@ -30,10 +32,10 @@ from localcert.verifier import (
 
 # --- the reference --------------------------------------------------------------
 
-def reference_bfs(adj, source, cutoff):
+def reference_levels(adj, source, cutoff):
+    """{vertex: distance from source} for the ball of radius cutoff, in BFS order."""
     dist = {source: 0}
-    order = [source]
-    queue = deque(order)
+    queue = deque([source])
     while queue:
         u = queue.popleft()
         if dist[u] == cutoff:
@@ -41,63 +43,44 @@ def reference_bfs(adj, source, cutoff):
         for w in adj[u]:
             if w not in dist:
                 dist[w] = dist[u] + 1
-                order.append(w)
                 queue.append(w)
-    return order
+    return dist
 
 
-def reference_ball(G, x, radius):
-    """B_radius(x) re-indexed: local 0 is x, BFS order, ascending local rows."""
-    order = reference_bfs(G.adj, x, radius)
-    local = {p: i for i, p in enumerate(order)}
-    local_adj = tuple(
-        tuple(sorted(local[w] for w in G.adj[u] if w in local)) for u in order
-    )
-    return order, local_adj
+def reference_bfs(adj, source, cutoff):
+    return list(reference_levels(adj, source, cutoff))
 
 
-def reference_check(adj, colors, tables, params):
-    c0 = colors[0]
-    r = params.r
-    by_color = {}
-    for i, c in enumerate(colors):
-        by_color.setdefault(c, []).append(i)
-    for c in sorted(by_color):
-        members = by_color[c]
-        if len(members) < 2:
-            continue
-        mset = set(members)
-        for y in members:
-            if any(z != y and z in mset for z in reference_bfs(adj, y, r)):
-                return CHECK_PROPERNESS
-    if sum(tables[z][c0] for z in reference_bfs(adj, 0, r)) != params.alpha:
+def reference_check(levels, colors, tables, params):
+    """x's decision from its ball: levels[z], colors[z] and tables[z] for each z in B_{r+1}(x)."""
+    x = next(iter(levels))
+    c0 = colors[x]
+    r, alpha = params.r, params.alpha
+    inner = [z for z, level in levels.items() if level <= r]
+    if sum(tables[z][c0] for z in inner) != alpha:
         return CHECK_PROBABILITY
-    enum, eden = params.eps_prime.numerator, params.eps_prime.denominator
-    budget = enum * params.alpha
-    for y in adj[0]:
+    for z, level in levels.items():
+        if level == r + 1 and tables[z][c0] != 0:
+            return CHECK_SUPPORT
+    for y, level in levels.items():
         cy = colors[y]
-        if cy == c0:
+        if level != 1 or cy == c0:
             continue
-        total = 0
-        for row in tables:
-            total += abs(row[c0] - row[cy])
-        if total * eden > budget:
+        total = alpha
+        for z in inner:
+            total += abs(tables[z][c0] - tables[z][cy]) - tables[z][cy]
+        if total * params.eps_prime.denominator > params.eps_prime.numerator * alpha:
             return CHECK_L1
     return None
 
 
 def reference_verdict(G, labeling):
     params = labeling.params
-    decisions = []
-    for x in range(G.n):
-        order, adj = reference_ball(G, x, params.r + 1)
-        decisions.append(reference_check(
-            adj,
-            [labeling.colors[p] for p in order],
-            [labeling.tables[p] for p in order],
-            params,
-        ))
-    return tuple(decisions)
+    return tuple(
+        reference_check(reference_levels(G.adj, x, params.r + 1),
+                        labeling.colors, labeling.tables, params)
+        for x in range(G.n)
+    )
 
 
 def assert_kernel_matches_reference(G, labeling):
@@ -112,8 +95,8 @@ def assert_kernel_matches_reference(G, labeling):
 INSTANCES = {
     "grid6x7_r2": (lambda: lc.generate(lc.FamilySpec("grid", (6, 7))), 2),
     "cycle12_r2": (lambda: lc.generate(lc.FamilySpec("cycle", (12,))), 2),
-    # B_3(x) misses only the antipode, so the ball's two ends are 2 apart in
-    # the cycle and 6 apart inside the ball
+    # B_3(x) misses only the antipode, so shell r+1 is the antipode's two
+    # neighbors, 2 apart in the cycle
     "cycle8_r2": (lambda: lc.generate(lc.FamilySpec("cycle", (8,))), 2),
     "full_tree2x4_r1": (lambda: lc.generate(lc.FamilySpec("full_tree", (2, 4))), 1),
     "random_regular20_r1": (
@@ -177,26 +160,12 @@ def test_kernel_matches_reference_on_honest_labelings(name):
 
 # --- one mutation per reason ------------------------------------------------------
 
-def test_repeated_color_within_r_fails_properness():
+def test_mass_on_shell_r_plus_1_fails_support():
+    # vertex 16's own color gains a unit at a vertex 3 = r + 1 away
     G, labeling = honest("grid6x7_r2")
-    decisions = assert_kernel_matches_reference(G, recolor(labeling, 15, 17))
-    assert decisions[16] == CHECK_PROPERNESS
-
-
-def test_neighbor_with_the_center_color_fails_properness():
-    G, labeling = honest("full_tree2x4_r1")
-    decisions = assert_kernel_matches_reference(G, recolor(labeling, 1, 0))
-    assert decisions[0] == decisions[1] == CHECK_PROPERNESS
-
-
-def test_repeated_color_farther_than_r_inside_the_ball_passes_properness():
-    # 3 and 5 are 2 <= r apart through the antipode 4, which B_3(0) leaves
-    # out; inside the ball they are 6 apart, so vertex 0 accepts while 4,
-    # whose ball holds the short path, rejects
-    G, labeling = honest("cycle8_r2")
-    decisions = assert_kernel_matches_reference(G, recolor(labeling, 5, 3))
-    assert decisions[0] is None
-    assert decisions[4] == CHECK_PROPERNESS
+    far = next(z for z, level in reference_levels(G.adj, 16, 3).items() if level == 3)
+    decisions = assert_kernel_matches_reference(G, bump(labeling, far, labeling.colors[16], 1))
+    assert decisions[16] == CHECK_SUPPORT
 
 
 def test_moved_entry_fails_probability():

@@ -1,6 +1,5 @@
 """Separator distributions, shift families, and the witnesses they induce."""
 
-import hashlib
 import random
 from fractions import Fraction
 
@@ -13,11 +12,9 @@ from localcert.graphs import components
 from localcert.measures import check_uniformity, l1_distance
 from localcert.separators import (
     SeparatorDistribution,
-    format_separator_distribution,
     grid_shift_distribution,
     is_k_separator,
     max_marginal,
-    minimax_separator_search,
     path_shift_distribution,
     shift_family_distribution,
     tree_depth_shift_distribution,
@@ -197,31 +194,6 @@ def test_separator_witness_edge_bound_random():
         value, _ = max_marginal(d)
         for u, v in P.edges():
             assert l1_distance(w.dists[u], w.dists[v]) <= 4 * value
-
-
-# --- search ------------------------------------------------------------------
-
-def test_minimax_search_on_path():
-    P = lc.generate(lc.FamilySpec("path", (16,)))
-    d = minimax_separator_search(P, K=5, rounds=40, seed=7)
-    for Y, _ in d.support:
-        assert is_k_separator(P, set(Y), 5)
-    value, _ = max_marginal(d)
-    assert value < 1
-    again = minimax_separator_search(P, K=5, rounds=40, seed=7)
-    assert d.support == again.support
-
-
-def test_minimax_search_golden():
-    """Pins the seeded search output across processes and refactors."""
-    P = lc.generate(lc.FamilySpec("path", (16,)))
-    d = minimax_separator_search(P, K=5, rounds=40, seed=7)
-    text = format_separator_distribution(d)
-    assert text.startswith("sepdist 16 5 39\n1/40 5 0 1 5 9 11\n1/40 4 0 2 5 11\n")
-    assert "\n1/20 6 0 4 5 10 12 15\n" in text
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "9322fa8cc96a0539c2963d578788b11b7e67698354d6469f7ccf8563d5d98979"
-    )
 
 
 # --- text format -------------------------------------------------------------
