@@ -33,11 +33,9 @@ from .graphs import (
     format_graph,
     generate,
     induced_subgraph,
-    max_ball_size_actual,
     max_ball_size_bound,
     parse_graph,
     read_graph_file,
-    remove_edges,
     write_graph_file,
 )
 from .measures import (

@@ -240,11 +240,6 @@ def ball_sweep(G: BoundedDegreeGraph, q: int,
         yield x, order, ends
 
 
-def max_ball_size_actual(G: BoundedDegreeGraph, r: int) -> int:
-    """max_x |B_r(x, G)| (0 on an empty graph), from one ball sweep at radius r."""
-    return max((len(order) for _, order, _ in ball_sweep(G, r)), default=0)
-
-
 def components(G: BoundedDegreeGraph, removed: Iterable[int] = ()) -> list[list[int]]:
     """Connected components of G - removed as sorted id lists, ordered by smallest member."""
     seen = dict.fromkeys(removed, 0)
@@ -264,17 +259,6 @@ def induced_subgraph(G: BoundedDegreeGraph, vertices: Iterable[int]) -> BoundedD
         if u < w and w in pos
     ]
     return BoundedDegreeGraph(len(order), G.d, edges)
-
-
-def remove_edges(G: BoundedDegreeGraph, removed: Iterable[tuple[int, int]]) -> BoundedDegreeGraph:
-    """Copy of G with the given edges deleted; edges must exist in G."""
-    drop = set()
-    for u, v in removed:
-        key = (u, v) if u < v else (v, u)
-        if not G.has_edge(*key):
-            raise ValueError(f"cannot remove non-edge {key}")
-        drop.add(key)
-    return BoundedDegreeGraph(G.n, G.d, (e for e in G.edges() if e not in drop))
 
 
 # --- graph families -------------------------------------------------------

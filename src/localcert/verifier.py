@@ -2,13 +2,15 @@
 
 Each vertex x decides from its labeled ball N = B_{r+1}(x), read from one
 level-by-level sweep over G (`graphs.ball_sweep`): the ball in BFS order with
-its level boundaries, so B_r(x) and x's neighbors are prefixes, the ball's
-colors, and the label columns the checks sum: x's own color column over N,
-and one column per neighbor color over B_r(x), each gathered in one C call
-from the labeling's transposed tables (`ProofLabeling.columns`).  A decision
-never reads parent vertex ids or the ball's adjacency, so verdicts are
-oblivious to vertex identities and to any parallelism in the driver.  Beyond
-its ball, a vertex reads only the labels header (`labeling.params`).  Three
+its level boundaries, so B_r(x) and x's neighbors are prefixes, the colors
+of x and its neighbors, and the label columns the checks sum: x's own color
+column over N, and one column per neighbor color over B_r(x), each gathered
+in one C call from the labeling's transposed tables (`ProofLabeling.columns`).
+A decision never reads parent vertex ids or the ball's adjacency, so verdicts
+are oblivious to vertex identities and to how `verify_property_a` splits the work.
+Beyond its ball, a vertex reads only the labels header (`labeling.params`).
+The sweep reads ids only to hand a vertex l1 sums its neighbors already
+computed, which equal its own (below).  Three
 checks run per vertex on N, with T2(z)(q) the table entry of z for color q,
 and the structural half adds a fourth on B_2r(x):
 
@@ -33,6 +35,17 @@ accepts, every edge of the decoded witness measures at most eps'.  No step
 uses a proper coloring.  Honest labels keep the sums exact because the
 prover colors at distance 2r+1 (`labeling.build_proof`): a second owner of
 C(x) on shell r+1, or of C(y) inside B_r(x), would lie within 2r+1 of x or y.
+
+The same identity lets a sweep sum each edge once.  Let x and its neighbor y
+both pass their probability and support checks.  Then x's l1 sum for C(y) is
+alpha * l1(f(x), f(y)) because y passes, and y's sum for C(x) is
+alpha * l1(f(y), f(x)) because x passes: one integer.  So the sweep keeps,
+for each vertex that passed both checks, the sums it computed per neighbor
+color until its last neighbor in the sweep has read them, and a later
+neighbor that has passed both checks of its own takes its sum for that color
+from there instead of gathering a column and summing (`check_vertex`'s
+`totals`).  Every decision, and so every verdict byte, is the one each
+vertex reaches alone; a pool worker shares within its own range.
 
 `verify_and_decode` also returns the witness the accepting vertices read from
 those same balls, the B_r(x) prefix of x's own column;
@@ -97,10 +110,11 @@ def _gatherer(order: Sequence[int]) -> Callable[[Sequence], tuple]:
 class LabeledBall(RootedBall):
     """A rooted ball as its center sees it: its colors and its label columns, in local order.
 
-    `colors[i]` is local i's color; `own_column` is the center's own color
-    column over the whole ball, and `column(q)` color q's column over the
-    B_r prefix, `inner` vertices long.  Each is gathered from the labeling's
-    transposed tables (`ProofLabeling.columns`) in one C call.  A decision
+    `colors[i]` is local i's color over the B_1 prefix (the center, then its
+    neighbors); `own_column` is the center's own color column over the whole
+    ball, and `column(q)` color q's column over the B_r prefix, `inner`
+    vertices long.  Each is gathered from the labeling (the columns from its
+    transposed tables, `ProofLabeling.columns`) in one C call.  A decision
     reads the level boundaries and the labels; never `vertices`, which is
     there for the decoder.
     """
@@ -110,10 +124,9 @@ class LabeledBall(RootedBall):
     def __init__(self, adj: Sequence[Sequence[int]], order: Sequence[int],
                  ends: Sequence[int], labeling: ProofLabeling):
         super().__init__(adj, order, ends)
-        gather = _gatherer(order)
         columns = self._columns = labeling.columns
-        self.colors = gather(labeling.colors)
-        self.own_column = gather(columns[self.colors[0]])
+        self.colors = _gatherer(order[:self.within(1)])(labeling.colors)
+        self.own_column = _gatherer(order)(columns[self.colors[0]])
         self.inner = self.within(labeling.params.r)
         self._gather_inner = _gatherer(order[:self.inner])
 
@@ -122,13 +135,17 @@ class LabeledBall(RootedBall):
         return self._gather_inner(self._columns[q])
 
 
-def check_vertex(lball: LabeledBall, params: SchemeParams) -> str | None:
+def check_vertex(lball: LabeledBall, params: SchemeParams,
+                 totals: dict[int, int] | None = None) -> str | None:
     """Decide one vertex from its labeled ball; None means accept.
 
     On multiple failures the first check in the fixed order probability,
     support, l1 is reported.  Sums run over columns of exact integers; the
     l1 sum is alpha * l1(f(x), f(y)) whenever y passes its own first two
-    checks (module docstring).
+    checks (module docstring).  `totals` maps a neighbor color to the
+    center's l1 sum for it: once the center passes its first two checks,
+    the sums already there are used as they stand, and the ones computed
+    here are written back.
     """
     col0 = lball.own_column
     inner = lball.inner
@@ -140,12 +157,16 @@ def check_vertex(lball: LabeledBall, params: SchemeParams) -> str | None:
         return CHECK_SUPPORT
 
     colors = lball.colors
+    if totals is None:
+        totals = {}
     enum, eden = params.eps_prime.numerator, params.eps_prime.denominator
     budget = enum * alpha
     # a neighbor of the center's color decodes to f(x) itself
-    for cy in set(colors[1:lball.within(1)]) - {colors[0]}:
-        col = lball.column(cy)
-        total = sum(map(abs, map(sub, own, col))) + alpha - sum(col)
+    for cy in set(colors[1:]) - {colors[0]}:
+        total = totals.get(cy)
+        if total is None:
+            col = lball.column(cy)
+            total = totals[cy] = sum(map(abs, map(sub, own, col))) + alpha - sum(col)
         if total * eden > budget:
             return CHECK_L1
     return None
@@ -160,12 +181,29 @@ def _validate_against_graph(G: BoundedDegreeGraph, labeling: ProofLabeling) -> N
 
 def _judged_balls(G: BoundedDegreeGraph, labeling: ProofLabeling,
                   vertices: range | None = None):
-    """Yield (x, labeled B_{r+1}(x), decision) for x = 0..n-1, or for `vertices` only."""
+    """Yield (x, labeled B_{r+1}(x), decision) for x = 0..n-1, or for `vertices` only.
+
+    Each edge's l1 sum is computed once when both ends pass probability and
+    support (module docstring): once y has passed both, `sums[y]` holds its
+    sums per neighbor color until its largest neighbor reads them, and a
+    neighbor x is handed y's sum for C(x) as its own sum for C(y).
+    """
     params = labeling.params
     adj = G.adj
+    colors = labeling.colors
+    sums: dict[int, dict[int, int]] = {}
     for x, order, ends in ball_sweep(G, params.r + 1, vertices):
         lball = LabeledBall(adj, order, ends, labeling)
-        yield x, lball, check_vertex(lball, params)
+        cx = colors[x]
+        totals = {}
+        for y in adj[x]:
+            held = sums.pop(y, ()) if adj[y][-1] == x else sums.get(y, ())
+            if cx in held:
+                totals[colors[y]] = held[cx]
+        decision = check_vertex(lball, params, totals)
+        if decision in (None, CHECK_L1) and adj[x] and adj[x][-1] > x:
+            sums[x] = totals
+        yield x, lball, decision
 
 
 _WORKER: dict[str, object] = {}

@@ -33,6 +33,11 @@ def random_family_graph(rng: random.Random) -> lc.BoundedDegreeGraph:
     return lc.generate(lc.FamilySpec("random_regular", (n, 3), seed=rng.randint(0, 10**6)))
 
 
+def max_ball_size_actual(G: lc.BoundedDegreeGraph, r: int) -> int:
+    """max_x |B_r(x, G)| (0 on an empty graph), from one ball sweep at radius r."""
+    return max((len(order) for _, order, _ in lc.ball_sweep(G, r)), default=0)
+
+
 class InProcessPool:
     """Stands in for the process pool: records its size and maps in this process."""
 

@@ -372,6 +372,40 @@ def test_verify_huge_jobs_starts_a_capped_pool(p11, capsys, tmp_path, monkeypatc
     assert outs["1"].read_bytes() == outs["100000"].read_bytes()
 
 
+def test_verify_jobs_two_writes_the_jobs_one_bytes_across_the_cut(capsys, tmp_path, monkeypatch):
+    """Two worker processes, each sharing l1 sums only within its own half,
+    write the sequential verdict on labels rejected on both sides of the cut."""
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    g, labels = tmp_path / "grid.graph", tmp_path / "grid.labels"
+    assert main(["gen", "--family", "grid", "--n", "8,8", "--out", str(g)]) == 0
+    assert main(["prove", str(g), "--witness", "uniform-ball", "--r", "2",
+                 "--eps-prime", "1", "--out", str(labels)]) == 0
+    G, honest = lc.read_graph_file(g), lc.read_labeling_file(labels)
+    r, alpha = honest.params.r, honest.params.alpha
+    tables = [list(row) for row in honest.tables]
+    for x in (5, 50):  # probability rejects
+        tables[x][honest.colors[x]] -= 1
+    for x in (20, 45):  # x keeps its mass on itself alone: l1 rejects
+        c = honest.colors[x]
+        for z in lc.bfs(G.adj, (x,), r)[0]:
+            tables[z][c] = 0
+        tables[x][c] = alpha
+    tampered = lc.ProofLabeling(honest.params, honest.colors, tuple(map(tuple, tables)),
+                                honest.k_local)
+    lc.write_labeling_file(tampered, labels)
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"grid.verdict{jobs}"
+        code, _, _ = run(capsys, "verify", str(g), str(labels), "--jobs", jobs,
+                         "--out", str(outs[jobs]))
+        assert code == 1
+    assert outs["1"].read_bytes() == outs["2"].read_bytes()
+    rejects = lc.verify_property_a(G, tampered).rejecting()
+    cut = G.n // 2
+    assert {x for x, _ in rejects if x < cut} and {x for x, _ in rejects if x >= cut}
+    assert {"probability", "l1"} == {check for _, check in rejects}
+
+
 @pytest.mark.parametrize("command", ["verify", "extract", "report"])
 def test_predicate_choices_come_from_predicates(p11, capsys, monkeypatch, command):
     """--predicate offers exactly verifier.PREDICATES, in its order."""

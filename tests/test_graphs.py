@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 import localcert as lc
-from conftest import random_family_graph
+from conftest import max_ball_size_actual, random_family_graph
 from localcert.errors import DegreeExceeded, FormatError, InfeasibleSpec, NonSimple
 from localcert.graphs import (
     ball,
@@ -15,9 +15,7 @@ from localcert.graphs import (
     build_graph,
     components,
     induced_subgraph,
-    max_ball_size_actual,
     max_ball_size_bound,
-    remove_edges,
 )
 
 
@@ -306,21 +304,13 @@ def test_components_match_networkx():
     rng = random.Random(105)
     for _ in range(15):
         G = random_family_graph(rng)
-        cut = [e for e in G.edges() if rng.random() < 0.3]
-        H = remove_edges(G, cut)
+        H = lc.BoundedDegreeGraph(G.n, G.d, [e for e in G.edges() if rng.random() >= 0.3])
         for removed in ((), [v for v in range(H.n) if rng.random() < 0.4], range(H.n)):
             rest = to_nx(H)
             rest.remove_nodes_from(removed)
             theirs = sorted(sorted(c) for c in nx.connected_components(rest))
             assert components(H, removed) == theirs, (H, list(removed))
         assert components(H) == components(H, ())
-
-
-def test_remove_edges_keeps_vertex_count():
-    G = lc.generate(lc.FamilySpec("cycle", (10,)))
-    H = remove_edges(G, [(0, 1), (5, 6)])
-    assert H.n == 10 and H.m == 8
-    assert not H.has_edge(0, 1)
 
 
 # --- text format ------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import localcert as lc
-from conftest import random_family_graph
+from conftest import max_ball_size_actual, random_family_graph
 from localcert.errors import FormatError, NoQualifyingSet, NotUniform, OutOfRange
 from localcert.hyperfinite import (
     PartitionResult,
@@ -172,7 +172,7 @@ def test_extract_partition_bounds_random():
             eps = Fraction(1, 4)
         part = extract_partition(w, eps)
         assert part.num_removed <= Fraction(G.d, 2) * eps * G.n
-        assert part.max_block_size <= lc.max_ball_size_actual(G, 2 * r)
+        assert part.max_block_size <= max_ball_size_actual(G, 2 * r)
         # removed edges all exist and joined different blocks
         block_of = {}
         for i, block in enumerate(part.blocks):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localcert as lc
-from conftest import discretized, encode_as_written, random_family_graph
+from conftest import discretized, encode_as_written, max_ball_size_actual, random_family_graph
 from localcert.errors import FormatError, NotUniform
-from localcert.graphs import bfs, max_ball_size_actual, max_ball_size_bound
+from localcert.graphs import bfs, max_ball_size_bound
 from localcert.labeling import (
     ProofLabeling,
     SchemeParams,

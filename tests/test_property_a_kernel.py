@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import localcert as lc
+from conftest import InProcessPool
 from localcert import verifier
 from localcert.errors import NotAccepted
 from localcert.labeling import ProofLabeling
@@ -150,6 +151,34 @@ def concentrate(G, labeling, x):
     return relabeled(labeling, tables=tables)
 
 
+def shell(G, labeling, x, k):
+    """One unit of x's own color lands on the k-th vertex of shell r+1 of x's ball.
+
+    x then fails support, unless probability fails first, and so shares no
+    l1 sums: its neighbors must compute theirs.  A ball with no shell r+1
+    (x's component lies within B_r(x)) is left as it is.
+    """
+    r = labeling.params.r
+    ring = [z for z, level in reference_levels(G.adj, x, r + 1).items() if level == r + 1]
+    if not ring:
+        return labeling
+    return bump(labeling, ring[k % len(ring)], labeling.colors[x], 1)
+
+
+def mutate(G, labeling, mutations):
+    palette = labeling.params.palette
+    for kind, i, j, delta in mutations:
+        if kind == "recolor":
+            labeling = recolor(labeling, i % G.n, j % G.n)
+        elif kind == "bump":
+            labeling = bump(labeling, i % G.n, j % palette, delta)
+        elif kind == "shell":
+            labeling = shell(G, labeling, i % G.n, j)
+        else:
+            labeling = concentrate(G, labeling, i % G.n)
+    return labeling
+
+
 # --- honest labelings --------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -163,8 +192,7 @@ def test_kernel_matches_reference_on_honest_labelings(name):
 def test_mass_on_shell_r_plus_1_fails_support():
     # vertex 16's own color gains a unit at a vertex 3 = r + 1 away
     G, labeling = honest("grid6x7_r2")
-    far = next(z for z, level in reference_levels(G.adj, 16, 3).items() if level == 3)
-    decisions = assert_kernel_matches_reference(G, bump(labeling, far, labeling.colors[16], 1))
+    decisions = assert_kernel_matches_reference(G, shell(G, labeling, 16, 0))
     assert decisions[16] == CHECK_SUPPORT
 
 
@@ -197,10 +225,61 @@ def test_pool_workers_read_the_sequential_columns(monkeypatch, transposed_first)
     assert verify_property_a(G, bad).decisions == want
 
 
+# --- each edge summed once ------------------------------------------------------------
+
+@pytest.mark.parametrize("fixture", ["grid10x20", "tree511"])
+def test_each_edge_is_summed_once(fixture, request, monkeypatch):
+    """On honest labels the sequential sweep gathers one column per edge whose
+    ends differ in color, at its earlier end; a pool range shares only
+    within itself, so an edge across the cut is gathered at both ends."""
+    inst = request.getfixturevalue(fixture)
+    G, labeling = inst.G, inst.labeling
+    colors = labeling.colors
+    assert set(inst.property_a.decisions) == {None}
+    gathered = []
+    column = verifier.LabeledBall.column
+
+    def counting_column(lball, q):
+        gathered.append((lball.vertices[0], q))
+        return column(lball, q)
+
+    monkeypatch.setattr(verifier.LabeledBall, "column", counting_column)
+    edges = [(u, v) for u, v in G.edges() if colors[u] != colors[v]]
+    assert verify_property_a(G, labeling) == inst.property_a
+    assert sorted(gathered) == sorted((u, colors[v]) for u, v in edges)
+
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    assert verify_property_a(G, labeling, jobs=2) == inst.property_a
+    gathered.clear()
+    monkeypatch.setattr(verifier, "_make_pool", functools.partial(InProcessPool, []))
+    assert verify_property_a(G, labeling, jobs=2) == inst.property_a
+    cut = G.n // 2
+    across = [(v, colors[u]) for u, v in edges if u < cut <= v]
+    assert across
+    assert sorted(gathered) == sorted([(u, colors[v]) for u, v in edges] + across)
+
+
+def test_a_vertex_failing_support_hands_on_no_sums():
+    """Path 0..6 at r = 1, alpha = 2: vertices 2 and 4 share color 0, with
+    f(2) = delta_1 and f(4) = delta_5, and vertex 3 between them fails
+    support.  Vertex 2's l1 sum for color 1 is 4, vertex 4's is 0; had 3
+    passed on the sum it was handed from 2, vertex 4 would reject."""
+    G = lc.generate(lc.FamilySpec("path", (7,)))
+    params = lc.SchemeParams(r=1, eps_prime=Fraction(1, 2), alpha=2, palette=6)
+    colors = (2, 3, 0, 1, 0, 4, 5)
+    tables = [[0] * 6 for _ in range(7)]
+    tables[1][0] = tables[5][0] = 2   # color 0: vertex 2's mass on 1, vertex 4's on 5
+    tables[3][1] = tables[5][1] = 2   # color 1: alpha on B_1(3), and 2 more on its shell
+    tables[5][4] = 2                  # color 4: vertex 5 holds its own mass
+    labeling = ProofLabeling(params, colors, tuple(map(tuple, tables)), 3)
+    decisions = assert_kernel_matches_reference(G, labeling)
+    assert decisions[2:5] == (CHECK_L1, CHECK_SUPPORT, None)
+
+
 # --- random mutations ---------------------------------------------------------------
 
 MUTATION = st.tuples(
-    st.sampled_from(["recolor", "bump", "concentrate"]),
+    st.sampled_from(["recolor", "bump", "concentrate", "shell"]),
     st.integers(0, 10**6), st.integers(0, 10**6), st.integers(-3, 3),
 )
 
@@ -211,15 +290,35 @@ MUTATION = st.tuples(
        mutations=st.lists(MUTATION, min_size=1, max_size=3))
 def test_kernel_matches_reference_on_mutated_labelings(name, mutations):
     G, labeling = honest(name)
-    palette = labeling.params.palette
-    for kind, i, j, delta in mutations:
-        if kind == "recolor":
-            labeling = recolor(labeling, i % G.n, j % G.n)
-        elif kind == "bump":
-            labeling = bump(labeling, i % G.n, j % palette, delta)
-        else:
-            labeling = concentrate(G, labeling, i % G.n)
-    assert_kernel_matches_reference(G, labeling)
+    assert_kernel_matches_reference(G, mutate(G, labeling, mutations))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(INSTANCES)),
+       mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_shared_sums_equal_the_sums_a_vertex_computes_alone(name, mutations):
+    """Every l1 sum the sweep hands a vertex that passed probability and
+    support is the sum that vertex computes from its own ball."""
+    G, labeling = honest(name)
+    labeling = mutate(G, labeling, mutations)
+    check = verifier.check_vertex
+    handed = []
+
+    def checking(lball, params, totals=None):
+        given_sums = dict(totals)
+        decision = check(lball, params, totals)
+        if decision not in (CHECK_PROBABILITY, CHECK_SUPPORT):
+            handed.extend((lball, cy, total) for cy, total in given_sums.items())
+        return decision
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "check_vertex", checking)
+        verify_property_a(G, labeling)
+    alpha = labeling.params.alpha
+    for lball, cy, total in handed:
+        own, col = lball.own_column[:lball.inner], lball.column(cy)
+        assert total == sum(abs(a - b) for a, b in zip(own, col)) + alpha - sum(col)
 
 
 # --- decoding from the verifier's own pass ------------------------------------------
@@ -263,9 +362,9 @@ def test_decode_refuses_at_the_first_rejecting_vertex(monkeypatch):
     judged = []
     check = verifier.check_vertex
 
-    def counting_check(lball, params):
+    def counting_check(lball, params, totals=None):
         judged.append(lball.vertices[0])
-        return check(lball, params)
+        return check(lball, params, totals)
 
     monkeypatch.setattr(verifier, "check_vertex", counting_check)
     with pytest.raises(NotAccepted, match=r"^verifier rejects at vertex 0 \(probability check\)$"):
