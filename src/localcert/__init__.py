@@ -45,7 +45,6 @@ from .measures import (
     check_uniformity,
     discretize,
     l1_distance,
-    project_witness,
     tighten_radius,
     uniform_ball_witness,
 )
@@ -91,19 +90,15 @@ from .verifier import (
 )
 from .hyperfinite import (
     AreaCoareaResult,
-    BoundarySets,
     EditDistanceBound,
     HyperfiniteReport,
     LowBoundaryResult,
     PartitionResult,
     area_coarea_check,
-    boundary_sets,
     check_hyperfinite,
     edit_distance_upper_bound,
     extract_partition,
-    find_low_boundary_set,
     read_partition_file,
-    threshold_set,
     write_partition_file,
 )
 

@@ -35,10 +35,6 @@ class InfeasibleAlpha(LocalcertError):
     """Discretization denominator too small for the requested gap."""
 
 
-class EmptySubgraph(LocalcertError):
-    """Projection target has no vertices."""
-
-
 class InvalidDistribution(LocalcertError):
     """Separator distribution violates its invariants."""
 

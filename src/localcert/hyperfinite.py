@@ -5,9 +5,10 @@ at most max |B_2r| vertices after removing at most (d^2 eps / 2)|V| edges.
 The constructive loop: project the witness onto the remaining vertices, pick
 a coordinate z0 with a low smoothed boundary-to-mass ratio, sweep superlevel
 sets of zeta(x) = f(x)(z0) until one has edge boundary at most (d eps/2) of
-its size, cut it off, repeat.  extract_partition keeps the projection and its
-per-coordinate sums (dense lists over the vertex ids) up to date across cuts
-instead of recomputing them; a cut zeroes its block's own coordinates at once.
+its size, cut it off, repeat.  tests/reference.py runs that loop as written,
+re-projecting after every cut; extract_partition keeps the projection and
+its per-coordinate sums (dense lists over the vertex ids) up to date across
+cuts instead, and a cut zeroes its block's own coordinates at once.
 
 Partition text format:
 
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Container, Iterable, Mapping
+from typing import Callable, Container, Mapping
 
 from .errors import FormatError, NoQualifyingSet, OutOfRange
 from .graphs import BoundedDegreeGraph, induced_subgraph
@@ -37,45 +38,6 @@ from .measures import (
     _require_uniform,
     check_uniformity,
 )
-
-
-def threshold_set(zeta: Mapping[int, Fraction], t: Fraction) -> set[int]:
-    """Strict superlevel set {x : zeta(x) > t}."""
-    return {x for x, v in zeta.items() if v > t}
-
-
-@dataclass(frozen=True)
-class BoundarySets:
-    """Vertex and edge boundary of a set A inside a host vertex set."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-
-def boundary_sets(G: BoundedDegreeGraph, domain: Iterable[int], A: Iterable[int]) -> BoundarySets:
-    """Boundary of A within the subgraph induced on domain.
-
-    Edges are reported as (inside, outside) pairs, ascending; the vertex
-    boundary is never larger than the edge boundary.
-    """
-    dom = set(domain)
-    aset = set(A)
-    if not aset <= dom:
-        raise ValueError("A must be a subset of the domain")
-    return _boundary(G, dom, aset)
-
-
-def _boundary(G: BoundedDegreeGraph, dom: Container[int], aset: set[int]) -> BoundarySets:
-    verts = set()
-    edges = []
-    for x in aset:
-        for y in G.adj[x]:
-            if y in dom and y not in aset:
-                verts.add(x)
-                edges.append((x, y))
-    out = BoundarySets(tuple(sorted(verts)), tuple(sorted(edges)))
-    assert len(out.vertices) <= len(out.edges)
-    return out
 
 
 @dataclass(frozen=True)
@@ -123,39 +85,15 @@ def area_coarea_check(G: BoundedDegreeGraph, zeta: Mapping[int, Fraction]) -> Ar
 
 @dataclass(frozen=True)
 class LowBoundaryResult:
-    """A nonempty set with edge boundary at most (d*eps/2) times its size."""
+    """A nonempty set with edge boundary at most (d*eps/2) times its size.
+
+    `edges` is that boundary as (inside, outside) pairs, ascending.
+    """
 
     vertices: tuple[int, ...]
     z0: int
     threshold: Fraction
-    boundary: BoundarySets
-
-
-def find_low_boundary_set(w: WitnessFunction, eps: Fraction) -> LowBoundaryResult:
-    """Locate a low-boundary superlevel set of an eps-uniform relative witness.
-
-    z0 minimizes the ratio of summed neighbor differences to summed mass at
-    z0 (ties by smallest id); averaging over z0 guarantees some ratio is at
-    most d*eps, and the coarea identity then guarantees some superlevel set
-    of zeta(x) = f(x)(z0) qualifies.  Thresholds are swept ascending over the
-    distinct zeta values; the first qualifying nonempty set is returned.
-    Raises ValueError when an atom lies outside the graph's 0..n-1.
-    """
-    if not w.vertices:
-        raise NoQualifyingSet("empty domain")
-    n = w.graph.n
-    for x in w.vertices:
-        supp = w.dists[x].num.keys()
-        if min(supp) < 0 or max(supp) >= n:
-            atom = next(z for z in supp if not 0 <= z < n)
-            raise ValueError(f"vertex {x} has atom {atom} outside the graph's 0..{n - 1}")
-    den = math.lcm(*(w.dists[x].den for x in w.vertices))
-    num = {x: _scaled(w.dists[x], den) for x in w.vertices}
-    mass, diff, _, _ = _coordinate_sums(w.graph, w.vertices, w.vertex_set, num)
-    key, heap = _ratio_heap(mass, diff)
-    z0 = _pick_z0(heap, key)
-    zeta = {x: p[z0] for x, p in num.items() if z0 in p}
-    return _superlevel_cut(w.graph, w.vertex_set, zeta, den, z0, eps)
+    edges: tuple[tuple[int, int], ...]
 
 
 def _scaled(d: RationalDist, den: int) -> dict[int, int]:
@@ -185,26 +123,24 @@ def _add_edge(diff: list[int], pu: Mapping[int, int], pv: Mapping[int, int], sig
     return edge
 
 
-def _coordinate_sums(G: BoundedDegreeGraph, domain: Iterable[int], member: Container[int],
-                     num: Mapping[int, Mapping[int, int]]
+def _coordinate_sums(G: BoundedDegreeGraph, num: list[Mapping[int, int]]
                      ) -> tuple[list[int], list[int], int, tuple[int, int] | None]:
-    """Per coordinate z: summed mass over the domain and summed edge differences.
+    """Per coordinate z: summed mass over every vertex and summed edge differences.
 
     Both are dense lists over 0..n-1, 0 where no distribution has mass; each
-    domain edge counts once in diff (the ratio key doubles it, for the edge's
-    two ordered pairs).  Also the largest per-edge sum of differences and the
+    edge counts once in diff (the ratio key doubles it, for the edge's two
+    ordered pairs).  Also the largest per-edge sum of differences and the
     first edge attaining it, ascending (adjacency lists are sorted); over the
-    common denominator that is the domain's max edge l1 and its worst edge.
+    common denominator that is the max edge l1 and its worst edge.
     """
     mass = [0] * G.n
     diff = [0] * G.n
     best, worst = 0, None
-    for u in domain:
-        nu = num[u]
+    for u, nu in enumerate(num):
         for z, c in nu.items():
             mass[z] += c
         for v in G.adj[u]:
-            if u < v and v in member:
+            if u < v:
                 edge = _add_edge(diff, nu, num[v], 1)
                 if edge > best:
                     best, worst = edge, (u, v)
@@ -269,14 +205,17 @@ def _superlevel_cut(G: BoundedDegreeGraph, domain: Container[int], zeta: Mapping
 
     # materialize the prefix for the chosen snapshot
     chosen = order[:snapshots[snap][0]]
-    bnd = _boundary(G, domain, set(chosen))
-    assert len(bnd.edges) == snapshots[snap][1]
-    return LowBoundaryResult(tuple(sorted(chosen)), z0, t, bnd)
+    inside = set(chosen)
+    edges = tuple(sorted((x, y) for x in chosen for y in G.adj[x]
+                         if y in domain and y not in inside))
+    assert len(edges) == snapshots[snap][1]
+    return LowBoundaryResult(tuple(sorted(chosen)), z0, t, edges)
 
 
 class _ShrinkingProjection:
-    """project_witness(w, R) and its coordinate sums, kept up to date as R shrinks.
+    """The projection of w onto R and its coordinate sums, kept up to date as R shrinks.
 
+    tests/reference.py recomputes from scratch what this keeps.
     R starts as every vertex.  tau[t]/dist[t] hold the nearest point of R to
     t and its distance (ties by smallest id), for every t within w.radius of
     R; a farther t can never again be an atom of a distribution rooted in R,
@@ -284,9 +223,10 @@ class _ShrinkingProjection:
     with tau[t] == z, holders[t] the vertices whose distribution has an atom
     at t.  proj[x] is x's pushed-forward distribution over the common
     denominator `den`; it shares the witness's own dict until x is first
-    touched.  mass/diff are the sums find_low_boundary_set takes, as dense
-    lists indexed by coordinate (0: no mass there), and a lazy heap keyed
-    (2 diff/mass, z) yields the same z0.  The pass that first fills them also
+    touched.  mass/diff are the per-coordinate sums of mass and of edge
+    differences that pick z0, as dense lists indexed by coordinate (0: no
+    mass there), and a lazy heap keyed (2 diff/mass, z) yields the least
+    ratio, ties by smallest id.  The pass that first fills them also
     measures the witness: `uniformity` is its exact report, given that every
     support lies in its ball.
 
@@ -317,14 +257,12 @@ class _ShrinkingProjection:
         self.tau: list[int | None] = list(range(G.n))
         self.dist = [0] * G.n
         self.cell = {z: [z] for z in range(G.n)}
-        self.mass, self.diff, best, worst = _coordinate_sums(
-            G, range(G.n), self.remaining, self.proj
-        )
+        self.mass, self.diff, best, worst = _coordinate_sums(G, self.proj)
         self.uniformity = UniformityReport(Fraction(best, den), worst, True, None)
         self.key, self.heap = _ratio_heap(self.mass, self.diff)
 
     def cut(self, eps: Fraction) -> LowBoundaryResult:
-        """find_low_boundary_set(project_witness(w, R), eps), then remove its set from R."""
+        """Cut the first qualifying superlevel set of f(.)(z0) on R, then remove it from R."""
         z0 = _pick_z0(self.heap, self.key)
         R, proj = self.remaining, self.proj
         zeta = {
@@ -478,15 +416,16 @@ class PartitionResult:
 def extract_partition(w: WitnessFunction, eps: Fraction) -> PartitionResult:
     """Greedy low-boundary decomposition of G = w.graph, driven by the eps-uniform w.
 
-    Each iteration cuts off find_low_boundary_set(project_witness(w, R), eps)
-    from the remaining vertices R and records the edges leaving it.  The
+    Each iteration projects w onto the remaining vertices R, cuts off a
+    low-boundary superlevel set and records the edges leaving it.  The
     projection is of the ORIGINAL witness (it keeps its distance and support
     guarantees relative to G, not the shrinking subgraph), and it is not
     recomputed: one state object carries the nearest-point map, the projected
     distributions and their coordinate sums across cuts, and a cut updates
     only the atoms whose nearest point it removed, their holders, and the
     edges touching those.  Blocks, their order and W are exactly those of
-    the plain loop; the work per cut tracks what the cut changed, not |R|.
+    the plain loop, `reference_partition` in tests/reference.py; the work
+    per cut tracks what the cut changed, not |R|.
     Every removed edge joins two distinct blocks, so block-induced subgraphs
     survive intact in G - W.
 
@@ -495,8 +434,6 @@ def extract_partition(w: WitnessFunction, eps: Fraction) -> PartitionResult:
     their balls are swept first.  A witness that is not eps-uniform raises
     NotUniform, exactly as check_uniformity would judge it.
     """
-    if not w.is_full:
-        raise ValueError("extraction expects a full-graph witness")
     if _bad_support_vertex(w) is not None:
         # an atom outside its ball, or outside G, would break the projection
         _require_uniform(check_uniformity(w), eps)
@@ -509,7 +446,7 @@ def extract_partition(w: WitnessFunction, eps: Fraction) -> PartitionResult:
     while state.remaining:
         res = state.cut(eps)
         blocks.append(res.vertices)
-        removed.extend(tuple(sorted(e)) for e in res.boundary.edges)
+        removed.extend(tuple(sorted(e)) for e in res.edges)
     return PartitionResult(w.graph.n, tuple(blocks), tuple(sorted(removed)))
 
 

@@ -167,8 +167,6 @@ def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
     numerators, its shape, so both are worked out once per shape
     (grid 50^2 at r = 10 has 57 shapes among 2500 vertices).
     """
-    if not w.is_full:
-        raise ValueError("labels encode full-graph witnesses only")
     _require_eps_prime(eps_prime)  # before the measurement and the coloring it would waste
     r = w.radius
     report = check_uniformity(w)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import EmptySubgraph, InfeasibleAlpha, NotUniform
+from .errors import InfeasibleAlpha, NotUniform
 from .graphs import BoundedDegreeGraph, ball_sweep, bfs
 
 
@@ -105,12 +105,9 @@ def l1_distance(p: RationalDist, q: RationalDist) -> Fraction:
 
 
 class WitnessFunction:
-    """Per-vertex distributions with a declared support radius.
+    """Per-vertex distributions on the whole graph, with a declared support radius.
 
-    `vertices` lists the domain; a full-graph witness has domain 0..n-1.  A
-    relative witness (domain a proper subset) arises from projection and also
-    keeps its distributions supported on the domain.
-
+    `dists` maps each vertex 0..n-1 of `graph` to its distribution.
     Immutable after construction: nothing may rebind or mutate its fields or
     distributions, because check_uniformity caches its report on the witness.
     Next to that report, `_supports_in_balls` records that a ball sweep has
@@ -119,44 +116,16 @@ class WitnessFunction:
     """
 
     def __init__(self, graph: BoundedDegreeGraph, radius: int,
-                 dists: Mapping[int, RationalDist],
-                 vertices: Iterable[int] | None = None):
+                 dists: Mapping[int, RationalDist]):
         if radius < 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
-        if vertices is None:
-            vs = tuple(range(graph.n))
-        else:
-            vs = tuple(sorted(set(vertices)))
-            if vs and not (0 <= vs[0] and vs[-1] < graph.n):
-                raise ValueError("domain vertex outside graph")
-        if set(dists) != set(vs):
-            raise ValueError("witness must assign exactly one distribution per domain vertex")
+        if set(dists) != set(range(graph.n)):
+            raise ValueError("witness must assign exactly one distribution per vertex 0..n-1")
         self.graph = graph
         self.radius = radius
         self.dists = dict(dists)
-        self.vertices = vs
-        self.vertex_set = frozenset(vs)
         self._uniformity: UniformityReport | None = None
         self._supports_in_balls = False
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.vertices) == self.graph.n
-
-    def dist(self, x: int) -> RationalDist:
-        return self.dists[x]
-
-    def domain_edges(self) -> list[tuple[int, int]]:
-        """Edges of the subgraph induced on the domain, ascending."""
-        if self.is_full:
-            return self.graph.edges()
-        vset = self.vertex_set
-        out = []
-        for u in self.vertices:
-            for w in self.graph.adj[u]:
-                if u < w and w in vset:
-                    out.append((u, w))
-        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -173,7 +142,7 @@ class UniformityReport:
 
 
 def _record_supports_in_balls(w: WitnessFunction) -> WitnessFunction:
-    """Record on w that a ball sweep already showed each support inside B_radius(x) and the domain.
+    """Record on w that a ball sweep already showed each support inside B_radius(x).
 
     Only a builder that read each support from that sweep (or took it from a
     witness whose supports were checked) may record it; w is returned.
@@ -183,7 +152,7 @@ def _record_supports_in_balls(w: WitnessFunction) -> WitnessFunction:
 
 
 def _bad_support_vertex(w: WitnessFunction) -> int | None:
-    """The first domain vertex whose support leaves B_radius(x) or the domain, or None.
+    """The first vertex whose support leaves B_radius(x), or None.
 
     A recorded witness, or one with a cached report, needs no sweep.
     """
@@ -192,22 +161,18 @@ def _bad_support_vertex(w: WitnessFunction) -> int | None:
     if w._uniformity is not None:
         return w._uniformity.bad_support_vertex
     for x, reach, _ in ball_sweep(w.graph, w.radius):
-        if x not in w.vertex_set:
-            continue
-        supp = w.dists[x].num.keys()
-        if not (supp <= w.vertex_set and supp <= set(reach)):
+        if not w.dists[x].num.keys() <= set(reach):
             return x
     return None
 
 
 def check_uniformity(w: WitnessFunction) -> UniformityReport:
-    """Measure max edge l1 over the domain and validate supports.
+    """Measure max edge l1 over the graph's edges and validate supports.
 
-    Support of each f(x) must lie in B_radius(x, G) intersected with the
-    domain; the radius-r sweep that checks it runs only for a witness whose
-    builder did not record the fact.  The measured maximum is exact, and the
-    worst edge is the first edge attaining it, ascending; thresholding is the
-    caller's business.  The report is computed once per witness and then
+    Support of each f(x) must lie in B_radius(x, G); the radius-r sweep that
+    checks it runs only for a witness whose builder did not record the fact.
+    The measured maximum is exact, and the worst edge is the first edge
+    attaining it, ascending; thresholding is the caller's business.  The report is computed once per witness and then
     cached on it.
     """
     if w._uniformity is not None:
@@ -215,7 +180,7 @@ def check_uniformity(w: WitnessFunction) -> UniformityReport:
     bad_vertex = _bad_support_vertex(w)
     best = Fraction(0)
     worst = None
-    for u, v in w.domain_edges():
+    for u, v in w.graph.edges():
         d = l1_distance(w.dists[u], w.dists[v])
         if d > best:
             best = d
@@ -239,15 +204,15 @@ def tighten_radius(w: WitnessFunction) -> WitnessFunction:
     Exact, one BFS per vertex.  Each BFS stops at the best reach found so far,
     and only a vertex with an atom beyond it is searched again out to the
     declared radius, so the total work tracks the final reach rather than the
-    declared radius.  These searches see every atom, so when the witness is
-    full and every atom was reached within the final radius, the result
-    records that its supports lie in their balls and check_uniformity runs
-    no sweep of its own; otherwise nothing is recorded.
+    declared radius.  These searches see every atom, so when every atom was
+    reached within the final radius, the result records that its supports
+    lie in their balls and check_uniformity runs no sweep of its own;
+    otherwise nothing is recorded.
     """
     adj = w.graph.adj
     best = 1
-    reached = w.is_full
-    for x in w.vertices:
+    reached = True
+    for x in range(w.graph.n):
         supp = w.dists[x].num.keys()
         _, dist = bfs(adj, (x,), best)
         if all(z in dist for z in supp):
@@ -257,7 +222,7 @@ def tighten_radius(w: WitnessFunction) -> WitnessFunction:
         reached = reached and len(found) == len(supp)
         best = max([best] + found)
     # best exceeds the declared radius only when that is 0
-    out = w if best >= w.radius else WitnessFunction(w.graph, best, w.dists, w.vertices)
+    out = w if best >= w.radius else WitnessFunction(w.graph, best, w.dists)
     return _record_supports_in_balls(out) if reached and best <= w.radius else out
 
 
@@ -354,46 +319,3 @@ def rounding_plan(den: int, counts: Mapping[int, int], alpha: int) -> RoundingPl
             tied, extra = (None if len(cs) == len(counts) else frozenset(cs)), raised
     return RoundingPlan(lift, tied, extra, Fraction(2 * floored, alpha * den))
 
-
-def project_witness(w: WitnessFunction, f_vertices: Iterable[int]) -> WitnessFunction:
-    """Push a full-graph witness onto an induced subgraph via nearest points.
-
-    Every atom at t moves to the vertex of F closest to t in G (ties by
-    smallest id).  The result is a relative witness on F with radius 2r:
-    the moved atom stays within d(x,t) + d(t,F) <= 2r of x.
-    """
-    if not w.is_full:
-        raise ValueError("projection expects a full-graph witness")
-    G = w.graph
-    fvs = sorted(set(f_vertices))
-    if not fvs:
-        raise EmptySubgraph("cannot project onto an empty vertex set")
-    if fvs[0] < 0 or fvs[-1] >= G.n:
-        raise ValueError("projection target outside graph")
-
-    # pass 1: multi-source BFS distances to F
-    order, dist = bfs(G.adj, fvs)
-
-    # pass 2: nearest point in F, ties by smallest id; by induction the
-    # minimum over already-resolved closer neighbors realizes the tie rule
-    tau: list[int | None] = [None] * G.n
-    for v in fvs:
-        tau[v] = v
-    for u in order:
-        if tau[u] is not None:
-            continue
-        du = dist[u]
-        tau[u] = min(
-            tau[z] for z in G.adj[u] if dist[z] == du - 1 and tau[z] is not None
-        )
-
-    dists: dict[int, RationalDist] = {}
-    for x in fvs:
-        src = w.dists[x]
-        moved: dict[int, int] = {}
-        for t, c in src.num.items():
-            target = tau[t]
-            assert target is not None, "support atom unreachable from F"
-            moved[target] = moved.get(target, 0) + c
-        dists[x] = RationalDist(src.den, moved)
-    return WitnessFunction(G, 2 * w.radius, dists, fvs)

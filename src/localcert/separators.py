@@ -85,11 +85,14 @@ def max_marginal(dist: SeparatorDistribution) -> tuple[Fraction, int | None]:
 
 
 def witness_from_separators(dist: SeparatorDistribution) -> WitnessFunction:
-    """Mix per-separator measures into a witness of radius K on dist.graph.
+    """Mix per-separator measures into a witness of radius max(K, 1) on dist.graph.
 
     For each sample Y: a vertex x in Y contributes weight * delta_x, a vertex
     x outside Y spreads weight uniformly over its component of G - Y.  All
     arithmetic happens over one common denominator, so the mix is exact.
+    Components of G - Y have at most K vertices, so every support lies within
+    K of its vertex.  A labeling needs radius at least 1, and K = 0 (every Y
+    is all of V, so f(x) = delta_x) would declare 0.
     """
     G = dist.graph
     samples = [(Y, wt, components(G, Y)) for Y, wt in dist.support]
@@ -120,7 +123,7 @@ def witness_from_separators(dist: SeparatorDistribution) -> WitnessFunction:
     dists = {}
     for x in range(G.n):
         dists[x], nums[x] = RationalDist(den, nums[x]), None
-    return WitnessFunction(G, dist.K, dists)
+    return WitnessFunction(G, max(dist.K, 1), dists)
 
 
 # --- analytic shift families ----------------------------------------------

@@ -62,7 +62,7 @@ def encode_as_written(w: lc.WitnessFunction, eps_prime: Fraction) -> lc.ProofLab
     measurement or alpha sizing, so tests can encode rough witnesses,
     supports outside their balls, and witnesses quantized by hand.
     """
-    (alpha,) = {w.dists[x].den for x in w.vertices}
+    (alpha,) = {f.den for f in w.dists.values()}
     colors, sizes = lc.distance_coloring(w.graph, 2 * w.radius + 1)
     palette = max(colors) + 1
     tables = [[0] * palette for _ in range(w.graph.n)]
@@ -77,7 +77,7 @@ def encode_as_written(w: lc.WitnessFunction, eps_prime: Fraction) -> lc.ProofLab
 def discretized(w: lc.WitnessFunction, alpha: int) -> lc.WitnessFunction:
     """The whole witness quantized to denominator alpha at once: the staged reference."""
     return lc.WitnessFunction(w.graph, w.radius,
-                              {x: lc.discretize(w.dists[x], alpha) for x in w.vertices})
+                              {x: lc.discretize(f, alpha) for x, f in w.dists.items()})
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,116 @@
+"""The plain extraction loop, written from its definitions, for tests to compare against.
+
+`extract_partition` keeps one projection up to date across cuts; this module
+recomputes everything after every cut instead.  Each round projects the
+witness onto the remaining vertices R (every atom moves to its nearest point
+of R in G, ties by the smaller id), picks z0 minimizing
+2 * sum_{edges uv in R} |f(u)(z) - f(v)(z)| / sum_{x in R} f(x)(z) over the
+coordinates z with mass (ties by the smaller id), and cuts off the first
+nonempty strict superlevel set of f(.)(z0), thresholds ascending from 0,
+whose edge boundary within R is at most d*eps/2 of its size.  Nothing here
+reads a private name of the package.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import localcert as lc
+from localcert.errors import NoQualifyingSet, NotUniform
+
+
+def threshold_set(zeta, t):
+    """Strict superlevel set {x : zeta(x) > t}."""
+    return {x for x, v in zeta.items() if v > t}
+
+
+def edge_boundary(G, domain, A):
+    """Edges of the subgraph induced on domain that leave A, as (inside, outside), ascending."""
+    domain, A = set(domain), set(A)
+    if not A <= domain:
+        raise ValueError("A must be a subset of the domain")
+    return tuple(sorted((x, y) for x in A for y in G.adj[x] if y in domain and y not in A))
+
+
+def nearest_point(G, F, t):
+    """The vertex of F closest to t in G, ties by the smaller id; None when none is reachable."""
+    level, seen = [t], {t}
+    while level:
+        hits = [v for v in level if v in F]
+        if hits:
+            return min(hits)
+        nxt = []
+        for u in level:
+            for v in G.adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        level = nxt
+    return None
+
+
+def project_witness(w, F):
+    """{x: f(x) with every atom moved to its nearest point of F} for each x in F."""
+    F = set(F)
+    tau = {}
+    out = {}
+    for x in sorted(F):
+        f = w.dists[x]
+        moved = {}
+        for t, c in f.num.items():
+            if t not in tau:
+                tau[t] = nearest_point(w.graph, F, t)
+            moved[tau[t]] = moved.get(tau[t], 0) + c
+        out[x] = lc.RationalDist(f.den, moved)
+    return out
+
+
+def coordinate_sums(G, dists):
+    """Per coordinate z with mass: (sum_x f(x)(z), sum_{edges uv} |f(u)(z) - f(v)(z)|).
+
+    x ranges over the keys of dists and uv over the edges of the subgraph
+    they induce.
+    """
+    mass, diff = {}, {}
+    for f in dists.values():
+        for z in f.num:
+            mass[z] = mass.get(z, 0) + f.value(z)
+    for u in dists:
+        for v in G.adj[u]:
+            if u < v and v in dists:
+                fu, fv = dists[u], dists[v]
+                for z in fu.num.keys() | fv.num.keys():
+                    diff[z] = diff.get(z, 0) + abs(fu.value(z) - fv.value(z))
+    return mass, {z: diff.get(z, Fraction(0)) for z in mass}
+
+
+def find_low_boundary_set(G, dists, eps):
+    """The cut one round takes on the domain dists.keys(), as a LowBoundaryResult."""
+    mass, diff = coordinate_sums(G, dists)
+    z0 = min(mass, key=lambda z: (2 * diff[z] / mass[z], z))
+    zeta = {x: f.value(z0) for x, f in dists.items()}
+    for t in sorted({Fraction(0), *zeta.values()}):
+        A = threshold_set(zeta, t)
+        edges = edge_boundary(G, dists, A)
+        if A and 2 * len(edges) <= G.d * eps * len(A):
+            return lc.LowBoundaryResult(tuple(sorted(A)), z0, t, edges)
+    raise NoQualifyingSet(f"no superlevel set of zeta(.)({z0}) meets the boundary bound")
+
+
+def reference_cuts(w, eps):
+    """The loop's cuts, in order: re-project onto the remaining vertices, cut, repeat."""
+    G = w.graph
+    remaining = set(range(G.n))
+    while remaining:
+        res = find_low_boundary_set(G, project_witness(w, remaining), eps)
+        remaining -= set(res.vertices)
+        yield res
+
+
+def reference_partition(w, eps):
+    """The blocks of the plain loop, in cut order, and the edges its cuts remove."""
+    if not lc.check_uniformity(w).satisfies(eps):
+        raise NotUniform("witness is not eps-uniform")
+    cuts = list(reference_cuts(w, eps))
+    removed = sorted(tuple(sorted(e)) for res in cuts for e in res.edges)
+    return lc.PartitionResult(w.graph.n, tuple(res.vertices for res in cuts), tuple(removed))

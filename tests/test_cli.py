@@ -158,6 +158,20 @@ def test_prove_refuses_r_with_a_separator_file(p11, capsys, tmp_path):
     assert not labels.exists()
 
 
+def test_prove_separator_file_with_k_zero(capsys, tmp_path):
+    """K = 0 puts every vertex in Y, so f(x) = delta_x: a radius-1 witness that verifies."""
+    g = tmp_path / "p1.graph"
+    dist_path = tmp_path / "s.txt"
+    labels = tmp_path / "p1.labels"
+    run(capsys, "gen", "--family", "path", "--n", "1", "--out", str(g))
+    dist_path.write_text("sepdist 1 0 1\n1/1 1 0\n")
+    code, _, err = run(capsys, "prove", str(g), "--eps-prime", "1/2",
+                       "--witness", f"separators:{dist_path}", "--out", str(labels))
+    assert code == 0, err
+    assert err.startswith("measured_eps = 0/1\nradius = 1\n")
+    assert run(capsys, "verify", str(g), str(labels)) == (0, "verdict accept\n", "")
+
+
 @pytest.mark.parametrize("family, n, flags, want_balls, want_l1", [
     # the uniform-ball witness's own sweep at r = 2 and the distance-5 coloring:
     # its supports are its balls, so the uniformity check sweeps no balls again

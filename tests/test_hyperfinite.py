@@ -11,25 +11,25 @@ from conftest import max_ball_size_actual, random_family_graph
 from localcert.errors import FormatError, NoQualifyingSet, NotUniform, OutOfRange
 from localcert.hyperfinite import (
     PartitionResult,
-    _coordinate_sums,
     _ShrinkingProjection,
     area_coarea_check,
-    boundary_sets,
     check_hyperfinite,
     edit_distance_upper_bound,
     extract_partition,
-    find_low_boundary_set,
     format_partition,
     parse_partition,
+)
+from localcert.measures import RationalDist, WitnessFunction, uniform_ball_witness
+from localcert.verifier import is_planar
+from reference import (
+    coordinate_sums,
+    edge_boundary,
+    find_low_boundary_set,
+    project_witness,
+    reference_cuts,
+    reference_partition,
     threshold_set,
 )
-from localcert.measures import (
-    RationalDist,
-    WitnessFunction,
-    project_witness,
-    uniform_ball_witness,
-)
-from localcert.verifier import is_planar
 
 
 def zeta_path3():
@@ -45,14 +45,12 @@ def test_threshold_set_is_strict():
 
 def test_boundary_sets_hand_case():
     P = lc.generate(lc.FamilySpec("path", (4,)))
-    b = boundary_sets(P, range(4), {0, 1})
-    assert b.edges == ((1, 2),)
-    assert b.vertices == (1,)
+    assert edge_boundary(P, range(4), {0, 1}) == ((1, 2),)
+    assert edge_boundary(P, range(4), {1, 2}) == ((1, 0), (2, 3))
     # restricting the domain hides edges that leave it
-    b2 = boundary_sets(P, {0, 1}, {0, 1})
-    assert b2.edges == ()
+    assert edge_boundary(P, {0, 1}, {0, 1}) == ()
     with pytest.raises(ValueError):
-        boundary_sets(P, {0, 1}, {2})
+        edge_boundary(P, {0, 1}, {2})
 
 
 def test_area_coarea_hand_case():
@@ -81,16 +79,15 @@ def test_area_coarea_random():
         assert area_coarea_check(G, zeta).ok
 
 
-# --- low-boundary sweep --------------------------------------------------------
+# --- low-boundary sweep (the reference's) ----------------------------------------
 
 def test_find_low_boundary_constant_witness():
     """A perfectly flat witness has an empty boundary at threshold zero."""
     P = lc.generate(lc.FamilySpec("path", (3,)))
     flat = RationalDist(3, {0: 1, 1: 1, 2: 1})
-    w = WitnessFunction(P, 2, {x: flat for x in range(3)})
-    res = find_low_boundary_set(w, Fraction(1, 100))
+    res = find_low_boundary_set(P, {x: flat for x in range(3)}, Fraction(1, 100))
     assert res.vertices == (0, 1, 2)
-    assert res.boundary.edges == ()
+    assert res.edges == ()
     assert res.z0 == 0
 
 
@@ -102,32 +99,22 @@ def test_find_low_boundary_respects_the_ratio():
         eps = lc.check_uniformity(w).max_edge_l1
         if eps == 0:
             eps = Fraction(1, 10)
-        res = find_low_boundary_set(w, eps)
+        res = find_low_boundary_set(G, w.dists, eps)
         size = len(res.vertices)
         assert size > 0
-        assert 2 * len(res.boundary.edges) <= G.d * eps * size
+        assert 2 * len(res.edges) <= G.d * eps * size
         # the chosen set really is a superlevel set of f(.)(z0)
         inside = set(res.vertices)
-        for x in w.vertices:
+        for x in range(G.n):
             assert (w.dists[x].value(res.z0) > res.threshold) == (x in inside)
-
-
-@pytest.mark.parametrize("atom", [-1, 3, 7])
-def test_find_low_boundary_refuses_an_atom_outside_the_graph(atom):
-    """Dense coordinate sums index by atom: -1 would wrap and 3 would overrun on path 3."""
-    P = lc.generate(lc.FamilySpec("path", (3,)))
-    dists = {x: RationalDist.delta(x) for x in range(3)}
-    dists[1] = RationalDist(2, {1: 1, atom: 1})
-    with pytest.raises(ValueError, match=f"vertex 1 has atom {atom} outside"):
-        find_low_boundary_set(WitnessFunction(P, 2, dists), Fraction(2))
 
 
 def test_find_low_boundary_can_fail_on_rough_witness():
     P = lc.generate(lc.FamilySpec("path", (2,)))
-    deltas = WitnessFunction(P, 1, {0: RationalDist.delta(0), 1: RationalDist.delta(1)})
+    deltas = {0: RationalDist.delta(0), 1: RationalDist.delta(1)}
     with pytest.raises(NoQualifyingSet):
-        find_low_boundary_set(deltas, Fraction(1, 2))
-    res = find_low_boundary_set(deltas, Fraction(1))
+        find_low_boundary_set(P, deltas, Fraction(1, 2))
+    res = find_low_boundary_set(P, deltas, Fraction(1))
     assert res.vertices == (0,)
 
 
@@ -147,9 +134,13 @@ def test_extract_partition_guards():
     w = uniform_ball_witness(G, 1)
     with pytest.raises(NotUniform):
         extract_partition(w, Fraction(1, 100))
-    rel = lc.project_witness(w, [0, 1, 2])
-    with pytest.raises(ValueError):
-        extract_partition(rel, Fraction(1))
+    # the projection's dense coordinate sums index by atom: -1 would wrap and
+    # 6 would overrun, so an atom outside the graph fails the support check first
+    for atom in (-1, 6, 9):
+        dists = {x: RationalDist.delta(x) for x in range(G.n)}
+        dists[1] = RationalDist(2, {1: 1, atom: 1})
+        with pytest.raises(NotUniform, match="support_ok=False"):
+            extract_partition(WitnessFunction(G, 2, dists), Fraction(2))
 
 
 def test_extract_partition_rejects_a_support_outside_its_ball():
@@ -181,23 +172,6 @@ def test_extract_partition_bounds_random():
         for u, v in part.removed_edges:
             assert G.has_edge(u, v)
             assert block_of[u] != block_of[v]
-
-
-def reference_partition(w, eps):
-    """The plain extraction loop: re-project onto the remaining vertices, cut, repeat."""
-    if not w.is_full:
-        raise ValueError("extraction expects a full-graph witness")
-    if not lc.check_uniformity(w).satisfies(eps):
-        raise NotUniform("witness is not eps-uniform")
-    remaining = list(range(w.graph.n))
-    blocks, removed = [], []
-    while remaining:
-        res = find_low_boundary_set(project_witness(w, remaining), eps)
-        blocks.append(res.vertices)
-        removed.extend(tuple(sorted(e)) for e in res.boundary.edges)
-        gone = set(res.vertices)
-        remaining = [v for v in remaining if v not in gone]
-    return PartitionResult(w.graph.n, tuple(blocks), tuple(sorted(removed)))
 
 
 def outcome(fn, *args):
@@ -239,8 +213,6 @@ def test_extract_partition_matches_reference_loop():
                     assert got == want, (G.n, r, eps)
                     if isinstance(want, type):
                         errors.add(want)
-        rel = project_witness(w, range(G.n - 1))
-        assert outcome(extract_partition, rel, Fraction(1)) is ValueError
     assert errors == {NotUniform}
 
 
@@ -296,7 +268,7 @@ def test_extract_partition_matches_reference_loop_on_random_witnesses(monkeypatc
 
 
 def test_shrinking_projection_sums_after_every_cut():
-    """The incrementally kept sums equal a recount over R's current projection.
+    """The incrementally kept projection and sums equal the reference's recount over R.
 
     Every coordinate of a cut block reads 0 and has no key, and the ratio
     keys are exactly 2 diff/mass over the coordinates with mass.
@@ -306,24 +278,32 @@ def test_shrinking_projection_sums_after_every_cut():
         while state.remaining:
             block = state.cut(eps).vertices
             R = state.remaining
-            mass, diff, _, _ = _coordinate_sums(G, sorted(R), R, state.proj)
-            assert (state.mass, state.diff) == (mass, diff), (G.n, w.radius)
-            assert all(mass[z] == diff[z] == 0 and z not in state.key for z in block)
-            assert state.key == {
-                z: Fraction(2 * diff[z], m) for z, m in enumerate(mass) if m
-            }
-            if R:
-                want = project_witness(w, R)
-                assert all(
-                    RationalDist(state.den, state.proj[x]) == want.dists[x] for x in R
-                )
+            want = project_witness(w, R)
+            assert all(RationalDist(state.den, state.proj[x]) == want[x] for x in R)
+            mass, diff = coordinate_sums(G, want)
+            den = state.den
+            assert {z: Fraction(m, den) for z, m in enumerate(state.mass) if m} == mass
+            assert {z: Fraction(d, den) for z, d in enumerate(state.diff) if d} == {
+                z: d for z, d in diff.items() if d
+            }, (G.n, w.radius)
+            assert all(state.mass[z] == state.diff[z] == 0 and z not in state.key
+                       for z in block)
+            assert state.key == {z: 2 * diff[z] / m for z, m in mass.items()}
+
+
+def projection_cuts(w, eps):
+    """The cuts extract_partition's shrinking projection takes, in order."""
+    state = _ShrinkingProjection(w)
+    while state.remaining:
+        yield state.cut(eps)
 
 
 def test_every_block_lies_within_2r_of_its_z0():
     """The soundness argument behind the verifier's predicate radius 2r.
 
     The projected witness moves each atom within 2r of its holder, so the
-    superlevel set a cut takes around z0 lies in B_2r(z0) of G.
+    superlevel set a cut takes around z0 lies in B_2r(z0) of G: in the
+    reference loop and in the shrinking projection extract_partition runs.
     """
     graphs = [
         lc.generate(lc.FamilySpec("grid", (12, 12))),
@@ -337,15 +317,13 @@ def test_every_block_lies_within_2r_of_its_z0():
         for r in (1, 2, 3):
             w = uniform_ball_witness(G, r)
             eps = lc.check_uniformity(w).max_edge_l1
-            remaining = list(range(G.n))
-            while remaining:
-                res = find_low_boundary_set(project_witness(w, remaining), eps)
-                _, dist = lc.bfs(G.adj, (res.z0,), 2 * r)
-                assert all(x in dist for x in res.vertices), (G.n, r, res.z0)
-                reached.add(max(dist[x] for x in res.vertices) == 2 * r)
-                gone = set(res.vertices)
-                remaining = [v for v in remaining if v not in gone]
-    assert reached == {True, False}  # some blocks reach exactly 2r
+            for cuts in (reference_cuts, projection_cuts):
+                for res in cuts(w, eps):
+                    _, dist = lc.bfs(G.adj, (res.z0,), 2 * r)
+                    assert all(x in dist for x in res.vertices), (cuts.__name__, G.n, r, res.z0)
+                    reached.add((cuts, max(dist[x] for x in res.vertices) == 2 * r))
+    # in both, some blocks reach exactly 2r
+    assert reached == {(c, b) for c in (reference_cuts, projection_cuts) for b in (True, False)}
 
 
 def test_extract_partition_golden_grid20():

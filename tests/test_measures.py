@@ -1,4 +1,4 @@
-"""Distributions, uniformity measurement, quantization, projection."""
+"""Distributions, witnesses and their measurement, quantization, the reference projection."""
 
 import random
 from collections import Counter
@@ -10,20 +10,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import localcert as lc
-from localcert.errors import EmptySubgraph, InfeasibleAlpha, WitnessTooRough
+from localcert.errors import InfeasibleAlpha, WitnessTooRough
 from localcert.measures import (
     RationalDist,
     WitnessFunction,
     check_uniformity,
     discretize,
     l1_distance,
-    project_witness,
     rounding_plan,
     tighten_radius,
     uniform_ball_witness,
 )
 
 from conftest import random_family_graph
+from reference import project_witness
 
 
 def random_dist(rng, support, den_cap=60):
@@ -128,6 +128,19 @@ def test_l1_distance_properties():
 
 # --- witnesses and their measurement ----------------------------------------
 
+@pytest.mark.parametrize("keys, radius, message", [
+    ([0, 1, 3], 1, "exactly one distribution per vertex 0..n-1"),
+    ([-1, 0, 1, 2, 3], 1, "exactly one distribution per vertex 0..n-1"),
+    ([0, 1, 2, 3, 4], 1, "exactly one distribution per vertex 0..n-1"),
+    ([0, 1, 2, 3], -1, "radius must be nonnegative, got -1"),
+], ids=["missing", "extra-below", "extra-n", "negative-radius"])
+def test_witness_function_checks_its_keys_and_radius(keys, radius, message):
+    G = lc.generate(lc.FamilySpec("path", (4,)))
+    with pytest.raises(ValueError, match=message):
+        WitnessFunction(G, radius, {x: RationalDist.delta(x % 4) for x in keys})
+    assert WitnessFunction(G, 0, {x: RationalDist.delta(x) for x in range(4)}).radius == 0
+
+
 def test_uniform_ball_witness_path3():
     G = lc.generate(lc.FamilySpec("path", (3,)))
     w = uniform_ball_witness(G, 1)
@@ -183,7 +196,7 @@ def test_recorded_supports_agree_with_a_fresh_sweep(family, params):
     assert verdict.accept
     for wit in (w, decoded):
         assert wit._supports_in_balls
-        fresh = WitnessFunction(G, wit.radius, wit.dists, wit.vertices)
+        fresh = WitnessFunction(G, wit.radius, wit.dists)
         assert not fresh._supports_in_balls
         assert check_uniformity(wit) == check_uniformity(fresh)
 
@@ -197,28 +210,24 @@ def test_tighten_radius_records_shift_witnesses(family, params):
     w = tighten_radius(raw)
     assert w.radius < raw.radius
     assert w._supports_in_balls
-    fresh = WitnessFunction(G, w.radius, w.dists, w.vertices)
+    fresh = WitnessFunction(G, w.radius, w.dists)
     assert check_uniformity(w) == check_uniformity(fresh)
     assert check_uniformity(w).support_ok
 
 
 def _unrecordable_witnesses():
-    """(witness, bad vertex): an atom beyond the declared radius, one outside
-    the graph, and a relative witness with an atom outside its domain."""
+    """(witness, bad vertex): an atom beyond the declared radius and one outside the graph."""
     G = lc.generate(lc.FamilySpec("path", (10,)))
     base = uniform_ball_witness(G, 1).dists
     beyond = {**base, 4: RationalDist(2, {4: 1, 9: 1})}  # d(4, 9) = 5 > 3
     outside = {**base, 2: RationalDist(2, {2: 1, 10: 1})}
-    relative = {x: RationalDist.delta(x) for x in range(5)}
-    relative[4] = RationalDist(2, {4: 1, 5: 1})
     return {
         "beyond": (WitnessFunction(G, 3, beyond), 4),
         "outside": (WitnessFunction(G, 3, outside), 2),
-        "relative": (WitnessFunction(G, 3, relative, range(5)), 4),
     }
 
 
-@pytest.mark.parametrize("case", ["beyond", "outside", "relative"])
+@pytest.mark.parametrize("case", ["beyond", "outside"])
 def test_tighten_radius_leaves_unreached_atoms_unrecorded(case):
     w, bad = _unrecordable_witnesses()[case]
     tight = tighten_radius(w)
@@ -226,14 +235,14 @@ def test_tighten_radius_leaves_unreached_atoms_unrecorded(case):
     assert not tight._supports_in_balls
     rep = check_uniformity(tight)
     assert (rep.support_ok, rep.bad_support_vertex) == (False, bad)
-    fresh = WitnessFunction(w.graph, 1, w.dists, w.vertices)
+    fresh = WitnessFunction(w.graph, 1, w.dists)
     assert check_uniformity(fresh) == rep
 
 
 def test_uniformity_per_edge_values():
     G = lc.generate(lc.FamilySpec("path", (3,)))
     w = uniform_ball_witness(G, 1)
-    per_edge = {(u, v): l1_distance(w.dist(u), w.dist(v)) for u, v in w.domain_edges()}
+    per_edge = {(u, v): l1_distance(w.dists[u], w.dists[v]) for u, v in G.edges()}
     assert per_edge == {(0, 1): Fraction(2, 3), (1, 2): Fraction(2, 3)}
     rep = check_uniformity(w)
     assert rep.max_edge_l1 == max(per_edge.values())
@@ -339,17 +348,16 @@ def test_discretize_witness_edge_bound():
         assert check_uniformity(g).max_edge_l1 < eps_prime
 
 
-# --- projection ---------------------------------------------------------------
+# --- the reference projection (tests/reference.py) ------------------------------
 
 def test_project_witness_hand_case():
     G = lc.generate(lc.FamilySpec("path", (5,)))
     w = uniform_ball_witness(G, 1)
     proj = project_witness(w, [0, 1, 3, 4])
-    assert proj.radius == 2
-    assert proj.vertices == (0, 1, 3, 4)
+    assert sorted(proj) == [0, 1, 3, 4]
     # the atom at 2 is equidistant from 1 and 3; the smaller id wins
-    assert proj.dists[3] == RationalDist(3, {1: 1, 3: 1, 4: 1})
-    assert proj.dists[1] == RationalDist(3, {0: 1, 1: 2})
+    assert proj[3] == RationalDist(3, {1: 1, 3: 1, 4: 1})
+    assert proj[1] == RationalDist(3, {0: 1, 1: 2})
 
 
 def test_project_witness_conserves_mass():
@@ -360,25 +368,15 @@ def test_project_witness_conserves_mass():
         F = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
         proj = project_witness(w, F)
         fset = set(F)
+        assert sorted(proj) == F
         for x in F:
-            assert sum(proj.dists[x].num.values()) == proj.dists[x].den
-            assert set(proj.dists[x].num) <= fset
+            assert sum(proj[x].num.values()) == proj[x].den
+            assert set(proj[x].num) <= fset
 
 
 def test_project_witness_identity_on_full_domain():
     G = lc.generate(lc.FamilySpec("cycle", (8,)))
     w = uniform_ball_witness(G, 1)
     proj = project_witness(w, range(8))
-    for x in range(8):
-        assert proj.dists[x] == w.dists[x]
-
-
-def test_project_witness_errors():
-    G = lc.generate(lc.FamilySpec("path", (5,)))
-    w = uniform_ball_witness(G, 1)
-    with pytest.raises(EmptySubgraph):
-        project_witness(w, [])
-    rel = project_witness(w, [0, 1])
-    with pytest.raises(ValueError):
-        project_witness(rel, [0])
+    assert proj == w.dists
 
