@@ -134,13 +134,20 @@ def test_extract_partition_guards():
     w = uniform_ball_witness(G, 1)
     with pytest.raises(NotUniform):
         extract_partition(w, Fraction(1, 100))
-    # the projection's dense coordinate sums index by atom: -1 would wrap and
-    # 6 would overrun, so an atom outside the graph fails the support check first
-    for atom in (-1, 6, 9):
-        dists = {x: RationalDist.delta(x) for x in range(G.n)}
-        dists[1] = RationalDist(2, {1: 1, atom: 1})
-        with pytest.raises(NotUniform, match="support_ok=False"):
-            extract_partition(WitnessFunction(G, 2, dists), Fraction(2))
+
+
+@pytest.mark.parametrize("atom", [-1, 3, 7])
+def test_find_low_boundary_refuses_an_atom_outside_the_graph(atom):
+    """Dense coordinate sums index by atom: -1 would wrap and 3 would overrun on path 3.
+
+    The cut extract_partition runs never sees such an atom: the support
+    check refuses the witness first.
+    """
+    P = lc.generate(lc.FamilySpec("path", (3,)))
+    dists = {x: RationalDist.delta(x) for x in range(3)}
+    dists[1] = RationalDist(2, {1: 1, atom: 1})
+    with pytest.raises(NotUniform, match="support_ok=False"):
+        extract_partition(WitnessFunction(P, 2, dists), Fraction(2))
 
 
 def test_extract_partition_rejects_a_support_outside_its_ball():
