@@ -223,8 +223,10 @@ def ball_sweep(G: BoundedDegreeGraph, q: int,
                vertices: range | None = None) -> Iterator[tuple[int, list[int], list[int]]]:
     """Yield (x, order, ends) for x = 0..n-1: the per-vertex ball sweep.
 
-    The prover's coloring, the uniform-ball witness, the uniformity support
-    check and the property-A verifier read their balls from it.
+    The uniform-ball witness, the uniformity support check and the
+    property-A verifier read their balls from it.  The prover's coloring
+    drives `_levels` itself, with one stamp list in the same way, since it
+    cuts some of its searches short.
 
     `order` is B_q(x) in FIFO BFS order and ends[s] = |B_s(x)| for s <= q,
     cut short where x's component runs out (see `RootedBall`).  One stamp

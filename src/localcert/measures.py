@@ -201,6 +201,12 @@ def _require_uniform(rep: UniformityReport, eps: Fraction) -> None:
 def tighten_radius(w: WitnessFunction) -> WitnessFunction:
     """The same witness with its radius cut to the farthest support atom (at least 1).
 
+    A radius-0 witness whose atoms all lie in B_0 (every f(x) is the point
+    mass at x) comes back at radius 1.  When some atom lies beyond the
+    declared radius, the witness stays invalid: its radius becomes the
+    farthest distance of an atom the searches did reach, at least 1, and a
+    witness declared at radius 0 keeps radius 0.
+
     Exact, one BFS per vertex.  Each BFS stops at the best reach found so far,
     and only a vertex with an atom beyond it is searched again out to the
     declared radius, so the total work tracks the final reach rather than the
@@ -210,7 +216,8 @@ def tighten_radius(w: WitnessFunction) -> WitnessFunction:
     otherwise nothing is recorded.
     """
     adj = w.graph.adj
-    best = 1
+    # the reach so far: a radius-0 witness is first searched at 0, not beyond it
+    best = min(1, w.radius)
     reached = True
     for x in range(w.graph.n):
         supp = w.dists[x].num.keys()
@@ -221,9 +228,9 @@ def tighten_radius(w: WitnessFunction) -> WitnessFunction:
         found = [dist[z] for z in supp if z in dist]
         reached = reached and len(found) == len(supp)
         best = max([best] + found)
-    # best exceeds the declared radius only when that is 0
-    out = w if best >= w.radius else WitnessFunction(w.graph, best, w.dists)
-    return _record_supports_in_balls(out) if reached and best <= w.radius else out
+    radius = max(best, 1) if reached else best
+    out = w if radius == w.radius else WitnessFunction(w.graph, radius, w.dists)
+    return _record_supports_in_balls(out) if reached else out
 
 
 def uniform_ball_witness(G: BoundedDegreeGraph, r: int) -> WitnessFunction:

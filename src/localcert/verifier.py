@@ -395,7 +395,8 @@ def verify_locally_p(G: BoundedDegreeGraph, radius: int, predicate: str) -> Verd
     cache: dict[frozenset[int], bool] = {}
     for comp in components(G):
         whole = frozenset(comp)
-        cache[whole] = bool(pred(induced_subgraph(G, comp)))
+        # a connected G is its own component, and needs no copy
+        cache[whole] = bool(pred(G if len(comp) == G.n else induced_subgraph(G, comp)))
         if cache[whole]:
             continue
         probe, dist = bfs(G.adj, (comp[0],), radius)

@@ -1,4 +1,7 @@
-"""The plain extraction loop, written from its definitions, for tests to compare against.
+"""Plain loops written from their definitions, for tests to compare against.
+
+`reference_greedy_coloring` searches every vertex's q-ball afresh, where
+`distance_coloring` skips the searches a whole component makes needless.
 
 `extract_partition` keeps one projection up to date across cuts; this module
 recomputes everything after every cut instead.  Each round projects the
@@ -17,6 +20,26 @@ from fractions import Fraction
 
 import localcert as lc
 from localcert.errors import NoQualifyingSet, NotUniform
+from localcert.graphs import bfs
+
+
+def reference_greedy_coloring(G, q):
+    """The greedy coloring of the q-th power, vertices in id order, and max |B_s| for s = 0..q.
+
+    Each vertex takes the least color absent from its q-ball, read by a fresh
+    BFS; sizes[s] is the largest ball of radius s, read by a fresh BFS per
+    vertex and radius (0 on an empty graph).
+    """
+    colors = [-1] * G.n
+    for v in range(G.n):
+        taken = {colors[u] for u in bfs(G.adj, (v,), q)[0]}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[v] = c
+    sizes = [max((len(bfs(G.adj, (x,), s)[0]) for x in range(G.n)), default=0)
+             for s in range(q + 1)]
+    return tuple(colors), sizes
 
 
 def threshold_set(zeta, t):

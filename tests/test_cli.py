@@ -25,14 +25,19 @@ def run(capsys, *argv):
 
 
 def count_searches(monkeypatch):
-    """Count balls yielded by ball_sweep, by radius, and graphs.bfs calls, by cutoff."""
+    """Count balls by radius, those ball_sweep yields and those the coloring's own
+    level searches read, and graphs.bfs calls by cutoff."""
     balls, searches = Counter(), Counter()
-    sweep, kernel = graphs.ball_sweep, graphs.bfs
+    sweep, kernel, levels = graphs.ball_sweep, graphs.bfs, labeling._levels
 
     def counting_sweep(G, q, vertices=None):
         for item in sweep(G, q, vertices):
             balls[q] += 1
             yield item
+
+    def counting_levels(adj, x, q, mark):
+        balls[q] += 1
+        return levels(adj, x, q, mark)
 
     def counting_bfs(adj, sources, cutoff=None, dist=None):
         searches[cutoff] += 1
@@ -41,6 +46,7 @@ def count_searches(monkeypatch):
     for module in (graphs, measures, labeling, verifier):
         monkeypatch.setattr(module, "ball_sweep", counting_sweep, raising=False)
         monkeypatch.setattr(module, "bfs", counting_bfs, raising=False)
+    monkeypatch.setattr(labeling, "_levels", counting_levels)
     return balls, searches
 
 
@@ -178,8 +184,10 @@ def test_prove_separator_file_with_k_zero(capsys, tmp_path):
     ("grid", "8,8", ("--witness", "uniform-ball", "--r", "2", "--eps-prime", "3/2"),
      {2: 64, 5: 64}, 112),
     # the auto witness is tightened to r = 12, whose searches record its
-    # supports; max |B_12| for alpha is read from the distance-25 coloring
-    ("full_tree", "2,6", ("--eps-prime", "1/2"), {25: 127}, 126),
+    # supports; max |B_12| for alpha is read from the distance-25 coloring,
+    # where the root's search reaches the whole tree, so every later vertex
+    # is measured only below radius 6, the root's eccentricity
+    ("full_tree", "2,6", ("--eps-prime", "1/2"), {25: 1, 5: 126}, 126),
 ], ids=["uniform-ball-grid8x8", "auto-full_tree2x6"])
 def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch,
                                                         family, n, flags, want_balls, want_l1):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import localcert as lc
 from conftest import discretized, encode_as_written, max_ball_size_actual, random_family_graph
 from localcert.errors import FormatError, NotUniform
-from localcert.graphs import bfs, max_ball_size_bound
+from localcert.graphs import _levels, bfs, max_ball_size_bound
 from localcert.labeling import (
     ProofLabeling,
     SchemeParams,
@@ -28,6 +28,7 @@ from localcert.measures import (
     uniform_ball_witness,
 )
 from localcert.verifier import CHECK_PROBABILITY, decode_accepted_witness, verify_property_a
+from reference import reference_greedy_coloring
 
 
 def quantized_path_witness():
@@ -45,8 +46,8 @@ def test_distance_coloring_path():
     G = lc.generate(lc.FamilySpec("path", (5,)))
     assert distance_coloring(G, 1) == ((0, 1, 0, 1, 0), [1, 3])
     assert distance_coloring(G, 2) == ((0, 1, 2, 0, 1), [1, 3, 5])
-    # the profile stops at the deepest ball, radius 4, however far q reaches
-    assert distance_coloring(G, 10**9) == ((0, 1, 2, 3, 4), [1, 3, 5, 5, 5])
+    # the profile stops where max |B_s| does, at radius 2, however far q reaches
+    assert distance_coloring(G, 10**9) == ((0, 1, 2, 3, 4), [1, 3, 5])
 
 
 def test_distance_coloring_is_proper():
@@ -62,22 +63,6 @@ def test_distance_coloring_is_proper():
                     d = bfs(G.adj, (u,), q)[1].get(v)
                     assert d is None, f"color {colors[v]} repeats at distance {d}"
         assert max(colors) + 1 <= max_ball_size_bound(G.d, q)
-
-
-def reference_greedy_coloring(G, q):
-    """The greedy distance coloring as written before it shared the ball sweep."""
-    colors = [-1] * G.n
-    for v in range(G.n):
-        taken = set()
-        for u in bfs(G.adj, (v,), q)[0]:
-            cu = colors[u]
-            if cu >= 0:
-                taken.add(cu)
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return tuple(colors)
 
 
 def disjoint_union(G, H):
@@ -101,16 +86,106 @@ def sweep_cases():
     return cases
 
 
+def assert_matches_reference(G, q):
+    """Colors equal the plain greedy loop's; sizes is its max |B_s| profile, trimmed.
+
+    sizes[min(s, len - 1)] is the fresh max |B_s| for every s <= q, and the
+    profile ends at the first radius where that maximum reaches max |B_q|.
+    """
+    colors, sizes = distance_coloring(G, q)
+    want_colors, fresh = reference_greedy_coloring(G, q)
+    assert colors == want_colors
+    assert len(sizes) == fresh.index(fresh[q]) + 1
+    for s in range(q + 1):
+        assert sizes[min(s, len(sizes) - 1)] == fresh[s]
+
+
 @pytest.mark.parametrize("G, q", sweep_cases())
 def test_coloring_sweep_records_ball_size_profile(G, q):
-    """sizes[s] is max |B_s| up to the deepest ball profile, whose last entry holds past it."""
-    colors, sizes = distance_coloring(G, q)
-    assert colors == reference_greedy_coloring(G, q)
-    deepest = max((max(bfs(G.adj, (x,), q)[1].values()) for x in range(G.n)), default=0)
-    assert len(sizes) == deepest + 1
-    for s in range(q + 1):
-        fresh = max((len(bfs(G.adj, (x,), s)[0]) for x in range(G.n)), default=0)
-        assert sizes[min(s, len(sizes) - 1)] == fresh
+    assert_matches_reference(G, q)
+
+
+def diameter(G):
+    """The largest eccentricity within a component (0 on an empty graph)."""
+    return max((max(bfs(G.adj, (x,), G.n)[1].values()) for x in range(G.n)), default=0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), parts=st.integers(1, 3), past=st.integers(0, 4),
+       relabel=st.booleans())
+def test_coloring_matches_reference_property(seed, parts, past, relabel):
+    """Random family graphs and their disjoint unions, some components whole at q and
+    some not, with q up to a few past the largest diameter; ids optionally shuffled."""
+    rng = random.Random(seed)
+    G = random_family_graph(rng)
+    for _ in range(parts - 1):
+        G = disjoint_union(G, random_family_graph(rng))
+    if relabel:
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        G = lc.build_graph([(perm[u], perm[v]) for u, v in G.edges()], G.d, n=G.n)
+    assert_matches_reference(G, rng.randint(1, diameter(G) + past))
+
+
+def test_coloring_mixes_a_whole_component_with_a_larger_one():
+    """At q = 5 the tree's balls are its component and the grid's are not."""
+    tree = lc.generate(lc.FamilySpec("full_tree", (2, 2)))
+    grid = lc.generate(lc.FamilySpec("grid", (6, 6)))
+    for G in (disjoint_union(tree, grid), disjoint_union(grid, tree)):
+        assert diameter(tree) < 5 < diameter(grid)
+        assert_matches_reference(G, 5)
+
+
+def spied_searches(monkeypatch):
+    """Record (center, radius, |ball|) for every level search distance_coloring runs."""
+    calls = []
+
+    def spy(adj, x, radius, mark):
+        order, ends = _levels(adj, x, radius, mark)
+        calls.append((x, radius, len(order)))
+        return order, ends
+
+    monkeypatch.setattr("localcert.labeling._levels", spy)
+    return calls
+
+
+def test_first_vertex_at_eccentricity_q_gets_no_record(monkeypatch):
+    """Path 5 at q = 4: vertex 0's search reaches everything only at radius q, so it
+    cannot tell that it is whole.  Vertex 1 (eccentricity 3) records the component,
+    and only vertex 2, with d(1, 2) + 3 <= 4, is spared its full search; it is
+    measured below radius 3, where max |B_s| first reaches 5."""
+    G = lc.generate(lc.FamilySpec("path", (5,)))
+    calls = spied_searches(monkeypatch)
+    assert distance_coloring(G, 4) == ((0, 1, 2, 3, 4), [1, 3, 5])
+    assert [radius for _, radius, _ in calls] == [4, 4, 2, 4, 4]
+    assert_matches_reference(G, 4)
+
+
+@pytest.mark.parametrize("q", [7, 8, 10**9])
+def test_truncated_search_that_runs_out_is_a_whole_ball(monkeypatch, q):
+    """Path 0-2-1-3-4, the centre numbered 1.  Vertex 0 records the component
+    (eccentricity 4), and the centre is measured to radius 3, below s_C = 4, but
+    its search runs out at radius 2.  Only its ball, extended to radius 3, shows
+    max |B_3| = 5: every other ball at radius 3 is skipped or holds 4."""
+    G = lc.build_graph([(0, 2), (2, 1), (1, 3), (3, 4)], 2)
+    calls = spied_searches(monkeypatch)
+    assert distance_coloring(G, q) == ((0, 1, 2, 3, 4), [1, 3, 5])
+    assert calls[:2] == [(0, q, 5), (1, 3, 5)]
+    if q < 10**9:
+        assert_matches_reference(G, q)
+
+
+@pytest.mark.parametrize("family, params, q, volume", [
+    # B_29 is the whole tree: one full search, then searches cut below s_C <= 9
+    ("full_tree", (2, 9), 29, 75_777),
+    # no grid ball at radius 21 is its component: every vertex is searched to q
+    ("grid", (50, 50), 21, 1_685_720),
+])
+def test_coloring_searched_volume(monkeypatch, family, params, q, volume):
+    """Count, not time: the number of ball vertices the level searches visit."""
+    calls = spied_searches(monkeypatch)
+    distance_coloring(lc.generate(lc.FamilySpec(family, params)), q)
+    assert sum(size for _, _, size in calls) == volume
 
 
 def test_build_proof_path3_tables():

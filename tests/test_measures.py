@@ -239,6 +239,24 @@ def test_tighten_radius_leaves_unreached_atoms_unrecorded(case):
     assert check_uniformity(fresh) == rep
 
 
+def test_tighten_radius_lifts_a_valid_radius_zero_witness_to_one():
+    """Point masses fit B_0, so they fit B_1, the least radius a labeling encodes;
+    an atom outside B_0 keeps the witness at its declared radius 0, invalid."""
+    G = lc.generate(lc.FamilySpec("path", (3,)))
+    points = {x: RationalDist(1, {x: 1}) for x in range(G.n)}
+    tight = tighten_radius(WitnessFunction(G, 0, points))
+    assert tight.radius == 1
+    assert tight._supports_in_balls
+    assert check_uniformity(tight) == check_uniformity(WitnessFunction(G, 1, points))
+    stray = {**points, 1: RationalDist(2, {1: 1, 2: 1})}  # d(1, 2) = 1 > 0
+    w = WitnessFunction(G, 0, stray)
+    tight = tighten_radius(w)
+    assert tight is w and tight.radius == 0
+    assert not tight._supports_in_balls
+    rep = check_uniformity(tight)
+    assert (rep.support_ok, rep.bad_support_vertex) == (False, 1)
+
+
 def test_uniformity_per_edge_values():
     G = lc.generate(lc.FamilySpec("path", (3,)))
     w = uniform_ball_witness(G, 1)

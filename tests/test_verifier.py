@@ -442,6 +442,29 @@ def test_locally_p_named_predicate_settles_a_passing_component_once(monkeypatch)
     assert calls == [200]
 
 
+def test_locally_p_judges_a_connected_graph_without_a_copy(monkeypatch):
+    """A connected G is its own component: the predicate reads G itself, and no
+    induced subgraph is built; each component of a disconnected G is still copied."""
+    judged, copies = [], []
+
+    def counted(H):
+        judged.append(H)
+        return is_planar(H)
+
+    def copied(G, vertices):
+        copies.append(G)
+        return induced_subgraph(G, vertices)
+
+    monkeypatch.setitem(verifier.PREDICATES, "planar", counted)
+    monkeypatch.setattr(verifier, "induced_subgraph", copied)
+    G = lc.generate(lc.FamilySpec("grid", (10, 10)))
+    assert verify_locally_p(G, 3, "planar").accept
+    assert copies == [] and len(judged) == 1 and judged[0] is G
+    verdict = verify_locally_p(grid_plus_k5(), 2, "planar")
+    assert {x for x, _ in verdict.rejecting()} == {25, 26, 27, 28, 29}
+    assert copies
+
+
 def test_pipeline_conjunction(p11):
     a = verify_property_a(p11.G, p11.labeling)
     b = verify_locally_p(p11.G, locality_radius(p11.labeling.params), "planar")
