@@ -226,7 +226,8 @@ def ball_sweep(G: BoundedDegreeGraph, q: int,
     The uniform-ball witness, the uniformity support check and the
     property-A verifier read their balls from it.  The prover's coloring
     drives `_levels` itself, with one stamp list in the same way, since it
-    cuts some of its searches short.
+    skips the vertices whose balls are known to be their whole component
+    and searches some of them only to a smaller radius.
 
     `order` is B_q(x) in FIFO BFS order and ends[s] = |B_s(x)| for s <= q,
     cut short where x's component runs out (see `RootedBall`).  One stamp

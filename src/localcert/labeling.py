@@ -4,12 +4,14 @@ A labeling encodes a quantized witness g so that any vertex can recover
 g(x)(z) for nearby x from labels alone: T1 colors vertices so that equal
 colors never appear within distance 2r+1 of each other, and T2(z) stores, per
 color q, alpha * g(x)(z) for the unique q-colored x with z in B_r(x).
-`build_proof` is the whole prover: it measures the exact witness, colors,
-sizes alpha by halving the worst-case rule's value while every vertex's
-exact rounding error stays within the budget that rule guarantees, and
-quantizes the witness into g while it writes the tables.  The rounding is
-`measures.discretize`'s rule, applied in the scatter loop itself; tests hold
-the tables to `discretize` as the reference.
+`build_proof` is the whole prover: it measures the exact witness, colors
+(the coloring also returns max |B_r| and max |B_2r|, the only ball sizes
+the prover reads), sizes alpha by halving the worst-case rule's value
+while every vertex's exact rounding error stays within the budget that
+rule guarantees, and quantizes the witness into g while it writes the
+tables.  The rounding is `measures.discretize`'s rule, applied in the
+scatter loop itself; tests hold the tables to `discretize` as the
+reference.
 
 Text format:
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,36 +124,33 @@ class _Whole:
         self.size = size
 
 
-def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[tuple[int, ...], list[int]]:
-    """Greedy coloring of the q-th graph power, vertices in id order; and ball sizes.
+def distance_coloring(G: BoundedDegreeGraph, r: int) -> tuple[tuple[int, ...], int, int]:
+    """Greedy coloring of the (2r+1)-th graph power, vertices in id order; max |B_r|; max |B_2r|.
 
-    Any two vertices within distance q receive different colors; each vertex
-    takes the smallest color unused in its q-ball so far.  Palette size is
-    whatever the greedy run needed (at most max |B_q| by a counting argument).
-    The sweep measures G on the way: sizes[min(s, len(sizes) - 1)] =
-    max_x |B_s(x)| for every s <= q (0 on an empty graph), and the profile
-    ends where that maximum stops changing: its last entry is the first
-    equal to max |B_q|.
+    Any two vertices within distance q = 2r+1 receive different colors; each
+    vertex takes the smallest color unused in its q-ball so far.  Palette
+    size is whatever the greedy run needed (at most max |B_q| by a counting
+    argument).  The sweep also measures the two ball sizes the prover
+    reads, max_x |B_r(x)| and max_x |B_2r(x)| (both 0 on an empty graph).
 
     When the level search from a vertex u runs out before radius q, u has
-    reached its whole component C, of eccentricity e = ecc(u) < q.  A later
-    vertex x of C with d(u, x) + e <= q then has C as its q-ball, so it
-    takes the least color unused in C with no search for it.  Its balls are
-    still measured, but only below the least radius s_C at which sizes
-    already reaches |C|: no ball of C can raise the maximum from s_C on.  On
-    full_tree(2, 9) at q = 29 the searches visit 75 777 ball vertices
-    rather than n^2 = 1 046 529; grids and cycles far larger than q never
-    take this path.
+    reached its whole component C, of eccentricity e = ecc(u) <= 2r.  A
+    later vertex x of C with d(u, x) + e <= q then has C as its q-ball, so
+    it takes the least color unused in C with no search for it.  Its 2r-ball
+    cannot exceed u's, which is C; it is searched to radius r only while
+    max |B_r| is still below |C|.  On full_tree(2, 9) at r = 14 the
+    searches visit 1 023 ball vertices rather than n^2 = 1 046 529; grids
+    and cycles far larger than q never take this path.
     """
-    if q < 1:
-        raise ValueError(f"coloring distance must be positive, got {q}")
+    if r < 0:
+        raise ValueError(f"radius must be nonnegative, got {r}")
+    q = 2 * r + 1
     adj = G.adj
     colors = [-1] * G.n
     mark = [-1] * G.n  # the level search's stamp list, shared by every center
     # home[x] = (d(u, x) + ecc(u), C) once some u of x's component C reached all of C
     home: list[tuple[int, _Whole] | None] = [None] * G.n
-    sizes = [0]
-    last = None
+    ball_r = ball_2r = 0
     for v in range(G.n):
         reach, whole = home[v] or (q + 1, None)
         if reach <= q:
@@ -160,16 +158,13 @@ def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[tuple[int, ...], l
                 whole.free += 1
             colors[v] = whole.free
             whole.used.add(whole.free)
-            # sizes is nondecreasing and reaches |C| by radius ecc(u), so s_C is a
-            # bisection; s_C >= 1, as C holds u and v while sizes[0] = 1
-            depth = bisect_left(sizes, whole.size) - 1
-            ends = _levels(adj, v, depth, mark)[1]
-            # a search that ran out early holds the whole ball at every larger radius
-            ends += [ends[-1]] * (depth + 1 - len(ends))
-            # only the measured radii can rise, and sizes keeps its length
-            sizes[:len(ends)] = map(max, sizes, ends)
+            if ball_r < whole.size:
+                ball_r = max(ball_r, len(_levels(adj, v, r, mark)[0]))
             continue
         ball, ends = _levels(adj, v, q, mark)
+        # ends stops at v's eccentricity when its component runs out
+        ball_r = max(ball_r, ends[min(r, len(ends) - 1)])
+        ball_2r = max(ball_2r, ends[min(2 * r, len(ends) - 1)])
         # -1 (not yet colored) never blocks a color
         taken = set(map(colors.__getitem__, ball))
         c = colors[v] = next(filterfalse(taken.__contains__, count()))
@@ -186,19 +181,7 @@ def distance_coloring(G: BoundedDegreeGraph, q: int) -> tuple[tuple[int, ...], l
                 for x in ball[start:end]:
                     home[x] = (s + ecc, whole)
                 start = end
-        # neighbouring balls mostly share a profile, and a repeat changes no max
-        # (sizes only grows in between)
-        if ends != last:
-            last = ends
-            # the shorter profile is of whole balls: it extends by its last size
-            gap = len(sizes) - len(ends)
-            if gap < 0:
-                sizes += [sizes[-1]] * -gap
-            sizes = list(map(max, sizes, ends if gap <= 0 else ends + [ends[-1]] * gap))
-    # the maximum is nondecreasing in s; keep its first entry at the final value
-    while len(sizes) > 1 and sizes[-2] == sizes[-1]:
-        sizes.pop()
-    return tuple(colors), sizes
+    return tuple(colors), ball_r, ball_2r
 
 
 def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
@@ -210,10 +193,9 @@ def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
     apart, so no table slot has two owners, x's own color is zero on shell
     r+1 of its ball, and a neighbor y's color has no owner but y whose
     radius-r ball meets B_r(x); the verifier's support check and exact l1
-    sums hold for honest labels.  The coloring's sweep also measures max
-    |B_s| for every s <= 2r+1, so alpha's max |B_r| and k_local = max
-    |B_2r|, the component bound the scheme certifies, need no sweep of
-    their own.
+    sums hold for honest labels.  The coloring also returns max |B_r| and
+    max |B_2r|, so alpha's top rung and k_local = max |B_2r|, the component
+    bound the scheme certifies, need no sweep of their own.
 
     Rounding may move each distribution by at most (eps' - eps)/3, so every
     edge of the quantized witness g measures at most eps + 2(eps' - eps)/3
@@ -244,9 +226,9 @@ def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
     _require_uniform(report, eps_prime)  # only a support outside its ball fails here
     G = w.graph
     n = G.n
-    colors, sizes = distance_coloring(G, 2 * r + 1)
+    colors, ball_r, k_local = distance_coloring(G, r)
     budget = (eps_prime - eps) / 3
-    alpha = math.ceil(sizes[min(r, len(sizes) - 1)] / budget)
+    alpha = math.ceil(ball_r / budget)
     # each vertex's shape, the index of its (denominator, numerator multiset)
     index = {}
     shape_of = [index.setdefault((f.den, tuple(sorted(f.num.values()))), len(index))
@@ -275,7 +257,6 @@ def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
     # in place, so each list row is freed as its tuple is made
     for z, row in enumerate(tables):
         tables[z] = tuple(row)
-    k_local = sizes[min(2 * r, len(sizes) - 1)]
     return ProofLabeling(params, colors, tuple(tables), k_local)
 
 

@@ -63,15 +63,14 @@ def encode_as_written(w: lc.WitnessFunction, eps_prime: Fraction) -> lc.ProofLab
     supports outside their balls, and witnesses quantized by hand.
     """
     (alpha,) = {f.den for f in w.dists.values()}
-    colors, sizes = lc.distance_coloring(w.graph, 2 * w.radius + 1)
+    colors, _, k_local = lc.distance_coloring(w.graph, w.radius)
     palette = max(colors) + 1
     tables = [[0] * palette for _ in range(w.graph.n)]
     for x, c in enumerate(colors):
         for z, t in w.dists[x].num.items():
             tables[z][c] = t
     params = lc.SchemeParams(r=w.radius, eps_prime=eps_prime, alpha=alpha, palette=palette)
-    return lc.ProofLabeling(params, colors, tuple(map(tuple, tables)),
-                            sizes[min(2 * w.radius, len(sizes) - 1)])
+    return lc.ProofLabeling(params, colors, tuple(map(tuple, tables)), k_local)
 
 
 def discretized(w: lc.WitnessFunction, alpha: int) -> lc.WitnessFunction:

@@ -24,11 +24,10 @@ from localcert.graphs import bfs
 
 
 def reference_greedy_coloring(G, q):
-    """The greedy coloring of the q-th power, vertices in id order, and max |B_s| for s = 0..q.
+    """The greedy coloring of the q-th power, vertices in id order.
 
     Each vertex takes the least color absent from its q-ball, read by a fresh
-    BFS; sizes[s] is the largest ball of radius s, read by a fresh BFS per
-    vertex and radius (0 on an empty graph).
+    BFS.
     """
     colors = [-1] * G.n
     for v in range(G.n):
@@ -37,9 +36,7 @@ def reference_greedy_coloring(G, q):
         while c in taken:
             c += 1
         colors[v] = c
-    sizes = [max((len(bfs(G.adj, (x,), s)[0]) for x in range(G.n)), default=0)
-             for s in range(q + 1)]
-    return tuple(colors), sizes
+    return tuple(colors)
 
 
 def threshold_set(zeta, t):

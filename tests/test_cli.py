@@ -185,9 +185,9 @@ def test_prove_separator_file_with_k_zero(capsys, tmp_path):
      {2: 64, 5: 64}, 112),
     # the auto witness is tightened to r = 12, whose searches record its
     # supports; max |B_12| for alpha is read from the distance-25 coloring,
-    # where the root's search reaches the whole tree, so every later vertex
-    # is measured only below radius 6, the root's eccentricity
-    ("full_tree", "2,6", ("--eps-prime", "1/2"), {25: 1, 5: 126}, 126),
+    # where the root's search reaches the whole tree, and so does its 12-ball,
+    # so no later vertex is searched
+    ("full_tree", "2,6", ("--eps-prime", "1/2"), {25: 1}, 126),
 ], ids=["uniform-ball-grid8x8", "auto-full_tree2x6"])
 def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch,
                                                         family, n, flags, want_balls, want_l1):
@@ -232,9 +232,9 @@ def test_prove_labels_golden(capsys, tmp_path, family, n, flags, digest):
 def test_prove_at_a_radius_past_the_graph(capsys, tmp_path):
     """On a 20-vertex path, --r 10**9 costs what --r 19 costs and writes its rows.
 
-    Ball profiles, and the ball sizes the coloring returns for alpha and K,
-    stop where the graph runs out, so a radius far past the diameter
-    allocates nothing per radius.
+    Every level search stops where the graph runs out, and the coloring
+    returns two ball sizes, max |B_r| for alpha and max |B_2r| for K, so a
+    radius far past the diameter allocates nothing per radius.
     """
     g = tmp_path / "p20.graph"
     labels = tmp_path / "p20.labels"

@@ -44,18 +44,21 @@ def quantized_path_witness():
 
 def test_distance_coloring_path():
     G = lc.generate(lc.FamilySpec("path", (5,)))
-    assert distance_coloring(G, 1) == ((0, 1, 0, 1, 0), [1, 3])
-    assert distance_coloring(G, 2) == ((0, 1, 2, 0, 1), [1, 3, 5])
-    # the profile stops where max |B_s| does, at radius 2, however far q reaches
-    assert distance_coloring(G, 10**9) == ((0, 1, 2, 3, 4), [1, 3, 5])
+    # (colors at distance 2r+1, max |B_r|, max |B_2r|)
+    assert distance_coloring(G, 0) == ((0, 1, 0, 1, 0), 1, 1)
+    assert distance_coloring(G, 1) == ((0, 1, 2, 3, 0), 3, 5)
+    assert distance_coloring(G, 2) == ((0, 1, 2, 3, 4), 5, 5)
+    # a radius far past the graph returns what radius 2 does
+    assert distance_coloring(G, 10**9) == ((0, 1, 2, 3, 4), 5, 5)
 
 
 def test_distance_coloring_is_proper():
     rng = random.Random(401)
     for _ in range(20):
         G = random_family_graph(rng)
-        q = rng.randint(1, 4)
-        colors, _ = distance_coloring(G, q)
+        r = rng.randint(0, 4)
+        q = 2 * r + 1
+        colors, _, _ = distance_coloring(G, r)
         assert len(colors) == G.n
         for v in range(G.n):
             for u in range(v):
@@ -81,28 +84,22 @@ def sweep_cases():
         cases.append((G, rng.randint(1, 6)))
     cases.append((lc.generate(lc.FamilySpec("path", (1,))), 3))
     cases.append((lc.build_graph([], 2, n=0), 2))
-    cases.append((lc.generate(lc.FamilySpec("cycle", (7,))), 9))  # q beyond the diameter 3
+    cases.append((lc.generate(lc.FamilySpec("cycle", (7,))), 9))  # r beyond the diameter 3
     cases.append((lc.generate(lc.FamilySpec("full_tree", (2, 3))), 12))
     return cases
 
 
-def assert_matches_reference(G, q):
-    """Colors equal the plain greedy loop's; sizes is its max |B_s| profile, trimmed.
-
-    sizes[min(s, len - 1)] is the fresh max |B_s| for every s <= q, and the
-    profile ends at the first radius where that maximum reaches max |B_q|.
-    """
-    colors, sizes = distance_coloring(G, q)
-    want_colors, fresh = reference_greedy_coloring(G, q)
-    assert colors == want_colors
-    assert len(sizes) == fresh.index(fresh[q]) + 1
-    for s in range(q + 1):
-        assert sizes[min(s, len(sizes) - 1)] == fresh[s]
+def assert_matches_reference(G, r):
+    """Colors equal the plain greedy loop's at distance 2r+1, and the two sizes
+    are the fresh max |B_r| and max |B_2r|."""
+    want = (reference_greedy_coloring(G, 2 * r + 1),
+            max_ball_size_actual(G, r), max_ball_size_actual(G, 2 * r))
+    assert distance_coloring(G, r) == want
 
 
-@pytest.mark.parametrize("G, q", sweep_cases())
-def test_coloring_sweep_records_ball_size_profile(G, q):
-    assert_matches_reference(G, q)
+@pytest.mark.parametrize("G, r", sweep_cases())
+def test_coloring_sweep_records_ball_size_profile(G, r):
+    assert_matches_reference(G, r)
 
 
 def diameter(G):
@@ -114,8 +111,9 @@ def diameter(G):
 @given(seed=st.integers(0, 2**32 - 1), parts=st.integers(1, 3), past=st.integers(0, 4),
        relabel=st.booleans())
 def test_coloring_matches_reference_property(seed, parts, past, relabel):
-    """Random family graphs and their disjoint unions, some components whole at q and
-    some not, with q up to a few past the largest diameter; ids optionally shuffled."""
+    """Random family graphs and their disjoint unions, with r up to a few past the
+    largest diameter: some components are whole at 2r+1 and some not, and some
+    whole ones reach past r (r < ecc <= 2r); ids optionally shuffled."""
     rng = random.Random(seed)
     G = random_family_graph(rng)
     for _ in range(parts - 1):
@@ -128,12 +126,12 @@ def test_coloring_matches_reference_property(seed, parts, past, relabel):
 
 
 def test_coloring_mixes_a_whole_component_with_a_larger_one():
-    """At q = 5 the tree's balls are its component and the grid's are not."""
+    """At r = 2 (q = 5) the tree's balls are its component and the grid's are not."""
     tree = lc.generate(lc.FamilySpec("full_tree", (2, 2)))
     grid = lc.generate(lc.FamilySpec("grid", (6, 6)))
     for G in (disjoint_union(tree, grid), disjoint_union(grid, tree)):
         assert diameter(tree) < 5 < diameter(grid)
-        assert_matches_reference(G, 5)
+        assert_matches_reference(G, 2)
 
 
 def spied_searches(monkeypatch):
@@ -150,41 +148,47 @@ def spied_searches(monkeypatch):
 
 
 def test_first_vertex_at_eccentricity_q_gets_no_record(monkeypatch):
-    """Path 5 at q = 4: vertex 0's search reaches everything only at radius q, so it
-    cannot tell that it is whole.  Vertex 1 (eccentricity 3) records the component,
-    and only vertex 2, with d(1, 2) + 3 <= 4, is spared its full search; it is
-    measured below radius 3, where max |B_s| first reaches 5."""
-    G = lc.generate(lc.FamilySpec("path", (5,)))
+    """Path 6 at r = 2, so q = 5: vertex 0's search reaches everything only at
+    radius q, so it cannot tell that it is whole.  Vertex 1 (eccentricity 4)
+    records the component, and only vertex 2, with d(1, 2) + 4 <= 5, is spared
+    its full search.  Max |B_2| is 4 so far, below |C| = 6, so vertex 2 is
+    searched to radius 2."""
+    G = lc.generate(lc.FamilySpec("path", (6,)))
     calls = spied_searches(monkeypatch)
-    assert distance_coloring(G, 4) == ((0, 1, 2, 3, 4), [1, 3, 5])
-    assert [radius for _, radius, _ in calls] == [4, 4, 2, 4, 4]
-    assert_matches_reference(G, 4)
+    assert distance_coloring(G, 2) == ((0, 1, 2, 3, 4, 5), 5, 6)
+    assert [radius for _, radius, _ in calls] == [5, 5, 2, 5, 5, 5]
+    assert_matches_reference(G, 2)
 
 
-@pytest.mark.parametrize("q", [7, 8, 10**9])
-def test_truncated_search_that_runs_out_is_a_whole_ball(monkeypatch, q):
-    """Path 0-2-1-3-4, the centre numbered 1.  Vertex 0 records the component
-    (eccentricity 4), and the centre is measured to radius 3, below s_C = 4, but
-    its search runs out at radius 2.  Only its ball, extended to radius 3, shows
-    max |B_3| = 5: every other ball at radius 3 is skipped or holds 4."""
+def test_truncated_search_that_runs_out_is_a_whole_ball(monkeypatch):
+    """Path 0-2-1-3-4, the centre numbered 1, at r = 3 (q = 7).  Vertex 0
+    records the component (eccentricity 4), and its 3-ball holds 4 of the 5
+    vertices.  The centre, with d(0, 1) + 4 <= 7, is spared its full search and
+    searched to radius 3, but that search runs out at radius 2: only its ball
+    shows max |B_3| = 5.  Vertices 2 and 3 are spared and need no search once
+    max |B_3| = |C|; vertex 4, at d(0, 4) + 4 = 8, is searched to q."""
     G = lc.build_graph([(0, 2), (2, 1), (1, 3), (3, 4)], 2)
     calls = spied_searches(monkeypatch)
-    assert distance_coloring(G, q) == ((0, 1, 2, 3, 4), [1, 3, 5])
-    assert calls[:2] == [(0, q, 5), (1, 3, 5)]
-    if q < 10**9:
-        assert_matches_reference(G, q)
+    assert distance_coloring(G, 3) == ((0, 1, 2, 3, 4), 5, 5)
+    assert calls == [(0, 7, 5), (1, 3, 5), (4, 7, 5)]
+    assert_matches_reference(G, 3)
 
 
-@pytest.mark.parametrize("family, params, q, volume", [
-    # B_29 is the whole tree: one full search, then searches cut below s_C <= 9
-    ("full_tree", (2, 9), 29, 75_777),
-    # no grid ball at radius 21 is its component: every vertex is searched to q
-    ("grid", (50, 50), 21, 1_685_720),
+@pytest.mark.parametrize("family, params, r, volume", [
+    # B_29 is the whole tree: the root's search reaches it, and its 14-ball is
+    # the whole tree too, so no other vertex is searched
+    ("full_tree", (2, 9), 14, 1_023),
+    ("full_tree", (2, 12), 14, 8_191),
+    # B_13 is the whole tree only for the 31 vertices within depth 4; the 30
+    # after the root are searched to radius 6 (max |B_6| = 183 < n), the rest to 13
+    ("full_tree", (2, 9), 6, 340_353),
+    # no grid ball at radius 21 is its component: every vertex is searched to 2r+1
+    ("grid", (50, 50), 10, 1_685_720),
 ])
-def test_coloring_searched_volume(monkeypatch, family, params, q, volume):
+def test_coloring_searched_volume(monkeypatch, family, params, r, volume):
     """Count, not time: the number of ball vertices the level searches visit."""
     calls = spied_searches(monkeypatch)
-    distance_coloring(lc.generate(lc.FamilySpec(family, params)), q)
+    distance_coloring(lc.generate(lc.FamilySpec(family, params)), r)
     assert sum(size for _, _, size in calls) == volume
 
 

@@ -45,6 +45,7 @@ from localcert.verifier import (
     verify_locally_p,
     verify_property_a,
 )
+from reference import reference_greedy_coloring
 
 
 def permute_instance(G, labeling, perm):
@@ -197,7 +198,7 @@ def test_accepted_labeling_decodes_eps_prime_uniform():
     check rejects it: every column holds mass on shell 2.
     """
     G = lc.generate(lc.FamilySpec("random_regular", (200, 3), seed=42))
-    colors, _ = lc.distance_coloring(G, 2)
+    colors = reference_greedy_coloring(G, 2)
     palette = max(colors) + 1
     assert palette == 8
     eps_prime = Fraction(3, 10)
