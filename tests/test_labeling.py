@@ -160,18 +160,27 @@ def test_first_vertex_at_eccentricity_q_gets_no_record(monkeypatch):
     assert_matches_reference(G, 2)
 
 
-def test_truncated_search_that_runs_out_is_a_whole_ball(monkeypatch):
-    """Path 0-2-1-3-4, the centre numbered 1, at r = 3 (q = 7).  Vertex 0
-    records the component (eccentricity 4), and its 3-ball holds 4 of the 5
-    vertices.  The centre, with d(0, 1) + 4 <= 7, is spared its full search and
-    searched to radius 3, but that search runs out at radius 2: only its ball
-    shows max |B_3| = 5.  Vertices 2 and 3 are spared and need no search once
-    max |B_3| = |C|; vertex 4, at d(0, 4) + 4 = 8, is searched to q."""
+@pytest.mark.parametrize("q", [7, 8, 10**9])
+def test_truncated_search_that_runs_out_is_a_whole_ball(monkeypatch, q):
+    """Path 0-2-1-3-4, the centre numbered 1, coloured at distance q through
+    r = q // 2 (distance 2r+1 >= q).  Vertex 0 records the component
+    (eccentricity 4).  At r = 3 (q = 7) its 3-ball holds 4 of the 5 vertices;
+    the centre, with d(0, 1) + 4 <= 7, is spared its full search and searched
+    to radius 3, but that search runs out at radius 2: only its ball shows
+    max |B_3| = 5.  Vertices 2 and 3 are spared and need no search once
+    max |B_3| = |C|; vertex 4, at d(0, 4) + 4 = 8, is searched to 7.  At
+    r >= 4 vertex 0's own search runs out at radius 4 <= r, so max |B_r| = |C|
+    at once and every later vertex is spared without a search."""
+    r = q // 2
     G = lc.build_graph([(0, 2), (2, 1), (1, 3), (3, 4)], 2)
     calls = spied_searches(monkeypatch)
-    assert distance_coloring(G, 3) == ((0, 1, 2, 3, 4), 5, 5)
-    assert calls == [(0, 7, 5), (1, 3, 5), (4, 7, 5)]
-    assert_matches_reference(G, 3)
+    assert distance_coloring(G, r) == ((0, 1, 2, 3, 4), 5, 5)
+    if r == 3:
+        assert calls == [(0, 7, 5), (1, 3, 5), (4, 7, 5)]
+    else:
+        assert calls == [(0, 2 * r + 1, 5)]
+    if q < 10**9:
+        assert_matches_reference(G, r)
 
 
 @pytest.mark.parametrize("family, params, r, volume", [
