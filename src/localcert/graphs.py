@@ -103,8 +103,8 @@ def bfs(adj: Sequence[Sequence[int]], sources: Iterable[int], cutoff: int | None
     set) and lets a component sweep share one map across calls.  A ball with
     its level boundaries comes from `ball_sweep` (every center) or
     `RootedBall.around` (one center) instead; per-vertex searches that read
-    only a ball's vertices or distances (`measures.tighten_radius`,
-    `verifier.verify_locally_p`) run here.
+    only a ball's distances (`measures.tighten_radius`'s re-search past the
+    reach so far, `verifier.verify_locally_p`) run here.
     """
     if dist is None:
         dist = {}
@@ -226,8 +226,8 @@ def ball_sweep(G: BoundedDegreeGraph, q: int,
     The uniform-ball witness, the uniformity support check and the
     property-A verifier read their balls from it.  The prover's coloring
     drives `_levels` itself, with one stamp list in the same way, since it
-    skips the vertices whose balls are known to be their whole component
-    and searches some of them only to a smaller radius.
+    skips the vertices whose balls are known to be their whole component;
+    so does `measures.tighten_radius`, which reads only the stamps.
 
     `order` is B_q(x) in FIFO BFS order and ends[s] = |B_s(x)| for s <= q,
     cut short where x's component runs out (see `RootedBall`).  One stamp

@@ -5,12 +5,11 @@ g(x)(z) for nearby x from labels alone: T1 colors vertices so that equal
 colors never appear within distance 2r+1 of each other, and T2(z) stores, per
 color q, alpha * g(x)(z) for the unique q-colored x with z in B_r(x).
 `build_proof` is the whole prover: it measures the exact witness, colors
-(the coloring also returns max |B_r| and max |B_2r|, the only ball sizes
-the prover reads), sizes alpha by halving the worst-case rule's value
-while every vertex's exact rounding error stays within the budget that
-rule guarantees, and quantizes the witness into g while it writes the
-tables.  The rounding is `measures.discretize`'s rule, applied in the
-scatter loop itself; tests hold the tables to `discretize` as the
+(the coloring also returns max |B_2r|, the only ball size the prover
+reads), takes the least alpha at which every vertex's exact rounding error
+stays within (eps' - eps)/3, and quantizes the witness into g while it
+writes the tables.  The rounding is `measures.discretize`'s rule, applied
+in the scatter loop itself; tests hold the tables to `discretize` as the
 reference.
 
 Text format:
@@ -27,16 +26,21 @@ r (`verifier.locality_radius`), and never reads K.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, filterfalse
+from itertools import chain, count, filterfalse
 from pathlib import Path
 
 from .errors import FormatError, WitnessTooRough
 from .graphs import BoundedDegreeGraph, _levels
-from .measures import WitnessFunction, _require_uniform, check_uniformity, rounding_plan
+from .measures import (
+    WitnessFunction,
+    _floored,
+    _require_uniform,
+    check_uniformity,
+    rounding_plan,
+)
 
 
 @dataclass(frozen=True)
@@ -111,36 +115,33 @@ class ProofLabeling:
 class _Whole:
     """A component C known to be the q-ball of some of its vertices.
 
-    `used` holds every color given in C so far, `free` is the least color
-    that may be unused (it only moves up, as `used` only grows), and `size`
-    is |C|.
+    `used` holds every color given in C so far, and `free` is the least
+    color that may be unused (it only moves up, as `used` only grows).
     """
 
-    __slots__ = ("used", "free", "size")
+    __slots__ = ("used", "free")
 
-    def __init__(self, used: set[int], free: int, size: int):
+    def __init__(self, used: set[int], free: int):
         self.used = used
         self.free = free
-        self.size = size
 
 
-def distance_coloring(G: BoundedDegreeGraph, r: int) -> tuple[tuple[int, ...], int, int]:
-    """Greedy coloring of the (2r+1)-th graph power, vertices in id order; max |B_r|; max |B_2r|.
+def distance_coloring(G: BoundedDegreeGraph, r: int) -> tuple[tuple[int, ...], int]:
+    """Greedy coloring of the (2r+1)-th graph power, vertices in id order; max |B_2r|.
 
     Any two vertices within distance q = 2r+1 receive different colors; each
     vertex takes the smallest color unused in its q-ball so far.  Palette
     size is whatever the greedy run needed (at most max |B_q| by a counting
-    argument).  The sweep also measures the two ball sizes the prover
-    reads, max_x |B_r(x)| and max_x |B_2r(x)| (both 0 on an empty graph).
+    argument).  The sweep also measures the one ball size the prover reads,
+    max_x |B_2r(x)| (0 on an empty graph).
 
     When the level search from a vertex u runs out before radius q, u has
-    reached its whole component C, of eccentricity e = ecc(u) <= 2r.  A
-    later vertex x of C with d(u, x) + e <= q then has C as its q-ball, so
-    it takes the least color unused in C with no search for it.  Its 2r-ball
-    cannot exceed u's, which is C; it is searched to radius r only while
-    max |B_r| is still below |C|.  On full_tree(2, 9) at r = 14 the
-    searches visit 1 023 ball vertices rather than n^2 = 1 046 529; grids
-    and cycles far larger than q never take this path.
+    reached its whole component C, of eccentricity e = ecc(u) <= 2r, so u's
+    2r-ball is C.  A later vertex x of C with d(u, x) + e <= q then has C as
+    its q-ball, so it takes the least color unused in C with no search, and
+    its 2r-ball cannot exceed C.  On full_tree(2, 9) at r = 14 the root's
+    search is the only one; grids and cycles far larger than q never take
+    this path.
     """
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
@@ -150,7 +151,7 @@ def distance_coloring(G: BoundedDegreeGraph, r: int) -> tuple[tuple[int, ...], i
     mark = [-1] * G.n  # the level search's stamp list, shared by every center
     # home[x] = (d(u, x) + ecc(u), C) once some u of x's component C reached all of C
     home: list[tuple[int, _Whole] | None] = [None] * G.n
-    ball_r = ball_2r = 0
+    ball_2r = 0
     for v in range(G.n):
         reach, whole = home[v] or (q + 1, None)
         if reach <= q:
@@ -158,12 +159,9 @@ def distance_coloring(G: BoundedDegreeGraph, r: int) -> tuple[tuple[int, ...], i
                 whole.free += 1
             colors[v] = whole.free
             whole.used.add(whole.free)
-            if ball_r < whole.size:
-                ball_r = max(ball_r, len(_levels(adj, v, r, mark)[0]))
             continue
         ball, ends = _levels(adj, v, q, mark)
         # ends stops at v's eccentricity when its component runs out
-        ball_r = max(ball_r, ends[min(r, len(ends) - 1)])
         ball_2r = max(ball_2r, ends[min(2 * r, len(ends) - 1)])
         # -1 (not yet colored) never blocks a color
         taken = set(map(colors.__getitem__, ball))
@@ -174,18 +172,39 @@ def distance_coloring(G: BoundedDegreeGraph, r: int) -> tuple[tuple[int, ...], i
             # the search ran out: ball is v's component, at eccentricity len(ends) - 1
             taken.discard(-1)
             taken.add(c)
-            whole = _Whole(taken, c, len(ball))
+            whole = _Whole(taken, c)
             ecc = len(ends) - 1
             start = 0
             for s, end in enumerate(ends):
                 for x in ball[start:end]:
                     home[x] = (s + ecc, whole)
                 start = end
-    return tuple(colors), ball_r, ball_2r
+    return tuple(colors), ball_2r
+
+
+def _least_alpha(shapes: list[tuple[int, Counter]], budget: Fraction) -> int:
+    """The least alpha >= 1 at which every shape's exact rounding error is within budget.
+
+    A shape (den, counts) is within budget iff 2 * floored <= budget * alpha
+    * den (`measures.rounding_plan`'s error), decided in integers.  The shape
+    that failed last is tried first, so most candidates cost one shape.
+    Each atom is off by less than 1/alpha, so every shape passes once alpha
+    reaches max |supp| / budget, and the scan stops there at the latest.
+    """
+    bnum, bden = budget.numerator, budget.denominator
+    last = 0
+    for alpha in count(1):
+        for i in chain(range(last, len(shapes)), range(last)):
+            den, counts = shapes[i]
+            if 2 * bden * _floored(den, counts, alpha) > bnum * alpha * den:
+                last = i
+                break
+        else:
+            return alpha
 
 
 def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
-    """The prover: measure w, size alpha, color w.graph, and encode w at target eps'.
+    """The prover: measure w, color w.graph, size alpha, and encode w at target eps'.
 
     w must measure below eps' (WitnessTooRough otherwise) with every support
     inside its ball B_r(x) (NotUniform otherwise).  The coloring is at
@@ -193,17 +212,17 @@ def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
     apart, so no table slot has two owners, x's own color is zero on shell
     r+1 of its ball, and a neighbor y's color has no owner but y whose
     radius-r ball meets B_r(x); the verifier's support check and exact l1
-    sums hold for honest labels.  The coloring also returns max |B_r| and
-    max |B_2r|, so alpha's top rung and k_local = max |B_2r|, the component
-    bound the scheme certifies, need no sweep of their own.
+    sums hold for honest labels.  The coloring also returns max |B_2r|, so
+    k_local, the component bound the scheme certifies, needs no sweep of
+    its own.
 
     Rounding may move each distribution by at most (eps' - eps)/3, so every
     edge of the quantized witness g measures at most eps + 2(eps' - eps)/3
-    < eps'.  alpha = ceil(3 max |B_r| / (eps' - eps)) keeps every vertex
-    inside that budget whatever its remainders, so it is the top rung of a
-    ladder: alpha is halved (rounding up) while every vertex's exact error
-    (`measures.rounding_plan`) stays within the budget, and the first rung
-    that fails ends the descent.
+    < eps'.  alpha is the least one at which every vertex's exact error
+    (`measures.rounding_plan`) stays within that budget, found by an
+    ascending scan (`_least_alpha`).  The error is not monotone in alpha,
+    so the scan tries every candidate from 1 up; halving or bisecting would
+    skip rungs that fit.
 
     Each table is scattered from the supports, T[z][c(x)] = alpha * g(x)(z),
     one vertex at a time, so g never exists as a whole.  g(x) follows
@@ -226,21 +245,14 @@ def build_proof(w: WitnessFunction, eps_prime: Fraction) -> ProofLabeling:
     _require_uniform(report, eps_prime)  # only a support outside its ball fails here
     G = w.graph
     n = G.n
-    colors, ball_r, k_local = distance_coloring(G, r)
-    budget = (eps_prime - eps) / 3
-    alpha = math.ceil(ball_r / budget)
+    colors, k_local = distance_coloring(G, r)
     # each vertex's shape, the index of its (denominator, numerator multiset)
     index = {}
     shape_of = [index.setdefault((f.den, tuple(sorted(f.num.values()))), len(index))
                 for f in map(w.dists.__getitem__, range(n))]
     shapes = [(den, Counter(nums)) for den, nums in index]
+    alpha = _least_alpha(shapes, (eps_prime - eps) / 3)
     plans = [rounding_plan(den, counts, alpha) for den, counts in shapes]
-    while alpha > 1:
-        half = (alpha + 1) // 2
-        lower = [rounding_plan(den, counts, half) for den, counts in shapes]
-        if any(plan.error > budget for plan in lower):
-            break
-        alpha, plans = half, lower
     palette = max(colors) + 1
     params = SchemeParams(r=r, eps_prime=eps_prime, alpha=alpha, palette=palette)
     tables = [[0] * palette for _ in range(n)]

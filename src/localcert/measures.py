@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul, sub
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InfeasibleAlpha, NotUniform
-from .graphs import BoundedDegreeGraph, ball_sweep, bfs
+from .graphs import BoundedDegreeGraph, _levels, ball_sweep, bfs
 
 
 class RationalDist:
@@ -89,18 +91,18 @@ def l1_distance(p: RationalDist, q: RationalDist) -> Fraction:
     g = gcd(pd, qd): p's numerators scale by qd // g and q's by pd // g.
     Over one shared denominator both factors are 1, so witnesses that share
     a large denominator (the separator witnesses) cost no multi-digit
-    cross-multiplication.
+    cross-multiplication.  q's values on p's support are gathered in one C
+    call; the rest of q's mass, qd minus what that gathered, lies outside
+    p's support.
     """
     pd, qd = p.den, q.den
     g = math.gcd(pd, qd)
     ps, qs = qd // g, pd // g
-    pn, qn = p.num, q.num
-    total = 0
-    for z, c in pn.items():
-        total += abs(c * ps - qn.get(z, 0) * qs)
-    for z, c in qn.items():
-        if z not in pn:
-            total += c * qs
+    pn = p.num
+    qv = list(map(q.num.get, pn, repeat(0)))
+    pv = pn.values() if ps == 1 else map(mul, pn.values(), repeat(ps))
+    qw = qv if qs == 1 else map(mul, qv, repeat(qs))
+    total = sum(map(abs, map(sub, pv, qw))) + qs * (qd - sum(qv))
     return Fraction(total, pd * ps)
 
 
@@ -207,22 +209,28 @@ def tighten_radius(w: WitnessFunction) -> WitnessFunction:
     farthest distance of an atom the searches did reach, at least 1, and a
     witness declared at radius 0 keeps radius 0.
 
-    Exact, one BFS per vertex.  Each BFS stops at the best reach found so far,
-    and only a vertex with an atom beyond it is searched again out to the
-    declared radius, so the total work tracks the final reach rather than the
-    declared radius.  These searches see every atom, so when every atom was
-    reached within the final radius, the result records that its supports
-    lie in their balls and check_uniformity runs no sweep of its own;
-    otherwise nothing is recorded.
+    Exact, one level search per vertex with one stamp list (`graphs._levels`),
+    so an atom was reached iff its stamp is the vertex's own.  Each search
+    stops at the best reach found so far, and only a vertex with an atom
+    beyond it is searched again, by BFS out to the declared radius, so the
+    total work tracks the final reach rather than the declared radius.
+    These searches see every atom, so when every atom was reached within
+    the final radius, the result records that its supports lie in their
+    balls and check_uniformity runs no sweep of its own; otherwise nothing
+    is recorded.
     """
-    adj = w.graph.adj
+    adj, n = w.graph.adj, w.graph.n
+    mark = [-1] * n
     # the reach so far: a radius-0 witness is first searched at 0, not beyond it
     best = min(1, w.radius)
     reached = True
-    for x in range(w.graph.n):
+    for x in range(n):
         supp = w.dists[x].num.keys()
-        _, dist = bfs(adj, (x,), best)
-        if all(z in dist for z in supp):
+        _levels(adj, x, best, mark)
+        # an atom the search missed keeps an earlier center's stamp, or -1; an
+        # id outside 0..n-1 has no stamp to read (a negative one would index
+        # from the end), so only the re-search may judge it
+        if 0 <= min(supp) and max(supp) < n and min(map(mark.__getitem__, supp)) == x:
             continue
         _, dist = bfs(adj, (x,), w.radius)
         found = [dist[z] for z in supp if z in dist]
@@ -292,6 +300,24 @@ def discretize(f: RationalDist, alpha: int) -> RationalDist:
     return RationalDist(alpha, floors)
 
 
+def _floored(den: int, counts: Mapping[int, int], alpha: int) -> int:
+    """The remainders c * alpha mod den that `discretize`'s rule leaves floored, summed.
+
+    counts is as in `rounding_plan`.  The remainders sum to the deficit times
+    den, and the deficit's worth of largest remainders are raised; the rest
+    is the sum.  Twice it, over alpha * den, is the rounding's l1 error.
+    """
+    rems = sorted([(c * alpha % den, k) for c, k in counts.items()], reverse=True)
+    total = sum([rem * k for rem, k in rems])
+    need = total // den
+    for rem, k in rems:
+        if need <= k:
+            return total - rem * need
+        total -= rem * k
+        need -= k
+    return total
+
+
 def rounding_plan(den: int, counts: Mapping[int, int], alpha: int) -> RoundingPlan:
     """`discretize`'s rule at alpha for every f over den whose numerators occur `counts` times.
 
@@ -303,7 +329,7 @@ def rounding_plan(den: int, counts: Mapping[int, int], alpha: int) -> RoundingPl
     atom is off by rem / (alpha * den) and a raised one by
     (den - rem) / (alpha * den); the remainders sum to the deficit times
     den, so the raised atoms' costs sum to the floored atoms' remainders,
-    and the error is twice those over alpha * den.
+    and the error is twice those (`_floored`) over alpha * den.
     """
     if alpha < 1:
         raise InfeasibleAlpha(f"alpha must be a positive integer, got {alpha}")
@@ -312,17 +338,16 @@ def rounding_plan(den: int, counts: Mapping[int, int], alpha: int) -> RoundingPl
         lift[c], rem = divmod(c * alpha, den)
         by_rem.setdefault(rem, []).append(c)
     need = alpha - sum(lift[c] * k for c, k in counts.items())
-    tied, extra, floored = None, 0, 0
+    tied, extra = None, 0
     for rem in sorted(by_rem, reverse=True):
         cs = by_rem[rem]
         size = sum(map(counts.__getitem__, cs))
         raised = min(need, size)
         need -= raised
-        floored += rem * (size - raised)
         if raised == size:
             for c in cs:
                 lift[c] += 1
         elif raised:
             tied, extra = (None if len(cs) == len(counts) else frozenset(cs)), raised
-    return RoundingPlan(lift, tied, extra, Fraction(2 * floored, alpha * den))
-
+    error = Fraction(2 * _floored(den, counts, alpha), alpha * den)
+    return RoundingPlan(lift, tied, extra, error)

@@ -24,13 +24,17 @@ from .graphs import BoundedDegreeGraph, bfs, components, max_ball_size_bound
 from .measures import RationalDist, WitnessFunction
 
 
-def is_k_separator(G: BoundedDegreeGraph, Y: Iterable[int], K: int) -> bool:
-    """True iff every component of G - Y has at most K vertices."""
-    removed = set(Y)
+def _pieces(G: BoundedDegreeGraph, removed: set[int] | frozenset[int]) -> list[list[int]]:
+    """The components of G - removed, after checking that removed lies in G."""
     for v in removed:
         if not 0 <= v < G.n:
             raise ValueError(f"separator vertex {v} outside graph")
-    return all(len(c) <= K for c in components(G, removed))
+    return components(G, removed)
+
+
+def is_k_separator(G: BoundedDegreeGraph, Y: Iterable[int], K: int) -> bool:
+    """True iff every component of G - Y has at most K vertices."""
+    return all(len(c) <= K for c in _pieces(G, set(Y)))
 
 
 class SeparatorDistribution:
@@ -38,6 +42,9 @@ class SeparatorDistribution:
 
     Samples with identical separator sets are merged.  Construction validates
     everything: positive weights summing to one, and every Y a K-separator.
+    `pieces[i]` keeps the components of G - Y that the K check swept, for
+    the i-th sample of `support`, so the witness mix reads them instead of
+    sweeping again.
     """
 
     def __init__(self, graph: BoundedDegreeGraph, K: int,
@@ -51,11 +58,13 @@ class SeparatorDistribution:
         if not merged:
             raise InvalidDistribution("empty support")
         total = Fraction(0)
+        pieces: dict[frozenset[int], list[list[int]]] = {}
         for fs, wt in merged.items():
             if wt <= 0:
                 raise InvalidDistribution(f"nonpositive weight {wt}")
             total += wt
-            if not is_k_separator(graph, fs, K):
+            comps = pieces[fs] = _pieces(graph, fs)
+            if any(len(c) > K for c in comps):
                 raise InvalidDistribution(
                     f"sample {sorted(fs)} leaves a component larger than K={K}"
                 )
@@ -63,9 +72,11 @@ class SeparatorDistribution:
             raise InvalidDistribution(f"weights sum to {total}, expected 1")
         self.graph = graph
         self.K = K
+        order = sorted((tuple(sorted(fs)), wt, fs) for fs, wt in merged.items())
         self.support: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(
-            sorted(((tuple(sorted(fs)), wt) for fs, wt in merged.items()))
+            (Y, wt) for Y, wt, _ in order
         )
+        self.pieces: tuple[list[list[int]], ...] = tuple(pieces[fs] for _, _, fs in order)
 
     def __len__(self) -> int:
         return len(self.support)
@@ -88,14 +99,15 @@ def witness_from_separators(dist: SeparatorDistribution) -> WitnessFunction:
     """Mix per-separator measures into a witness of radius max(K, 1) on dist.graph.
 
     For each sample Y: a vertex x in Y contributes weight * delta_x, a vertex
-    x outside Y spreads weight uniformly over its component of G - Y.  All
-    arithmetic happens over one common denominator, so the mix is exact.
+    x outside Y spreads weight uniformly over its component of G - Y, read
+    from `dist.pieces`, the sweep the distribution's K check already ran.
+    All arithmetic happens over one common denominator, so the mix is exact.
     Components of G - Y have at most K vertices, so every support lies within
     K of its vertex.  A labeling needs radius at least 1, and K = 0 (every Y
     is all of V, so f(x) = delta_x) would declare 0.
     """
     G = dist.graph
-    samples = [(Y, wt, components(G, Y)) for Y, wt in dist.support]
+    samples = [(Y, wt, comps) for (Y, wt), comps in zip(dist.support, dist.pieces)]
     den = 1
     for _, wt, comps in samples:
         den = math.lcm(den, wt.denominator)

@@ -63,7 +63,7 @@ def encode_as_written(w: lc.WitnessFunction, eps_prime: Fraction) -> lc.ProofLab
     supports outside their balls, and witnesses quantized by hand.
     """
     (alpha,) = {f.den for f in w.dists.values()}
-    colors, _, k_local = lc.distance_coloring(w.graph, w.radius)
+    colors, k_local = lc.distance_coloring(w.graph, w.radius)
     palette = max(colors) + 1
     tables = [[0] * palette for _ in range(w.graph.n)]
     for x, c in enumerate(colors):

@@ -3,6 +3,10 @@
 `reference_greedy_coloring` searches every vertex's q-ball afresh, where
 `distance_coloring` skips the searches a whole component makes needless.
 
+`reference_least_alpha` tries alpha = 1, 2, ... against every vertex's
+`rounding_plan` error as a Fraction, where `build_proof` compares integers
+per distinct shape and tries the shape that failed last first.
+
 `extract_partition` keeps one projection up to date across cuts; this module
 recomputes everything after every cut instead.  Each round projects the
 witness onto the remaining vertices R (every atom moves to its nearest point
@@ -16,11 +20,14 @@ reads a private name of the package.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import count
 
 import localcert as lc
 from localcert.errors import NoQualifyingSet, NotUniform
 from localcert.graphs import bfs
+from localcert.measures import rounding_plan
 
 
 def reference_greedy_coloring(G, q):
@@ -37,6 +44,15 @@ def reference_greedy_coloring(G, q):
             c += 1
         colors[v] = c
     return tuple(colors)
+
+
+def reference_least_alpha(w, eps_prime):
+    """The least alpha >= 1 at which every vertex's rounding error is within (eps' - eps)/3."""
+    budget = (eps_prime - lc.check_uniformity(w).max_edge_l1) / 3
+    for alpha in count(1):
+        if all(rounding_plan(f.den, Counter(f.num.values()), alpha).error <= budget
+               for f in w.dists.values()):
+            return alpha
 
 
 def threshold_set(zeta, t):

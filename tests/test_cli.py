@@ -94,8 +94,8 @@ def test_prove_auto_path(p11, capsys, tmp_path):
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "5/6",
                        "--out", str(labels))
     assert code == 0
-    assert err == "measured_eps = 4/5\nradius = 3\nalpha = 315\npalette = 8\nK = 11\n"
-    assert labels.read_text().startswith("labels 11 3 315 8 5/6 11\n")
+    assert err == "measured_eps = 4/5\nradius = 3\nalpha = 60\npalette = 8\nK = 11\n"
+    assert labels.read_text().startswith("labels 11 3 60 8 5/6 11\n")
 
 
 def test_prove_auto_notes_an_unused_r(p11, capsys, tmp_path):
@@ -121,7 +121,7 @@ def test_prove_auto_cycle_rounds_shift(capsys, tmp_path):
                        "--out", str(labels))
     assert code == 0
     assert "measured_eps = 2/3\nradius = 4\n" in err
-    assert labels.read_text().startswith("labels 12 4 81 12 5/6 12\n")
+    assert labels.read_text().startswith("labels 12 4 29 12 5/6 12\n")
 
 
 def test_prove_auto_tree_then_verify(capsys, tmp_path):
@@ -131,7 +131,7 @@ def test_prove_auto_tree_then_verify(capsys, tmp_path):
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "3/4",
                        "--out", str(labels))
     assert code == 0
-    assert labels.read_text().startswith("labels 31 8 558 31 3/4 31\n")
+    assert labels.read_text().startswith("labels 31 8 176 31 3/4 31\n")
     code, out, _ = run(capsys, "verify", str(g), str(labels))
     assert code == 0
     assert out == "verdict accept\n"
@@ -184,9 +184,9 @@ def test_prove_separator_file_with_k_zero(capsys, tmp_path):
     ("grid", "8,8", ("--witness", "uniform-ball", "--r", "2", "--eps-prime", "3/2"),
      {2: 64, 5: 64}, 112),
     # the auto witness is tightened to r = 12, whose searches record its
-    # supports; max |B_12| for alpha is read from the distance-25 coloring,
-    # where the root's search reaches the whole tree, and so does its 12-ball,
-    # so no later vertex is searched
+    # supports; max |B_24| for K is read from the distance-25 coloring,
+    # where the root's search reaches the whole tree, so no later vertex is
+    # searched
     ("full_tree", "2,6", ("--eps-prime", "1/2"), {25: 1}, 126),
 ], ids=["uniform-ball-grid8x8", "auto-full_tree2x6"])
 def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch,
@@ -205,8 +205,8 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
     monkeypatch.setattr(measures, "l1_distance", counting_l1)
     code, _, _ = run(capsys, "prove", str(g), *flags, "--out", str(tmp_path / "g.labels"))
     assert code == 0
-    # K = max |B_2r| and alpha's max |B_r| come from the sizes the coloring
-    # returns, and the tables are scattered from the supports
+    # K = max |B_2r| comes from the size the coloring returns, alpha from the
+    # supports' shapes, and the tables are scattered from the supports
     assert balls == want_balls
     if family == "grid":
         assert searches == {}  # no ball is read outside the sweep
@@ -215,13 +215,14 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
 
 @pytest.mark.parametrize("family, n, flags, digest", [
     ("grid", "12,12", ("--witness", "uniform-ball", "--r", "3", "--eps-prime", "3/4"),
-     "ee5d38734b1035635e16b4f4625a72c6d8623b96d15f7730a0fcee0b21e00ce3"),
+     "be486f67e5323cb4f0abec7aef27d89574ce5b50f991664d044d4a76727f4844"),
     ("full_tree", "2,5", ("--eps-prime", "1/2"),
-     "b01045568f8c6c88ce58433fbafba7f0f1b6dd317f7c28b6e134a7c306762993"),
+     "d3afd93283041be46f1bde86842176b6848e882575e4ae36da44ae08fd078225"),
 ], ids=["grid-12,12", "full_tree-2,5"])
 def test_prove_labels_golden(capsys, tmp_path, family, n, flags, digest):
-    """Digests recorded with alpha halved from its top rung (900 -> 450 on the
-    grid, 3402 -> 1701 on the tree) and the coloring at distance 2r+1."""
+    """Digests recorded with the least alpha within budget (392 on the grid, 552
+    on the tree, where halving from the worst-case rule gave 450 and 1701) and
+    the coloring at distance 2r+1."""
     g = tmp_path / "g.graph"
     run(capsys, "gen", "--family", family, "--n", n, "--out", str(g))
     code, out, _ = run(capsys, "prove", str(g), *flags)
@@ -233,8 +234,10 @@ def test_prove_at_a_radius_past_the_graph(capsys, tmp_path):
     """On a 20-vertex path, --r 10**9 costs what --r 19 costs and writes its rows.
 
     Every level search stops where the graph runs out, and the coloring
-    returns two ball sizes, max |B_r| for alpha and max |B_2r| for K, so a
-    radius far past the diameter allocates nothing per radius.
+    returns one ball size, max |B_2r| for K, so a radius far past the
+    diameter allocates nothing per radius.  Every ball is the whole path, so
+    each vertex is uniform over 20 and alpha is the least a with
+    2(20 - a)/20 <= 1/6 (eps = 0), 19.
     """
     g = tmp_path / "p20.graph"
     labels = tmp_path / "p20.labels"
@@ -245,7 +248,7 @@ def test_prove_at_a_radius_past_the_graph(capsys, tmp_path):
                            "--r", r, "--eps-prime", "1/2")
         assert code == 0
         head, *rows[r] = out.splitlines()
-        assert head == f"labels 20 {r} 60 20 1/2 20"
+        assert head == f"labels 20 {r} 19 20 1/2 20"
     assert rows["19"] == rows[str(10**9)]
     labels.write_text(out)
     code, out, _ = run(capsys, "verify", str(g), str(labels))
@@ -505,7 +508,7 @@ def test_report_golden(p11, capsys):
     code, out, _ = run(capsys, "report", str(g), str(labels))
     assert code == 0
     assert out == (
-        "n = 11\nm = 10\nd = 2\nr = 3\nalpha = 315\npalette = 8\n"
+        "n = 11\nm = 10\nd = 2\nr = 3\nalpha = 60\npalette = 8\n"
         "eps_prime = 5/6\nK = 11\npredicate = planar\nverdict = accept\n"
         "rejecting = 0\napls_guarantee = 5/3\neps_decoded = 4/5\n"
         "blocks = 3\nmax_block = 4\nremoved_edges = 2\n"
@@ -531,10 +534,12 @@ def test_report_reads_each_ball_once(capsys, tmp_path, monkeypatch):
     assert "verdict = accept\n" in out
     assert balls == {3: 64}  # one B_{r+1} ball per vertex, judged and decoded
     # components passes only: one for the structural half, and one in
-    # is_planar for each of the 5 extraction blocks (of 8) that have more
-    # than 4 vertices and at most n + 2 edges, where the cyclomatic number
-    # can settle planarity
-    assert searches == {None: 6}
+    # is_planar for each extraction block with more than 4 vertices and at
+    # most n + 2 edges, where the cyclomatic number can settle planarity.
+    # At alpha = 100 the 8 blocks have (vertices, edges) (11, 14), (9, 10),
+    # (9, 10), (8, 9), (9, 11), (9, 10), (6, 6) and (3, 2): all but the first
+    # and the last qualify, 6 blocks
+    assert searches == {None: 7}
 
 
 def test_report_rejecting_exit(p11, capsys, tmp_path):

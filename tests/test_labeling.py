@@ -2,7 +2,9 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from localcert.graphs import _levels, bfs, max_ball_size_bound
 from localcert.labeling import (
     ProofLabeling,
     SchemeParams,
+    _least_alpha,
     build_proof,
     distance_coloring,
     format_labeling,
@@ -23,12 +26,14 @@ from localcert.labeling import (
 from localcert.measures import (
     RationalDist,
     WitnessFunction,
+    _floored,
     discretize,
     l1_distance,
+    rounding_plan,
     uniform_ball_witness,
 )
 from localcert.verifier import CHECK_PROBABILITY, decode_accepted_witness, verify_property_a
-from reference import reference_greedy_coloring
+from reference import reference_greedy_coloring, reference_least_alpha
 
 
 def quantized_path_witness():
@@ -44,12 +49,12 @@ def quantized_path_witness():
 
 def test_distance_coloring_path():
     G = lc.generate(lc.FamilySpec("path", (5,)))
-    # (colors at distance 2r+1, max |B_r|, max |B_2r|)
-    assert distance_coloring(G, 0) == ((0, 1, 0, 1, 0), 1, 1)
-    assert distance_coloring(G, 1) == ((0, 1, 2, 3, 0), 3, 5)
-    assert distance_coloring(G, 2) == ((0, 1, 2, 3, 4), 5, 5)
+    # (colors at distance 2r+1, max |B_2r|)
+    assert distance_coloring(G, 0) == ((0, 1, 0, 1, 0), 1)
+    assert distance_coloring(G, 1) == ((0, 1, 2, 3, 0), 5)
+    assert distance_coloring(G, 2) == ((0, 1, 2, 3, 4), 5)
     # a radius far past the graph returns what radius 2 does
-    assert distance_coloring(G, 10**9) == ((0, 1, 2, 3, 4), 5, 5)
+    assert distance_coloring(G, 10**9) == ((0, 1, 2, 3, 4), 5)
 
 
 def test_distance_coloring_is_proper():
@@ -58,7 +63,7 @@ def test_distance_coloring_is_proper():
         G = random_family_graph(rng)
         r = rng.randint(0, 4)
         q = 2 * r + 1
-        colors, _, _ = distance_coloring(G, r)
+        colors, _ = distance_coloring(G, r)
         assert len(colors) == G.n
         for v in range(G.n):
             for u in range(v):
@@ -90,10 +95,9 @@ def sweep_cases():
 
 
 def assert_matches_reference(G, r):
-    """Colors equal the plain greedy loop's at distance 2r+1, and the two sizes
-    are the fresh max |B_r| and max |B_2r|."""
-    want = (reference_greedy_coloring(G, 2 * r + 1),
-            max_ball_size_actual(G, r), max_ball_size_actual(G, 2 * r))
+    """Colors equal the plain greedy loop's at distance 2r+1, and the size is
+    the fresh max |B_2r|."""
+    want = (reference_greedy_coloring(G, 2 * r + 1), max_ball_size_actual(G, 2 * r))
     assert distance_coloring(G, r) == want
 
 
@@ -151,32 +155,29 @@ def test_first_vertex_at_eccentricity_q_gets_no_record(monkeypatch):
     """Path 6 at r = 2, so q = 5: vertex 0's search reaches everything only at
     radius q, so it cannot tell that it is whole.  Vertex 1 (eccentricity 4)
     records the component, and only vertex 2, with d(1, 2) + 4 <= 5, is spared
-    its full search.  Max |B_2| is 4 so far, below |C| = 6, so vertex 2 is
-    searched to radius 2."""
+    its search."""
     G = lc.generate(lc.FamilySpec("path", (6,)))
     calls = spied_searches(monkeypatch)
-    assert distance_coloring(G, 2) == ((0, 1, 2, 3, 4, 5), 5, 6)
-    assert [radius for _, radius, _ in calls] == [5, 5, 2, 5, 5, 5]
+    assert distance_coloring(G, 2) == ((0, 1, 2, 3, 4, 5), 6)
+    assert [(x, radius) for x, radius, _ in calls] == [(0, 5), (1, 5), (3, 5), (4, 5), (5, 5)]
     assert_matches_reference(G, 2)
 
 
 @pytest.mark.parametrize("q", [7, 8, 10**9])
 def test_truncated_search_that_runs_out_is_a_whole_ball(monkeypatch, q):
     """Path 0-2-1-3-4, the centre numbered 1, coloured at distance q through
-    r = q // 2 (distance 2r+1 >= q).  Vertex 0 records the component
-    (eccentricity 4).  At r = 3 (q = 7) its 3-ball holds 4 of the 5 vertices;
-    the centre, with d(0, 1) + 4 <= 7, is spared its full search and searched
-    to radius 3, but that search runs out at radius 2: only its ball shows
-    max |B_3| = 5.  Vertices 2 and 3 are spared and need no search once
-    max |B_3| = |C|; vertex 4, at d(0, 4) + 4 = 8, is searched to 7.  At
-    r >= 4 vertex 0's own search runs out at radius 4 <= r, so max |B_r| = |C|
-    at once and every later vertex is spared without a search."""
+    r = q // 2 (distance 2r+1 >= q).  Vertex 0's search, cut at q, runs out
+    at radius 4, its eccentricity, so its ball is the whole component and
+    max |B_2r| = |C| = 5.  At r = 3 (q = 7) the centre and vertices 2 and 3,
+    each with d(0, x) + 4 <= 7, take their colors with no search; vertex 4,
+    at d(0, 4) + 4 = 8, is searched to 7.  At r >= 4 every vertex is within
+    q - 4 of vertex 0, so vertex 0's is the only search."""
     r = q // 2
     G = lc.build_graph([(0, 2), (2, 1), (1, 3), (3, 4)], 2)
     calls = spied_searches(monkeypatch)
-    assert distance_coloring(G, r) == ((0, 1, 2, 3, 4), 5, 5)
+    assert distance_coloring(G, r) == ((0, 1, 2, 3, 4), 5)
     if r == 3:
-        assert calls == [(0, 7, 5), (1, 3, 5), (4, 7, 5)]
+        assert calls == [(0, 7, 5), (4, 7, 5)]
     else:
         assert calls == [(0, 2 * r + 1, 5)]
     if q < 10**9:
@@ -184,13 +185,13 @@ def test_truncated_search_that_runs_out_is_a_whole_ball(monkeypatch, q):
 
 
 @pytest.mark.parametrize("family, params, r, volume", [
-    # B_29 is the whole tree: the root's search reaches it, and its 14-ball is
-    # the whole tree too, so no other vertex is searched
+    # B_29 is the whole tree: the root's search reaches it, so no other
+    # vertex is searched
     ("full_tree", (2, 9), 14, 1_023),
     ("full_tree", (2, 12), 14, 8_191),
     # B_13 is the whole tree only for the 31 vertices within depth 4; the 30
-    # after the root are searched to radius 6 (max |B_6| = 183 < n), the rest to 13
-    ("full_tree", (2, 9), 6, 340_353),
+    # after the root take their colors with no search, the rest are searched to 13
+    ("full_tree", (2, 9), 6, 335_903),
     # no grid ball at radius 21 is its component: every vertex is searched to 2r+1
     ("grid", (50, 50), 10, 1_685_720),
 ])
@@ -205,15 +206,16 @@ def test_build_proof_path3_tables():
     G = lc.generate(lc.FamilySpec("path", (3,)))
     labeling = build_proof(uniform_ball_witness(G, 1), Fraction(5, 6))
     p = labeling.params
-    # the witness measures 2/3, so the top rung is ceil(3 * 3 / (5/6 - 2/3)) = 54;
-    # at 27 the halves round to 14/27 and 13/27, off by 1/27 <= (5/6 - 2/3)/3,
-    # while at 14 the thirds round to 5, 5, 4 and are off by 2/21
-    assert (p.r, p.alpha, p.palette) == (1, 27, 3)
+    # the witness measures 2/3, so the budget is (5/6 - 2/3)/3 = 1/18; below
+    # 18 an odd alpha leaves the halves off by 1/alpha, and below 24 an alpha
+    # that 3 does not divide leaves the thirds off by 4/(3 alpha), so 6, where
+    # both are exact, is the least alpha within budget
+    assert (p.r, p.alpha, p.palette) == (1, 6, 3)
     assert labeling.colors == (0, 1, 2)
     # the middle vertex is seen by all three, so its table holds each
-    # owner's mass for vertex 1: 13/27 (the tie goes to vertex 0), 9/27, 14/27
-    assert labeling.tables[1] == (13, 9, 14)
-    assert labeling.tables[0] == (14, 9, 0)
+    # owner's mass for vertex 1: 3/6, 2/6, 3/6
+    assert labeling.tables[1] == (3, 2, 3)
+    assert labeling.tables[0] == (3, 2, 0)
     assert labeling.k_local == max_ball_size_actual(G, 2)
 
 
@@ -271,7 +273,8 @@ def test_decode_round_trip_random():
 
 
 def formula_alpha(G, w, eps, eps_prime):
-    """The ladder's top rung ceil(3 max |B_r| / (eps' - eps)), with the balls read afresh."""
+    """The worst-case rule ceil(3 max |B_r| / (eps' - eps)), with the balls read afresh:
+    every remainder fits its budget there, so the least alpha is at most it."""
     max_ball = max(len(bfs(G.adj, (x,), w.radius)[0]) for x in range(G.n))
     return math.ceil(Fraction(3 * max_ball) / (eps_prime - eps))
 
@@ -282,17 +285,9 @@ def certified(w, alpha, eps, eps_prime):
     return all(l1_distance(f, discretize(f, alpha)) <= budget for f in w.dists.values())
 
 
-def reference_alpha(G, w, eps, eps_prime):
-    """The sizing rule in plain loops: halve the top rung while the half is certified."""
-    alpha = formula_alpha(G, w, eps, eps_prime)
-    while alpha > 1 and certified(w, (alpha + 1) // 2, eps, eps_prime):
-        alpha = (alpha + 1) // 2
-    return alpha
-
-
 def fused_cases():
-    """Exact witnesses with their eps' and an alpha at or above the top rung:
-    uniform balls and separator shifts."""
+    """Exact witnesses with their eps' and an alpha at or above the worst-case
+    rule's: uniform balls and separator shifts."""
     rng = random.Random(404)
     cases = []
     while len(cases) < 20:
@@ -344,7 +339,7 @@ def fused_cases():
 
 def at_prime_alpha(G, w):
     """A fused case at the least prime alpha above every ball size that keeps
-    eps' = eps + 3 max |B_r| / alpha below 2; that alpha is the top rung."""
+    eps' = eps + 3 max |B_r| / alpha below 2; that alpha is the worst-case rule's."""
     eps = lc.check_uniformity(w).max_edge_l1
     max_ball = max(len(bfs(G.adj, (x,), w.radius)[0]) for x in range(G.n))
     alpha = max_ball + 1
@@ -365,13 +360,13 @@ def assert_same_labeling(fused, staged):
 def test_fused_build_proof_matches_discretize_witness(G, w, eps, eps_prime, alpha):
     """Quantizing while scattering writes the labeling the whole quantized witness gives.
 
-    build_proof takes the alpha the plain-loop rule picks; that alpha, and
-    any at or above the top rung, keeps the whole quantized witness within
-    eps + 2(eps' - eps)/3.
+    build_proof takes the least alpha the plain loop finds; that alpha, and
+    any at or above the worst-case rule's, keeps the whole quantized witness
+    within eps + 2(eps' - eps)/3.
     """
     fused = build_proof(w, eps_prime)
     chosen = fused.params.alpha
-    assert chosen == reference_alpha(G, w, eps, eps_prime)
+    assert chosen == reference_least_alpha(w, eps_prime)
     assert chosen <= formula_alpha(G, w, eps, eps_prime) <= alpha
     assert_same_labeling(fused, encode_as_written(discretized(w, chosen), eps_prime))
     bound = eps + 2 * (eps_prime - eps) / 3
@@ -379,7 +374,7 @@ def test_fused_build_proof_matches_discretize_witness(G, w, eps, eps_prime, alph
         assert lc.check_uniformity(discretized(w, a)).max_edge_l1 <= bound
 
 
-def ladder_cases():
+def least_alpha_cases():
     grid = lc.generate(lc.FamilySpec("grid", (9, 9)))
     tree = lc.generate(lc.FamilySpec("full_tree", (2, 5)))
     cycle = lc.generate(lc.FamilySpec("cycle", (24,)))
@@ -392,21 +387,41 @@ def ladder_cases():
         pytest.param(lc.tighten_radius(lc.witness_from_separators(shift(cycle, 6))),
                      Fraction(3, 4), id="cycle24-shift6"),
         pytest.param(uniform_ball_witness(cycle, 2), Fraction(1, 2), id="cycle24-ball2"),
-        # one vertex, no edge: every rung is exact, so the ladder runs down to 1
+        # one vertex, no edge: every alpha is exact, so the scan stops at 1
         pytest.param(uniform_ball_witness(lc.generate(lc.FamilySpec("path", (1,))), 1),
                      Fraction(1, 2), id="path1-ball1"),
     ]
 
 
-@pytest.mark.parametrize("w, eps_prime", ladder_cases())
+@pytest.mark.parametrize("w, eps_prime", least_alpha_cases())
 def test_chosen_alpha_is_the_last_certified_rung(w, eps_prime):
-    """The chosen alpha keeps every vertex's rounding error within (eps' - eps)/3;
-    its half, rounded up, does not, unless alpha is already 1."""
+    """The chosen alpha keeps every vertex's rounding error, measured by l1 against
+    `discretize`, within (eps' - eps)/3, and no smaller alpha does: reading down
+    from it, it is the last certified rung."""
     eps = lc.check_uniformity(w).max_edge_l1
     alpha = build_proof(w, eps_prime).params.alpha
     assert alpha <= formula_alpha(w.graph, w, eps, eps_prime)
     assert certified(w, alpha, eps, eps_prime)
-    assert alpha == 1 or not certified(w, (alpha + 1) // 2, eps, eps_prime)
+    assert not any(certified(w, a, eps, eps_prime) for a in range(1, alpha))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(nums=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       budget=st.fractions(Fraction(1, 200), Fraction(2)), top=st.integers(1, 80))
+def test_least_alpha_integer_compare_matches_fraction_compare(nums, budget, top):
+    """At every candidate alpha up to top, the scan's integer compare on a shape
+    decides what the shape's Fraction error against the budget decides, and
+    that error is discretize's l1; the scan stops at the first alpha that fits."""
+    f = RationalDist(sum(nums), dict(enumerate(nums)))
+    den, counts = f.den, Counter(nums)
+    for alpha in range(1, top + 1):
+        error = rounding_plan(den, counts, alpha).error
+        assert error == l1_distance(f, discretize(f, alpha))
+        assert (error <= budget) == (
+            2 * budget.denominator * _floored(den, counts, alpha)
+            <= budget.numerator * alpha * den)
+    first = next(a for a in count(1) if rounding_plan(den, counts, a).error <= budget)
+    assert _least_alpha([(den, counts)], budget) == first
 
 
 def test_fused_build_proof_matches_on_proved_instances(accepted_instances):

@@ -216,18 +216,21 @@ def test_tighten_radius_records_shift_witnesses(family, params):
 
 
 def _unrecordable_witnesses():
-    """(witness, bad vertex): an atom beyond the declared radius and one outside the graph."""
+    """(witness, bad vertex): an atom beyond the declared radius, one outside the
+    graph, and a negative one whose id, read as a list index, would be vertex 9's."""
     G = lc.generate(lc.FamilySpec("path", (10,)))
     base = uniform_ball_witness(G, 1).dists
     beyond = {**base, 4: RationalDist(2, {4: 1, 9: 1})}  # d(4, 9) = 5 > 3
     outside = {**base, 2: RationalDist(2, {2: 1, 10: 1})}
+    negative = {**base, 9: RationalDist(2, {9: 1, -1: 1})}
     return {
         "beyond": (WitnessFunction(G, 3, beyond), 4),
         "outside": (WitnessFunction(G, 3, outside), 2),
+        "negative": (WitnessFunction(G, 3, negative), 9),
     }
 
 
-@pytest.mark.parametrize("case", ["beyond", "outside"])
+@pytest.mark.parametrize("case", ["beyond", "outside", "negative"])
 def test_tighten_radius_leaves_unreached_atoms_unrecorded(case):
     w, bad = _unrecordable_witnesses()[case]
     tight = tighten_radius(w)
@@ -338,11 +341,12 @@ def test_rounding_plan_is_discretize_grouped(case):
 
 
 def test_derive_alpha_examples():
-    """build_proof halves alpha from ceil(3 max |B_r| / (eps' - eps)) and needs eps' > eps."""
+    """build_proof takes the least alpha within (eps' - eps)/3 and needs eps' > eps."""
     P = lc.generate(lc.FamilySpec("path", (11,)))
-    w = uniform_ball_witness(P, 1)  # measures 2/3; max |B_1| = 3
-    # the top rung is 54; at 27 halves are off by 1/27 <= 1/18, at 14 thirds by 2/21
-    assert lc.build_proof(w, Fraction(5, 6)).params.alpha == 27
+    w = uniform_ball_witness(P, 1)  # measures 2/3; its supports are halves and thirds
+    # the budget is 1/18: an odd alpha below 18 leaves halves off by 1/alpha, and
+    # one below 24 that 3 does not divide leaves thirds off by 4/(3 alpha); 6 is exact
+    assert lc.build_proof(w, Fraction(5, 6)).params.alpha == 6
     for eps_prime in (Fraction(1, 2), Fraction(2, 3)):
         with pytest.raises(WitnessTooRough, match=f"witness measures 2/3 >= eps' = {eps_prime} "):
             lc.build_proof(w, eps_prime)

@@ -183,6 +183,24 @@ def test_separator_witness_per_sample_identity():
             assert component_of[u] == component_of[v]
 
 
+def test_witness_mixes_the_pieces_the_k_check_swept(monkeypatch):
+    """pieces[i] are the components of G - Y for the i-th sample of support, which
+    merges and sorts the samples as given, and the mix sweeps no G - Y again."""
+    P = lc.generate(lc.FamilySpec("path", (9,)))
+    d = SeparatorDistribution(P, 4, [((4,), Fraction(1, 3)), ((6, 2), Fraction(1, 3)),
+                                     ((2, 6), Fraction(1, 3))])
+    assert [Y for Y, _ in d.support] == [(2, 6), (4,)]
+    assert d.pieces == tuple(components(P, Y) for Y, _ in d.support)
+    sweeps = []
+    monkeypatch.setattr("localcert.separators.components", lambda *a: sweeps.append(a))
+    w = witness_from_separators(d)
+    assert sweeps == []
+    # 2/3 uniform on {0, 1} (Y = {2, 6}) plus 1/3 uniform on {0, 1, 2, 3} (Y = {4})
+    assert w.dists[0] == lc.RationalDist(12, {0: 5, 1: 5, 2: 1, 3: 1})
+    # 2/3 on 6 itself (in Y = {2, 6}) plus 1/3 uniform on {5, 6, 7, 8} (Y = {4})
+    assert w.dists[6] == lc.RationalDist(12, {5: 1, 6: 9, 7: 1, 8: 1})
+
+
 def test_separator_witness_edge_bound_random():
     rng = random.Random(302)
     for _ in range(10):
