@@ -68,12 +68,11 @@ from dataclasses import dataclass
 from operator import itemgetter, sub
 from typing import Callable, Sequence
 
-import networkx as nx
-
 from .errors import MalformedLabeling, NotAccepted
 from .graphs import BoundedDegreeGraph, RootedBall, ball_sweep, bfs, components, induced_subgraph
 from .labeling import ProofLabeling, SchemeParams
 from .measures import RationalDist, WitnessFunction, _record_supports_in_balls
+from .planarity import lr_planar
 
 CHECK_PROBABILITY = "probability"
 CHECK_SUPPORT = "support"
@@ -317,7 +316,11 @@ def decode_accepted_witness(G: BoundedDegreeGraph, labeling: ProofLabeling) -> W
 # --- structural predicates --------------------------------------------------
 
 def is_planar(G: BoundedDegreeGraph) -> bool:
-    """Planarity via the linear-time LR test, with cheap short-circuits."""
+    """Planarity by the package's own LR test, after cheap short-circuits.
+
+    `planarity.lr_planar` runs the testing half of the LR test on G's own
+    adjacency and builds no embedding.
+    """
     if G.n <= 4:
         return True
     if G.m > 3 * G.n - 6:
@@ -328,11 +331,7 @@ def is_planar(G: BoundedDegreeGraph) -> bool:
     # the components pass to graphs where that test can succeed.
     if G.m <= G.n + 2 and G.m - G.n + len(components(G)) <= 3:
         return True
-    H = nx.Graph()
-    H.add_nodes_from(range(G.n))
-    H.add_edges_from(G.edges())
-    ok, _ = nx.check_planarity(H, counterexample=False)
-    return ok
+    return lr_planar(G.adj)
 
 
 def is_acyclic(G: BoundedDegreeGraph) -> bool:

@@ -606,16 +606,28 @@ def test_auto_witness_needs_r_for_general_graphs(capsys, tmp_path):
     assert outs[0] == outs[1] and outs[0].startswith("labels 16 2 ")
 
 
-def run_cli_child(*args, timeout=60):
-    """Run the CLI in a child interpreter that imports the same package as
-    this test run; the timeout fails a command that never ends."""
+def run_child(*args, timeout=60):
+    """Run a child interpreter that imports the same package as this test
+    run; the timeout fails a command that never ends."""
     src = str(Path(lc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
-        [sys.executable, "-m", "localcert.cli", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def run_cli_child(*args, timeout=60):
+    return run_child("-m", "localcert.cli", *args, timeout=timeout)
+
+
+def test_cli_import_does_not_load_networkx():
+    """networkx is a test dependency only.  This session has imported it
+    already, so a fresh interpreter checks what `import localcert.cli` loads."""
+    out = run_child("-c", "import sys, localcert.cli; print('networkx' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_console_script_wiring(tmp_path):
