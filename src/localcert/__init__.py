@@ -1,9 +1,9 @@
 """Locally checkable certificates for approximately hyperfinite graphs.
 
-The pipeline: build a smooth per-vertex witness (uniform balls or separator
-shifts), quantize it to a common denominator, encode it as constant-size
-labels, verify the labels with a radius-bounded local check, and extract a
-small-boundary partition from anything the verifier accepts.
+The pipeline: build a smooth per-vertex witness (uniform balls, edge shifts
+or separator shifts), quantize it to a common denominator, encode it as
+constant-size labels, verify the labels with a radius-bounded local check,
+and extract a small-boundary partition from anything the verifier accepts.
 """
 
 from .errors import (
@@ -50,13 +50,14 @@ from .measures import (
 )
 from .separators import (
     SeparatorDistribution,
+    edge_shift_partitions,
     grid_shift_distribution,
     is_k_separator,
     max_marginal,
     path_shift_distribution,
     read_separator_distribution_file,
-    shift_family_distribution,
     tree_depth_shift_distribution,
+    witness_from_partitions,
     witness_from_separators,
     write_separator_distribution_file,
 )

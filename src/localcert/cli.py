@@ -33,8 +33,9 @@ from .hyperfinite import (
 from .labeling import build_proof, format_labeling, read_labeling_file
 from .measures import WitnessFunction, check_uniformity, tighten_radius, uniform_ball_witness
 from .separators import (
+    edge_shift_partitions,
     read_separator_distribution_file,
-    shift_family_distribution,
+    witness_from_partitions,
     witness_from_separators,
 )
 from .verifier import (
@@ -91,31 +92,29 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_shift(eps_prime: Fraction) -> int:
-    """The least k >= 2 with 4/k < eps'."""
-    return max(2, 4 // eps_prime + 1)
-
-
 def _build_witness(G: BoundedDegreeGraph, args: argparse.Namespace) -> WitnessFunction:
-    """The --witness source; auto takes the shift family when G is a canonical
-    path, cycle or tree, and the uniform-ball witness otherwise."""
-    mode, dist = args.witness, None
+    """The --witness source; auto takes the edge-shift family, at the least
+    k >= 2 with 2/k < eps', when G is a canonical cycle or a connected tree,
+    and the uniform-ball witness otherwise."""
+    mode, w = args.witness, None
     if mode == "auto":
-        dist = shift_family_distribution(G, _default_shift(args.eps_prime))
+        samples = edge_shift_partitions(G, 2 // args.eps_prime + 1)
+        if samples is not None:
+            w = witness_from_partitions(G, samples)
+            if args.r is not None:
+                sys.stderr.write(f"note: --r {args.r} went unused; --witness auto chose the "
+                                 "edge-shift witness, whose radius comes from its pieces\n")
     elif mode.startswith("separators:"):
         if args.r is not None:
             raise ValueError("--r does not apply to --witness separators:<file>, whose "
                              "radius is the distribution's K, tightened; drop --r")
-        dist = read_separator_distribution_file(mode.split(":", 1)[1], G)
+        w = witness_from_separators(read_separator_distribution_file(mode.split(":", 1)[1], G))
     elif mode != "uniform-ball":
         raise ValueError(
             f"unknown witness source {mode!r}; use uniform-ball, separators:<file>, or auto"
         )
-    if dist is not None:
-        if args.r is not None:
-            sys.stderr.write(f"note: --r {args.r} went unused; --witness auto chose the "
-                             "shift-family witness, whose radius comes from its separators\n")
-        return tighten_radius(witness_from_separators(dist))
+    if w is not None:
+        return tighten_radius(w)
     if args.r is None:
         raise ValueError("--witness uniform-ball needs --r" if mode == "uniform-ball"
                          else "no shift family matches this graph; pass --r for uniform-ball")

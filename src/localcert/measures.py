@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InfeasibleAlpha, NotUniform
@@ -224,14 +224,18 @@ def tighten_radius(w: WitnessFunction) -> WitnessFunction:
     # the reach so far: a radius-0 witness is first searched at 0, not beyond it
     best = min(1, w.radius)
     reached = True
+    # an atom the search missed keeps an earlier center's stamp, or -1; an id
+    # past n - 1 raises IndexError, and one check per witness leaves a negative
+    # id, which would index from the end, to the re-searches
+    stamped = min(map(min, map(attrgetter("num"), w.dists.values())), default=0) >= 0
     for x in range(n):
         supp = w.dists[x].num.keys()
         _levels(adj, x, best, mark)
-        # an atom the search missed keeps an earlier center's stamp, or -1; an
-        # id outside 0..n-1 has no stamp to read (a negative one would index
-        # from the end), so only the re-search may judge it
-        if 0 <= min(supp) and max(supp) < n and min(map(mark.__getitem__, supp)) == x:
-            continue
+        try:
+            if stamped and min(map(mark.__getitem__, supp)) == x:
+                continue
+        except IndexError:
+            pass
         _, dist = bfs(adj, (x,), w.radius)
         found = [dist[z] for z in supp if z in dist]
         reached = reached and len(found) == len(supp)

@@ -1,10 +1,11 @@
-"""Separator distributions and the witnesses they induce.
+"""Random partitions, separator distributions, and the witnesses they induce.
 
-A K-separator Y leaves every component of G - Y with at most K vertices.  A
-distribution over K-separators with small vertex marginals certifies strong
-hyperfiniteness; the induced witness f(x) = E_Y[ delta_x if x in Y else
-uniform on x's component of G - Y ] has every edge l1 bounded by four times
-the max marginal.
+A random partition of V into pieces induces the witness f(x) = E[uniform on
+x's piece], whose l1 on an edge is at most twice the probability that the
+edge's ends part.  Cutting edges (`edge_shift_partitions`) pays that once
+per cut edge.  A K-separator Y leaves every component of G - Y with at most
+K vertices; as a partition, each vertex of Y is its own piece, so the
+induced witness has every edge l1 bounded by four times the max marginal.
 
 Text format:
 
@@ -95,47 +96,57 @@ def max_marginal(dist: SeparatorDistribution) -> tuple[Fraction, int | None]:
     return best, vertex
 
 
-def witness_from_separators(dist: SeparatorDistribution) -> WitnessFunction:
-    """Mix per-separator measures into a witness of radius max(K, 1) on dist.graph.
+def witness_from_partitions(G: BoundedDegreeGraph, samples: list[tuple[list[list[int]], Fraction]],
+                            radius: int | None = None) -> WitnessFunction:
+    """f(x) = the sum over samples of weight * uniform on x's piece, exact over one denominator.
 
-    For each sample Y: a vertex x in Y contributes weight * delta_x, a vertex
-    x outside Y spreads weight uniformly over its component of G - Y, read
-    from `dist.pieces`, the sweep the distribution's K check already ran.
-    All arithmetic happens over one common denominator, so the mix is exact.
-    Components of G - Y have at most K vertices, so every support lies within
-    K of its vertex.  A labeling needs radius at least 1, and K = 0 (every Y
-    is all of V, so f(x) = delta_x) would declare 0.
+    Each sample is (pieces, weight), its pieces a partition of 0..n-1 and the
+    weights summing to one.  An edge whose ends part with probability p has
+    l1 at most 2p.  The declared radius defaults to the largest piece's size
+    less one (at least 1), which bounds every distance in a connected piece.
     """
-    G = dist.graph
-    samples = [(Y, wt, comps) for (Y, wt), comps in zip(dist.support, dist.pieces)]
     den = 1
-    for _, wt, comps in samples:
+    for pieces, wt in samples:
         den = math.lcm(den, wt.denominator)
-        for comp in comps:
+        for piece in pieces:
             # weight/size itself must scale to an integer; lcm with the bare
             # size is not enough when it shares factors with the weight
-            den = math.lcm(den, (wt / len(comp)).denominator)
+            den = math.lcm(den, (wt / len(piece)).denominator)
     nums: list[dict[int, int]] = [dict() for _ in range(G.n)]
-    for Y, wt, comps in samples:
+    for pieces, wt in samples:
         w_scaled = wt * den
         assert w_scaled.denominator == 1
         w_int = w_scaled.numerator
-        for y in Y:
-            row = nums[y]
-            row[y] = row.get(y, 0) + w_int
-        for comp in comps:
-            share = w_int // len(comp)
-            assert share * len(comp) == w_int, "denominator must absorb component size"
-            for x in comp:
+        for piece in pieces:
+            share = w_int // len(piece)
+            assert share * len(piece) == w_int, "denominator must absorb piece size"
+            for x in piece:
                 row = nums[x]
-                for z in comp:
+                for z in piece:
                     row[z] = row.get(z, 0) + share
+    if radius is None:
+        radius = max([1] + [len(piece) - 1 for pieces, _ in samples for piece in pieces])
     # one vertex at a time: each row is handed to its distribution and
     # dropped from nums, so no row is held twice
     dists = {}
     for x in range(G.n):
         dists[x], nums[x] = RationalDist(den, nums[x]), None
-    return WitnessFunction(G, max(dist.K, 1), dists)
+    return WitnessFunction(G, radius, dists)
+
+
+def witness_from_separators(dist: SeparatorDistribution) -> WitnessFunction:
+    """The separator witness f(x) = E_Y[ delta_x if x in Y else uniform on x's
+    component of G - Y ], at radius max(K, 1) on dist.graph.
+
+    Each sample is the partition into the singletons of Y and the components
+    of G - Y, read from `dist.pieces`, the sweep the distribution's K check
+    already ran.  Components have at most K vertices, so every support lies
+    within K of its vertex.  A labeling needs radius at least 1, and K = 0
+    (every Y is all of V, so f(x) = delta_x) would declare 0.
+    """
+    samples = [([[y] for y in Y] + comps, wt)
+               for (Y, wt), comps in zip(dist.support, dist.pieces)]
+    return witness_from_partitions(dist.graph, samples, max(dist.K, 1))
 
 
 # --- analytic shift families ----------------------------------------------
@@ -228,31 +239,45 @@ def tree_depth_shift_distribution(G: BoundedDegreeGraph, k: int) -> SeparatorDis
     return SeparatorDistribution(G, max_ball_size_bound(G.d, k - 1), samples)
 
 
-def shift_family_distribution(G: BoundedDegreeGraph, k: int) -> SeparatorDistribution | None:
-    """The shift distribution of modulus k for a canonical path, cycle or tree; else None.
+def edge_shift_partitions(G: BoundedDegreeGraph, k: int) -> list[tuple[list[list[int]], Fraction]] | None:
+    """The edge-shift family of modulus k on a connected tree or a canonical cycle; else None.
 
-    A path (ids in path order) and a connected tree (rooted at 0) take k as
-    given.  A cycle needs k | n, so k is raised to the least divisor of n that
-    is at least k; k beyond n is refused.
+    An edge's level is its child's depth on a tree rooted at 0; a cycle with
+    ids in cycle order is the path 0..n-1 so rooted, plus the edge (n-1, 0)
+    at level n.  Sample s = 0..k-1, of weight 1/k, cuts the edges whose level
+    is s mod k; its pieces are the components of what is left.  Each edge is
+    cut in exactly one sample, so the mixed witness measures at most 2/k for
+    any n (Klein-Plotkin-Rao layering), and a piece spans at most k levels,
+    so at most 2k - 2 hops.  Shifts past the top level cut nothing, as s = 0
+    then does, and are merged into it.
     """
     if k < 1:
         raise ValueError(f"shift modulus must be positive, got {k}")
     n = G.n
-    shape = _path_or_cycle(G)
-    if shape == "path":
-        return path_shift_distribution(G, k)
-    if shape == "cycle":
-        if k > n:
-            raise ValueError(
-                f"shift modulus k = {k} exceeds the cycle length n = {n}; "
-                "a larger eps' gives a smaller k"
-            )
-        while n % k:
-            k += 1
-        return path_shift_distribution(G, k)
-    if G.m == n - 1 and len(components(G)) == 1:
-        return tree_depth_shift_distribution(G, k)
-    return None
+    cycle = _path_or_cycle(G) == "cycle"
+    if cycle:
+        order, depth, parent, top = range(n), range(n), range(-1, n - 1), n
+    else:
+        order, depth = bfs(G.adj, (0,))
+        if G.m != n - 1 or len(order) != n:
+            return None
+        parent = {w: u for u in order for w in G.adj[u] if depth[w] > depth[u]}
+        top = depth[order[-1]]
+    shifts = min(k, top + 1)
+    samples = []
+    for s in range(shifts):
+        head = [0] * n
+        for v in order[1:]:
+            head[v] = v if depth[v] % k == s else head[parent[v]]
+        if cycle and n % k != s:
+            # the uncut edge (n-1, 0) joins n-1's piece to 0's
+            tail = head[n - 1]
+            head = [0 if h == tail else h for h in head]
+        pieces: dict[int, list[int]] = {}
+        for v in range(n):
+            pieces.setdefault(head[v], []).append(v)
+        samples.append((list(pieces.values()), Fraction(k - shifts + 1 if s == 0 else 1, k)))
+    return samples
 
 
 # --- text format ----------------------------------------------------------

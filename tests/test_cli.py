@@ -94,34 +94,37 @@ def test_prove_auto_path(p11, capsys, tmp_path):
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "5/6",
                        "--out", str(labels))
     assert code == 0
-    assert err == "measured_eps = 4/5\nradius = 3\nalpha = 60\npalette = 8\nK = 11\n"
-    assert labels.read_text().startswith("labels 11 3 60 8 5/6 11\n")
+    assert err == "measured_eps = 2/3\nradius = 2\nalpha = 18\npalette = 6\nK = 9\n"
+    assert labels.read_text().startswith("labels 11 2 18 6 5/6 9\n")
 
 
 def test_prove_auto_notes_an_unused_r(p11, capsys, tmp_path):
-    """When a shift family matches, auto's uniform-ball fallback --r goes unused, and prove says so."""
+    """When the edge-shift family matches, auto's uniform-ball fallback --r goes unused,
+    and prove says so."""
     g, auto = p11
     labels = tmp_path / "r7.labels"
     code, out, err = run(capsys, "prove", str(g), "--eps-prime", "5/6", "--r", "7",
                          "--out", str(labels))
     assert (code, out) == (0, "")
     note, rest = err.split("\n", 1)
-    assert note == ("note: --r 7 went unused; --witness auto chose the shift-family "
-                    "witness, whose radius comes from its separators")
-    assert rest.startswith("measured_eps = 4/5\nradius = 3\n")
+    assert note == ("note: --r 7 went unused; --witness auto chose the edge-shift "
+                    "witness, whose radius comes from its pieces")
+    assert rest.startswith("measured_eps = 2/3\nradius = 2\n")
     assert labels.read_text() == auto.read_text()
 
 
 def test_prove_auto_cycle_rounds_shift(capsys, tmp_path):
-    """12 % 5 != 0, so the default shift 5 is bumped to the divisor 6."""
-    g = tmp_path / "c12.graph"
-    run(capsys, "gen", "--family", "cycle", "--n", "12", "--out", str(g))
-    labels = tmp_path / "c12.labels"
+    """eps' = 5/6 gives the shift k = 3, and 13 % 3 != 0: no divisor is needed.
+    13 = 1 mod 3, so in two of the three samples the piece through the edge
+    (12, 0) has 4 vertices, and r = 3."""
+    g = tmp_path / "c13.graph"
+    run(capsys, "gen", "--family", "cycle", "--n", "13", "--out", str(g))
+    labels = tmp_path / "c13.labels"
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "5/6",
                        "--out", str(labels))
     assert code == 0
-    assert "measured_eps = 2/3\nradius = 4\n" in err
-    assert labels.read_text().startswith("labels 12 4 29 12 5/6 12\n")
+    assert "measured_eps = 2/3\nradius = 3\n" in err
+    assert labels.read_text().startswith("labels 13 3 24 13 5/6 13\n")
 
 
 def test_prove_auto_tree_then_verify(capsys, tmp_path):
@@ -131,23 +134,25 @@ def test_prove_auto_tree_then_verify(capsys, tmp_path):
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "3/4",
                        "--out", str(labels))
     assert code == 0
-    assert labels.read_text().startswith("labels 31 8 176 31 3/4 31\n")
+    assert labels.read_text().startswith("labels 31 4 62 31 3/4 31\n")
     code, out, _ = run(capsys, "verify", str(g), str(labels))
     assert code == 0
     assert out == "verdict accept\n"
 
 
-def test_prove_separator_file_matches_default_shift(p11, capsys, tmp_path):
-    """eps' = 5/6 gives the default shift width k = 5; a stored k = 5 file proves the same."""
-    g, auto = p11
+def test_prove_separator_file_golden(p11, capsys, tmp_path):
+    """The vertex shift of width 5 on the path, stored and proved from its file.
+    The digest was recorded when auto proved the same labels from that shift."""
+    g, _ = p11
     G = lc.read_graph_file(g)
     dist_path = tmp_path / "shift.sep"
     lc.write_separator_distribution_file(lc.path_shift_distribution(G, 5), dist_path)
-    from_file = tmp_path / "file.labels"
-    code, _, _ = run(capsys, "prove", str(g), "--eps-prime", "5/6",
-                     "--witness", f"separators:{dist_path}", "--out", str(from_file))
+    code, out, err = run(capsys, "prove", str(g), "--eps-prime", "5/6",
+                         "--witness", f"separators:{dist_path}")
     assert code == 0
-    assert from_file.read_text() == auto.read_text()
+    assert err == "measured_eps = 4/5\nradius = 3\nalpha = 60\npalette = 8\nK = 11\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cdfdaeded1be70d61e80bc7e0121e2891258ab1449259c26cbb8a847c5b96668")
 
 
 def test_prove_refuses_r_with_a_separator_file(p11, capsys, tmp_path):
@@ -183,11 +188,11 @@ def test_prove_separator_file_with_k_zero(capsys, tmp_path):
     # its supports are its balls, so the uniformity check sweeps no balls again
     ("grid", "8,8", ("--witness", "uniform-ball", "--r", "2", "--eps-prime", "3/2"),
      {2: 64, 5: 64}, 112),
-    # the auto witness is tightened to r = 12, whose searches record its
-    # supports; max |B_24| for K is read from the distance-25 coloring,
+    # the auto edge-shift witness is tightened to r = 8, whose searches record
+    # its supports; max |B_16| for K is read from the distance-17 coloring,
     # where the root's search reaches the whole tree, so no later vertex is
     # searched
-    ("full_tree", "2,6", ("--eps-prime", "1/2"), {25: 1}, 126),
+    ("full_tree", "2,6", ("--eps-prime", "1/2"), {17: 1}, 126),
 ], ids=["uniform-ball-grid8x8", "auto-full_tree2x6"])
 def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch,
                                                         family, n, flags, want_balls, want_l1):
@@ -217,12 +222,12 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
     ("grid", "12,12", ("--witness", "uniform-ball", "--r", "3", "--eps-prime", "3/4"),
      "be486f67e5323cb4f0abec7aef27d89574ce5b50f991664d044d4a76727f4844"),
     ("full_tree", "2,5", ("--eps-prime", "1/2"),
-     "d3afd93283041be46f1bde86842176b6848e882575e4ae36da44ae08fd078225"),
+     "3aba817f5a94b48af6cf2deda70452b181da0036b08b8c95ea2350420c38c0f7"),
 ], ids=["grid-12,12", "full_tree-2,5"])
 def test_prove_labels_golden(capsys, tmp_path, family, n, flags, digest):
-    """Digests recorded with the least alpha within budget (392 on the grid, 552
-    on the tree, where halving from the worst-case rule gave 450 and 1701) and
-    the coloring at distance 2r+1."""
+    """Digests recorded with the least alpha within budget (392 on the grid, where
+    halving from the worst-case rule gave 450) and the coloring at distance 2r+1;
+    the tree's with auto's edge-shift witness at k = 5 (r = 8, alpha 149)."""
     g = tmp_path / "g.graph"
     run(capsys, "gen", "--family", family, "--n", n, "--out", str(g))
     code, out, _ = run(capsys, "prove", str(g), *flags)
@@ -508,9 +513,9 @@ def test_report_golden(p11, capsys):
     code, out, _ = run(capsys, "report", str(g), str(labels))
     assert code == 0
     assert out == (
-        "n = 11\nm = 10\nd = 2\nr = 3\nalpha = 60\npalette = 8\n"
-        "eps_prime = 5/6\nK = 11\npredicate = planar\nverdict = accept\n"
-        "rejecting = 0\napls_guarantee = 5/3\neps_decoded = 4/5\n"
+        "n = 11\nm = 10\nd = 2\nr = 2\nalpha = 18\npalette = 6\n"
+        "eps_prime = 5/6\nK = 9\npredicate = planar\nverdict = accept\n"
+        "rejecting = 0\napls_guarantee = 5/3\neps_decoded = 2/3\n"
         "blocks = 3\nmax_block = 4\nremoved_edges = 2\n"
         "removed_per_vertex = 2/11\nremoved_per_edge = 1/5\n"
         "hyperfinite_ok = true\nedit_bound = 2/11\n"
@@ -658,13 +663,16 @@ def test_prove_eps_prime_two_or_more_exits_before_any_work(p11, capsys, monkeypa
     assert called == []
 
 
-@pytest.mark.parametrize("flags, k", [
-    (("--eps-prime", "1/100"), 401),            # the default modulus, least k with 4/k < eps'
-    (("--eps-prime", "2/5"), 11),               # 4/10 = eps' is not below eps', so k = 11
-])
-def test_prove_cycle_shift_longer_than_cycle_exits_two(tmp_path, flags, k):
-    g = tmp_path / "c10.graph"
-    g.write_text(lc.format_graph(lc.generate(lc.FamilySpec("cycle", (10,)))))
-    out = run_cli_child("prove", str(g), *flags)
-    assert out.returncode == 2
-    assert f"k = {k}" in out.stderr and "n = 10" in out.stderr
+@pytest.mark.parametrize("n, r, palette", [(3, 1, 3), (4, 2, 4), (211, 5, 19)])
+def test_prove_small_and_prime_cycles(capsys, tmp_path, n, r, palette):
+    """At eps' = 1/2 the shift is k = 5, longer than cycles 3 and 4 and no divisor
+    of 211: each proves, verifies and extracts.  211 = 1 mod 5, so in four of the
+    five samples the piece through the edge (210, 0) has 6 vertices, and r = 5."""
+    g, labels = tmp_path / "c.graph", tmp_path / "c.labels"
+    run(capsys, "gen", "--family", "cycle", "--n", str(n), "--out", str(g))
+    code, _, err = run(capsys, "prove", str(g), "--eps-prime", "1/2", "--out", str(labels))
+    assert code == 0, err
+    assert f"radius = {r}\n" in err and f"palette = {palette}\n" in err
+    assert run(capsys, "verify", str(g), str(labels)) == (0, "verdict accept\n", "")
+    code, out, _ = run(capsys, "extract", str(g), str(labels))
+    assert code == 0 and out.startswith(f"partition {n} ")

@@ -299,9 +299,11 @@ def fused_cases():
             continue
         alpha = formula_alpha(G, w, eps, eps_prime) + rng.choice((0, 0, 1, 17))
         cases.append((G, w, eps, eps_prime, alpha))
-    for family, params, k in (("path", (23,), 4), ("cycle", (24,), 6), ("full_tree", (2, 5), 3)):
+    for family, params, shift, k in (("path", (23,), lc.path_shift_distribution, 4),
+                                     ("cycle", (24,), lc.path_shift_distribution, 6),
+                                     ("full_tree", (2, 5), lc.tree_depth_shift_distribution, 3)):
         G = lc.generate(lc.FamilySpec(family, params))
-        w = lc.tighten_radius(lc.witness_from_separators(lc.shift_family_distribution(G, k)))
+        w = lc.tighten_radius(lc.witness_from_separators(shift(G, k)))
         eps = lc.check_uniformity(w).max_edge_l1
         eps_prime = min(eps + Fraction(1, 8), (eps + 2) / 2)
         cases.append((G, w, eps, eps_prime, formula_alpha(G, w, eps, eps_prime)))
@@ -378,13 +380,14 @@ def least_alpha_cases():
     grid = lc.generate(lc.FamilySpec("grid", (9, 9)))
     tree = lc.generate(lc.FamilySpec("full_tree", (2, 5)))
     cycle = lc.generate(lc.FamilySpec("cycle", (24,)))
-    shift = lc.shift_family_distribution
     return [
         pytest.param(uniform_ball_witness(grid, 3), Fraction(4, 5), id="grid9x9-ball3"),
         pytest.param(uniform_ball_witness(grid, 2), Fraction(1), id="grid9x9-ball2"),
-        pytest.param(lc.tighten_radius(lc.witness_from_separators(shift(tree, 5))),
+        pytest.param(lc.tighten_radius(lc.witness_from_separators(
+                         lc.tree_depth_shift_distribution(tree, 5))),
                      Fraction(9, 10), id="tree2x5-shift5"),
-        pytest.param(lc.tighten_radius(lc.witness_from_separators(shift(cycle, 6))),
+        pytest.param(lc.tighten_radius(lc.witness_from_separators(
+                         lc.path_shift_distribution(cycle, 6))),
                      Fraction(3, 4), id="cycle24-shift6"),
         pytest.param(uniform_ball_witness(cycle, 2), Fraction(1, 2), id="cycle24-ball2"),
         # one vertex, no edge: every alpha is exact, so the scan stops at 1

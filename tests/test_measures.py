@@ -206,7 +206,8 @@ def test_recorded_supports_agree_with_a_fresh_sweep(family, params):
 def test_tighten_radius_records_shift_witnesses(family, params):
     """Its searches saw every atom, so the measurement sweeps no ball again."""
     G = lc.generate(lc.FamilySpec(family, params))
-    raw = lc.witness_from_separators(lc.shift_family_distribution(G, 5))
+    shift = lc.tree_depth_shift_distribution if family == "full_tree" else lc.path_shift_distribution
+    raw = lc.witness_from_separators(shift(G, 5))
     w = tighten_radius(raw)
     assert w.radius < raw.radius
     assert w._supports_in_balls

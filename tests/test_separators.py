@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import localcert as lc
 from conftest import random_family_graph
@@ -12,12 +14,13 @@ from localcert.graphs import components
 from localcert.measures import check_uniformity, l1_distance
 from localcert.separators import (
     SeparatorDistribution,
+    edge_shift_partitions,
     grid_shift_distribution,
     is_k_separator,
     max_marginal,
     path_shift_distribution,
-    shift_family_distribution,
     tree_depth_shift_distribution,
+    witness_from_partitions,
     witness_from_separators,
 )
 
@@ -125,17 +128,27 @@ def test_tree_depth_shift_rejects_non_tree():
 
 
 def test_shift_family_distribution_recognizes_path_cycle_tree():
-    P = lc.generate(lc.FamilySpec("path", (11,)))
-    assert shift_family_distribution(P, 4).support == path_shift_distribution(P, 4).support
-    C = lc.generate(lc.FamilySpec("cycle", (12,)))
-    rounded = shift_family_distribution(C, 5)  # 12 % 5 != 0: raised to the divisor 6
-    assert rounded.support == path_shift_distribution(C, 6).support
-    assert shift_family_distribution(C, 12).K == 11
-    T = lc.generate(lc.FamilySpec("full_tree", (2, 4)))
-    assert shift_family_distribution(T, 3).support == tree_depth_shift_distribution(T, 3).support
-    # a path whose ids are not in path order is still a tree
+    """The edge-shift family: sample s cuts the edges whose level is s mod k.  A
+    level is the child's depth from vertex 0; a cycle's edge (n-1, 0) is level n."""
+    half = Fraction(1, 2)
+    P = lc.generate(lc.FamilySpec("path", (5,)))
+    assert edge_shift_partitions(P, 2) == [([[0, 1], [2, 3], [4]], half),
+                                           ([[0], [1, 2], [3, 4]], half)]
+    # 5 is odd, so no divisor is needed: level 5 is cut with levels 1 and 3
+    C = lc.generate(lc.FamilySpec("cycle", (5,)))
+    assert edge_shift_partitions(C, 2) == [([[0, 1, 4], [2, 3]], half),
+                                           ([[0], [1, 2], [3, 4]], half)]
+    T = lc.generate(lc.FamilySpec("full_tree", (2, 2)))
+    assert edge_shift_partitions(T, 2) == [([[0, 1, 2], [3], [4], [5], [6]], half),
+                                           ([[0], [1, 3, 4], [2, 5, 6]], half)]
+    # a path whose ids are not in path order is still a tree, rooted at 0
     Q = lc.build_graph([(0, 2), (1, 2)], 2)
-    assert shift_family_distribution(Q, 2).support == tree_depth_shift_distribution(Q, 2).support
+    assert edge_shift_partitions(Q, 2) == [([[0, 2], [1]], half), ([[0], [1, 2]], half)]
+    # shifts past the top level cut nothing, as s = 0 does, and merge into it
+    P3 = lc.generate(lc.FamilySpec("path", (3,)))
+    assert edge_shift_partitions(P3, 5) == [([[0, 1, 2]], Fraction(3, 5)),
+                                            ([[0], [1, 2]], Fraction(1, 5)),
+                                            ([[0, 1], [2]], Fraction(1, 5))]
 
 
 @pytest.mark.parametrize("G", [
@@ -145,16 +158,47 @@ def test_shift_family_distribution_recognizes_path_cycle_tree():
     lc.build_graph([(0, 1), (0, 2), (1, 2), (3, 4)], 2),
 ])
 def test_shift_family_distribution_declines_other_graphs(G):
-    assert shift_family_distribution(G, 3) is None
+    assert edge_shift_partitions(G, 3) is None
 
 
 def test_shift_family_distribution_refuses_bad_moduli():
-    C = lc.generate(lc.FamilySpec("cycle", (10,)))
-    with pytest.raises(ValueError, match="k = 11 exceeds the cycle length n = 10"):
-        shift_family_distribution(C, 11)
     G = lc.generate(lc.FamilySpec("grid", (3, 3)))
     with pytest.raises(ValueError, match="shift modulus must be positive, got 0"):
-        shift_family_distribution(G, 0)
+        edge_shift_partitions(G, 0)
+
+
+edge_shift_graphs = st.one_of(
+    st.builds(lambda n: lc.generate(lc.FamilySpec("path", (n,))), st.integers(1, 60)),
+    st.builds(lambda n: lc.generate(lc.FamilySpec("cycle", (n,))), st.integers(3, 60)),
+    st.builds(lambda b, depth: lc.generate(lc.FamilySpec("full_tree", (b, depth))),
+              st.integers(1, 3), st.integers(0, 6)),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(G=edge_shift_graphs, k=st.integers(2, 8))
+def test_edge_shift_family_cuts_each_edge_once(G, k):
+    """Sample s's pieces are the components of G minus the edges whose level is
+    s mod k, and every edge is cut in exactly one sample.  The witness measures
+    at most 2/k, and its tightened radius is at most 2k - 2."""
+    if G.m == G.n:  # a cycle: edge (i, i + 1) at level i + 1, (0, n - 1) at level n
+        level = {(u, v): v if v == u + 1 else G.n for u, v in G.edges()}
+    else:
+        depth = lc.bfs(G.adj, (0,))[1]
+        level = {(u, v): max(depth[u], depth[v]) for u, v in G.edges()}
+    samples = edge_shift_partitions(G, k)
+    assert sum(wt for _, wt in samples) == 1
+    cut_in = dict.fromkeys(level, 0)
+    for s, (pieces, _) in enumerate(samples):
+        cut = {e for e, lv in level.items() if lv % k == s}
+        for e in cut:
+            cut_in[e] += 1
+        kept = lc.build_graph([e for e in level if e not in cut], G.d, G.n)
+        assert pieces == components(kept)
+    assert all(c == 1 for c in cut_in.values())
+    w = lc.tighten_radius(witness_from_partitions(G, samples))
+    assert check_uniformity(w).max_edge_l1 <= Fraction(2, k)
+    assert w.radius <= 2 * k - 2
 
 
 # --- witness mixing ----------------------------------------------------------
@@ -167,6 +211,18 @@ def test_separator_witness_structure():
     assert w.dists[2] == lc.RationalDist.delta(2)
     assert w.dists[0] == lc.RationalDist.uniform([0, 1])
     assert w.dists[4] == lc.RationalDist.uniform([3, 4])
+
+
+def test_partition_witness_hand_case():
+    """Half uniform on {0, 1} | {2, 3}, half on {0} | {1, 2} | {3}; the declared
+    radius is the largest piece's size less one."""
+    P = lc.generate(lc.FamilySpec("path", (4,)))
+    half = Fraction(1, 2)
+    w = witness_from_partitions(P, [([[0, 1], [2, 3]], half), ([[0], [1, 2], [3]], half)])
+    assert w.radius == 1
+    assert w.dists[0] == lc.RationalDist(4, {0: 3, 1: 1})
+    assert w.dists[1] == lc.RationalDist(4, {0: 1, 1: 2, 2: 1})
+    assert check_uniformity(w).max_edge_l1 == 1  # edge (1, 2) parts at weight 1/2
 
 
 def test_separator_witness_per_sample_identity():
