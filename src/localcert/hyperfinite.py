@@ -10,6 +10,13 @@ re-projecting after every cut; extract_partition keeps the projection and
 its per-coordinate sums (dense lists over the vertex ids) up to date across
 cuts instead, and a cut zeroes its block's own coordinates at once.
 
+The loop compares integers only.  Each coordinate's ratio 2 diff/mass is
+keyed by the integer floor(2 diff S / mass) at S = (n den)^2, den the
+projection's common denominator: every mass is at most M = n den, two
+different ratios with denominators at most M differ by at least 1/M^2, so
+their keys are strictly ordered and equal ratios share a key.  Thresholds
+stay numerators over den; a Fraction is built only for a value returned.
+
 Partition text format:
 
     partition <n> <num_blocks> <|W|>
@@ -147,22 +154,26 @@ def _coordinate_sums(G: BoundedDegreeGraph, num: list[Mapping[int, int]]
     return mass, diff, best, worst
 
 
-def _ratio_heap(mass: list[int], diff: list[int]
-                ) -> tuple[dict[int, Fraction], list[tuple[Fraction, int]]]:
-    """Ratio 2 diff/mass per coordinate with mass, and a heap of (ratio, z)."""
-    key = {z: Fraction(2 * diff[z], m) for z, m in enumerate(mass) if m}
+def _ratio_heap(mass: list[int], diff: list[int], scale: int
+                ) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """Key 2 diff * scale // mass per coordinate with mass, and a heap of (key, z).
+
+    With every mass at most M and scale = M^2, (key, z) orders exactly as
+    (2 diff/mass, z), ties included (module docstring).
+    """
+    key = {z: 2 * diff[z] * scale // m for z, m in enumerate(mass) if m}
     heap = [(k, z) for z, k in key.items()]
     heapq.heapify(heap)
     return key, heap
 
 
-def _pick_z0(heap: list[tuple[Fraction, int]], key: Mapping[int, Fraction]) -> int:
+def _pick_z0(heap: list[tuple[int, int]], key: Mapping[int, int]) -> int:
     """Coordinate with the least diff/mass ratio, ties by smallest id.
 
-    Heap entries whose ratio object is no longer the current one in `key` are
-    stale and dropped.
+    Heap entries whose key differs from the current one in `key` are stale
+    and dropped; an entry equal to it stands for the current ratio.
     """
-    while key.get(heap[0][1]) is not heap[0][0]:
+    while key.get(heap[0][1]) != heap[0][0]:
         heapq.heappop(heap)
     return heap[0][1]
 
@@ -188,12 +199,13 @@ def _superlevel_cut(G: BoundedDegreeGraph, domain: Container[int], zeta: Mapping
         values.append(val)
         snapshots.append((len(added), cut))
 
-    # ascending thresholds: 0 pairs with the full positive support, then each
-    # positive value t = values[j] pairs with the prefix above it
+    # ascending thresholds, as numerators over den: 0 pairs with the full
+    # positive support, then each positive value t = values[j] pairs with the
+    # prefix above it
     enum, eden = eps.numerator, eps.denominator
-    candidates: list[tuple[Fraction, int]] = [(Fraction(0), len(values) - 1)]
+    candidates = [(0, len(values) - 1)]
     for j in range(len(values) - 1, 0, -1):
-        candidates.append((Fraction(values[j], den), j - 1))
+        candidates.append((values[j], j - 1))
     for t, snap in candidates:
         size, boundary_edges = snapshots[snap]
         if size and 2 * boundary_edges * eden <= G.d * enum * size:
@@ -209,7 +221,7 @@ def _superlevel_cut(G: BoundedDegreeGraph, domain: Container[int], zeta: Mapping
     edges = tuple(sorted((x, y) for x in chosen for y in G.adj[x]
                          if y in domain and y not in inside))
     assert len(edges) == snapshots[snap][1]
-    return LowBoundaryResult(tuple(sorted(chosen)), z0, t, edges)
+    return LowBoundaryResult(tuple(sorted(chosen)), z0, Fraction(t, den), edges)
 
 
 class _ShrinkingProjection:
@@ -225,10 +237,12 @@ class _ShrinkingProjection:
     denominator `den`; it shares the witness's own dict until x is first
     touched.  mass/diff are the per-coordinate sums of mass and of edge
     differences that pick z0, as dense lists indexed by coordinate (0: no
-    mass there), and a lazy heap keyed (2 diff/mass, z) yields the least
-    ratio, ties by smallest id.  The pass that first fills them also
-    measures the witness: `uniformity` is its exact report, given that every
-    support lies in its ball.
+    mass there), and a lazy heap of (key, z) yields the least ratio, ties by
+    smallest id.  key[z] is the integer floor(2 diff[z] * S / mass[z]) at
+    S = (n den)^2: every distribution keeps total den, so 0 < mass[z] <=
+    n den, and the keys order exactly as the ratios do (module docstring).
+    The pass that first fills them also measures the witness: `uniformity`
+    is its exact report, given that every support lies in its ball.
 
     A cut kills every coordinate inside its block at once.  Projected
     distributions live on R, and each atom mapped into the block is either
@@ -259,7 +273,8 @@ class _ShrinkingProjection:
         self.cell = {z: [z] for z in range(G.n)}
         self.mass, self.diff, best, worst = _coordinate_sums(G, self.proj)
         self.uniformity = UniformityReport(Fraction(best, den), worst, True, None)
-        self.key, self.heap = _ratio_heap(self.mass, self.diff)
+        self.key_scale = (G.n * den) ** 2
+        self.key, self.heap = _ratio_heap(self.mass, self.diff, self.key_scale)
 
     def cut(self, eps: Fraction) -> LowBoundaryResult:
         """Cut the first qualifying superlevel set of f(.)(z0) on R, then remove it from R."""
@@ -328,14 +343,14 @@ class _ShrinkingProjection:
                     a, b = px.get(z, 0), py.get(z, 0)
                     diff[z] += abs(a - b) - abs(a - gx.get(z, 0) - b + gy.get(z, 0))
 
-        key, heap = self.key, self.heap
+        key, heap, key_scale = self.key, self.heap, self.key_scale
         for z in block:
             mass[z] = diff[z] = 0
             key.pop(z, None)
         for z in changed:
             m = mass[z]
             if m:
-                k = key[z] = Fraction(2 * diff[z], m)
+                k = key[z] = 2 * diff[z] * key_scale // m
                 heapq.heappush(heap, (k, z))
             else:
                 key.pop(z, None)

@@ -93,10 +93,12 @@ class ProofLabeling:
         for z, row in enumerate(self.tables):
             if len(row) != p.palette:
                 raise ValueError(f"table at vertex {z} has length {len(row)}, want {p.palette}")
-            # min and max scan the row in C; only a failing row is walked for its entry
-            if min(row) < 0 or max(row) > p.alpha:
-                q, t = next((q, t) for q, t in enumerate(row) if not 0 <= t <= p.alpha)
-                raise ValueError(f"table entry {t} at ({z}, {q}) outside [0, {p.alpha}]")
+        # the distinct entries are gathered in C; only a failing table is walked for its entry
+        values = set(chain.from_iterable(self.tables))
+        if values and (min(values) < 0 or max(values) > p.alpha):
+            z, q, t = next((z, q, t) for z, row in enumerate(self.tables)
+                           for q, t in enumerate(row) if not 0 <= t <= p.alpha)
+            raise ValueError(f"table entry {t} at ({z}, {q}) outside [0, {p.alpha}]")
 
     @property
     def n(self) -> int:

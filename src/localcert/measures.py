@@ -3,7 +3,10 @@
 Everything here is exact: distributions are integer numerators over one
 positive denominator, l1 distances are Fractions, and no float appears
 anywhere.  A witness assigns each vertex x a distribution supported inside
-B_r(x); its quality is the maximum l1 distance across edges.
+B_r(x); its quality is the maximum l1 distance across edges.  The
+uniformity pass keeps each edge's l1 as an integer (numerator, denominator)
+pair and its running maximum the same way, comparing by
+cross-multiplication; only the reported maximum becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -85,7 +88,12 @@ class RationalDist:
 
 
 def l1_distance(p: RationalDist, q: RationalDist) -> Fraction:
-    """Exact l1 distance between two distributions.
+    """Exact l1 distance between two distributions (see `_l1_pair`)."""
+    return Fraction(*_l1_pair(p, q))
+
+
+def _l1_pair(p: RationalDist, q: RationalDist) -> tuple[int, int]:
+    """The l1 distance of p and q as an integer pair (numerator, denominator), unreduced.
 
     Both are brought onto the least common denominator pd * (qd // g), with
     g = gcd(pd, qd): p's numerators scale by qd // g and q's by pd // g.
@@ -103,7 +111,7 @@ def l1_distance(p: RationalDist, q: RationalDist) -> Fraction:
     pv = pn.values() if ps == 1 else map(mul, pn.values(), repeat(ps))
     qw = qv if qs == 1 else map(mul, qv, repeat(qs))
     total = sum(map(abs, map(sub, pv, qw))) + qs * (qd - sum(qv))
-    return Fraction(total, pd * ps)
+    return total, pd * ps
 
 
 class WitnessFunction:
@@ -174,20 +182,24 @@ def check_uniformity(w: WitnessFunction) -> UniformityReport:
     Support of each f(x) must lie in B_radius(x, G); the radius-r sweep that
     checks it runs only for a witness whose builder did not record the fact.
     The measured maximum is exact, and the worst edge is the first edge
-    attaining it, ascending; thresholding is the caller's business.  The report is computed once per witness and then
-    cached on it.
+    attaining it, ascending; thresholding is the caller's business.  The
+    running maximum is an integer pair compared by cross-multiplication, and
+    only the reported one becomes a Fraction.  The report is computed once
+    per witness and then cached on it.
     """
     if w._uniformity is not None:
         return w._uniformity
     bad_vertex = _bad_support_vertex(w)
-    best = Fraction(0)
+    dists = w.dists
+    best, best_den = 0, 1
     worst = None
     for u, v in w.graph.edges():
-        d = l1_distance(w.dists[u], w.dists[v])
-        if d > best:
-            best = d
+        num, den = _l1_pair(dists[u], dists[v])
+        if num * best_den > best * den:
+            best, best_den = num, den
             worst = (u, v)
-    w._uniformity = UniformityReport(best, worst, bad_vertex is None, bad_vertex)
+    w._uniformity = UniformityReport(Fraction(best, best_den), worst, bad_vertex is None,
+                                     bad_vertex)
     return w._uniformity
 
 

@@ -107,16 +107,16 @@ def witness_from_partitions(G: BoundedDegreeGraph, samples: list[tuple[list[list
     """
     den = 1
     for pieces, wt in samples:
-        den = math.lcm(den, wt.denominator)
-        for piece in pieces:
+        a, b = wt.numerator, wt.denominator
+        den = math.lcm(den, b)
+        for size in {len(piece) for piece in pieces}:
             # weight/size itself must scale to an integer; lcm with the bare
-            # size is not enough when it shares factors with the weight
-            den = math.lcm(den, (wt / len(piece)).denominator)
+            # size is not enough when it shares factors with the weight: a/b
+            # over size reduces to denominator b * size / gcd(a, size)
+            den = math.lcm(den, b * size // math.gcd(a, size))
     nums: list[dict[int, int]] = [dict() for _ in range(G.n)]
     for pieces, wt in samples:
-        w_scaled = wt * den
-        assert w_scaled.denominator == 1
-        w_int = w_scaled.numerator
+        w_int = wt.numerator * (den // wt.denominator)
         for piece in pieces:
             share = w_int // len(piece)
             assert share * len(piece) == w_int, "denominator must absorb piece size"

@@ -7,6 +7,10 @@
 `rounding_plan` error as a Fraction, where `build_proof` compares integers
 per distinct shape and tries the shape that failed last first.
 
+`reference_uniformity` takes every edge's l1 distance as a sum of
+`Fraction` differences and keeps the running maximum as a `Fraction`, where
+`check_uniformity` compares integer pairs by cross-multiplication.
+
 `extract_partition` keeps one projection up to date across cuts; this module
 recomputes everything after every cut instead.  Each round projects the
 witness onto the remaining vertices R (every atom moves to its nearest point
@@ -53,6 +57,22 @@ def reference_least_alpha(w, eps_prime):
         if all(rounding_plan(f.den, Counter(f.num.values()), alpha).error <= budget
                for f in w.dists.values()):
             return alpha
+
+
+def reference_uniformity(w):
+    """check_uniformity's report by the plain loop: the largest edge l1, the first
+    edge in ascending order attaining it, and the first vertex whose support
+    leaves its ball."""
+    G = w.graph
+    bad = next((x for x in range(G.n)
+                if not w.dists[x].num.keys() <= bfs(G.adj, (x,), w.radius)[1].keys()), None)
+    best, worst = Fraction(0), None
+    for u, v in sorted((u, v) for u in range(G.n) for v in G.adj[u] if u < v):
+        f, g = w.dists[u], w.dists[v]
+        d = sum((abs(f.value(z) - g.value(z)) for z in f.num.keys() | g.num.keys()), Fraction(0))
+        if d > best:
+            best, worst = d, (u, v)
+    return lc.UniformityReport(best, worst, bad is None, bad)
 
 
 def threshold_set(zeta, t):

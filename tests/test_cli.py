@@ -201,13 +201,13 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
     run(capsys, "gen", "--family", family, "--n", n, "--out", str(g))
     balls, searches = count_searches(monkeypatch)
     edges_measured = Counter()
-    l1 = measures.l1_distance
+    l1 = measures._l1_pair  # the uniformity pass's per-edge l1, as an integer pair
 
     def counting_l1(p, q):
         edges_measured["l1"] += 1
         return l1(p, q)
 
-    monkeypatch.setattr(measures, "l1_distance", counting_l1)
+    monkeypatch.setattr(measures, "_l1_pair", counting_l1)
     code, _, _ = run(capsys, "prove", str(g), *flags, "--out", str(tmp_path / "g.labels"))
     assert code == 0
     # K = max |B_2r| comes from the size the coloring returns, alpha from the

@@ -1,17 +1,23 @@
 """Superlevel sweeps, the area/coarea identities, and partition extraction."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import localcert as lc
+from localcert import hyperfinite, measures, separators
 from conftest import max_ball_size_actual, random_family_graph
 from localcert.errors import FormatError, NoQualifyingSet, NotUniform, OutOfRange
 from localcert.hyperfinite import (
     PartitionResult,
     _ShrinkingProjection,
+    _pick_z0,
+    _ratio_heap,
     area_coarea_check,
     check_hyperfinite,
     edit_distance_upper_bound,
@@ -278,10 +284,12 @@ def test_shrinking_projection_sums_after_every_cut():
     """The incrementally kept projection and sums equal the reference's recount over R.
 
     Every coordinate of a cut block reads 0 and has no key, and the ratio
-    keys are exactly 2 diff/mass over the coordinates with mass.
+    keys are exactly floor(2 diff/mass * S), S = (n den)^2, over the
+    coordinates with mass.
     """
     for G, w, eps in random_witness_suite(606):
         state = _ShrinkingProjection(w)
+        S = (G.n * state.den) ** 2
         while state.remaining:
             block = state.cut(eps).vertices
             R = state.remaining
@@ -295,7 +303,91 @@ def test_shrinking_projection_sums_after_every_cut():
             }, (G.n, w.radius)
             assert all(state.mass[z] == state.diff[z] == 0 and z not in state.key
                        for z in block)
-            assert state.key == {z: 2 * diff[z] / m for z, m in mass.items()}
+            assert state.key == {z: math.floor(2 * diff[z] / m * S) for z, m in mass.items()}
+
+
+@st.composite
+def key_cases(draw):
+    """(M, [(diff, mass)]) with every mass at most M, and Farey neighbours among them.
+
+    A Farey pair d1/m1 < d2/m2 has d2 m1 - d1 m2 = 1, so its ratios differ
+    by exactly 1/(m1 m2), the least gap two ratios over masses <= M can have;
+    scaled copies (k d, k m) add equal ratios over different masses.
+    """
+    M = draw(st.integers(1, 10**6))
+    mass = st.integers(1, M)
+    pairs = draw(st.lists(st.tuples(st.integers(0, 4 * M), mass), max_size=12))
+    for m1, m2 in draw(st.lists(st.tuples(mass, mass), max_size=4)):
+        if math.gcd(m1, m2) != 1:
+            continue
+        d2 = pow(m1, -1, m2) or m2  # d2 m1 = 1 mod m2
+        d1 = (d2 * m1 - 1) // m2
+        shift = draw(st.integers(0, 3))
+        pairs += [(d1 + shift * m1, m1), (d2 + shift * m2, m2)]
+    if pairs:
+        for d, m in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+            k = draw(st.integers(2, 5))
+            if k * m <= M:
+                pairs.append((k * d, k * m))
+    return M, draw(st.permutations(pairs))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=key_cases())
+@example(case=(1, [(0, 1), (1, 1), (0, 1)]))
+@example(case=(6, [(1, 6), (1, 5), (1, 6), (2, 4), (1, 2)]))  # 1/6, 1/5 Farey neighbours
+@example(case=(10**6, [(499999, 999999), (500000, 1000000), (1, 2), (499999, 1000000)]))
+def test_ratio_keys_order_exactly_as_ratios(case):
+    """The key lemma: with every mass at most M, (2 diff M^2 // mass, z) sorts
+    exactly as (2 diff/mass, z), ties included, and equal keys mean equal ratios."""
+    M, pairs = case
+    diff = [d for d, _ in pairs]
+    mass = [m for _, m in pairs]
+    key, heap = _ratio_heap(mass, diff, M * M)
+    by_key = sorted((k, z) for z, k in key.items())
+    by_ratio = sorted((Fraction(2 * d, m), z) for z, (d, m) in enumerate(pairs))
+    assert [z for _, z in by_key] == [z for _, z in by_ratio]
+    ratio = {z: r for r, z in by_ratio}
+    for (k1, z1), (k2, z2) in zip(by_key, by_key[1:]):
+        assert (k1 == k2) == (ratio[z1] == ratio[z2])
+    if pairs:
+        assert _pick_z0(heap, key) == by_ratio[0][1]
+
+
+def test_extraction_and_measurement_build_only_returned_fractions(monkeypatch):
+    """On an accepted cycle labeling's decoded witness, extraction builds one
+    Fraction per cut (its threshold) plus the uniformity report's, the
+    uniformity pass builds the report's alone, and mixing the edge-shift
+    partitions builds none."""
+    G = lc.generate(lc.FamilySpec("cycle", (200,)))
+    samples = lc.edge_shift_partitions(G, 5)
+    eps_prime = Fraction(1, 2)
+    labeling = lc.build_proof(lc.tighten_radius(lc.witness_from_partitions(G, samples)),
+                              eps_prime)
+    verdict, decoded = lc.verify_and_decode(G, labeling)
+    assert verdict.accept and decoded is not None
+
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    for module in (hyperfinite, measures, separators):
+        monkeypatch.setattr(module, "Fraction", CountingFraction)
+
+    def fresh():
+        return WitnessFunction(G, decoded.radius, decoded.dists)
+
+    partition = extract_partition(fresh(), eps_prime)
+    assert partition.num_blocks > 1 and len(made) == partition.num_blocks + 1
+    made.clear()
+    report = lc.check_uniformity(fresh())
+    assert report.max_edge_l1 <= eps_prime and len(made) == 1
+    made.clear()
+    lc.witness_from_partitions(G, samples)
+    assert made == []
 
 
 def projection_cuts(w, eps):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import count
@@ -464,6 +465,13 @@ def test_proof_labeling_validation():
         ProofLabeling(params, (0, 1), ((0, 4), (5, 0)), k_local=3)
     with pytest.raises(ValueError):
         ProofLabeling(params, (0, 1), ((0, 4),), k_local=3)
+    # the first offending entry in (z, q) order is named, either side of [0, alpha]
+    for tables, bad in ((((0, 4), (5, -1), (9, 0)), "5 at (1, 0)"),
+                        (((0, 4), (4, -1), (5, 0)), "-1 at (1, 1)"),
+                        (((0, 4), (4, 0), (0, 7)), "7 at (2, 1)")):
+        with pytest.raises(ValueError, match=rf"^table entry {re.escape(bad)} outside \[0, 4\]$"):
+            ProofLabeling(params, (0, 1, 0), tables, k_local=3)
+    assert ProofLabeling(params, (), (), k_local=0).n == 0
 
 
 # --- text format -------------------------------------------------------------

@@ -23,7 +23,7 @@ from localcert.measures import (
 )
 
 from conftest import random_family_graph
-from reference import project_witness
+from reference import project_witness, reference_uniformity
 
 
 def random_dist(rng, support, den_cap=60):
@@ -269,6 +269,39 @@ def test_uniformity_per_edge_values():
     rep = check_uniformity(w)
     assert rep.max_edge_l1 == max(per_edge.values())
     assert rep.worst_edge == (0, 1)
+
+
+def mixed_denominator_witnesses(rng):
+    """Witnesses whose distributions share values over different denominators.
+
+    Uniform balls on a cycle put every edge at one l1, and on a grid at a few,
+    so ties are everywhere; each distribution is rescaled by its own factor,
+    and some vertices get a random distribution inside their ball instead.
+    """
+    for G, r in ((lc.generate(lc.FamilySpec("cycle", (rng.randint(5, 30),))), 2),
+                 (lc.generate(lc.FamilySpec("grid", (rng.randint(3, 7), rng.randint(3, 7)))), 1),
+                 (lc.generate(lc.FamilySpec("full_tree", (2, 4))), 2),
+                 (random_family_graph(rng), rng.randint(1, 2))):
+        base = uniform_ball_witness(G, r)
+        dists = {}
+        for x, f in base.dists.items():
+            if rng.random() < 0.2:
+                f = dist_over(rng, sorted(f.num), rng.randint(1, 40))
+            k = rng.choice((1, 1, 2, 3, 7, 12))
+            dists[x] = RationalDist(f.den * k, {z: c * k for z, c in f.num.items()})
+        yield WitnessFunction(G, r, dists)
+
+
+def test_check_uniformity_matches_the_plain_fraction_loop():
+    rng = random.Random(207)
+    tied = 0
+    for _ in range(30):
+        for w in mixed_denominator_witnesses(rng):
+            want = reference_uniformity(w)
+            assert check_uniformity(w) == want
+            values = [l1_distance(w.dists[u], w.dists[v]) for u, v in w.graph.edges()]
+            tied += values.count(want.max_edge_l1) > 1
+    assert tied  # the first of several worst edges is named
 
 
 # --- quantization ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Separator distributions, shift families, and the witnesses they induce."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -223,6 +224,37 @@ def test_partition_witness_hand_case():
     assert w.dists[0] == lc.RationalDist(4, {0: 3, 1: 1})
     assert w.dists[1] == lc.RationalDist(4, {0: 1, 1: 2, 2: 1})
     assert check_uniformity(w).max_edge_l1 == 1  # edge (1, 2) parts at weight 1/2
+
+
+def fraction_rule_den(samples):
+    """The common denominator by Fractions: the lcm of every weight's
+    denominator and of every weight/size's."""
+    return math.lcm(*(wt.denominator for _, wt in samples),
+                    *((wt / len(piece)).denominator for pieces, wt in samples for piece in pieces))
+
+
+def test_partition_witness_denominator_is_the_fraction_rule():
+    """The mixer's integer gcd rule gives the lcm the Fraction quotients give,
+    on random partitions whose weights share factors with the piece sizes."""
+    rng = random.Random(231)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        cuts = sorted(rng.sample(range(1, 61), rng.randint(0, 3)))
+        weights = [Fraction(hi - lo, 60) for lo, hi in zip([0] + cuts, cuts + [60])]
+        samples = []
+        for wt in weights:
+            order = rng.sample(range(n), n)
+            bounds = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+            pieces = [order[a:b] for a, b in zip([0] + bounds, bounds + [n])]
+            samples.append((pieces, wt))
+        G = lc.build_graph([], 2, n)
+        w = witness_from_partitions(G, samples)
+        assert {f.den for f in w.dists.values()} == {fraction_rule_den(samples)}
+    for G in (lc.generate(lc.FamilySpec("cycle", (13,))),
+              lc.generate(lc.FamilySpec("full_tree", (3, 3)))):
+        for k in (2, 3, 5, 6):
+            samples = edge_shift_partitions(G, k)
+            assert witness_from_partitions(G, samples).dists[0].den == fraction_rule_den(samples)
 
 
 def test_separator_witness_per_sample_identity():
