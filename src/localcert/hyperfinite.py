@@ -234,8 +234,10 @@ class _ShrinkingProjection:
     so it is dropped for good (tau[t] is None).  cell[z] lists the atoms t
     with tau[t] == z, holders[t] the vertices whose distribution has an atom
     at t.  proj[x] is x's pushed-forward distribution over the common
-    denominator `den`; it shares the witness's own dict until x is first
-    touched.  mass/diff are the per-coordinate sums of mass and of edge
+    denominator `den`; it shares the witness's own dict until a cut first
+    relocates one of x's atoms, and it is dropped (None) once x leaves R,
+    so the projection holds a distribution only for the vertices in R.
+    mass/diff are the per-coordinate sums of mass and of edge
     differences that pick z0, as dense lists indexed by coordinate (0: no
     mass there), and a lazy heap of (key, z) yields the least ratio, ties by
     smallest id.  key[z] is the integer floor(2 diff[z] * S / mass[z]) at
@@ -262,7 +264,7 @@ class _ShrinkingProjection:
         self.den = den = math.lcm(*(d.den for d in w.dists.values()))
         self.atoms = [w.dists[x].num for x in range(G.n)]
         self.scale = [den // w.dists[x].den for x in range(G.n)]
-        self.proj = [_scaled(w.dists[x], den) for x in range(G.n)]
+        self.proj: list[dict[int, int] | None] = [_scaled(w.dists[x], den) for x in range(G.n)]
         self.holders: list[list[int]] = [[] for _ in range(G.n)]
         for x, a in enumerate(self.atoms):
             for t in a:
@@ -304,6 +306,8 @@ class _ShrinkingProjection:
                     if y not in bset:  # a block neighbour's support is added as its own
                         changed.update(proj[y])
         R.difference_update(block)
+        for x in block:  # nothing reads a cut vertex's distribution again
+            proj[x] = None
 
         # holders left in R of relocated atoms: the block coordinate goes, and
         # the atom's mass is gained where it lands

@@ -547,6 +547,29 @@ def test_report_reads_each_ball_once(capsys, tmp_path, monkeypatch):
     assert searches == {None: 7}
 
 
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_extract_drops_the_labeling_before_extraction(p11, capsys, monkeypatch, command):
+    """extract and report hold the parsed labels or the cut, never both."""
+    g, labels = p11
+    labelings, alive_at_extract = [], []
+    read, extract = cli.read_labeling_file, cli.extract_partition
+
+    def spy_read(path):
+        lab = read(path)
+        labelings.append(weakref.ref(lab))
+        return lab
+
+    def spy_extract(w, eps):
+        alive_at_extract.append([ref() is not None for ref in labelings])
+        return extract(w, eps)
+
+    monkeypatch.setattr(cli, "read_labeling_file", spy_read)
+    monkeypatch.setattr(cli, "extract_partition", spy_extract)
+    code, _, _ = run(capsys, command, str(g), str(labels))
+    assert code == 0
+    assert alive_at_extract == [[False]]
+
+
 def test_report_rejecting_exit(p11, capsys, tmp_path):
     g, labels = p11
     other = tmp_path / "c11.graph"

@@ -283,9 +283,9 @@ def test_extract_partition_matches_reference_loop_on_random_witnesses(monkeypatc
 def test_shrinking_projection_sums_after_every_cut():
     """The incrementally kept projection and sums equal the reference's recount over R.
 
-    Every coordinate of a cut block reads 0 and has no key, and the ratio
-    keys are exactly floor(2 diff/mass * S), S = (n den)^2, over the
-    coordinates with mass.
+    Every coordinate of a cut block reads 0 and has no key, the ratio keys
+    are exactly floor(2 diff/mass * S), S = (n den)^2, over the coordinates
+    with mass, and no vertex outside R still holds a distribution.
     """
     for G, w, eps in random_witness_suite(606):
         state = _ShrinkingProjection(w)
@@ -295,6 +295,7 @@ def test_shrinking_projection_sums_after_every_cut():
             R = state.remaining
             want = project_witness(w, R)
             assert all(RationalDist(state.den, state.proj[x]) == want[x] for x in R)
+            assert all(state.proj[x] is None for x in range(G.n) if x not in R)
             mass, diff = coordinate_sums(G, want)
             den = state.den
             assert {z: Fraction(m, den) for z, m in enumerate(state.mass) if m} == mass
