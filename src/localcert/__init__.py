@@ -59,6 +59,7 @@ from .separators import (
     tree_depth_shift_distribution,
     witness_from_partitions,
     witness_from_separators,
+    witness_from_tops,
     write_separator_distribution_file,
 )
 from .labeling import (

@@ -35,8 +35,8 @@ from .measures import WitnessFunction, check_uniformity, tighten_radius, uniform
 from .separators import (
     edge_shift_partitions,
     read_separator_distribution_file,
-    witness_from_partitions,
     witness_from_separators,
+    witness_from_tops,
 )
 from .verifier import (
     PREDICATES,
@@ -95,12 +95,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _build_witness(G: BoundedDegreeGraph, args: argparse.Namespace) -> WitnessFunction:
     """The --witness source; auto takes the edge-shift family, at the least
     k >= 2 with 2/k < eps', when G is a canonical cycle or a connected tree,
-    and the uniform-ball witness otherwise."""
+    and the uniform-ball witness otherwise.  Auto puts each shift's weight on
+    the top of x's piece (`witness_from_tops`): the same 2/k bound as the
+    uniform mix over the piece, at radius k - 1 instead of 2k - 2, with at
+    most k atoms per vertex.  A separators:<file> witness keeps the uniform
+    mix over each component (`witness_from_separators`)."""
     mode, w = args.witness, None
     if mode == "auto":
         samples = edge_shift_partitions(G, 2 // args.eps_prime + 1)
         if samples is not None:
-            w = witness_from_partitions(G, samples)
+            w = witness_from_tops(G, samples)
             if args.r is not None:
                 sys.stderr.write(f"note: --r {args.r} went unused; --witness auto chose the "
                                  "edge-shift witness, whose radius comes from its pieces\n")

@@ -2,10 +2,13 @@
 
 A random partition of V into pieces induces the witness f(x) = E[uniform on
 x's piece], whose l1 on an edge is at most twice the probability that the
-edge's ends part.  Cutting edges (`edge_shift_partitions`) pays that once
-per cut edge.  A K-separator Y leaves every component of G - Y with at most
-K vertices; as a partition, each vertex of Y is its own piece, so the
-induced witness has every edge l1 bounded by four times the max marginal.
+edge's ends part; so does f(x) = E[delta on the top of x's piece], one
+chosen vertex per piece, at the distance from x to that top instead of the
+piece's diameter.  Cutting edges (`edge_shift_partitions`) pays that once
+per cut edge, and `prove`'s automatic witness takes the tops.  A
+K-separator Y leaves every component of G - Y with at most K vertices; as a
+partition, each vertex of Y is its own piece, so the induced witness has
+every edge l1 bounded by four times the max marginal.
 
 Text format:
 
@@ -124,6 +127,37 @@ def witness_from_partitions(G: BoundedDegreeGraph, samples: list[tuple[list[list
                 row = nums[x]
                 for z in piece:
                     row[z] = row.get(z, 0) + share
+    return _mixed_witness(G, samples, radius, den, nums)
+
+
+def witness_from_tops(G: BoundedDegreeGraph,
+                      samples: list[tuple[list[list[int]], Fraction]]) -> WitnessFunction:
+    """f(x) = the sum over samples of weight * delta on the first vertex of x's piece.
+
+    Samples are as for `witness_from_partitions`; each piece's first vertex
+    is its top.  A sample's pieces are disjoint and each top lies in its own
+    piece, so an edge whose ends part with probability p still has l1 at
+    most 2p, while f(x) has at most one atom per sample.  The common
+    denominator is the lcm of the weights' denominators, and the mix costs
+    one step per vertex of each piece.  The declared radius is the largest
+    piece's size less one (at least 1), as `witness_from_partitions` defaults.
+    """
+    den = math.lcm(*(wt.denominator for _, wt in samples))
+    nums: list[dict[int, int]] = [dict() for _ in range(G.n)]
+    for pieces, wt in samples:
+        w_int = wt.numerator * (den // wt.denominator)
+        for piece in pieces:
+            top = piece[0]
+            for x in piece:
+                row = nums[x]
+                row[top] = row.get(top, 0) + w_int
+    return _mixed_witness(G, samples, None, den, nums)
+
+
+def _mixed_witness(G: BoundedDegreeGraph, samples: list[tuple[list[list[int]], Fraction]],
+                   radius: int | None, den: int, nums: list[dict[int, int]]) -> WitnessFunction:
+    """The witness of the mixed numerator rows over den; the radius defaults to
+    the largest piece's size less one (at least 1)."""
     if radius is None:
         radius = max([1] + [len(piece) - 1 for pieces, _ in samples for piece in pieces])
     # one vertex at a time: each row is handed to its distribution and
@@ -248,8 +282,11 @@ def edge_shift_partitions(G: BoundedDegreeGraph, k: int) -> list[tuple[list[list
     is s mod k; its pieces are the components of what is left.  Each edge is
     cut in exactly one sample, so the mixed witness measures at most 2/k for
     any n (Klein-Plotkin-Rao layering), and a piece spans at most k levels,
-    so at most 2k - 2 hops.  Shifts past the top level cut nothing, as s = 0
-    then does, and are merged into it.
+    so at most 2k - 2 hops.  Each piece is listed top first: its vertex
+    nearest 0 (0 itself for the cycle's piece through (n-1, 0)), then the
+    rest ascending; every vertex of the piece lies within k - 1 of its top.
+    Shifts past the top level cut nothing, as s = 0 then does, and are
+    merged into it.
     """
     if k < 1:
         raise ValueError(f"shift modulus must be positive, got {k}")
@@ -275,7 +312,11 @@ def edge_shift_partitions(G: BoundedDegreeGraph, k: int) -> list[tuple[list[list
             head = [0 if h == tail else h for h in head]
         pieces: dict[int, list[int]] = {}
         for v in range(n):
-            pieces.setdefault(head[v], []).append(v)
+            h = head[v]
+            if h not in pieces:
+                pieces[h] = [h]
+            if v != h:
+                pieces[h].append(v)
         samples.append((list(pieces.values()), Fraction(k - shifts + 1 if s == 0 else 1, k)))
     return samples
 

@@ -94,8 +94,8 @@ def test_prove_auto_path(p11, capsys, tmp_path):
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "5/6",
                        "--out", str(labels))
     assert code == 0
-    assert err == "measured_eps = 2/3\nradius = 2\nalpha = 18\npalette = 6\nK = 9\n"
-    assert labels.read_text().startswith("labels 11 2 18 6 5/6 9\n")
+    assert err == "measured_eps = 2/3\nradius = 2\nalpha = 3\npalette = 6\nK = 9\n"
+    assert labels.read_text().startswith("labels 11 2 3 6 5/6 9\n")
 
 
 def test_prove_auto_notes_an_unused_r(p11, capsys, tmp_path):
@@ -116,15 +116,15 @@ def test_prove_auto_notes_an_unused_r(p11, capsys, tmp_path):
 def test_prove_auto_cycle_rounds_shift(capsys, tmp_path):
     """eps' = 5/6 gives the shift k = 3, and 13 % 3 != 0: no divisor is needed.
     13 = 1 mod 3, so in two of the three samples the piece through the edge
-    (12, 0) has 4 vertices, and r = 3."""
+    (12, 0) has 4 vertices.  Its top is 0, within 2 of each, so r = k - 1 = 2."""
     g = tmp_path / "c13.graph"
     run(capsys, "gen", "--family", "cycle", "--n", "13", "--out", str(g))
     labels = tmp_path / "c13.labels"
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "5/6",
                        "--out", str(labels))
     assert code == 0
-    assert "measured_eps = 2/3\nradius = 3\n" in err
-    assert labels.read_text().startswith("labels 13 3 24 13 5/6 13\n")
+    assert "measured_eps = 2/3\nradius = 2\n" in err
+    assert labels.read_text().startswith("labels 13 2 3 7 5/6 9\n")
 
 
 def test_prove_auto_tree_then_verify(capsys, tmp_path):
@@ -134,7 +134,7 @@ def test_prove_auto_tree_then_verify(capsys, tmp_path):
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "3/4",
                        "--out", str(labels))
     assert code == 0
-    assert labels.read_text().startswith("labels 31 4 62 31 3/4 31\n")
+    assert labels.read_text().startswith("labels 31 2 3 13 3/4 31\n")
     code, out, _ = run(capsys, "verify", str(g), str(labels))
     assert code == 0
     assert out == "verdict accept\n"
@@ -188,11 +188,12 @@ def test_prove_separator_file_with_k_zero(capsys, tmp_path):
     # its supports are its balls, so the uniformity check sweeps no balls again
     ("grid", "8,8", ("--witness", "uniform-ball", "--r", "2", "--eps-prime", "3/2"),
      {2: 64, 5: 64}, 112),
-    # the auto edge-shift witness is tightened to r = 8, whose searches record
-    # its supports; max |B_16| for K is read from the distance-17 coloring,
-    # where the root's search reaches the whole tree, so no later vertex is
-    # searched
-    ("full_tree", "2,6", ("--eps-prime", "1/2"), {17: 1}, 126),
+    # the auto edge-shift witness is tightened to r = 4, whose searches record
+    # its supports; max |B_8| for K is read from the distance-9 coloring,
+    # where the root's search reaches the whole tree at eccentricity 6, so the
+    # 14 other vertices of depth at most 3, within 9 - 6 of the root, are not
+    # searched: 127 - 14 searches
+    ("full_tree", "2,6", ("--eps-prime", "1/2"), {9: 113}, 126),
 ], ids=["uniform-ball-grid8x8", "auto-full_tree2x6"])
 def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeypatch,
                                                         family, n, flags, want_balls, want_l1):
@@ -222,12 +223,13 @@ def test_prove_measures_ball_sizes_and_uniformity_once(capsys, tmp_path, monkeyp
     ("grid", "12,12", ("--witness", "uniform-ball", "--r", "3", "--eps-prime", "3/4"),
      "be486f67e5323cb4f0abec7aef27d89574ce5b50f991664d044d4a76727f4844"),
     ("full_tree", "2,5", ("--eps-prime", "1/2"),
-     "3aba817f5a94b48af6cf2deda70452b181da0036b08b8c95ea2350420c38c0f7"),
+     "e5eb550dbd689386c188c7a7988ef3cb88d1fb9709b476637413bea5aca4ba8a"),
 ], ids=["grid-12,12", "full_tree-2,5"])
 def test_prove_labels_golden(capsys, tmp_path, family, n, flags, digest):
     """Digests recorded with the least alpha within budget (392 on the grid, where
     halving from the worst-case rule gave 450) and the coloring at distance 2r+1;
-    the tree's with auto's edge-shift witness at k = 5 (r = 8, alpha 149)."""
+    the tree's with auto's edge-shift witness at k = 5, each shift's weight on
+    the top of x's piece (r = 4, alpha 5, palette 47)."""
     g = tmp_path / "g.graph"
     run(capsys, "gen", "--family", family, "--n", n, "--out", str(g))
     code, out, _ = run(capsys, "prove", str(g), *flags)
@@ -453,16 +455,39 @@ def test_predicate_choices_come_from_predicates(p11, capsys, monkeypatch, comman
     assert exc.value.code == 2
 
 
+def steal_color(labels, thief, victim):
+    """Rewrite the label file so that thief's color is victim's."""
+    lines = labels.read_text().splitlines()
+    fields = lines[thief + 1].split()
+    fields[1] = lines[victim + 1].split()[1]
+    lines[thief + 1] = " ".join(fields)
+    labels.write_text("\n".join(lines) + "\n")
+
+
 def test_verify_rejects_tampered_color(p11, capsys):
     g, labels = p11
-    lines = labels.read_text().splitlines()
-    fields = lines[1].split()
-    fields[1] = lines[2].split()[1]  # vertex 0 steals vertex 1's color
-    lines[1] = " ".join(fields)
-    labels.write_text("\n".join(lines) + "\n")
+    steal_color(labels, 0, 3)
     code, out, _ = run(capsys, "verify", str(g), str(labels))
-    # vertex 0's new column misses alpha on B_r(0)
-    assert (code, out) == (1, "verdict reject\nreject 0 probability\n")
+    # vertex 0's new column, vertex 3's, sums to 2 < alpha = 3 on
+    # B_r(0) = {0, 1, 2}, and vertex 1 reads it as its neighbor's, far from its own
+    assert (code, out) == (1, "verdict reject\nreject 0 probability\nreject 1 l1\n")
+
+
+def test_accepted_color_theft_is_sound(p11, capsys):
+    """Vertex 0 steals vertex 1's color.  f(1) = 2/3 on 0 + 1/3 on 1 lies inside
+    B_r(0), so the stolen column sums to alpha there and vanishes on 0's shell
+    r+1: every vertex accepts, and 0 decodes f(1).  As soundness promises, the
+    decoded witness measures at most eps', and extraction meets its bound."""
+    g, labels = p11
+    steal_color(labels, 0, 1)
+    assert run(capsys, "verify", str(g), str(labels)) == (0, "verdict accept\n", "")
+    G, lab = lc.read_graph_file(g), lc.read_labeling_file(labels)
+    decoded = lc.decode_accepted_witness(G, lab)
+    assert decoded.dists[0] == decoded.dists[1] == lc.RationalDist(3, {0: 2, 1: 1})
+    assert lc.check_uniformity(decoded).max_edge_l1 <= lab.params.eps_prime
+    code, out, _ = run(capsys, "report", str(g), str(labels))
+    assert code == 0
+    assert "verdict = accept\n" in out and "hyperfinite_ok = true\n" in out
 
 
 @pytest.mark.parametrize("command", ["verify"])
@@ -491,11 +516,11 @@ def test_extract_golden(p11, capsys):
     code, out, err = run(capsys, "extract", str(g), str(labels))
     assert code == 0
     assert out == (
-        "partition 11 3 2\n4 0 1 2 3\n4 4 5 6 7\n3 8 9 10\nremoved\n3 4\n7 8\n"
+        "partition 11 4 3\n3 8 9 10\n3 5 6 7\n3 2 3 4\n2 0 1\nremoved\n1 2\n4 5\n7 8\n"
     )
     assert err == (
-        "blocks = 3\nmax_block = 4\nremoved_edges = 2\n"
-        "removed_per_vertex = 2/11\nedit_bound = 2/11\n"
+        "blocks = 4\nmax_block = 3\nremoved_edges = 3\n"
+        "removed_per_vertex = 3/11\nedit_bound = 3/11\n"
     )
 
 
@@ -513,12 +538,12 @@ def test_report_golden(p11, capsys):
     code, out, _ = run(capsys, "report", str(g), str(labels))
     assert code == 0
     assert out == (
-        "n = 11\nm = 10\nd = 2\nr = 2\nalpha = 18\npalette = 6\n"
+        "n = 11\nm = 10\nd = 2\nr = 2\nalpha = 3\npalette = 6\n"
         "eps_prime = 5/6\nK = 9\npredicate = planar\nverdict = accept\n"
         "rejecting = 0\napls_guarantee = 5/3\neps_decoded = 2/3\n"
-        "blocks = 3\nmax_block = 4\nremoved_edges = 2\n"
-        "removed_per_vertex = 2/11\nremoved_per_edge = 1/5\n"
-        "hyperfinite_ok = true\nedit_bound = 2/11\n"
+        "blocks = 4\nmax_block = 3\nremoved_edges = 3\n"
+        "removed_per_vertex = 3/11\nremoved_per_edge = 3/10\n"
+        "hyperfinite_ok = true\nedit_bound = 3/11\n"
     )
 
 
@@ -686,11 +711,13 @@ def test_prove_eps_prime_two_or_more_exits_before_any_work(p11, capsys, monkeypa
     assert called == []
 
 
-@pytest.mark.parametrize("n, r, palette", [(3, 1, 3), (4, 2, 4), (211, 5, 19)])
+@pytest.mark.parametrize("n, r, palette", [(3, 1, 3), (4, 2, 4), (211, 4, 11), (1009, 4, 19)])
 def test_prove_small_and_prime_cycles(capsys, tmp_path, n, r, palette):
     """At eps' = 1/2 the shift is k = 5, longer than cycles 3 and 4 and no divisor
-    of 211: each proves, verifies and extracts.  211 = 1 mod 5, so in four of the
-    five samples the piece through the edge (210, 0) has 6 vertices, and r = 5."""
+    of 211 or 1009: each proves, verifies and extracts.  211 = 1 mod 5, so in
+    four of the five samples the piece through the edge (210, 0) has 6 vertices,
+    and 1009 = 4 mod 5 gives it up to 9.  Either way that piece's top is 0, with
+    at most k - 1 of its vertices on either side, so r = k - 1 = 4."""
     g, labels = tmp_path / "c.graph", tmp_path / "c.labels"
     run(capsys, "gen", "--family", "cycle", "--n", str(n), "--out", str(g))
     code, _, err = run(capsys, "prove", str(g), "--eps-prime", "1/2", "--out", str(labels))
@@ -699,3 +726,22 @@ def test_prove_small_and_prime_cycles(capsys, tmp_path, n, r, palette):
     assert run(capsys, "verify", str(g), str(labels)) == (0, "verdict accept\n", "")
     code, out, _ = run(capsys, "extract", str(g), str(labels))
     assert code == 0 and out.startswith(f"partition {n} ")
+
+
+def test_prove_full_trees_at_one_radius_and_palette(capsys, tmp_path):
+    """Auto's witness on full_tree(2, D) at eps' = 1/2 (k = 5) puts each shift's
+    weight on the top of x's piece, fewer than k levels above x, so r = k - 1 = 4
+    at every depth.  The distance-9 coloring's palette then stops growing with
+    the tree: 59 and 61 colors at depths 7 and 8, and 62 from depth 9 on,
+    where the label bytes per vertex stay put."""
+    palettes, per_vertex = [], []
+    for depth in range(7, 12):
+        g, labels = tmp_path / f"t{depth}.graph", tmp_path / f"t{depth}.labels"
+        run(capsys, "gen", "--family", "full_tree", "--n", f"2,{depth}", "--out", str(g))
+        code, _, err = run(capsys, "prove", str(g), "--eps-prime", "1/2", "--out", str(labels))
+        assert code == 0, err
+        assert "radius = 4\nalpha = 5\n" in err
+        palettes.append(lc.read_labeling_file(labels).params.palette)
+        per_vertex.append(len(labels.read_bytes()) / 2 ** (depth + 1))
+    assert palettes == [59, 61, 62, 62, 62]
+    assert max(per_vertex[2:]) < 1.01 * min(per_vertex[2:])

@@ -30,9 +30,9 @@ def test_traced_child_run_reports_labeling_layers(tmp_path):
 
 
 def test_traced_tampered_tree_run_reports_rejections(tmp_path):
-    # tree-tamper is the one workload whose traced run mixes a separator
-    # witness (depth shifts on a tree) and takes the verifier's reject path
-    # and extract's refusal
+    # tree-tamper is the one workload whose traced run proves a tree with
+    # auto's edge-shift witness and takes the verifier's reject path and
+    # extract's refusal
     record = _traced_child_run(tmp_path, "tree-tamper")
     assert [record[cmd]["rc"] for cmd in ("prove", "verify", "extract")] == [0, 1, 1]
     layers = record["layers"]

@@ -23,6 +23,7 @@ from localcert.separators import (
     tree_depth_shift_distribution,
     witness_from_partitions,
     witness_from_separators,
+    witness_from_tops,
 )
 
 
@@ -142,9 +143,10 @@ def test_shift_family_distribution_recognizes_path_cycle_tree():
     T = lc.generate(lc.FamilySpec("full_tree", (2, 2)))
     assert edge_shift_partitions(T, 2) == [([[0, 1, 2], [3], [4], [5], [6]], half),
                                            ([[0], [1, 3, 4], [2, 5, 6]], half)]
-    # a path whose ids are not in path order is still a tree, rooted at 0
+    # a path whose ids are not in path order is still a tree, rooted at 0;
+    # each piece is listed top first, so 2, nearer 0 than 1, leads its piece
     Q = lc.build_graph([(0, 2), (1, 2)], 2)
-    assert edge_shift_partitions(Q, 2) == [([[0, 2], [1]], half), ([[0], [1, 2]], half)]
+    assert edge_shift_partitions(Q, 2) == [([[0, 2], [1]], half), ([[0], [2, 1]], half)]
     # shifts past the top level cut nothing, as s = 0 does, and merge into it
     P3 = lc.generate(lc.FamilySpec("path", (3,)))
     assert edge_shift_partitions(P3, 5) == [([[0, 1, 2]], Fraction(3, 5)),
@@ -180,26 +182,41 @@ edge_shift_graphs = st.one_of(
 @given(G=edge_shift_graphs, k=st.integers(2, 8))
 def test_edge_shift_family_cuts_each_edge_once(G, k):
     """Sample s's pieces are the components of G minus the edges whose level is
-    s mod k, and every edge is cut in exactly one sample.  The witness measures
-    at most 2/k, and its tightened radius is at most 2k - 2."""
+    s mod k, each listed top first, and every edge is cut in exactly one sample.
+    The uniform mix measures at most 2/k at a tightened radius of at most
+    2k - 2.  Auto's witness, each sample's weight on the top of x's piece,
+    has at most k atoms, each a top of x, measures at most 2/k, and its
+    tightened radius is at most k - 1."""
     if G.m == G.n:  # a cycle: edge (i, i + 1) at level i + 1, (0, n - 1) at level n
         level = {(u, v): v if v == u + 1 else G.n for u, v in G.edges()}
+        depth = range(G.n)  # the path 0..n-1 rooted at 0
     else:
         depth = lc.bfs(G.adj, (0,))[1]
         level = {(u, v): max(depth[u], depth[v]) for u, v in G.edges()}
     samples = edge_shift_partitions(G, k)
     assert sum(wt for _, wt in samples) == 1
     cut_in = dict.fromkeys(level, 0)
+    tops = [set() for _ in range(G.n)]
     for s, (pieces, _) in enumerate(samples):
         cut = {e for e, lv in level.items() if lv % k == s}
         for e in cut:
             cut_in[e] += 1
         kept = lc.build_graph([e for e in level if e not in cut], G.d, G.n)
-        assert pieces == components(kept)
+        assert [sorted(piece) for piece in pieces] == components(kept)
+        for piece in pieces:
+            assert piece[0] == min(piece, key=depth.__getitem__)
+            for x in piece:
+                tops[x].add(piece[0])
     assert all(c == 1 for c in cut_in.values())
     w = lc.tighten_radius(witness_from_partitions(G, samples))
     assert check_uniformity(w).max_edge_l1 <= Fraction(2, k)
     assert w.radius <= 2 * k - 2
+    w = lc.tighten_radius(witness_from_tops(G, samples))
+    for x, f in w.dists.items():
+        assert len(f.num) <= k
+        assert set(f.num) == tops[x]
+    assert check_uniformity(w).max_edge_l1 <= Fraction(2, k)
+    assert w.radius <= k - 1
 
 
 # --- witness mixing ----------------------------------------------------------
@@ -224,6 +241,27 @@ def test_partition_witness_hand_case():
     assert w.dists[0] == lc.RationalDist(4, {0: 3, 1: 1})
     assert w.dists[1] == lc.RationalDist(4, {0: 1, 1: 2, 2: 1})
     assert check_uniformity(w).max_edge_l1 == 1  # edge (1, 2) parts at weight 1/2
+
+
+def test_top_witness_hand_case():
+    """Half on the tops of {0, 1} | {2, 3}, half on those of {0} | {1, 2} | {3}:
+    one atom per sample, over the weights' denominator, and the edge (1, 2)
+    parts at weight 1/2 as with the uniform mix."""
+    P = lc.generate(lc.FamilySpec("path", (4,)))
+    half = Fraction(1, 2)
+    w = witness_from_tops(P, [([[0, 1], [2, 3]], half), ([[0], [1, 2], [3]], half)])
+    assert w.radius == 1
+    assert w.dists[0] == lc.RationalDist.delta(0)
+    assert w.dists[1] == lc.RationalDist(2, {0: 1, 1: 1})
+    assert w.dists[2] == lc.RationalDist(2, {2: 1, 1: 1})
+    assert w.dists[3] == lc.RationalDist(2, {2: 1, 3: 1})
+    assert check_uniformity(w).max_edge_l1 == 1
+    # thirds and a half: the denominator is the lcm of the weights' alone
+    third = Fraction(1, 3)
+    w = witness_from_tops(P, [([[0, 1, 2, 3]], half), ([[1, 0], [2, 3]], third),
+                              ([[3, 2, 1, 0]], Fraction(1, 6))])
+    assert w.dists[0] == lc.RationalDist(6, {0: 3, 1: 2, 3: 1})
+    assert w.dists[3] == lc.RationalDist(6, {0: 3, 2: 2, 3: 1})
 
 
 def fraction_rule_den(samples):
