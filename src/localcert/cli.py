@@ -168,6 +168,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     eps_prime = labeling.params.eps_prime
     del labeling  # the tables are not read again; release them before extraction
     partition = extract_partition(witness, eps_prime)
+    del witness  # released before the edit bound runs the predicate on all of G
     _emit(format_partition(partition), args.out)
     lines = [
         f"blocks = {partition.num_blocks}",
@@ -208,6 +209,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if verdict.accept:
         partition = extract_partition(witness, p.eps_prime)
         decoded = check_uniformity(witness)  # cached by the extraction's pass
+        del witness  # released before the edit bound runs the predicate on all of G
         hyper = check_hyperfinite(G, partition, guarantee, k_local)
         lines += [
             f"eps_decoded = {_fraction_str(decoded.max_edge_l1)}",

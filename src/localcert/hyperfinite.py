@@ -109,8 +109,8 @@ def _scaled(d: RationalDist, den: int) -> dict[int, int]:
     return d.num if scale == 1 else {z: c * scale for z, c in d.num.items()}
 
 
-def _add_edge(diff: list[int], pu: Mapping[int, int], pv: Mapping[int, int], sign: int) -> int:
-    """Add sign * |pu(z) - pv(z)| to diff[z] for every z.
+def _add_edge(diff: list[int], pu: Mapping[int, int], pv: Mapping[int, int]) -> int:
+    """Add |pu(z) - pv(z)| to diff[z] for every z.
 
     Returns sum_z |pu(z) - pv(z)|: the edge's l1 distance times the denominator.
     """
@@ -121,13 +121,21 @@ def _add_edge(diff: list[int], pu: Mapping[int, int], pv: Mapping[int, int], sig
         if delta:
             if delta < 0:
                 delta = -delta
-            diff[z] += sign * delta
+            diff[z] += delta
             edge += delta
     for z in pv.keys() - pu.keys():
         c = pv[z]
-        diff[z] += sign * c
+        diff[z] += c
         edge += c
     return edge
+
+
+def _drop_edge(diff: list[int], pu: Mapping[int, int], pv: Mapping[int, int],
+               coords: set[int]) -> None:
+    """Subtract |pu(z) - pv(z)| from diff[z] for every z in coords."""
+    get_u, get_v = pu.get, pv.get
+    for z in coords:
+        diff[z] -= abs(get_u(z, 0) - get_v(z, 0))
 
 
 def _coordinate_sums(G: BoundedDegreeGraph, num: list[Mapping[int, int]]
@@ -148,7 +156,7 @@ def _coordinate_sums(G: BoundedDegreeGraph, num: list[Mapping[int, int]]
             mass[z] += c
         for v in G.adj[u]:
             if u < v:
-                edge = _add_edge(diff, nu, num[v], 1)
+                edge = _add_edge(diff, nu, num[v])
                 if edge > best:
                     best, worst = edge, (u, v)
     return mass, diff, best, worst
@@ -233,10 +241,12 @@ class _ShrinkingProjection:
     R; a farther t can never again be an atom of a distribution rooted in R,
     so it is dropped for good (tau[t] is None).  cell[z] lists the atoms t
     with tau[t] == z, holders[t] the vertices whose distribution has an atom
-    at t.  proj[x] is x's pushed-forward distribution over the common
-    denominator `den`; it shares the witness's own dict until a cut first
-    relocates one of x's atoms, and it is dropped (None) once x leaves R,
-    so the projection holds a distribution only for the vertices in R.
+    at t; when a cut relocates t, holders[t] is pruned to its members still
+    in R, so no later walk over it meets a cut vertex.  proj[x] is x's
+    pushed-forward distribution over the common denominator `den`; it
+    shares the witness's own dict until a cut first relocates one of x's
+    atoms, and it is dropped (None) once x leaves R, so the projection
+    holds a distribution only for the vertices in R.
     mass/diff are the per-coordinate sums of mass and of edge
     differences that pick z0, as dense lists indexed by coordinate (0: no
     mass there), and a lazy heap of (key, z) yields the least ratio, ties by
@@ -251,11 +261,13 @@ class _ShrinkingProjection:
     relocated into the rest of R or dropped because no vertex left in R
     holds it, so after the cut no distribution has mass at a block
     coordinate: their mass and diff are set to 0 and their keys dropped,
-    with no per-atom bookkeeping.  At every other coordinate the sums move
-    only by the block's own distributions and edges, which leave, and by
-    the mass each holder gains where its relocated atoms land; an edge's
-    difference changes only at the coordinates one of its endpoints gains,
-    so those are the only ones the per-edge update visits.
+    with no per-atom bookkeeping, and the block's distributions and edges
+    are subtracted at the coordinates outside the block only.  At those
+    coordinates the sums move only by the block's own distributions and
+    edges, which leave, and by the mass each holder gains where its
+    relocated atoms land; an edge's difference changes only at the
+    coordinates one of its endpoints gains, so those are the only ones the
+    per-edge update visits.
     """
 
     def __init__(self, w: WitnessFunction):
@@ -291,39 +303,56 @@ class _ShrinkingProjection:
 
     def _remove(self, block: tuple[int, ...]) -> None:
         adj, R, proj, mass, diff = self.G.adj, self.remaining, self.proj, self.mass, self.diff
-        atoms, scale = self.atoms, self.scale
+        atoms, scale, holders = self.atoms, self.scale, self.holders
         changed: set[int] = set()
-        # the block's distributions and every edge touching it leave the sums
+        # the block's distributions and every edge touching it leave the sums,
+        # at the coordinates outside the block only: the block's own are zeroed below
         bset = set(block)
+        # a block vertex's coordinates outside the block, from the first
+        # lower neighbour that needs them until its own turn (block ascends)
+        outside: dict[int, set[int]] = {}
         for x in block:
             px = proj[x]
-            for z, c in px.items():
-                mass[z] -= c
-            changed.update(px)
+            ox = outside.pop(x, None)
+            if ox is None:
+                ox = px.keys() - bset
+            for z in ox:
+                mass[z] -= px[z]
+            changed |= ox
             for y in adj[x]:
-                if y in R and (y not in bset or x < y):
-                    _add_edge(diff, px, proj[y], -1)
-                    if y not in bset:  # a block neighbour's support is added as its own
-                        changed.update(proj[y])
+                if y in R:
+                    if y not in bset:
+                        oy = proj[y].keys() - bset
+                        changed |= oy  # the edge's difference moves on y's coordinates too
+                    elif y < x:
+                        continue  # an edge inside the block, dropped from y's side
+                    else:
+                        oy = outside.get(y)
+                        if oy is None:
+                            oy = outside[y] = proj[y].keys() - bset
+                    _drop_edge(diff, px, proj[y], ox | oy)
         R.difference_update(block)
         for x in block:  # nothing reads a cut vertex's distribution again
             proj[x] = None
 
         # holders left in R of relocated atoms: the block coordinate goes, and
-        # the atom's mass is gained where it lands
+        # the atom's mass is gained where it lands.  The atom's holder list
+        # keeps only those, so no later walk meets a cut vertex there again.
         gain: dict[int, dict[int, int]] = {}
+        in_R = R.__contains__
         for t, old, new in self._relocate(block):
-            for x in self.holders[t]:
-                if x in R:
-                    assert new is not None, "dropped atom still held inside R"
-                    px = proj[x]
-                    if px is atoms[x]:
-                        px = proj[x] = dict(px)  # stop sharing the witness's dict
-                    px.pop(old, None)
-                    gx = gain.get(x)
-                    if gx is None:
-                        gx = gain[x] = {}
-                    gx[new] = gx.get(new, 0) + atoms[x][t] * scale[x]
+            live = holders[t]
+            live[:] = filter(in_R, live)
+            assert new is not None or not live, "dropped atom still held inside R"
+            for x in live:
+                px = proj[x]
+                if px is atoms[x]:
+                    px = proj[x] = dict(px)  # stop sharing the witness's dict
+                px.pop(old, None)
+                gx = gain.get(x)
+                if gx is None:
+                    gx = gain[x] = {}
+                gx[new] = gx.get(new, 0) + atoms[x][t] * scale[x]
         for x, gx in gain.items():
             px = proj[x]
             for z, c in gx.items():
@@ -478,10 +507,29 @@ class HyperfiniteReport:
     component_bound: int
 
 
-def _require_same_vertices(G: BoundedDegreeGraph, partition: PartitionResult) -> None:
-    """A partition certifies G only if its blocks cover exactly G's vertices."""
+def _require_partition_of(G: BoundedDegreeGraph, partition: PartitionResult) -> None:
+    """A partition certifies G only if its blocks cover exactly G's vertices and
+    W is exactly the set of G's edges between distinct blocks, each listed once
+    (either orientation).  O(n + m)."""
     if partition.n != G.n:
         raise ValueError(f"partition of {partition.n} vertices checked against a graph of {G.n}")
+    block_of = [0] * G.n
+    for i, block in enumerate(partition.blocks):
+        for x in block:
+            block_of[x] = i
+    cross = {(u, v) for u in range(G.n) for v in G.adj[u]
+             if u < v and block_of[u] != block_of[v]}
+    removed: set[tuple[int, int]] = set()
+    for u, v in partition.removed_edges:
+        e = (u, v) if u < v else (v, u)
+        if e not in cross:
+            raise ValueError(f"removed edge {e} is not an edge of G between two blocks")
+        if e in removed:
+            raise ValueError(f"removed edge {e} is listed twice")
+        removed.add(e)
+    missing = cross - removed
+    if missing:
+        raise ValueError(f"edge {min(missing)} joins two blocks but is not in W")
 
 
 def check_hyperfinite(G: BoundedDegreeGraph, partition: PartitionResult,
@@ -490,7 +538,7 @@ def check_hyperfinite(G: BoundedDegreeGraph, partition: PartitionResult,
 
     `ok` judges |W| per vertex; |W| per edge is reported alongside.
     """
-    _require_same_vertices(G, partition)
+    _require_partition_of(G, partition)
     removed = partition.num_removed
     per_vertex = Fraction(removed, G.n) if G.n else Fraction(0)
     per_edge = Fraction(removed, G.m) if G.m else Fraction(0)
@@ -518,12 +566,17 @@ def edit_distance_upper_bound(G: BoundedDegreeGraph, partition: PartitionResult,
     Removing W turns G into the disjoint union of the block-induced
     subgraphs; if each lies in the (monotone, union-closed) property, the
     whole edited graph does, and only |W| edge edits were spent.
+
+    The predicate must be hereditary (closed under induced subgraphs), as
+    every PREDICATES entry is: then one call on G that passes settles every
+    block, and only when it fails is each block judged on its own, the first
+    failing one reported.
     """
-    _require_same_vertices(G, partition)
-    for i, block in enumerate(partition.blocks):
-        sub = induced_subgraph(G, block)
-        if not predicate(sub):
-            return EditDistanceBound(False, None, i)
+    _require_partition_of(G, partition)
+    if not predicate(G):
+        for i, block in enumerate(partition.blocks):
+            if not predicate(induced_subgraph(G, block)):
+                return EditDistanceBound(False, None, i)
     bound = Fraction(partition.num_removed, G.n) if G.n else Fraction(0)
     return EditDistanceBound(True, bound, None)
 

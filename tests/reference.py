@@ -11,6 +11,10 @@ per distinct shape and tries the shape that failed last first.
 `Fraction` differences and keeps the running maximum as a `Fraction`, where
 `check_uniformity` compares integer pairs by cross-multiplication.
 
+`reference_edit_bound` judges every block's induced subgraph in turn, where
+`edit_distance_upper_bound` lets one passing call on the whole graph settle
+every block of a hereditary predicate.
+
 `extract_partition` keeps one projection up to date across cuts; this module
 recomputes everything after every cut instead.  Each round projects the
 witness onto the remaining vertices R (every atom moves to its nearest point
@@ -170,3 +174,12 @@ def reference_partition(w, eps):
     cuts = list(reference_cuts(w, eps))
     removed = sorted(tuple(sorted(e)) for res in cuts for e in res.edges)
     return lc.PartitionResult(w.graph.n, tuple(res.vertices for res in cuts), tuple(removed))
+
+
+def reference_edit_bound(G, partition, predicate):
+    """The first block whose induced subgraph fails the predicate, else |W|/|V|."""
+    for i, block in enumerate(partition.blocks):
+        if not predicate(lc.induced_subgraph(G, block)):
+            return lc.EditDistanceBound(False, None, i)
+    bound = Fraction(partition.num_removed, G.n) if G.n else Fraction(0)
+    return lc.EditDistanceBound(True, bound, None)

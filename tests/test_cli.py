@@ -563,13 +563,11 @@ def test_report_reads_each_ball_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert "verdict = accept\n" in out
     assert balls == {3: 64}  # one B_{r+1} ball per vertex, judged and decoded
-    # components passes only: one for the structural half, and one in
-    # is_planar for each extraction block with more than 4 vertices and at
-    # most n + 2 edges, where the cyclomatic number can settle planarity.
-    # At alpha = 100 the 8 blocks have (vertices, edges) (11, 14), (9, 10),
-    # (9, 10), (8, 9), (9, 11), (9, 10), (6, 6) and (3, 2): all but the first
-    # and the last qualify, 6 blocks
-    assert searches == {None: 7}
+    # one components pass, for the structural half.  The edit bound calls
+    # is_planar once, on the whole grid, which passes and so settles every
+    # block (the predicate is hereditary); with m = 112 > n + 2 that call
+    # goes straight to the LR test, and no block is judged on its own
+    assert searches == {None: 1}
 
 
 @pytest.mark.parametrize("command", ["extract", "report"])
@@ -593,6 +591,36 @@ def test_extract_drops_the_labeling_before_extraction(p11, capsys, monkeypatch, 
     code, _, _ = run(capsys, command, str(g), str(labels))
     assert code == 0
     assert alive_at_extract == [[False]]
+
+
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_extract_drops_the_witness_before_the_edit_bound(p11, capsys, monkeypatch, command):
+    """The edit bound calls the predicate on all of G, with the decoded witness gone."""
+    g, labels = p11
+    witnesses, alive_at_bound = [], []
+    decode, both, bound = (cli.decode_accepted_witness, cli.verify_and_decode,
+                           cli.edit_distance_upper_bound)
+
+    def spy_decode(G, labeling):
+        w = decode(G, labeling)
+        witnesses.append(weakref.ref(w))
+        return w
+
+    def spy_both(G, labeling):
+        verdict, w = both(G, labeling)
+        witnesses.append(weakref.ref(w))
+        return verdict, w
+
+    def spy_bound(G, partition, predicate):
+        alive_at_bound.append([ref() is not None for ref in witnesses])
+        return bound(G, partition, predicate)
+
+    monkeypatch.setattr(cli, "decode_accepted_witness", spy_decode)
+    monkeypatch.setattr(cli, "verify_and_decode", spy_both)
+    monkeypatch.setattr(cli, "edit_distance_upper_bound", spy_bound)
+    code, _, _ = run(capsys, command, str(g), str(labels))
+    assert code == 0
+    assert alive_at_bound == [[False]]
 
 
 def test_report_rejecting_exit(p11, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Superlevel sweeps, the area/coarea identities, and partition extraction."""
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -33,6 +34,7 @@ from reference import (
     find_low_boundary_set,
     project_witness,
     reference_cuts,
+    reference_edit_bound,
     reference_partition,
     threshold_set,
 )
@@ -285,14 +287,32 @@ def test_shrinking_projection_sums_after_every_cut():
 
     Every coordinate of a cut block reads 0 and has no key, the ratio keys
     are exactly floor(2 diff/mass * S), S = (n den)^2, over the coordinates
-    with mass, and no vertex outside R still holds a distribution.
+    with mass, and no vertex outside R still holds a distribution.  Each
+    atom's holders in R are exactly the vertices of R whose witness
+    distribution has it in its support, and the list of an atom the cut
+    relocated holds vertices of R only.
     """
+    pruned = False
     for G, w, eps in random_witness_suite(606):
         state = _ShrinkingProjection(w)
         S = (G.n * state.den) ** 2
+        relocated = []
+        relocate = state._relocate
+
+        def spy(block):
+            out = relocate(block)
+            relocated[:] = [t for t, _, _ in out]
+            return out
+
+        state._relocate = spy
         while state.remaining:
+            held_before = sum(map(len, state.holders))
             block = state.cut(eps).vertices
             R = state.remaining
+            assert all(set(state.holders[t]) & R == {x for x in R if t in w.dists[x].num}
+                       for t in range(G.n))
+            assert all(x in R for t in relocated for x in state.holders[t])
+            pruned = pruned or sum(map(len, state.holders)) < held_before
             want = project_witness(w, R)
             assert all(RationalDist(state.den, state.proj[x]) == want[x] for x in R)
             assert all(state.proj[x] is None for x in range(G.n) if x not in R)
@@ -305,6 +325,7 @@ def test_shrinking_projection_sums_after_every_cut():
             assert all(state.mass[z] == state.diff[z] == 0 and z not in state.key
                        for z in block)
             assert state.key == {z: math.floor(2 * diff[z] / m * S) for z, m in mass.items()}
+    assert pruned  # some cut shortened a holder list
 
 
 @st.composite
@@ -461,16 +482,19 @@ def test_check_hyperfinite_normalizations():
     assert not small_k.ok
 
 
-def test_edit_distance_bound():
-    import itertools
-
+def grid_and_k5():
+    """Grid 5x5 next to K5, cut into its two components."""
     grid = lc.generate(lc.FamilySpec("grid", (5, 5)))
     edges = grid.edges() + [
         (u + 25, v + 25) for u, v in itertools.combinations(range(5), 2)
     ]
     G = lc.build_graph(edges, d=4, n=30)
     blocks = (tuple(range(25)), tuple(range(25, 30)))
-    part = PartitionResult(30, blocks, ())
+    return G, PartitionResult(30, blocks, ())
+
+
+def test_edit_distance_bound():
+    G, part = grid_and_k5()
     res = edit_distance_upper_bound(G, part, is_planar)
     assert not res.feasible and res.offending_block == 1
     fine = edit_distance_upper_bound(G, part, lambda H: True)
@@ -494,6 +518,77 @@ def test_edit_distance_bound_on_empty_graph():
     G = lc.BoundedDegreeGraph(0, 2, [])
     res = edit_distance_upper_bound(G, PartitionResult(0, (), ()), is_planar)
     assert res.feasible and res.bound == 0
+
+
+@pytest.mark.parametrize("blocks, removed, want", [
+    (((0, 1), (2,)), (), r"edge \(1, 2\) joins two blocks but is not in W"),
+    (((0, 1), (2,)), ((1, 2), (0, 2)), r"removed edge \(0, 2\) is not an edge of G"),
+    (((0, 1), (2,)), ((0, 1),), r"removed edge \(0, 1\) is not an edge of G"),
+    (((0,), (1,), (2,)), ((0, 1), (1, 2), (2, 1)), r"removed edge \(1, 2\) is listed twice"),
+], ids=["cross-edge-kept", "non-edge", "edge-inside-a-block", "listed-twice"])
+def test_certificate_checks_refuse_a_W_that_is_not_the_cross_edges(blocks, removed, want):
+    """On path 3, W must be exactly the edges between distinct blocks, each once."""
+    G = lc.generate(lc.FamilySpec("path", (3,)))
+    part = PartitionResult(3, blocks, removed)
+    with pytest.raises(ValueError, match=want):
+        check_hyperfinite(G, part, Fraction(1), K=3)
+    with pytest.raises(ValueError, match=want):
+        edit_distance_upper_bound(G, part, is_planar)
+
+
+def test_certificate_checks_take_W_in_either_orientation():
+    G = lc.generate(lc.FamilySpec("path", (3,)))
+    part = PartitionResult(3, ((0, 1), (2,)), ((2, 1),))
+    assert check_hyperfinite(G, part, Fraction(1, 3), K=2).ok
+    assert edit_distance_upper_bound(G, part, is_planar) == lc.EditDistanceBound(
+        True, Fraction(1, 3), None)
+
+
+def _edit_bound_cases():
+    """(name, G, partition): the three workloads' graphs and witnesses at small
+    sizes with their extracted partitions, the grid + K5 case, and a cycle
+    next to K3,3 cut into components and into singletons."""
+    grid = lc.generate(lc.FamilySpec("grid", (12, 12)))
+    w = uniform_ball_witness(grid, 2)
+    yield "grid-ball", grid, extract_partition(w, lc.check_uniformity(w).max_edge_l1)
+    for name, spec in [("cycle-shift", ("cycle", (60,))), ("tree-shift", ("full_tree", (2, 6)))]:
+        G = lc.generate(lc.FamilySpec(*spec))
+        w = measures.tighten_radius(
+            separators.witness_from_tops(G, separators.edge_shift_partitions(G, 5)))
+        yield name, G, extract_partition(w, lc.check_uniformity(w).max_edge_l1)
+    yield "grid+K5", *grid_and_k5()
+    k33 = [(u, v) for u in range(8, 11) for v in range(11, 14)]
+    G = lc.build_graph([(i, (i + 1) % 8) for i in range(8)] + k33, d=3, n=14)
+    yield "cycle+K33", G, PartitionResult(14, (tuple(range(8, 14)), tuple(range(8))), ())
+    singletons = tuple((x,) for x in range(14))
+    yield "cycle+K33-singletons", G, PartitionResult(14, singletons, tuple(G.edges()))
+
+
+@pytest.mark.parametrize("predicate, outcomes", [
+    (is_planar, {(True, True), (False, False), (False, True)}),
+    (lc.is_acyclic, {(True, True), (False, False), (False, True)}),
+    (lambda H: True, {(True, True)}),
+], ids=["planar", "acyclic", "always-true"])
+def test_edit_distance_bound_matches_the_per_block_loop(predicate, outcomes):
+    """One call on G settles every block of a hereditary predicate; the block-by-block
+    loop runs only when that call fails, and reports the same first failing block.
+
+    `outcomes` lists the (G passes, bound feasible) pairs the cases reach.
+    """
+    seen = set()
+    for name, G, part in _edit_bound_cases():
+        calls = []
+
+        def counted(H):
+            calls.append(H.n)
+            return predicate(H)
+
+        got = edit_distance_upper_bound(G, part, counted)
+        assert got == reference_edit_bound(G, part, predicate), name
+        if predicate(G):
+            assert calls == [G.n], name
+        seen.add((predicate(G), got.feasible))
+    assert seen == outcomes
 
 
 # --- text format ------------------------------------------------------------------
