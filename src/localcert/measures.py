@@ -60,10 +60,23 @@ class RationalDist:
 
     @classmethod
     def uniform(cls, vertices: Iterable[int]) -> "RationalDist":
+        """The uniform distribution on `vertices`: numerator 1 each, over their number.
+
+        Its dict, keyed in input order, is built once and adopted without
+        `__init__`'s scan, since unit numerators over their count are valid
+        by construction; an empty support or a repeated vertex raises
+        ValueError.
+        """
         vs = list(vertices)
-        if not vs:
+        num = dict.fromkeys(vs, 1)
+        if not num:
             raise ValueError("uniform distribution needs a nonempty support")
-        return cls(len(vs), dict.fromkeys(vs, 1))
+        if len(num) != len(vs):
+            raise ValueError("uniform distribution's support repeats a vertex")
+        f = cls.__new__(cls)
+        f.den = len(vs)
+        f.num = num
+        return f
 
     def value(self, z: int) -> Fraction:
         return Fraction(self.num.get(z, 0), self.den)
@@ -95,18 +108,30 @@ def l1_distance(p: RationalDist, q: RationalDist) -> Fraction:
 def _l1_pair(p: RationalDist, q: RationalDist) -> tuple[int, int]:
     """The l1 distance of p and q as an integer pair (numerator, denominator), unreduced.
 
-    Both are brought onto the least common denominator pd * (qd // g), with
-    g = gcd(pd, qd): p's numerators scale by qd // g and q's by pd // g.
-    Over one shared denominator both factors are 1, so witnesses that share
-    a large denominator (the separator witnesses) cost no multi-digit
-    cross-multiplication.  q's values on p's support are gathered in one C
-    call; the rest of q's mass, qd minus what that gathered, lies outside
-    p's support.
+    When both have unit numerators, over a = |supp p| and b = |supp q|,
+    the distance depends on the overlap size i alone: the shared atoms
+    differ by |b - a| / (a * b) each, and the rest carry their whole mass,
+    so the pair is (i * |b - a| + (a - i) * b + (b - i) * a, a * b), and
+    only the key sets are intersected.  A distribution has unit numerators
+    iff it has as many atoms as its denominator, since its numerators are
+    positive integers that sum to it; a uniform one stored over a multiple
+    of its size takes the general path.
+
+    Every other pair is brought onto the least common denominator
+    pd * (qd // g), with g = gcd(pd, qd): p's numerators scale by qd // g
+    and q's by pd // g.  Over one shared denominator both factors are 1,
+    so witnesses that share a large denominator (the separator witnesses)
+    cost no multi-digit cross-multiplication.  q's values on p's support
+    are gathered in one C call; the rest of q's mass, qd minus what that
+    gathered, lies outside p's support.
     """
     pd, qd = p.den, q.den
+    pn = p.num
+    if len(pn) == pd and len(q.num) == qd:
+        i = len(pn.keys() & q.num.keys())
+        return i * abs(qd - pd) + (pd - i) * qd + (qd - i) * pd, pd * qd
     g = math.gcd(pd, qd)
     ps, qs = qd // g, pd // g
-    pn = p.num
     qv = list(map(q.num.get, pn, repeat(0)))
     pv = pn.values() if ps == 1 else map(mul, pn.values(), repeat(ps))
     qw = qv if qs == 1 else map(mul, qv, repeat(qs))

@@ -5,7 +5,8 @@
 
 `reference_least_alpha` tries alpha = 1, 2, ... against every vertex's
 `rounding_plan` error as a Fraction, where `build_proof` compares integers
-per distinct shape and tries the shape that failed last first.
+per distinct shape, tries the shape that failed last first, and jumps past
+the alphas at which a uniform shape fails.
 
 `reference_uniformity` takes every edge's l1 distance as a sum of
 `Fraction` differences and keeps the running maximum as a `Fraction`, where
@@ -57,9 +58,14 @@ def reference_greedy_coloring(G, q):
 def reference_least_alpha(w, eps_prime):
     """The least alpha >= 1 at which every vertex's rounding error is within (eps' - eps)/3."""
     budget = (eps_prime - lc.check_uniformity(w).max_edge_l1) / 3
+    return reference_alpha_within(w.dists.values(), budget)
+
+
+def reference_alpha_within(dists, budget):
+    """The least alpha >= 1 at which every distribution's rounding error is within budget."""
     for alpha in count(1):
         if all(rounding_plan(f.den, Counter(f.num.values()), alpha).error <= budget
-               for f in w.dists.values()):
+               for f in dists):
             return alpha
 
 

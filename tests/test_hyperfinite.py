@@ -380,7 +380,8 @@ def test_extraction_and_measurement_build_only_returned_fractions(monkeypatch):
     """On an accepted cycle labeling's decoded witness, extraction builds one
     Fraction per cut (its threshold) plus the uniformity report's, the
     uniformity pass builds the report's alone, and mixing the edge-shift
-    partitions builds none."""
+    partitions builds none.  A uniform-ball witness's pass, whose pairs all
+    take the closed form, builds the report's alone too."""
     G = lc.generate(lc.FamilySpec("cycle", (200,)))
     samples = lc.edge_shift_partitions(G, 5)
     eps_prime = Fraction(1, 2)
@@ -410,6 +411,9 @@ def test_extraction_and_measurement_build_only_returned_fractions(monkeypatch):
     made.clear()
     lc.witness_from_partitions(G, samples)
     assert made == []
+    balls = uniform_ball_witness(lc.generate(lc.FamilySpec("grid", (9, 11))), 3)
+    assert made == []
+    assert lc.check_uniformity(balls).max_edge_l1 > 0 and len(made) == 1
 
 
 def projection_cuts(w, eps):

@@ -34,7 +34,7 @@ from localcert.measures import (
     uniform_ball_witness,
 )
 from localcert.verifier import CHECK_PROBABILITY, decode_accepted_witness, verify_property_a
-from reference import reference_greedy_coloring, reference_least_alpha
+from reference import reference_alpha_within, reference_greedy_coloring, reference_least_alpha
 
 
 def quantized_path_witness():
@@ -411,11 +411,13 @@ def test_chosen_alpha_is_the_last_certified_rung(w, eps_prime):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(nums=st.lists(st.integers(1, 12), min_size=1, max_size=6),
-       budget=st.fractions(Fraction(1, 200), Fraction(2)), top=st.integers(1, 80))
-def test_least_alpha_integer_compare_matches_fraction_compare(nums, budget, top):
+       budget=st.fractions(Fraction(1, 200), Fraction(2)), top=st.integers(1, 80),
+       sizes=st.lists(st.integers(1, 30), max_size=4))
+def test_least_alpha_integer_compare_matches_fraction_compare(nums, budget, top, sizes):
     """At every candidate alpha up to top, the scan's integer compare on a shape
     decides what the shape's Fraction error against the budget decides, and
-    that error is discretize's l1; the scan stops at the first alpha that fits."""
+    that error is discretize's l1; the scan stops at the first alpha that fits,
+    alone, among uniform shapes over the given sizes, and among those alone."""
     f = RationalDist(sum(nums), dict(enumerate(nums)))
     den, counts = f.den, Counter(nums)
     for alpha in range(1, top + 1):
@@ -426,6 +428,29 @@ def test_least_alpha_integer_compare_matches_fraction_compare(nums, budget, top)
             <= budget.numerator * alpha * den)
     first = next(a for a in count(1) if rounding_plan(den, counts, a).error <= budget)
     assert _least_alpha([(den, counts)], budget) == first
+    uniform = [RationalDist.uniform(range(k)) for k in sizes]
+    for dists in ([f, *uniform], uniform[::-1], uniform + [f]):
+        if dists:
+            shapes = [(g.den, Counter(g.num.values())) for g in dists]
+            assert _least_alpha(shapes, budget) == reference_alpha_within(dists, budget)
+
+
+def test_least_alpha_jumps_to_each_uniform_shapes_next_fit(monkeypatch):
+    """Grid 50^2 at r = 10, eps' = eps + 1/1000: all 57 shapes are uniform, and
+    the least alpha, 291 239, is found at 5 413 candidates, where a scan that
+    steps by one tries all 291 239."""
+    w = uniform_ball_witness(lc.generate(lc.FamilySpec("grid", (50, 50))), 10)
+    eps = lc.check_uniformity(w).max_edge_l1
+    assert eps == Fraction(3, 10)
+    tried = set()
+
+    def counting(den, counts, alpha):
+        tried.add(alpha)
+        return _floored(den, counts, alpha)
+
+    monkeypatch.setattr("localcert.labeling._floored", counting)
+    assert build_proof(w, eps + Fraction(1, 1000)).params.alpha == 291_239
+    assert len(tried) == 5_413 and max(tried) == 291_239
 
 
 def test_fused_build_proof_matches_on_proved_instances(accepted_instances):

@@ -1,5 +1,6 @@
 """Distributions, witnesses and their measurement, quantization, the reference projection."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from localcert.errors import InfeasibleAlpha, WitnessTooRough
 from localcert.measures import (
     RationalDist,
     WitnessFunction,
+    _l1_pair,
     check_uniformity,
     discretize,
     l1_distance,
@@ -69,11 +71,20 @@ def test_rational_dist_adopts_a_zero_free_dict_and_drops_zeros():
     assert with_zero == {4: 1, 5: 0, 2: 2}
     proxy = RationalDist(3, MappingProxyType({0: 1, 1: 2}))
     assert type(proxy.num) is dict and proxy.num == {0: 1, 1: 2}
+
+
+def test_uniform_keeps_its_contract_without_the_init_scan():
+    """uniform raises on an empty support and on a repeat, from a list or a
+    generator, and otherwise equals the distribution __init__ would build."""
+    for bad in ([], [1, 1], (z % 3 for z in range(5))):
+        with pytest.raises(ValueError):
+            RationalDist.uniform(bad)
     assert RationalDist.uniform(range(4)).num == {0: 1, 1: 1, 2: 1, 3: 1}
-    with pytest.raises(ValueError):
-        RationalDist.uniform([])
-    with pytest.raises(ValueError):
-        RationalDist.uniform([1, 1])
+    for vs in ([5], [3, 1, 2], list(range(9, -1, -1)), [7, 0, 40, 2]):
+        u = RationalDist.uniform(iter(vs))
+        built = RationalDist(len(vs), dict.fromkeys(vs, 1))
+        assert u == built and hash(u) == hash(built)
+        assert type(u.num) is dict and list(u.num) == vs and u.den == len(vs)
 
 
 def test_rational_dist_equality_ignores_representation():
@@ -124,6 +135,45 @@ def test_l1_distance_properties():
             g = dist_over(rng, rng.sample(range(20), rng.randint(1, 6)), qd)
             assert l1_distance(f, g) == exact_l1(f, g) == l1_distance(g, f)
             assert l1_distance(f, f) == 0
+
+
+@st.composite
+def uniform_supports(draw):
+    """Two supports in range(30) that are disjoint, nested, equal, singletons or random."""
+    a = draw(st.lists(st.integers(0, 29), min_size=1, max_size=30, unique=True))
+    relation = draw(st.sampled_from(["random", "disjoint", "nested", "equal", "singleton"]))
+    if relation == "disjoint":
+        rest = [z for z in range(30) if z not in a] or [30]
+        b = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=len(rest), unique=True))
+    elif relation == "nested":
+        b = draw(st.lists(st.sampled_from(a), min_size=1, max_size=len(a), unique=True))
+    elif relation == "equal":
+        b = draw(st.permutations(a))
+    elif relation == "singleton":
+        a, b = a[:1], [draw(st.integers(0, 29))]
+    else:
+        b = draw(st.lists(st.integers(0, 29), min_size=1, max_size=30, unique=True))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(supports=uniform_supports(), scale=st.integers(2, 5), seed=st.integers(0, 2**16))
+def test_l1_of_uniform_pairs_by_overlap_size(supports, scale, seed):
+    """Two unit-numerator distributions, however built, take the closed form
+    over |A| * |B|; a pair with a non-unit side keeps the gather over the
+    least common denominator.  Every value is the exact l1, both ways."""
+    a, b = supports
+    p = RationalDist.uniform(a)
+    for q in (RationalDist.uniform(b), RationalDist(len(b), dict.fromkeys(b, 1))):
+        assert _l1_pair(p, q)[1] == len(a) * len(b)
+        assert l1_distance(p, q) == exact_l1(p, q) == l1_distance(q, p)
+    # uniform in value but not in numerators, and a random distribution on b
+    scaled = RationalDist(scale * len(b), dict.fromkeys(b, scale))
+    rough = dist_over(random.Random(seed), b, len(b) + scale)
+    for q in (scaled, rough):
+        for f, g in ((p, q), (q, p)):
+            assert _l1_pair(f, g)[1] == math.lcm(f.den, g.den)
+            assert l1_distance(f, g) == exact_l1(f, g)
 
 
 # --- witnesses and their measurement ----------------------------------------
@@ -302,6 +352,30 @@ def test_check_uniformity_matches_the_plain_fraction_loop():
             values = [l1_distance(w.dists[u], w.dists[v]) for u, v in w.graph.edges()]
             tied += values.count(want.max_edge_l1) > 1
     assert tied  # the first of several worst edges is named
+
+
+def uniform_ball_cases():
+    grid = lc.generate(lc.FamilySpec("grid", (7, 9)))
+    two = lc.BoundedDegreeGraph(9, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                                       (5, 6), (6, 7), (7, 8)])
+    cases = [pytest.param(grid, r, id=f"grid7x9-r{r}") for r in range(1, 5)]
+    for name, G, r in (
+            ("path10", lc.generate(lc.FamilySpec("path", (10,))), 2),
+            ("cycle13", lc.generate(lc.FamilySpec("cycle", (13,))), 3),
+            ("tree2x4", lc.generate(lc.FamilySpec("full_tree", (2, 4))), 2),
+            ("regular20x3", lc.generate(lc.FamilySpec("random_regular", (20, 3), seed=4)), 1),
+            ("cycle5+path4", two, 2),
+            ("path10-past-diameter", lc.generate(lc.FamilySpec("path", (10,))), 12)):
+        cases.append(pytest.param(G, r, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("G, r", uniform_ball_cases())
+def test_uniform_ball_report_matches_the_plain_fraction_loop(G, r):
+    """Every pair of a uniform-ball witness takes the closed form, over balls of
+    several sizes at the grid's boundary; the report equals the plain loop's."""
+    assert check_uniformity(uniform_ball_witness(G, r)) == reference_uniformity(
+        uniform_ball_witness(G, r))
 
 
 # --- quantization ------------------------------------------------------------
