@@ -72,11 +72,9 @@ from .labeling import (
 )
 from .verifier import (
     BallSetVerifier,
-    LabeledBall,
     ProductVerifier,
     Verdict,
     canonical_ball,
-    check_vertex,
     combine_verdicts,
     decode_accepted_witness,
     format_verdict,

@@ -223,11 +223,13 @@ def ball_sweep(G: BoundedDegreeGraph, q: int,
                vertices: range | None = None) -> Iterator[tuple[int, list[int], list[int]]]:
     """Yield (x, order, ends) for x = 0..n-1: the per-vertex ball sweep.
 
-    The uniform-ball witness, the uniformity support check and the
-    property-A verifier read their balls from it.  The prover's coloring
-    drives `_levels` itself, with one stamp list in the same way, since it
-    skips the vertices whose balls are known to be their whole component;
-    so does `measures.tighten_radius`, which reads only the stamps.
+    The uniform-ball witness, the uniformity support check and the generic
+    ball-set verifiers (`verifier.run_ball_verifier`) read their balls from
+    it.  Three loops drive `_levels` themselves, with one stamp list in the
+    same way: the prover's coloring, which skips the vertices whose balls
+    are known to be their whole component; `measures.tighten_radius`, which
+    reads only the stamps; and the property-A sweep (`verifier._judged`),
+    which judges each ball in the same loop that searches it.
 
     `order` is B_q(x) in FIFO BFS order and ends[s] = |B_s(x)| for s <= q,
     cut short where x's component runs out (see `RootedBall`).  One stamp

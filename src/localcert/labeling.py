@@ -110,7 +110,8 @@ class ProofLabeling:
         """The tables transposed on first read: `columns[q][z] == tables[z][q]`.
 
         A ball's view of color q is then one C-level gather from `columns[q]`
-        (`verifier.LabeledBall`).  The cache lives and dies with the labeling.
+        (the property-A sweep, `verifier._judged`).  The cache lives and dies
+        with the labeling.
         """
         return tuple(zip(*self.tables))
 

@@ -73,8 +73,14 @@ class RationalDist:
             raise ValueError("uniform distribution needs a nonempty support")
         if len(num) != len(vs):
             raise ValueError("uniform distribution's support repeats a vertex")
+        return cls._adopt(len(vs), num)
+
+    @classmethod
+    def _adopt(cls, den: int, num: dict[int, int]) -> "RationalDist":
+        """Adopt `num` without `__init__`'s scan; the caller vouches that its
+        numerators are positive integers summing to `den`."""
         f = cls.__new__(cls)
-        f.den = len(vs)
+        f.den = den
         f.num = num
         return f
 

@@ -1,18 +1,19 @@
 """Local verification: per-vertex acceptance from labeled balls alone.
 
 Each vertex x decides from its labeled ball N = B_{r+1}(x), read from one
-level-by-level sweep over G (`graphs.ball_sweep`): the ball in BFS order with
-its level boundaries, so B_r(x) and x's neighbors are prefixes, the colors
-of x and its neighbors, and the label columns the checks sum: x's own color
-column over N, and one column per neighbor color over B_r(x), each gathered
-in one C call from the labeling's transposed tables (`ProofLabeling.columns`).
-A decision never reads parent vertex ids or the ball's adjacency, so verdicts
-are oblivious to vertex identities and to how `verify_property_a` splits the work.
+level search per vertex with one stamp list for the whole sweep
+(`graphs._levels`): the ball in BFS order with its level boundaries, so
+B_r(x) and x's neighbors are prefixes.  x reads the colors of its neighbors
+and the label columns the checks sum: its own color column over N, and one
+column per neighbor color over B_r(x), each gathered in one C call from the
+labeling's transposed tables (`ProofLabeling.columns`).  A decision never
+reads parent vertex ids or the ball's adjacency, so verdicts are oblivious
+to vertex identities and to how `verify_property_a` splits the work.
 Beyond its ball, a vertex reads only the labels header (`labeling.params`).
 The sweep reads ids only to hand a vertex l1 sums its neighbors already
-computed, which equal its own (below).  Three
-checks run per vertex on N, with T2(z)(q) the table entry of z for color q,
-and the structural half adds a fourth on B_2r(x):
+computed, which equal its own (below).  Three checks run per vertex on N,
+with T2(z)(q) the table entry of z for color q, and the structural half
+adds a fourth on B_2r(x):
 
   probability  sum_{z in B_r(x)} T2(z)(C(x)) = alpha
   support      T2(z)(C(x)) = 0 on shell r+1 of N, the z with d(x, z) = r+1
@@ -43,16 +44,17 @@ alpha * l1(f(y), f(x)) because x passes: one integer.  So the sweep keeps,
 for each vertex that passed both checks, the sums it computed per neighbor
 color until its last neighbor in the sweep has read them, and a later
 neighbor that has passed both checks of its own takes its sum for that color
-from there instead of gathering a column and summing (`check_vertex`'s
-`totals`).  Every decision, and so every verdict byte, is the one each
-vertex reaches alone; a pool worker shares within its own range.
+from there instead of gathering a column and summing (`_l1_sum`).  Every
+decision, and so every verdict byte, is the one each vertex reaches alone; a
+pool worker shares within its own range.
 
-`verify_and_decode` also returns the witness the accepting vertices read from
-those same balls, the B_r(x) prefix of x's own column;
-`decode_accepted_witness` reads the same and stops at the first reject.  The
-pipeline verdict is the conjunction of property A and the predicate, and a
-vertex reports its first failed check in the order listed.  Verdict report
-format:
+One generator, `_judged`, runs that sweep for `verify_property_a`, each of
+its pool ranges and both decoders.  `verify_and_decode` also returns the
+witness the accepting vertices read from those same balls, the B_r(x) prefix
+of x's own column; `decode_accepted_witness` reads the same and stops at the
+first reject.  The pipeline verdict is the conjunction of property A and
+the predicate, and a vertex reports its first failed check in the order
+listed.  Verdict report format:
 
     verdict <accept|reject>
     reject <x> <check>        (one line per rejecting vertex; <check> is
@@ -69,7 +71,8 @@ from operator import itemgetter, sub
 from typing import Callable, Sequence
 
 from .errors import MalformedLabeling, NotAccepted
-from .graphs import BoundedDegreeGraph, RootedBall, ball_sweep, bfs, components, induced_subgraph
+from .graphs import (BoundedDegreeGraph, RootedBall, _levels, ball_sweep, bfs, components,
+                     induced_subgraph)
 from .labeling import ProofLabeling, SchemeParams
 from .measures import RationalDist, WitnessFunction, _record_supports_in_balls
 from .planarity import lr_planar
@@ -106,69 +109,16 @@ def _gatherer(order: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*order)
 
 
-class LabeledBall(RootedBall):
-    """A rooted ball as its center sees it: its colors and its label columns, in local order.
+def _l1_sum(own: tuple[int, ...], column: Sequence[int],
+            gather: Callable[[Sequence], tuple], alpha: int) -> int:
+    """x's l1 sum for one neighbor color, whose labeling column is `column`.
 
-    `colors[i]` is local i's color over the B_1 prefix (the center, then its
-    neighbors); `own_column` is the center's own color column over the whole
-    ball, and `column(q)` color q's column over the B_r prefix, `inner`
-    vertices long.  Each is gathered from the labeling (the columns from its
-    transposed tables, `ProofLabeling.columns`) in one C call.  A decision
-    reads the level boundaries and the labels; never `vertices`, which is
-    there for the decoder.
+    `gather` reads a column over B_r(x) and `own` is x's own color column
+    there; the sum is alpha * l1(f(x), f(y)) whenever the neighbor y passes
+    its own first two checks (module docstring).
     """
-
-    __slots__ = ("colors", "own_column", "inner", "_gather_inner", "_columns")
-
-    def __init__(self, adj: Sequence[Sequence[int]], order: Sequence[int],
-                 ends: Sequence[int], labeling: ProofLabeling):
-        super().__init__(adj, order, ends)
-        columns = self._columns = labeling.columns
-        self.colors = _gatherer(order[:self.within(1)])(labeling.colors)
-        self.own_column = _gatherer(order)(columns[self.colors[0]])
-        self.inner = self.within(labeling.params.r)
-        self._gather_inner = _gatherer(order[:self.inner])
-
-    def column(self, q: int) -> tuple[int, ...]:
-        """Color q's table entries over B_r of the center, in local order."""
-        return self._gather_inner(self._columns[q])
-
-
-def check_vertex(lball: LabeledBall, params: SchemeParams,
-                 totals: dict[int, int] | None = None) -> str | None:
-    """Decide one vertex from its labeled ball; None means accept.
-
-    On multiple failures the first check in the fixed order probability,
-    support, l1 is reported.  Sums run over columns of exact integers; the
-    l1 sum is alpha * l1(f(x), f(y)) whenever y passes its own first two
-    checks (module docstring).  `totals` maps a neighbor color to the
-    center's l1 sum for it: once the center passes its first two checks,
-    the sums already there are used as they stand, and the ones computed
-    here are written back.
-    """
-    col0 = lball.own_column
-    inner = lball.inner
-    own = col0[:inner]
-    alpha = params.alpha
-    if sum(own) != alpha:
-        return CHECK_PROBABILITY
-    if any(col0[inner:]):
-        return CHECK_SUPPORT
-
-    colors = lball.colors
-    if totals is None:
-        totals = {}
-    enum, eden = params.eps_prime.numerator, params.eps_prime.denominator
-    budget = enum * alpha
-    # a neighbor of the center's color decodes to f(x) itself
-    for cy in set(colors[1:]) - {colors[0]}:
-        total = totals.get(cy)
-        if total is None:
-            col = lball.column(cy)
-            total = totals[cy] = sum(map(abs, map(sub, own, col))) + alpha - sum(col)
-        if total * eden > budget:
-            return CHECK_L1
-    return None
+    col = gather(column)
+    return sum(map(abs, map(sub, own, col))) + alpha - sum(col)
 
 
 def _validate_against_graph(G: BoundedDegreeGraph, labeling: ProofLabeling) -> None:
@@ -178,31 +128,55 @@ def _validate_against_graph(G: BoundedDegreeGraph, labeling: ProofLabeling) -> N
         )
 
 
-def _judged_balls(G: BoundedDegreeGraph, labeling: ProofLabeling,
-                  vertices: range | None = None):
-    """Yield (x, labeled B_{r+1}(x), decision) for x = 0..n-1, or for `vertices` only.
+def _judged(G: BoundedDegreeGraph, labeling: ProofLabeling, vertices: range | None = None):
+    """Yield (x, decision, order, mass) for x = 0..n-1, or for `vertices` only.
 
-    Each edge's l1 sum is computed once when both ends pass probability and
-    support (module docstring): once y has passed both, `sums[y]` holds its
-    sums per neighbor color until its largest neighbor reads them, and a
-    neighbor x is handed y's sum for C(x) as its own sum for C(y).
+    `order` is B_{r+1}(x) in BFS order and `mass` x's own color column over
+    its B_r(x) prefix.  A decision is None for accept, else the first failed
+    check in the order probability, support, l1.  Each edge's l1 sum is
+    computed once when both ends pass probability and support (module
+    docstring): once y has passed both, `sums[y]` holds its sums per
+    neighbor color until its largest neighbor reads them, and a neighbor x
+    is handed y's sum for C(x) as its own sum for C(y).  The B_r gatherer is
+    built only for a sum that is not handed over.
     """
     params = labeling.params
-    adj = G.adj
-    colors = labeling.colors
+    r, alpha = params.r, params.alpha
+    eden = params.eps_prime.denominator
+    budget = params.eps_prime.numerator * alpha
+    adj, colors, columns = G.adj, labeling.colors, labeling.columns
+    mark = [-1] * G.n  # the level search's stamp list, shared by every center
     sums: dict[int, dict[int, int]] = {}
-    for x, order, ends in ball_sweep(G, params.r + 1, vertices):
-        lball = LabeledBall(adj, order, ends, labeling)
+    for x in range(G.n) if vertices is None else vertices:
+        order, ends = _levels(adj, x, r + 1, mark)
+        inner = ends[r] if r < len(ends) else len(order)
         cx = colors[x]
+        column = _gatherer(order)(columns[cx])
+        mass = column[:inner]
+        nbrs = adj[x]
         totals = {}
-        for y in adj[x]:
+        for y in nbrs:
             held = sums.pop(y, ()) if adj[y][-1] == x else sums.get(y, ())
             if cx in held:
                 totals[colors[y]] = held[cx]
-        decision = check_vertex(lball, params, totals)
-        if decision in (None, CHECK_L1) and adj[x] and adj[x][-1] > x:
-            sums[x] = totals
-        yield x, lball, decision
+        if sum(mass) != alpha:
+            decision = CHECK_PROBABILITY
+        elif any(column[inner:]):
+            decision = CHECK_SUPPORT
+        else:
+            decision = gather = None
+            # a neighbor of x's color decodes to f(x) itself
+            for cy in set(map(colors.__getitem__, nbrs)) - {cx}:
+                total = totals.get(cy)
+                if total is None:
+                    gather = gather or _gatherer(order[:inner])
+                    total = totals[cy] = _l1_sum(mass, columns[cy], gather, alpha)
+                if total * eden > budget:
+                    decision = CHECK_L1
+                    break
+            if nbrs and nbrs[-1] > x:
+                sums[x] = totals
+        yield x, decision, order, mass
 
 
 _WORKER: dict[str, object] = {}
@@ -217,7 +191,7 @@ def _check_range(vertices: range) -> list[str | None]:
     """Pool task: decide a contiguous vertex range from the state _init_worker left here."""
     G: BoundedDegreeGraph = _WORKER["G"]  # type: ignore[assignment]
     labeling: ProofLabeling = _WORKER["labeling"]  # type: ignore[assignment]
-    return [decision for _, _, decision in _judged_balls(G, labeling, vertices)]
+    return [decision for _, decision, _, _ in _judged(G, labeling, vertices)]
 
 
 def _usable_cpus() -> int:
@@ -253,48 +227,41 @@ def verify_property_a(G: BoundedDegreeGraph, labeling: ProofLabeling,
         with _make_pool(workers, G, labeling) as pool:
             parts = pool.map(_check_range, ranges, chunksize=1)
         return Verdict(tuple(itertools.chain.from_iterable(parts)))
-    return Verdict(tuple(decision for _, _, decision in _judged_balls(G, labeling)))
+    return Verdict(tuple(decision for _, decision, _, _ in _judged(G, labeling)))
 
 
-def _decoding_sweep(G: BoundedDegreeGraph, labeling: ProofLabeling):
-    """Yield (x, decision, f(x)) for x = 0..n-1; f(x) is None from the first reject on.
+def _decoded(alpha: int, order: Sequence[int], mass: tuple[int, ...]) -> RationalDist:
+    """f(x)(z) = T2(z)(C(x)) / alpha over B_r(x), from an accepting x's ball and mass.
 
-    Each accepting x decodes f(x)(z) = T2(z)(C(x)) / alpha over z in B_r(x)
-    from the ball it was judged on: the B_r(x) prefix of its own column,
-    zeros dropped in C.  The probability check guarantees each f(x) sums to
-    1 exactly, and every support lies in its ball, so a witness built from
-    these may record that.  After a reject no witness is returned, so
-    decoding stops.
+    The B_r(x) prefix of x's own column, zeros dropped in C, is adopted
+    without `RationalDist`'s scan: the probability check has shown that it
+    sums to alpha, and its support lies in x's ball, so a witness built from
+    these may record that.
     """
-    _validate_against_graph(G, labeling)
-    alpha = labeling.params.alpha
-    decoding = True
-    for x, lball, decision in _judged_balls(G, labeling):
-        decoding = decoding and decision is None
-        dist = None
-        if decoding:
-            inner = lball.inner
-            mass = lball.own_column[:inner]
-            support = itertools.compress(lball.vertices[:inner], mass)
-            dist = RationalDist(alpha, dict(zip(support, itertools.compress(mass, mass))))
-        yield x, decision, dist
+    return RationalDist._adopt(alpha, dict(zip(itertools.compress(order, mass),
+                                               itertools.compress(mass, mass))))
 
 
 def verify_and_decode(G: BoundedDegreeGraph,
                       labeling: ProofLabeling) -> tuple[Verdict, WitnessFunction | None]:
     """The sequential verifier, plus the encoded witness when every vertex accepts.
 
-    Both come from one pass over the balls (`_decoding_sweep`), and every
-    vertex is judged, so the verdict is the whole of `verify_property_a`'s.
+    Both come from one pass over the balls (`_judged`), and every vertex is
+    judged, so the verdict is the whole of `verify_property_a`'s; decoding
+    stops at the first reject.
     """
+    _validate_against_graph(G, labeling)
+    alpha = labeling.params.alpha
     decisions = []
-    dists = {}
-    for x, decision, dist in _decoding_sweep(G, labeling):
+    dists: dict[int, RationalDist] | None = {}
+    for x, decision, order, mass in _judged(G, labeling):
         decisions.append(decision)
-        if dist is not None:
-            dists[x] = dist
+        if decision is not None:
+            dists = None
+        elif dists is not None:
+            dists[x] = _decoded(alpha, order, mass)
     verdict = Verdict(tuple(decisions))
-    if not verdict.accept:
+    if dists is None:
         return verdict, None
     return verdict, _record_supports_in_balls(WitnessFunction(G, labeling.params.r, dists))
 
@@ -305,11 +272,13 @@ def decode_accepted_witness(G: BoundedDegreeGraph, labeling: ProofLabeling) -> W
     The sweep stops at the first rejecting vertex in id order, so no vertex
     after it is judged.
     """
+    _validate_against_graph(G, labeling)
+    alpha = labeling.params.alpha
     dists = {}
-    for x, decision, dist in _decoding_sweep(G, labeling):
+    for x, decision, order, mass in _judged(G, labeling):
         if decision is not None:
             raise NotAccepted(f"verifier rejects at vertex {x} ({decision} check)")
-        dists[x] = dist
+        dists[x] = _decoded(alpha, order, mass)
     return _record_supports_in_balls(WitnessFunction(G, labeling.params.r, dists))
 
 

@@ -25,8 +25,8 @@ def run(capsys, *argv):
 
 
 def count_searches(monkeypatch):
-    """Count balls by radius, those ball_sweep yields and those the coloring's own
-    level searches read, and graphs.bfs calls by cutoff."""
+    """Count balls by radius, those ball_sweep yields and those the coloring's and
+    the property-A sweep's own level searches read, and graphs.bfs calls by cutoff."""
     balls, searches = Counter(), Counter()
     sweep, kernel, levels = graphs.ball_sweep, graphs.bfs, labeling._levels
 
@@ -46,7 +46,8 @@ def count_searches(monkeypatch):
     for module in (graphs, measures, labeling, verifier):
         monkeypatch.setattr(module, "ball_sweep", counting_sweep, raising=False)
         monkeypatch.setattr(module, "bfs", counting_bfs, raising=False)
-    monkeypatch.setattr(labeling, "_levels", counting_levels)
+    for module in (labeling, verifier):
+        monkeypatch.setattr(module, "_levels", counting_levels)
     return balls, searches
 
 

@@ -9,7 +9,7 @@ sequentially and on a pool.
 """
 
 import functools
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 
 import pytest
@@ -227,6 +227,30 @@ def test_pool_workers_read_the_sequential_columns(monkeypatch, transposed_first)
 
 # --- each edge summed once ------------------------------------------------------------
 
+def spy_l1_sums(patch, labeling):
+    """Record each l1 sum the kernel computes (`verifier._l1_sum`) as (center, color).
+
+    The center is the vertex whose level search (`verifier._levels`) ran
+    last, and the color the one whose labeling column was summed.
+    """
+    color_of = {id(column): q for q, column in enumerate(labeling.columns)}
+    levels, l1_sum = verifier._levels, verifier._l1_sum
+    center = [None]
+    computed = []
+
+    def searching(adj, x, q, mark):
+        center[0] = x
+        return levels(adj, x, q, mark)
+
+    def summing(own, column, gather, alpha):
+        computed.append((center[0], color_of[id(column)]))
+        return l1_sum(own, column, gather, alpha)
+
+    patch.setattr(verifier, "_levels", searching)
+    patch.setattr(verifier, "_l1_sum", summing)
+    return computed
+
+
 @pytest.mark.parametrize("fixture", ["grid10x20", "tree511"])
 def test_each_edge_is_summed_once(fixture, request, monkeypatch):
     """On honest labels the sequential sweep gathers one column per edge whose
@@ -236,14 +260,7 @@ def test_each_edge_is_summed_once(fixture, request, monkeypatch):
     G, labeling = inst.G, inst.labeling
     colors = labeling.colors
     assert set(inst.property_a.decisions) == {None}
-    gathered = []
-    column = verifier.LabeledBall.column
-
-    def counting_column(lball, q):
-        gathered.append((lball.vertices[0], q))
-        return column(lball, q)
-
-    monkeypatch.setattr(verifier.LabeledBall, "column", counting_column)
+    gathered = spy_l1_sums(monkeypatch, labeling)
     edges = [(u, v) for u, v in G.edges() if colors[u] != colors[v]]
     assert verify_property_a(G, labeling) == inst.property_a
     assert sorted(gathered) == sorted((u, colors[v]) for u, v in edges)
@@ -293,6 +310,34 @@ def test_kernel_matches_reference_on_mutated_labelings(name, mutations):
     assert_kernel_matches_reference(G, mutate(G, labeling, mutations))
 
 
+def reference_l1_sum(G, labeling, x, q):
+    """x's l1 sum for color q, computed alone from the rows of B_r(x)."""
+    tables, cx = labeling.tables, labeling.colors[x]
+    inner = reference_levels(G.adj, x, labeling.params.r)
+    return labeling.params.alpha + sum(abs(tables[z][cx] - tables[z][q]) - tables[z][q]
+                                       for z in inner)
+
+
+def handed_sums(G, labeling):
+    """(x, color, total) for each l1 sum the sequential sweep hands a vertex x,
+    and the sweep's decisions.
+
+    The sweep is paused at each vertex it yields, where its `totals` holds
+    x's sums per neighbor color: the ones handed to x and the ones x
+    computed (`spy_l1_sums`).  The rest were handed.
+    """
+    handed, decisions = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        computed = spy_l1_sums(mp, labeling)
+        sweep = verifier._judged(G, labeling)
+        for x, decision, _, _ in sweep:
+            decisions.append(decision)
+            handed.extend((x, cy, total) for cy, total in sweep.gi_frame.f_locals["totals"].items()
+                          if (x, cy) not in computed)
+    assert tuple(decisions) == verify_property_a(G, labeling).decisions
+    return handed, decisions
+
+
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(sorted(INSTANCES)),
@@ -302,23 +347,10 @@ def test_shared_sums_equal_the_sums_a_vertex_computes_alone(name, mutations):
     support is the sum that vertex computes from its own ball."""
     G, labeling = honest(name)
     labeling = mutate(G, labeling, mutations)
-    check = verifier.check_vertex
-    handed = []
-
-    def checking(lball, params, totals=None):
-        given_sums = dict(totals)
-        decision = check(lball, params, totals)
-        if decision not in (CHECK_PROBABILITY, CHECK_SUPPORT):
-            handed.extend((lball, cy, total) for cy, total in given_sums.items())
-        return decision
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifier, "check_vertex", checking)
-        verify_property_a(G, labeling)
-    alpha = labeling.params.alpha
-    for lball, cy, total in handed:
-        own, col = lball.own_column[:lball.inner], lball.column(cy)
-        assert total == sum(abs(a - b) for a, b in zip(own, col)) + alpha - sum(col)
+    handed, decisions = handed_sums(G, labeling)
+    for x, cy, total in handed:
+        if decisions[x] not in (CHECK_PROBABILITY, CHECK_SUPPORT):
+            assert total == reference_l1_sum(G, labeling, x, cy)
 
 
 # --- decoding from the verifier's own pass ------------------------------------------
@@ -360,13 +392,13 @@ def test_decode_refuses_at_the_first_rejecting_vertex(monkeypatch):
     bad = bump(labeling, 0, labeling.colors[0], 1)
     assert verify_property_a(G, bad).decisions[0] == CHECK_PROBABILITY
     judged = []
-    check = verifier.check_vertex
+    levels = verifier._levels
 
-    def counting_check(lball, params, totals=None):
-        judged.append(lball.vertices[0])
-        return check(lball, params, totals)
+    def counting_levels(adj, x, q, mark):
+        judged.append(x)
+        return levels(adj, x, q, mark)
 
-    monkeypatch.setattr(verifier, "check_vertex", counting_check)
+    monkeypatch.setattr(verifier, "_levels", counting_levels)
     with pytest.raises(NotAccepted, match=r"^verifier rejects at vertex 0 \(probability check\)$"):
         decode_accepted_witness(G, bad)
     assert judged == [0]
@@ -375,3 +407,45 @@ def test_decode_refuses_at_the_first_rejecting_vertex(monkeypatch):
     verdict, witness = verifier.verify_and_decode(G, bad)
     assert witness is None and judged == list(range(G.n))
     assert verdict == verify_property_a(G, bad)
+
+
+# --- constant work per vertex ---------------------------------------------------------
+
+@pytest.mark.parametrize("side", [30, 60, 120])
+def test_interior_grid_vertices_do_constant_work(side, monkeypatch):
+    """Counts, not times: on honest uniform-ball labels at r = 2, eps' = 1,
+    every vertex farther than r + 1 from the border makes one level search,
+    of the 25 rows of B_3, and computes two l1 sums, one per later neighbor
+    (its earlier neighbors hand theirs over), on grids of every side alike;
+    the predicate half makes one call for the whole grid."""
+    G = lc.generate(lc.FamilySpec("grid", (side, side)))
+    labeling = lc.build_proof(lc.uniform_ball_witness(G, 2), Fraction(1))
+    colors = labeling.colors
+    summed = spy_l1_sums(monkeypatch, labeling)
+    levels, searched = verifier._levels, []
+
+    def searching(adj, x, q, mark):
+        order, ends = levels(adj, x, q, mark)
+        searched.append((x, q, len(order)))
+        return order, ends
+
+    monkeypatch.setattr(verifier, "_levels", searching)
+    planar, predicate_calls = verifier.PREDICATES["planar"], []
+
+    def counting_planar(H):
+        predicate_calls.append(H.n)
+        return planar(H)
+
+    monkeypatch.setitem(verifier.PREDICATES, "planar", counting_planar)
+    assert lc.pipeline_verify(G, labeling, "planar").accept
+    assert predicate_calls == [G.n]
+
+    searches_of, sums_of = defaultdict(list), defaultdict(list)
+    for x, q, rows in searched:
+        searches_of[x].append((q, rows))
+    for x, q in summed:
+        sums_of[x].append(q)
+    interior = [i * side + j for i in range(4, side - 4) for j in range(4, side - 4)]
+    for x in interior:
+        assert searches_of[x] == [(3, 25)]
+        assert sorted(sums_of[x]) == sorted([colors[x + 1], colors[x + side]])

@@ -20,7 +20,7 @@ from conftest import (
 )
 from localcert import verifier
 from localcert.errors import MalformedLabeling, NotAccepted
-from localcert.graphs import ball_sweep, build_graph, induced_subgraph
+from localcert.graphs import build_graph, induced_subgraph
 from localcert.labeling import ProofLabeling, SchemeParams
 from localcert.verifier import (
     CHECK_L1,
@@ -28,10 +28,8 @@ from localcert.verifier import (
     CHECK_PROBABILITY,
     CHECK_SUPPORT,
     BallSetVerifier,
-    LabeledBall,
     ProductVerifier,
     canonical_ball,
-    check_vertex,
     combine_verdicts,
     Verdict,
     decode_accepted_witness,
@@ -113,13 +111,6 @@ def test_decode_returns_the_encoded_witness(p11):
     assert decoded.radius == encoded.radius
     for x in range(p11.G.n):
         assert decoded.dists[x] == encoded.dists[x]
-
-
-def test_check_vertex_agrees_with_driver(p11):
-    params = p11.labeling.params
-    for x, order, ends in ball_sweep(p11.G, params.r + 1):
-        lball = LabeledBall(p11.G.adj, order, ends, p11.labeling)
-        assert check_vertex(lball, params) == p11.property_a.decisions[x]
 
 
 def test_jobs_do_not_change_decisions(p11):
@@ -233,14 +224,12 @@ def test_exhaustive_search_finds_no_unsound_accept(family, params, sound_accepts
     so the search is not empty there."""
     G = lc.generate(lc.FamilySpec(family, params))
     scheme = SchemeParams(r=1, eps_prime=Fraction(1, 2), alpha=2, palette=2)
-    balls = [(tuple(order), tuple(ends)) for _, order, ends in ball_sweep(G, 2)]
     accepted = 0
     for colors in itertools.product((0, 1), repeat=G.n - 1):
         colors = (0, *colors)
         for flat in itertools.product(range(3), repeat=2 * G.n):
             labeling = ProofLabeling(scheme, colors, tuple(zip(flat[::2], flat[1::2])), 0)
-            if any(check_vertex(LabeledBall(G.adj, order, ends, labeling), scheme)
-                   for order, ends in balls):
+            if not verify_property_a(G, labeling).accept:
                 continue
             accepted += 1
             decoded = decode_accepted_witness(G, labeling)
